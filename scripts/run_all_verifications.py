@@ -17,16 +17,18 @@ def run(argv=None):
     if "--seed" in args:
         seed = args[args.index("--seed") + 1]
     out.mkdir(parents=True, exist_ok=True)
+    # exit codes rank by severity (0 pass, 1 check failure, 2 usage error,
+    # 3 numerical abort): report the worst one, never a bitwise mix
     status = 0
     for suite in ("adhm", "ansatz", "potential", "cone", "growth"):
         print(f"== verify {suite} ==")
-        status |= hymkit_main(["verify", suite, "--seed", seed,
-                               "--out", str(out)])
+        status = max(status, hymkit_main(["verify", suite, "--seed", seed,
+                                          "--out", str(out)]))
     cfg = Path(__file__).parent / "flow_default.json"
     print("== flow ==")
-    status |= hymkit_main(["flow", str(cfg), "--out", str(out / "flow")])
+    status = max(status, hymkit_main(["flow", str(cfg), "--out", str(out / "flow")]))
     reports = sorted(str(p) for p in out.glob("verify_*.json"))
-    status |= hymkit_main(["report", *reports, "--out", str(out)])
+    status = max(status, hymkit_main(["report", *reports, "--out", str(out)]))
     return status
 
 

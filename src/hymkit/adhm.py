@@ -140,11 +140,7 @@ def instanton_monad(d: ADHMData) -> mo.MonadSpec:
 
 def strip_analytic_derivatives(spec: mo.MonadSpec, fd_step: float = 1e-4) -> mo.MonadSpec:
     """Variant of a monad that forces the engine onto finite differences."""
-    h1 = spec.h1
-    if isinstance(h1, mo.DiagPowerMetric):
-        h1 = mo.MetricField(value=h1.value)
-    else:
-        h1 = mo.MetricField(value=h1.value)
+    h1 = mo.MetricField(value=spec.h1.value)
     return mo.MonadSpec(
         name=spec.name + "-fd", n=spec.n, k0=spec.k0, k1=spec.k1, k2=spec.k2,
         alpha=spec.alpha, beta=spec.beta,

@@ -86,6 +86,18 @@ class FlowConfig:
     seed: int = 0
     n_barrier_nodes: int = 12
 
+    def __post_init__(self):
+        # a spacing whose square underflows makes the CFL dt 0 and the
+        # stencil divide by zero, so such a box is rejected here
+        if self.resolution < 5:
+            raise ValueError("resolution must be at least 5 per axis")
+        for lo, hi in self.box:
+            h = (hi - lo) / (self.resolution - 1)
+            if not (np.isfinite(h) and h > 0 and h * h > 0):
+                raise ValueError(f"box interval [{lo!r}, {hi!r}] gives grid spacing "
+                                 f"{h!r}; it must be finite and positive with a "
+                                 "nonzero square")
+
     @classmethod
     def from_json(cls, path) -> "FlowConfig":
         with open(path) as fh:

@@ -149,8 +149,9 @@ def adjoint_wrt(m: np.ndarray, h_src: np.ndarray, h_dst: np.ndarray) -> np.ndarr
 
 
 def _shift(w: np.ndarray, dir: int, delta: complex) -> np.ndarray:
+    """Copy of w with coordinate ``dir`` (last axis) moved by delta."""
     out = np.array(w, dtype=complex)
-    out[dir] += delta
+    out[..., dir] += delta
     return out
 
 
@@ -160,6 +161,7 @@ def fd_derivative(f, p, dir: int, kind: str = "holo", h: float = DEFAULT_FD_STEP
     ``kind`` is "holo" for d_w = (d_u - i d_v)/2 or "anti" for
     d_wbar = (d_u + i d_v)/2.  ``f`` maps a complex coordinate array to a
     scalar or ndarray; evaluation failures at stencil points propagate.
+    ``p`` may be a batch (..., n) when ``f`` accepts one.
     """
     if h <= 0:
         raise ValueError("fd step must be positive")

@@ -19,6 +19,12 @@ where grad alpha^dag = dbar(alpha^dag) is a (0,1)-form, grad beta =
 (dbar beta^dag)^dag is a (1,0)-form, and F_{E1} is the Chern curvature of h1.
 All pairings and adjoints follow the conventions of :mod:`hymkit.geometry`.
 
+The curvature is contracted fiber first: every ingredient is multiplied by
+the h1-orthonormal fiber basis B (k1 x r) before the forms are paired, so the
+(n, n, r, r) coefficients are built directly by ordered batched matmuls and
+no (n, n, k1, k1) ambient form exists.  The pointwise, batched and oracle
+entry points all go through this one contraction (:func:`_fiber_forms`).
+
 Everything here accepts a single point (shape (n,)) or a batch (..., n); the
 batched paths are used by the sampling-heavy diagnostics.
 """
@@ -202,6 +208,16 @@ def constant_metric(m: np.ndarray) -> MetricField:
     return MetricField(value=value, dholo=dholo, dmixed=dmixed)
 
 
+def _ct(x):
+    """Conjugate transpose over the last two axes."""
+    return np.swapaxes(x.conj(), -1, -2)
+
+
+def _fd_jacobian(fn, w, n, step):
+    """Centered FD holomorphic derivatives d_{w_j} fn, stacked as (..., n, a, b)."""
+    return np.stack([fd_derivative(fn, w, j, "holo", step) for j in range(n)], axis=-3)
+
+
 def _metric_value(metric, w):
     if isinstance(metric, DiagPowerMetric):
         return metric.value(w)
@@ -214,9 +230,7 @@ def _metric_dholo(metric, w, fd_step):
     if metric.dholo is not None:
         return np.asarray(metric.dholo(w), dtype=complex)
     w = np.asarray(w, dtype=complex)
-    n = w.shape[-1]
-    ds = [fd_derivative(metric.value, w, j, "holo", fd_step) for j in range(n)]
-    return np.stack(ds, axis=0)
+    return _fd_jacobian(metric.value, w, w.shape[-1], fd_step)
 
 
 def _metric_dmixed(metric, w, fd_step):
@@ -226,12 +240,9 @@ def _metric_dmixed(metric, w, fd_step):
         return np.asarray(metric.dmixed(w), dtype=complex)
     w = np.asarray(w, dtype=complex)
     n = w.shape[-1]
-    k = _metric_value(metric, w).shape[-1]
-    out = np.zeros((n, n, k, k), dtype=complex)
-    for j in range(n):
-        for kk in range(n):
-            out[j, kk] = fd_mixed_second(metric.value, w, j, kk, fd_step)
-    return out
+    return np.stack([np.stack([fd_mixed_second(metric.value, w, j, kk, fd_step)
+                               for kk in range(n)], axis=-3)
+                     for j in range(n)], axis=-4)
 
 
 # ---------------------------------------------------------------------------
@@ -322,118 +333,69 @@ class CurvatureReport:
 
 def _alpha_dag(spec, w, h0, h1):
     """alpha^dag = h0^{-1} conj(alpha)^t h1, batched."""
-    a = np.asarray(spec.alpha(w), dtype=complex)
-    at = np.swapaxes(a.conj(), -1, -2)
+    at = _ct(np.asarray(spec.alpha(w), dtype=complex))
     return np.linalg.solve(h0, at @ h1) if spec.k0 > 0 else at @ h1
 
 
 def _beta_dag(spec, w, h1, h2):
-    b = np.asarray(spec.beta(w), dtype=complex)
-    bt = np.swapaxes(b.conj(), -1, -2)
+    bt = _ct(np.asarray(spec.beta(w), dtype=complex))
     return np.linalg.solve(h1, bt @ h2)
 
 
-def _dalpha(spec, w):
-    if spec.dalpha is not None:
-        return np.asarray(spec.dalpha(w), dtype=complex)
-    n = spec.n
-    w1 = np.asarray(w, dtype=complex)
-    if w1.ndim == 1:
-        return np.stack([fd_derivative(spec.alpha, w1, j, "holo", spec.fd_step)
-                         for j in range(n)], axis=0)
-    flat = w1.reshape(-1, n)
-    outs = np.stack([
-        np.stack([fd_derivative(spec.alpha, q, j, "holo", spec.fd_step) for j in range(n)], axis=0)
-        for q in flat
-    ])
-    return outs.reshape(w1.shape[:-1] + outs.shape[1:])
+def _dbar_adjoint(m, dm, m_dag, hs_inv, ht, dhs, dht):
+    """(0,1)-form dbar(m^dag) of m^dag = hs^{-1} conj(m)^t ht, along dwbar_j.
 
-
-def _dbeta(spec, w):
-    if spec.dbeta is not None:
-        return np.asarray(spec.dbeta(w), dtype=complex)
-    n = spec.n
-    w1 = np.asarray(w, dtype=complex)
-    if w1.ndim == 1:
-        return np.stack([fd_derivative(spec.beta, w1, j, "holo", spec.fd_step)
-                         for j in range(n)], axis=0)
-    flat = w1.reshape(-1, n)
-    outs = np.stack([
-        np.stack([fd_derivative(spec.beta, q, j, "holo", spec.fd_step) for j in range(n)], axis=0)
-        for q in flat
-    ])
-    return outs.reshape(w1.shape[:-1] + outs.shape[1:])
-
-
-def _grad_alpha_dag(spec, w, h0, h1, dh0, dh1):
-    """(0,1)-form dbar(alpha^dag), components along dwbar_j: (..., n, k0, k1).
-
-    dbar_j (h0^{-1} abar^t h1) = -h0^{-1}(dbar_j h0)h0^{-1} abar^t h1
-        + h0^{-1} conj(d_j alpha)^t h1 + h0^{-1} abar^t (dbar_j h1),
-    with dbar_j h = (d_j h)^dag for Hermitian h.
+    dbar_j m^dag = hs^{-1} [conj(d_j m)^t ht + conj(m)^t (dbar_j ht)
+                            - (dbar_j hs) m^dag],
+    with dbar_j h = (d_j h)^dag for Hermitian h; shape (..., n, ks, kt).
     """
-    a = np.asarray(spec.alpha(w), dtype=complex)
-    at = np.swapaxes(a.conj(), -1, -2)
-    da = _dalpha(spec, w)                      # (..., n, k1, k0)
-    dat = np.swapaxes(da.conj(), -1, -2)       # conj(d_j alpha)^t
-    dh0_bar = np.swapaxes(dh0.conj(), -1, -2)  # dbar_j h0
-    dh1_bar = np.swapaxes(dh1.conj(), -1, -2)
-    h0i = np.linalg.inv(h0)
-    term1 = -np.einsum("...ab,...jbc,...cd,...de,...ef->...jaf",
-                       h0i, dh0_bar, h0i, at, h1)
-    term2 = np.einsum("...ab,...jbc,...cd->...jad", h0i, dat, h1)
-    term3 = np.einsum("...ab,...bc,...jcd->...jad", h0i, at, dh1_bar)
-    return term1 + term2 + term3
-
-
-def _grad_beta(spec, w, h1, h2, dh1, dh2):
-    """(1,0)-form (dbar beta^dag)^dag, components along dw_j: (..., n, k2, k1)."""
-    b = np.asarray(spec.beta(w), dtype=complex)
-    bt = np.swapaxes(b.conj(), -1, -2)
-    db = _dbeta(spec, w)
-    dbt = np.swapaxes(db.conj(), -1, -2)
-    dh1_bar = np.swapaxes(dh1.conj(), -1, -2)
-    dh2_bar = np.swapaxes(dh2.conj(), -1, -2)
-    h1i = np.linalg.inv(h1)
-    h2i = np.linalg.inv(h2)
-    dbar_bdag = (-np.einsum("...ab,...jbc,...cd,...de,...ef->...jaf",
-                            h1i, dh1_bar, h1i, bt, h2)
-                 + np.einsum("...ab,...jbc,...cd->...jad", h1i, dbt, h2)
-                 + np.einsum("...ab,...bc,...jcd->...jad", h1i, bt, dh2_bar))
-    # adjoint per component: h2^{-1} conj(X)^t h1
-    xt = np.swapaxes(dbar_bdag.conj(), -1, -2)
-    return np.einsum("...ab,...jbc,...cd->...jad", h2i, xt, h1)
-
-
-def _chern_f1(spec, w, h1, dh1, ddh1):
-    """Raw Chern curvature of h1: F[j,k] = -dbar_k(h1^{-1} d_j h1), (..., n,n,k1,k1)."""
-    h1i = np.linalg.inv(h1)
-    dh1_bar = np.swapaxes(dh1.conj(), -1, -2)
-    # -h1^{-1} [ d_j d_kbar h1 - (dbar_k h1) h1^{-1} (d_j h1) ]
-    corr = np.einsum("...kab,...bc,...jcd->...jkad", dh1_bar, h1i, dh1)
-    return -np.einsum("...ab,...jkbc->...jkac", h1i, ddh1 - corr)
+    def one(x):
+        return x[..., None, :, :]
+    return one(hs_inv) @ (_ct(dm) @ one(ht) + one(_ct(m)) @ _ct(dht)
+                          - _ct(dhs) @ one(m_dag))
 
 
 def _pieces(spec, w):
-    """All pointwise ingredients needed by the curvature formula."""
-    h0 = _metric_value(spec.h0, w)
+    """All pointwise ingredients needed by the curvature formula.
+
+    Each metric is inverted once.  grad_alpha_dag = dbar(alpha^dag) has
+    components along dwbar_j, (..., n, k0, k1); grad_beta = (dbar beta^dag)^dag
+    along dw_j, (..., n, k2, k1); dh1 and ddh1 are d_j h1 and d_j d_kbar h1.
+    """
+    w = np.asarray(w, dtype=complex)
+
+    def holo(fn, dfn):
+        # d_{w_j} of a monad map, analytic when the spec provides it
+        if dfn is not None:
+            return np.asarray(dfn(w), dtype=complex)
+        return _fd_jacobian(fn, w, spec.n, spec.fd_step)
+
     h1 = _metric_value(spec.h1, w)
     h2 = _metric_value(spec.h2, w)
-    dh0 = _metric_dholo(spec.h0, w, spec.fd_step)
+    h1_inv = np.linalg.inv(h1)
     dh1 = _metric_dholo(spec.h1, w, spec.fd_step)
-    dh2 = _metric_dholo(spec.h2, w, spec.fd_step)
-    ddh1 = _metric_dmixed(spec.h1, w, spec.fd_step)
+    beta = np.asarray(spec.beta(w), dtype=complex)
+    beta_dag = h1_inv @ _ct(beta) @ h2
+    dbar_beta_dag = _dbar_adjoint(beta, holo(spec.beta, spec.dbeta),
+                                  beta_dag, h1_inv, h2, dh1,
+                                  _metric_dholo(spec.h2, w, spec.fd_step))
     out = {
-        "h0": h0, "h1": h1, "h2": h2,
-        "beta": np.asarray(spec.beta(w), dtype=complex),
-        "beta_dag": _beta_dag(spec, w, h1, h2),
-        "grad_beta": _grad_beta(spec, w, h1, h2, dh1, dh2),
-        "f1": _chern_f1(spec, w, h1, dh1, ddh1),
+        "h1": h1, "h2": h2, "h1_inv": h1_inv,
+        "dh1": dh1, "ddh1": _metric_dmixed(spec.h1, w, spec.fd_step),
+        "beta": beta, "beta_dag": beta_dag,
+        "grad_beta": (np.linalg.inv(h2)[..., None, :, :] @ _ct(dbar_beta_dag)
+                      @ h1[..., None, :, :]),
     }
     if spec.k0 > 0:
-        out["alpha"] = np.asarray(spec.alpha(w), dtype=complex)
-        out["alpha_dag"] = _alpha_dag(spec, w, h0, h1)
-        out["grad_alpha_dag"] = _grad_alpha_dag(spec, w, h0, h1, dh0, dh1)
+        h0 = _metric_value(spec.h0, w)
+        h0_inv = np.linalg.inv(h0)
+        alpha = np.asarray(spec.alpha(w), dtype=complex)
+        alpha_dag = h0_inv @ _ct(alpha) @ h1
+        out.update(h0=h0, alpha=alpha, alpha_dag=alpha_dag,
+                   grad_alpha_dag=_dbar_adjoint(
+                       alpha, holo(spec.alpha, spec.dalpha),
+                       alpha_dag, h0_inv, h1,
+                       _metric_dholo(spec.h0, w, spec.fd_step), dh1))
     return out
 
 
@@ -581,44 +543,52 @@ def induced_metric(spec: MonadSpec, p, sections) -> np.ndarray:
 # curvature
 
 
-def _ambient_forms(spec, w):
-    """Sesquilinear-form matrices N[j,k] with <F s, s'> = s'^dag N[j,k] s.
+def _fiber_forms(spec, w, basis):
+    """Raw dw_j ^ dwbar_k coefficients N[j,k] of the induced curvature in the
+    fiber basis B, (..., n, n, r, r), with <F s, s'> = s'^dag N[j,k] s.
 
-    Restricted to V_p these are the raw dw_j ^ dwbar_k coefficients of the
-    induced curvature paired against h-metrics:
+    Every ingredient is multiplied by B before it is paired, so no k1 x k1
+    form is built.  With D_j = (d_j h1) B, G_j = grad_beta_j B and
+    A_j = grad_alpha_dag_j B,
 
-        N[j,k] = h1 F1[j,k]
-                 - conj(grad_beta_k)^t h2 (beta beta^dag)^{-1} grad_beta_j
-                 + conj(grad_adag_j)^t h0 (alpha^dag alpha)^{-1} grad_adag_k.
+        N[j,k] = D_k^dag h1^{-1} D_j - B^dag (d_j d_kbar h1) B
+                 - G_k^dag h2 (beta beta^dag)^{-1} G_j
+                 + A_j^dag h0 (alpha^dag alpha)^{-1} A_k.
+
+    The first two terms are B^dag h1 F1[j,k] B, since
+    h1 F1[j,k] = (d_k h1)^dag h1^{-1} (d_j h1) - d_j d_kbar h1 for any
+    Hermitian h1, so N is the ambient form of the module docstring
+    restricted to V_p.
     """
     pc = _pieces(spec, w)
-    h1, h2 = pc["h1"], pc["h2"]
-    f1 = pc["f1"]
-    n = spec.n
-    term1 = np.einsum("...ab,...jkbc->...jkac", h1, f1)
-    gb = pc["grad_beta"]                       # (..., n, k2, k1)
-    bbd = pc["beta"] @ pc["beta_dag"]
-    bbd_inv = np.linalg.inv(bbd)
-    gbc = np.swapaxes(gb.conj(), -1, -2)       # (..., n, k1, k2)
-    mid = np.einsum("...ab,...bc,...jcd->...jad", h2, bbd_inv, gb)
-    term2 = np.einsum("...kab,...jbc->...jkac", gbc, mid)
-    out = term1 - term2
+    n, r = spec.n, basis.shape[-1]
+    lead = basis.shape[:-2]
+
+    def cols(m):
+        # stacked (..., s.., p, k1) times B, folded to (..., p, s.. r) with
+        # columns (stack index, fiber index): one matmul per point
+        mb = m.reshape(lead + (-1, m.shape[-1])) @ basis
+        mb = np.swapaxes(mb.reshape(lead + (-1, m.shape[-2], r)), -3, -2)
+        return mb.reshape(lead + (m.shape[-2], -1))
+
+    def unfold(f):
+        # (..., n r, n r) with rows (x, a), columns (y, b) -> (..., x, y, a, b)
+        return np.swapaxes(f.reshape(lead + (n, r, n, r)), -3, -2)
+
+    d = cols(pc["dh1"])
+    g = cols(pc["grad_beta"])
+    m = pc["h2"] @ np.linalg.inv(pc["beta"] @ pc["beta_dag"])
+    # rows (k, a), columns (j, b): D_k^dag h1^{-1} D_j - G_k^dag m G_j
+    out = np.swapaxes(unfold(_ct(d) @ (pc["h1_inv"] @ d) - _ct(g) @ (m @ g)), -4, -3)
+    # rows a, columns (j, k, b): B^dag (d_j d_kbar h1) B
+    dd = (_ct(basis) @ cols(pc["ddh1"])).reshape(lead + (r, n, n, r))
+    out = out - np.moveaxis(dd, -4, -2)
     if spec.k0 > 0:
-        ga = pc["grad_alpha_dag"]              # (..., n, k0, k1)
-        ada = pc["alpha_dag"] @ pc["alpha"]
-        ada_inv = np.linalg.inv(ada)
-        gac = np.swapaxes(ga.conj(), -1, -2)
-        h0 = pc["h0"]
-        mid3 = np.einsum("...ab,...bc,...kcd->...kad", h0, ada_inv, ga)
-        term3 = np.einsum("...jab,...kbc->...jkac", gac, mid3)
-        out = out + term3
+        a = cols(pc["grad_alpha_dag"])
+        m = pc["h0"] @ np.linalg.inv(pc["alpha_dag"] @ pc["alpha"])
+        # rows (j, a), columns (k, b): A_j^dag m A_k
+        out = out + unfold(_ct(a) @ (m @ a))
     return out
-
-
-def _restrict(nforms, basis):
-    """Project ambient form matrices to the fiber basis: B^dag N B."""
-    bd = np.swapaxes(basis.conj(), -1, -2)
-    return np.einsum("...ab,...jkbc,...cd->...jkad", bd, nforms, basis)
 
 
 def form_norm_sq(f_raw: np.ndarray, n: int) -> np.ndarray:
@@ -648,6 +618,16 @@ def form_norm_sq(f_raw: np.ndarray, n: int) -> np.ndarray:
     return total
 
 
+def _curvature_data(spec, w, basis):
+    """Raw form, i Lambda F and the two norms in the fiber basis, batched."""
+    raw = _fiber_forms(spec, w, basis)
+    mean = 2.0 * np.einsum("...jjab->...ab", raw)       # i Lambda F
+    mean = 0.5 * (mean + _ct(mean))
+    norm_mean = np.abs(np.linalg.eigvalsh(mean)).max(axis=-1)
+    norm_form = np.sqrt(form_norm_sq(raw, spec.n))
+    return raw, mean, norm_mean, norm_form
+
+
 def curvature(spec: MonadSpec, p, fiber: CohomFiber | None = None) -> CurvatureReport:
     """Curvature of the induced connection at a regular point p.
 
@@ -658,21 +638,15 @@ def curvature(spec: MonadSpec, p, fiber: CohomFiber | None = None) -> CurvatureR
     """
     if fiber is None:
         fiber = cohomology_frame(spec, p)
-    w = fiber.point
-    nf = _ambient_forms(spec, w)
-    raw = _restrict(nf, fiber.basis)              # raw coefficients on dw^dwbar
-    mean = 2.0 * np.einsum("jjab->ab", raw)       # i Lambda F
-    mean = 0.5 * (mean + mean.conj().T)
-    norm_mean = float(np.abs(np.linalg.eigvalsh(mean)).max()) if mean.size else 0.0
-    norm_form = float(np.sqrt(form_norm_sq(raw, spec.n)))
+    raw, mean, norm_mean, norm_form = _curvature_data(spec, fiber.point, fiber.basis)
     # i F = i sum raw[j,k] dw_j ^ dwbar_k, i.e. Form11 coefficients = raw
     return CurvatureReport(
-        point=w,
+        point=fiber.point,
         fiber=fiber,
         form=Form11(raw),
         mean=mean,
-        norm_form=norm_form,
-        norm_mean=norm_mean,
+        norm_form=float(norm_form),
+        norm_mean=float(norm_mean),
     )
 
 
@@ -684,12 +658,7 @@ def curvature_batch(spec: MonadSpec, W: np.ndarray) -> dict:
     """
     w = np.asarray(W, dtype=complex)
     basis = frame_batch(spec, w)
-    nf = _ambient_forms(spec, w)
-    raw = _restrict(nf, basis)
-    mean = 2.0 * np.einsum("...jjab->...ab", raw)
-    mean = 0.5 * (mean + np.swapaxes(mean.conj(), -1, -2))
-    norm_mean = np.abs(np.linalg.eigvalsh(mean)).max(axis=-1)
-    norm_form = np.sqrt(form_norm_sq(raw, spec.n))
+    raw, mean, norm_mean, norm_form = _curvature_data(spec, w, basis)
     return {"basis": basis, "form_raw": raw, "mean": mean,
             "norm_mean": norm_mean, "norm_form": norm_form}
 
@@ -711,7 +680,6 @@ def curvature_fd_check(spec: MonadSpec, p, frame, h: float = 1e-3) -> float:
         return induced_metric(spec, q, frame(q))
 
     g0 = gram(w)
-    g0_inv = np.linalg.inv(g0)
 
     def theta(q, j):
         # G^{-1} d_j G at q, via one more FD level
@@ -735,9 +703,7 @@ def curvature_fd_check(spec: MonadSpec, p, frame, h: float = 1e-3) -> float:
         ad = _alpha_dag(spec, w, h0, h1v)
         s = s - a @ np.linalg.solve(ad @ a, ad @ s)
     t = fiber.basis.conj().T @ fiber.h1 @ s
-    t_inv = np.linalg.inv(t)
-    raw = _restrict(_ambient_forms(spec, w), fiber.basis)
-    engine_raw = np.einsum("ab,jkbc,cd->jkad", t_inv, raw, t)
+    engine_raw = np.linalg.inv(t) @ rep.form.coeff @ t
 
     scale = max(float(np.abs(engine_raw).max()), 1e-14)
     return float(np.abs(fd_raw - engine_raw).max() / scale)

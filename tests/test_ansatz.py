@@ -6,6 +6,14 @@ from hymkit import adhm, ansatz, monads as mo
 SPEC = ansatz.ansatz_monad()
 
 
+def chern_f1(pc):
+    """F1[j,k] = -h1^{-1}(d_j d_kbar h1 - (d_k h1)^dag h1^{-1} d_j h1)."""
+    h1_inv = np.linalg.inv(pc["h1"])
+    dh1 = pc["dh1"]
+    corr = np.swapaxes(dh1.conj(), -1, -2)[None, :] @ h1_inv @ dh1[:, None]
+    return -h1_inv @ (pc["ddh1"] - corr)
+
+
 class TestClosedForms:
     def test_scalars_at_unit_x(self):
         ing = ansatz.closed_form_ingredients([1.0, 0, 0])
@@ -36,7 +44,7 @@ class TestClosedForms:
             assert abs(ing["bbd"] - (pc["beta"] @ pc["beta_dag"])[0, 0]) < 1e-6
             assert np.abs(ing["grad_adag"] - pc["grad_alpha_dag"]).max() < 1e-6
             assert np.abs(ing["grad_beta"] - pc["grad_beta"]).max() < 1e-6
-            assert np.abs(ing["f1"] - pc["f1"]).max() < 1e-6
+            assert np.abs(ing["f1"] - chern_f1(pc)).max() < 1e-6
 
     def test_cross_check_against_fd(self):
         # the engine pieces against plain finite differences of the maps
@@ -46,7 +54,7 @@ class TestClosedForms:
         pc = mo._pieces(stripped, w)
         assert np.abs(ing["grad_adag"] - pc["grad_alpha_dag"]).max() < 1e-6
         assert np.abs(ing["grad_beta"] - pc["grad_beta"]).max() < 1e-6
-        assert np.abs(ing["f1"] - pc["f1"]).max() < 1e-5
+        assert np.abs(ing["f1"] - chern_f1(pc)).max() < 1e-5
 
 
 class TestWeight:

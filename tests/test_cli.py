@@ -81,11 +81,11 @@ class TestFlow:
         assert run_cli(["flow", str(cfg)]) == cli.EXIT_NUMERICAL
 
     def test_degenerate_box_numerical_abort(self, tmp_path):
-        # a last interval of width 1e-300 gives zero spacing squares and a
-        # NaN metric; that must abort, not pass
+        # a last interval of width 1e-300 gives zero spacing squares (a zero
+        # CFL dt and a NaN metric): a config error, rejected before any step
         box = [[1.0, 2.0]] + [[-0.5, 0.5]] * 4 + [[0.0, 1e-300]]
         cfg = self.make_config(tmp_path, box=box, steps=20)
-        assert run_cli(["flow", str(cfg)]) == cli.EXIT_NUMERICAL
+        assert run_cli(["flow", str(cfg)]) == cli.EXIT_USAGE
 
     def test_flow_deterministic(self, tmp_path):
         cfg = self.make_config(tmp_path)
@@ -132,3 +132,34 @@ def test_module_entry_point():
 
 def test_no_command_prints_help(capsys):
     assert run_cli([]) == cli.EXIT_USAGE
+
+
+class TestRunAllVerifications:
+    def load(self):
+        import importlib.util
+        from pathlib import Path
+        path = Path(__file__).parents[1] / "scripts" / "run_all_verifications.py"
+        spec = importlib.util.spec_from_file_location("run_all_verifications", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @pytest.mark.parametrize("codes,expected", [
+        ([0] * 7, cli.EXIT_PASS),
+        ([1, 0, 2, 0, 0, 0, 0], cli.EXIT_USAGE),
+        ([0, 1, 0, 0, 0, 1, 0], cli.EXIT_CHECK_FAILURE),
+        ([2, 0, 0, 3, 0, 1, 0], cli.EXIT_NUMERICAL),
+    ])
+    def test_reports_most_severe_exit_code(self, tmp_path, monkeypatch, codes,
+                                           expected):
+        # seven calls: five verify suites, the flow, the report
+        module = self.load()
+        calls = []
+
+        def fake_main(argv):
+            calls.append(argv[0])
+            return codes[len(calls) - 1]
+
+        monkeypatch.setattr(module, "hymkit_main", fake_main)
+        assert module.run([str(tmp_path)]) == expected
+        assert calls == ["verify"] * 5 + ["flow", "report"]

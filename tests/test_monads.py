@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hymkit import adhm, monads as mo
-from hymkit.ansatz import ansatz_monad, chart_frame, cone_monad
+from hymkit.ansatz import ansatz_monad, chart_frame, cone_monad, twisted_monad
+from hymkit.geometry import fd_derivative, fd_mixed_second
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +205,6 @@ class TestDiagPowerMetric:
         w = p[:3] + 1j * p[3:]
         if abs(w[2]) < 0.3 or np.sum(np.abs(w) ** 2) < 0.1:
             return
-        from hymkit.geometry import fd_derivative, fd_mixed_second
         dh = metric.dholo(w)
         ddh = metric.dmixed(w)
         for j in range(3):
@@ -216,3 +216,130 @@ class TestDiagPowerMetric:
                 fd = fd_mixed_second(metric.value, w, j, k, 1e-3)
                 scale = max(np.abs(fd).max(), 1.0)
                 assert np.abs(ddh[j, k] - fd).max() < 1e-4 * scale
+
+
+# ---------------------------------------------------------------------------
+# the fiber-first contraction against the ambient einsum chain
+
+
+def _ref_grad_alpha_dag(spec, w, h0, h1, dh0, dh1, da):
+    at = np.swapaxes(np.asarray(spec.alpha(w), dtype=complex).conj(), -1, -2)
+    dat = np.swapaxes(da.conj(), -1, -2)
+    dh0_bar = np.swapaxes(dh0.conj(), -1, -2)
+    dh1_bar = np.swapaxes(dh1.conj(), -1, -2)
+    h0i = np.linalg.inv(h0)
+    return (-np.einsum("ab,jbc,cd,de,ef->jaf", h0i, dh0_bar, h0i, at, h1)
+            + np.einsum("ab,jbc,cd->jad", h0i, dat, h1)
+            + np.einsum("ab,bc,jcd->jad", h0i, at, dh1_bar))
+
+
+def _ref_grad_beta(spec, w, h1, h2, dh1, dh2, db):
+    bt = np.swapaxes(np.asarray(spec.beta(w), dtype=complex).conj(), -1, -2)
+    dbt = np.swapaxes(db.conj(), -1, -2)
+    dh1_bar = np.swapaxes(dh1.conj(), -1, -2)
+    dh2_bar = np.swapaxes(dh2.conj(), -1, -2)
+    h1i, h2i = np.linalg.inv(h1), np.linalg.inv(h2)
+    dbar_bdag = (-np.einsum("ab,jbc,cd,de,ef->jaf", h1i, dh1_bar, h1i, bt, h2)
+                 + np.einsum("ab,jbc,cd->jad", h1i, dbt, h2)
+                 + np.einsum("ab,bc,jcd->jad", h1i, bt, dh2_bar))
+    xt = np.swapaxes(dbar_bdag.conj(), -1, -2)
+    return np.einsum("ab,jbc,cd->jad", h2i, xt, h1)
+
+
+def _ref_ambient_forms(spec, w):
+    """Ambient (n, n, k1, k1) forms at one point, as the engine built them:
+    h1 F1 - conj(grad_beta)^t h2 (beta beta^dag)^{-1} grad_beta
+    + conj(grad_adag)^t h0 (alpha^dag alpha)^{-1} grad_adag."""
+    n = spec.n
+
+    def dmap(fn, dfn):
+        if dfn is not None:
+            return np.asarray(dfn(w), dtype=complex)
+        return np.stack([fd_derivative(fn, w, j, "holo", spec.fd_step)
+                         for j in range(n)], axis=0)
+
+    h0, h1, h2 = (mo._metric_value(m, w) for m in (spec.h0, spec.h1, spec.h2))
+    dh0, dh1, dh2 = (mo._metric_dholo(m, w, spec.fd_step)
+                     for m in (spec.h0, spec.h1, spec.h2))
+    ddh1 = mo._metric_dmixed(spec.h1, w, spec.fd_step)
+    h1i = np.linalg.inv(h1)
+    corr = np.einsum("kab,bc,jcd->jkad", np.swapaxes(dh1.conj(), -1, -2), h1i, dh1)
+    f1 = -np.einsum("ab,jkbc->jkac", h1i, ddh1 - corr)
+    beta = np.asarray(spec.beta(w), dtype=complex)
+    gb = _ref_grad_beta(spec, w, h1, h2, dh1, dh2, dmap(spec.beta, spec.dbeta))
+    bbd_inv = np.linalg.inv(beta @ mo._beta_dag(spec, w, h1, h2))
+    mid = np.einsum("ab,bc,jcd->jad", h2, bbd_inv, gb)
+    out = (np.einsum("ab,jkbc->jkac", h1, f1)
+           - np.einsum("kab,jbc->jkac", np.swapaxes(gb.conj(), -1, -2), mid))
+    if spec.k0 > 0:
+        alpha = np.asarray(spec.alpha(w), dtype=complex)
+        ga = _ref_grad_alpha_dag(spec, w, h0, h1, dh0, dh1, dmap(spec.alpha, spec.dalpha))
+        ada_inv = np.linalg.inv(mo._alpha_dag(spec, w, h0, h1) @ alpha)
+        mid3 = np.einsum("ab,bc,kcd->kad", h0, ada_inv, ga)
+        out = out + np.einsum("jab,kbc->jkac", np.swapaxes(ga.conj(), -1, -2), mid3)
+    return out
+
+
+def _nondiagonal_h1_monad():
+    """The main family with h1 = C^dag H(w) C: Hermitian, not diagonal, with
+    analytic derivatives."""
+    base = ansatz_monad()
+    diag = mo.DiagPowerMetric(consts=(1, 2, 1, 3), pow_rho=(-0.5, 0.5, 0, 0.25))
+    c = np.array([[1, 0.3j, 0, 0.2], [0, 1, 0.4, 0],
+                  [0.1, 0, 1, -0.5j], [0, 0.2, 0, 1]], dtype=complex)
+
+    def congruent(f):
+        return lambda w: c.conj().T @ f(w) @ c
+
+    h1 = mo.MetricField(value=congruent(diag.value), dholo=congruent(diag.dholo),
+                        dmixed=congruent(diag.dmixed))
+    return mo.MonadSpec(name="ansatz-nondiag-h1", n=3, k0=1, k1=4, k2=1,
+                        alpha=base.alpha, beta=base.beta, h0=base.h0, h1=h1,
+                        h2=base.h2, dalpha=base.dalpha, dbeta=base.dbeta)
+
+
+class TestFiberForms:
+    """curvature_batch against the ambient forms projected by B^dag N B."""
+
+    def case(self, name, rng):
+        p = rng.standard_normal((12, 6))
+        w = p[:, :3] + 1j * p[:, 3:]
+        w[:, 0] += 1.5
+        if name == "adhm":
+            return adhm.instanton_monad(adhm.ADHMData(1, 0, 0, 1)), w[:, :2]
+        if name == "cone":
+            return cone_monad(), w
+        if name == "twisted":
+            return twisted_monad(400), w + np.array([0, 0, 400.0])
+        if name == "nondiag_h1":
+            return _nondiagonal_h1_monad(), w
+        if name == "fd_stripped":
+            return adhm.strip_analytic_derivatives(ansatz_monad(), fd_step=1e-4), w
+        return ansatz_monad(), w
+
+    @pytest.mark.parametrize("name", ["adhm", "ansatz", "cone", "twisted",
+                                      "nondiag_h1", "fd_stripped"])
+    def test_matches_ambient_reference(self, name, rng):
+        spec, w = self.case(name, rng)
+        data = mo.curvature_batch(spec, w)
+        basis = data["basis"]
+        raw = np.stack([
+            np.einsum("ab,jkbc,cd->jkad", basis[i].conj().T,
+                      _ref_ambient_forms(spec, w[i]), basis[i])
+            for i in range(len(w))])
+        mean = 2.0 * np.einsum("...jjab->...ab", raw)
+        mean = 0.5 * (mean + np.swapaxes(mean.conj(), -1, -2))
+        norm_mean = np.abs(np.linalg.eigvalsh(mean)).max(axis=-1)
+        norm_form = np.sqrt(mo.form_norm_sq(raw, spec.n))
+        scale = np.abs(raw).max()
+        for got, ref in ((data["form_raw"], raw), (data["mean"], mean),
+                         (data["norm_mean"], norm_mean),
+                         (data["norm_form"], norm_form)):
+            assert np.abs(got - ref).max() <= 1e-12 * scale
+
+    def test_nondiagonal_h1_is_not_diagonal(self):
+        h1 = mo._metric_value(_nondiagonal_h1_monad().h1,
+                              np.array([0.7, 0.2j, -0.4]))
+        off = h1 - np.diag(np.diag(h1))
+        assert np.abs(off).max() > 0.1
+        np.testing.assert_allclose(h1, h1.conj().T, atol=1e-15)
