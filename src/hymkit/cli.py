@@ -204,11 +204,18 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     tols = {}
     for spec in args.tol or []:
-        if "=" not in spec:
+        name, _, val = spec.partition("=")
+        try:
+            tols[name] = float(val)
+        except ValueError:
             print(f"bad --tol {spec!r}, expected name=value", file=sys.stderr)
             return EXIT_USAGE
-        name, val = spec.split("=", 1)
-        tols[name] = float(val)
+    if args.samples is not None and args.samples < 1:
+        print(f"--samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.seed < 0:
+        print(f"--seed must be non-negative, got {args.seed}", file=sys.stderr)
+        return EXIT_USAGE
     cfg = RunConfig(seed=args.seed, samples=args.samples,
                     out_dir=Path(args.out), tolerances=tols)
     try:

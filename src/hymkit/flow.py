@@ -22,6 +22,10 @@ Hermitian by construction.  A step keeps the bracket it took; :func:`run`
 reads a monitored row's sup |i Lambda F| from the next step's bracket
 instead of forming the same bracket a second time.
 
+The second monitor, :func:`energy`, is the L^2 norm squared of the full
+curvature F_H = -dbar(H^{-1} d H) over the nodes two layers in, formed from
+the same components with the same explicit inverse.
+
 Axis order of the real grid: (Re x, Im x, Re y, Im y, Re z, Im z).
 """
 
@@ -45,6 +49,7 @@ __all__ = [
     "FlowState",
     "CFL_COEFF",
     "build_domain",
+    "DEFAULT_BOX",
     "default_box",
     "mean_curvature_field",
     "step",
@@ -72,31 +77,70 @@ class PositivityError(RuntimeError):
         self.node = node
 
 
+DEFAULT_BOX = ((1.0, 2.0), (-0.5, 0.5), (-0.5, 0.5),
+               (-0.5, 0.5), (-0.5, 0.5), (-0.5, 0.5))
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return (isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool) and bool(np.isfinite(v)))
+
+
+def _grid_spacings(box, resolution) -> np.ndarray:
+    """Spacings (6,) of the grid with ``resolution`` nodes per box interval.
+
+    Raises ValueError unless the box has six intervals inside the x-chart
+    (Re x >= 1), the resolution is an integer >= 5 within the node budget, and
+    every spacing is finite and positive with a square that does not
+    underflow (a zero square makes the CFL dt 0 and the stencil divide by 0).
+    """
+    if len(box) != 6:
+        raise ValueError("box must have six real intervals")
+    if not _is_int(resolution) or resolution < 5:
+        raise ValueError(f"resolution must be an integer >= 5, got {resolution!r}")
+    n_nodes = int(resolution) ** 6
+    if n_nodes > NODE_BUDGET:
+        raise ValueError(f"node budget exceeded: {n_nodes} > {NODE_BUDGET}")
+    if box[0][0] < 1.0:
+        raise ValueError("x-chart frame requires Re(x) >= 1 on the box")
+    spacings = np.array([(hi - lo) / (resolution - 1) for lo, hi in box])
+    for (lo, hi), h in zip(box, spacings):
+        if not (np.isfinite(h) and h > 0 and h * h > 0):
+            raise ValueError(f"box interval [{lo!r}, {hi!r}] gives grid spacing "
+                             f"{h!r}; it must be finite and positive with a "
+                             "nonzero square")
+    return spacings
+
+
 @dataclass(frozen=True)
 class FlowConfig:
-    """JSON-loadable flow configuration."""
+    """JSON-loadable flow configuration; invalid values raise ValueError."""
 
-    box: tuple = ((1.0, 2.0), (-0.5, 0.5), (-0.5, 0.5),
-                  (-0.5, 0.5), (-0.5, 0.5), (-0.5, 0.5))
+    box: tuple = DEFAULT_BOX
     resolution: int = 7
     steps: int = 2000
     dt: float | None = None          # None -> CFL bound
     monitor_cadence: int = 10
-    barrier_constant: float = 2.5
+    barrier_constant: float = 2.0
     seed: int = 0
     n_barrier_nodes: int = 12
 
     def __post_init__(self):
-        # a spacing whose square underflows makes the CFL dt 0 and the
-        # stencil divide by zero, so such a box is rejected here
-        if self.resolution < 5:
-            raise ValueError("resolution must be at least 5 per axis")
-        for lo, hi in self.box:
-            h = (hi - lo) / (self.resolution - 1)
-            if not (np.isfinite(h) and h > 0 and h * h > 0):
-                raise ValueError(f"box interval [{lo!r}, {hi!r}] gives grid spacing "
-                                 f"{h!r}; it must be finite and positive with a "
-                                 "nonzero square")
+        least = {"steps": 1, "monitor_cadence": 1, "n_barrier_nodes": 1, "seed": 0}
+        for name, lo in least.items():
+            v = getattr(self, name)
+            if not _is_int(v) or v < lo:
+                raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
+        if self.dt is not None and not (_is_real(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be null or a finite number > 0, got {self.dt!r}")
+        if not (_is_real(self.barrier_constant) and self.barrier_constant >= 0):
+            raise ValueError("barrier_constant must be a finite number >= 0, "
+                             f"got {self.barrier_constant!r}")
+        _grid_spacings(self.box, self.resolution)
 
     @classmethod
     def from_json(cls, path) -> "FlowConfig":
@@ -115,8 +159,7 @@ class FlowConfig:
 
 
 def default_box():
-    return ((1.0, 2.0), (-0.5, 0.5), (-0.5, 0.5),
-            (-0.5, 0.5), (-0.5, 0.5), (-0.5, 0.5))
+    return DEFAULT_BOX
 
 
 @dataclass
@@ -172,19 +215,9 @@ def _chart_gram(points: np.ndarray) -> np.ndarray:
 def build_domain(box=None, resolution: int = 7,
                  n_barrier_nodes: int = 12, seed: int = 0) -> FlowDomain:
     """Grid the box, fill the boundary metric, and pick barrier check nodes."""
-    box = tuple(tuple(map(float, iv)) for iv in (box or default_box()))
-    if len(box) != 6:
-        raise ValueError("box must have six real intervals")
-    if box[0][0] < 1.0:
-        raise ValueError("x-chart frame requires Re(x) >= 1 on the box")
-    if any(hi <= lo for lo, hi in box):
-        raise ValueError("empty box interval")
-    if resolution < 5:
-        raise ValueError("resolution must be at least 5 per axis")
+    box = tuple(tuple(map(float, iv)) for iv in (box or DEFAULT_BOX))
+    spacings = _grid_spacings(box, resolution)
     shape = (resolution,) * 6
-    if int(np.prod(shape)) > NODE_BUDGET:
-        raise ValueError(f"node budget exceeded: {np.prod(shape)} > {NODE_BUDGET}")
-    spacings = np.array([(hi - lo) / (resolution - 1) for lo, hi in box])
     dom = FlowDomain(box=box, shape=shape, spacings=spacings,
                      h0=None, interior=(slice(1, -1),) * 6,
                      barrier_nodes=None)
@@ -415,49 +448,62 @@ def run(domain: FlowDomain, n_steps: int, dt: float | None = None,
 def energy(state: FlowState) -> float:
     """Interior L^2 curvature: midpoint-rule integral of |F_H|^2.
 
-    The full (1,1) curvature F[j,k] = -dbar_k(H^{-1} d_j H) is built from
-    nested centered differences, so the integral runs over nodes at least
-    two layers from the boundary.  Component norms use the metric
-    (|N|^2 = tr(N H^{-1} N^dag H)) and the same real-pair form convention
-    as the monad engine.
+    The full (1,1) curvature F[j,k] = -dbar_k theta_j, theta_j = H^{-1} d_j H,
+    is built from nested centered differences, so the integral runs over
+    nodes at least two layers from the boundary.  theta_j is formed entry by
+    entry from the components with H^{-1} = adj(H) / det; the derivative of
+    H10 = conj(H01) is the conjugate of the derivative of H01 along the
+    opposite complex direction, not conj(d_j H01).  Component norms use the
+    metric, |N|^2_H = tr(N H^{-1} N^dag H), and the same real-pair form
+    convention as the monad engine (:func:`hymkit.monads.form_norm_sq`).
     """
     dom = state.domain
-    h = state.h
-    inner2 = (slice(2, -2),) * 6
+    one_in = (slice(1, -1),) * 6
 
-    def d_axis(f, axis):
-        sl_p = [slice(1, -1)] * 6
-        sl_m = [slice(1, -1)] * 6
+    def diff(f, axis):
+        # centred difference, on the nodes one layer further in than f's
+        sl_p, sl_m = list(one_in), list(one_in)
         sl_p[axis] = slice(2, None)
         sl_m[axis] = slice(0, -2)
         return (f[tuple(sl_p)] - f[tuple(sl_m)]) / (2.0 * dom.spacings[axis])
 
-    theta = []
+    a, d, b = (f[one_in] for f in (state.a, state.d, state.b))
+    inv_det = 1.0 / (a * d - (b.real**2 + b.imag**2))
+    thetas = []  # per j: the entries (00, 01, 10, 11) of theta_j on the 1-in grid
     for j in range(3):
-        dj = 0.5 * (d_axis(h, 2 * j) - 1j * d_axis(h, 2 * j + 1))  # on 1-in grid
-        theta.append(np.linalg.inv(h[(slice(1, -1),) * 6]) @ dj)
-    f_raw = np.empty(tuple(s - 4 for s in dom.shape) + (3, 3, 2, 2), dtype=complex)
-    for j in range(3):
-        for k in range(3):
-            dkb = 0.5 * (d_axis(theta[j], 2 * k) + 1j * d_axis(theta[j], 2 * k + 1))
-            f_raw[..., j, k, :, :] = -dkb
-    hc = h[inner2]
-    hcinv = np.linalg.inv(hc)
+        (xa, xd, xb), (ya, yd, yb) = ([diff(f, ax) for f in (state.a, state.d, state.b)]
+                                      for ax in (2 * j, 2 * j + 1))
+        h00 = 0.5 * (xa - 1j * ya)
+        h11 = 0.5 * (xd - 1j * yd)
+        h01 = 0.5 * (xb - 1j * yb)
+        h10 = 0.5 * (xb.conj() - 1j * yb.conj())
+        thetas.append(((d * h00 - b * h10) * inv_det, (d * h01 - b * h11) * inv_det,
+                       (a * h10 - b.conj() * h00) * inv_det,
+                       (a * h11 - b.conj() * h01) * inv_det))
+    f = [[[-0.5 * (diff(t, 2 * k) + 1j * diff(t, 2 * k + 1)) for t in theta]
+          for k in range(3)] for theta in thetas]
 
-    def met_norm_sq(m):
-        return np.real(np.einsum("...ab,...bc,...cd,...da->...",
-                                 m, hcinv, np.swapaxes(m.conj(), -1, -2), hc))
+    a, d, b = (c[one_in] for c in (a, d, b))  # now on the nodes two layers in
+    det = a * d - (b.real**2 + b.imag**2)
 
-    dens = np.zeros(f_raw.shape[:6])
-    for a in range(3):
-        dens += 4.0 * met_norm_sq(f_raw[..., a, a, :, :])
-    for a in range(3):
-        for b in range(3):
-            if a == b:
-                continue
-            dens += met_norm_sq(f_raw[..., a, b, :, :] + f_raw[..., b, a, :, :])
-            if a < b:
-                dens += 2.0 * met_norm_sq(f_raw[..., a, b, :, :] - f_raw[..., b, a, :, :])
+    def met_norm_sq(n00, n01, n10, n11):
+        # tr(N H^{-1} N^dag H) = tr(adj(H) K) / det with K = N^dag H N
+        k00 = (a * (n00.real**2 + n00.imag**2) + d * (n10.real**2 + n10.imag**2)
+               + 2.0 * (n00.conj() * b * n10).real)
+        k11 = (a * (n01.real**2 + n01.imag**2) + d * (n11.real**2 + n11.imag**2)
+               + 2.0 * (n01.conj() * b * n11).real)
+        k10 = n01.conj() * (a * n00 + b * n10) + n11.conj() * (b.conj() * n00 + d * n10)
+        return (d * k00 + a * k11 - 2.0 * (b * k10).real) / det
+
+    dens = 0.0
+    for p in range(3):
+        dens = dens + 4.0 * met_norm_sq(*f[p][p])
+    for p in range(3):
+        for q in range(p + 1, 3):
+            # |F_pq + F_qp|^2 once for each order of the pair, 2|F_pq - F_qp|^2
+            fpq, fqp = f[p][q], f[q][p]
+            dens = dens + 2.0 * met_norm_sq(*(x + y for x, y in zip(fpq, fqp)))
+            dens = dens + 2.0 * met_norm_sq(*(x - y for x, y in zip(fpq, fqp)))
     cell = float(np.prod(dom.spacings))
     return float(dens.sum() * cell)
 

@@ -117,20 +117,15 @@ class DiagPowerMetric:
 
     def _dlog(self, w: np.ndarray, rho, r2, z2):
         """d_{w_j} log(entry_i) -> (..., n, k)."""
-        n = w.shape[-1]
-        k = self.dim
         wb = w.conj()
-        dlog = np.zeros(w.shape[:-1] + (n, k), dtype=complex)
         a = np.asarray(self.pow_rho)
         b = np.asarray(self.pow_r2)
         g = np.asarray(self.pow_z2)
-        for j in range(n):
-            term = a * (wb[..., j] / rho)[..., None]
-            if np.any(b != 0.0):
-                term = term + b * (wb[..., j] / r2)[..., None]
-            dlog[..., j, :] = term
+        dlog = a * (wb / rho[..., None])[..., None]
+        if np.any(b != 0.0):
+            dlog = dlog + b * (wb / r2[..., None])[..., None]
         if np.any(g != 0.0):
-            dlog[..., n - 1, :] += g * (1.0 / w[..., -1])[..., None]
+            dlog[..., -1, :] += g * (1.0 / w[..., -1])[..., None]
         return dlog
 
     def dholo(self, w: np.ndarray) -> np.ndarray:
@@ -157,15 +152,12 @@ class DiagPowerMetric:
         # d_{wbar_k} d_{w_j} log(entry): a*(delta_{jk}/rho - wb_j w_k / rho^2)
         #                              + b*(delta_{jk}/r2  - wb_j w_k / r2^2);
         # the |z|^2 factor is log-pluriharmonic away from z = 0.
-        wb = w.conj()
-        ddlog = np.zeros(w.shape[:-1] + (n, n, k), dtype=complex)
-        for j in range(n):
-            for kk in range(n):
-                delta = 1.0 if j == kk else 0.0
-                term = a * ((delta / rho) - wb[..., j] * w[..., kk] / rho**2)[..., None]
-                if np.any(b != 0.0):
-                    term = term + b * ((delta / r2) - wb[..., j] * w[..., kk] / r2**2)[..., None]
-                ddlog[..., j, kk, :] = term
+        delta = np.eye(n)
+        wbw = w.conj()[..., :, None] * w[..., None, :]
+        rho, r2 = rho[..., None, None], r2[..., None, None]
+        ddlog = a * (delta / rho - wbw / rho**2)[..., None]
+        if np.any(b != 0.0):
+            ddlog = ddlog + b * (delta / r2 - wbw / r2**2)[..., None]
         # d_j d_kbar h = h * (ddlog + dlog_j * conj(dlog_k))   [entries are real]
         prod = dlog[..., :, None, :] * dlog.conj()[..., None, :, :]
         out = np.zeros(w.shape[:-1] + (n, n, k, k), dtype=complex)

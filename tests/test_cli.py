@@ -19,6 +19,17 @@ class TestVerify:
     def test_bad_tolerance_flag(self):
         assert run_cli(["verify", "cone", "--tol", "oops"]) == cli.EXIT_USAGE
 
+    def test_non_numeric_tolerance_usage_error(self):
+        assert run_cli(["verify", "cone", "--tol", "cone_residual=abc"]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--samples", "-3"),
+                                            ("--seed", "-1")])
+    def test_out_of_range_flag_usage_error(self, tmp_path, flag, value):
+        # --samples 0 used to fall back to the suite default and pass
+        assert run_cli(["verify", "cone", flag, value,
+                        "--out", str(tmp_path)]) == cli.EXIT_USAGE
+        assert not (tmp_path / "verify_cone.json").exists()
+
     def test_cone_suite_passes(self, tmp_path, capsys):
         code = run_cli(["verify", "cone", "--seed", "3",
                         "--out", str(tmp_path)])
@@ -86,6 +97,17 @@ class TestFlow:
         box = [[1.0, 2.0]] + [[-0.5, 0.5]] * 4 + [[0.0, 1e-300]]
         cfg = self.make_config(tmp_path, box=box, steps=20)
         assert run_cli(["flow", str(cfg)]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("overrides", [
+        {"steps": "ten"}, {"steps": 0}, {"steps": 2.5}, {"monitor_cadence": 0},
+        {"n_barrier_nodes": 0}, {"resolution": True}, {"resolution": 4},
+        {"resolution": 100}, {"dt": -0.001}, {"dt": 0}, {"dt": "0.001"},
+        {"seed": -1}, {"barrier_constant": "2"}, {"box": [[0.5, 2.0]] + [[-0.5, 0.5]] * 5},
+    ], ids=lambda o: "-".join(f"{k}={v!r}" for k, v in o.items())[:40])
+    def test_invalid_config_usage_error(self, tmp_path, overrides):
+        cfg = self.make_config(tmp_path, **overrides)
+        assert run_cli(["flow", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+        assert not (tmp_path / "out").exists()
 
     def test_flow_deterministic(self, tmp_path):
         cfg = self.make_config(tmp_path)

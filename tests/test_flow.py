@@ -30,6 +30,49 @@ def matrix_bracket(h, spacings):
     return lap - 4.0 * nonlin, hinv
 
 
+def matrix_energy(state):
+    """Reference interior L^2 curvature from the assembled (..., 2, 2) metric,
+    with batched 2x2 inverses, matrix products and an einsum for the norms."""
+    dom = state.domain
+    h = state.h
+    inner2 = (slice(2, -2),) * 6
+
+    def d_axis(f, axis):
+        sl_p = [slice(1, -1)] * 6
+        sl_m = [slice(1, -1)] * 6
+        sl_p[axis] = slice(2, None)
+        sl_m[axis] = slice(0, -2)
+        return (f[tuple(sl_p)] - f[tuple(sl_m)]) / (2.0 * dom.spacings[axis])
+
+    theta = []
+    for j in range(3):
+        dj = 0.5 * (d_axis(h, 2 * j) - 1j * d_axis(h, 2 * j + 1))  # on 1-in grid
+        theta.append(np.linalg.inv(h[(slice(1, -1),) * 6]) @ dj)
+    f_raw = np.empty(tuple(s - 4 for s in dom.shape) + (3, 3, 2, 2), dtype=complex)
+    for j in range(3):
+        for k in range(3):
+            dkb = 0.5 * (d_axis(theta[j], 2 * k) + 1j * d_axis(theta[j], 2 * k + 1))
+            f_raw[..., j, k, :, :] = -dkb
+    hc = h[inner2]
+    hcinv = np.linalg.inv(hc)
+
+    def met_norm_sq(m):
+        return np.real(np.einsum("...ab,...bc,...cd,...da->...",
+                                 m, hcinv, np.swapaxes(m.conj(), -1, -2), hc))
+
+    dens = np.zeros(f_raw.shape[:6])
+    for a in range(3):
+        dens += 4.0 * met_norm_sq(f_raw[..., a, a, :, :])
+    for a in range(3):
+        for b in range(3):
+            if a == b:
+                continue
+            dens += met_norm_sq(f_raw[..., a, b, :, :] + f_raw[..., b, a, :, :])
+            if a < b:
+                dens += 2.0 * met_norm_sq(f_raw[..., a, b, :, :] - f_raw[..., b, a, :, :])
+    return float(dens.sum() * float(np.prod(dom.spacings)))
+
+
 def perturbed_h0(domain):
     """H0 plus a smooth Hermitian perturbation with a large H01 part."""
     pts = domain.grid_points()
@@ -64,6 +107,12 @@ class TestBuildDomain:
     def test_coarse_resolution_rejected(self):
         with pytest.raises(ValueError):
             flow.build_domain(resolution=4)
+
+    def test_underflowing_spacing_rejected(self):
+        # spacing squares of 0 would give a zero CFL dt and a NaN stencil
+        box = flow.default_box()[:5] + ((0.0, 1e-300),)
+        with pytest.raises(ValueError, match="spacing"):
+            flow.build_domain(box, resolution=5)
 
     def test_h0_positive_definite_everywhere(self, domain):
         h = domain.h0
@@ -285,6 +334,32 @@ class TestEnergy:
         e = flow.energy(state)
         assert e == pytest.approx(0.01193, rel=0.05)
 
+    @pytest.mark.parametrize("resolution", [5, 6])
+    @pytest.mark.parametrize("n_steps", [0, 30])
+    def test_matches_matrix_reference(self, resolution, n_steps):
+        dom = flow.build_domain(resolution=resolution, n_barrier_nodes=4)
+        state = flow.initial_state(dom)
+        for _ in range(n_steps):
+            flow.step(state)
+        assert np.abs(state.b).max() > 0.05  # a non-diagonal H
+        ref = matrix_energy(state)
+        assert ref > 0
+        assert abs(flow.energy(state) - ref) <= 1e-12 * ref
+
+    def test_matches_matrix_reference_random_offdiagonal(self):
+        dom = flow.build_domain(resolution=6, n_barrier_nodes=4)
+        h = perturbed_h0(dom)
+        rng = np.random.default_rng(11)
+        noise = 0.05 * (rng.standard_normal(dom.shape) + 1j * rng.standard_normal(dom.shape))
+        h[..., 0, 1] += noise
+        h[..., 1, 0] += noise.conj()
+        det = np.real(h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0])
+        assert h[..., 0, 0].real.min() > 0 and det.min() > 0
+        state = flow.initial_state(dom)
+        state.h = h
+        ref = matrix_energy(state)
+        assert abs(flow.energy(state) - ref) <= 1e-12 * ref
+
 
 class TestBarrier:
     def test_zero_constant_with_h0_passes(self, domain):
@@ -339,3 +414,9 @@ class TestIO:
         cfg_path.write_text(json.dumps({"resolutoin": 5}))
         with pytest.raises(ValueError, match="unknown"):
             flow.FlowConfig.from_json(cfg_path)
+
+    def test_default_config_matches_script(self):
+        from pathlib import Path
+        path = Path(__file__).parents[1] / "scripts" / "flow_default.json"
+        assert flow.FlowConfig.from_json(path) == flow.FlowConfig()
+        assert flow.FlowConfig().box == flow.default_box() == flow.DEFAULT_BOX

@@ -217,6 +217,56 @@ class TestDiagPowerMetric:
                 scale = max(np.abs(fd).max(), 1.0)
                 assert np.abs(ddh[j, k] - fd).max() < 1e-4 * scale
 
+    @staticmethod
+    def loop_derivatives(metric, w):
+        """dholo and dmixed with the per-index Python loops they replaced."""
+        w = np.asarray(w, dtype=complex)
+        vals, rho, r2, z2 = metric._entries(w)
+        n, k = w.shape[-1], metric.dim
+        a, b, g = (np.asarray(t) for t in (metric.pow_rho, metric.pow_r2, metric.pow_z2))
+        wb = w.conj()
+        dlog = np.zeros(w.shape[:-1] + (n, k), dtype=complex)
+        for j in range(n):
+            term = a * (wb[..., j] / rho)[..., None]
+            if np.any(b != 0.0):
+                term = term + b * (wb[..., j] / r2)[..., None]
+            dlog[..., j, :] = term
+        if np.any(g != 0.0):
+            dlog[..., n - 1, :] += g * (1.0 / w[..., -1])[..., None]
+        ddlog = np.zeros(w.shape[:-1] + (n, n, k), dtype=complex)
+        for j in range(n):
+            for kk in range(n):
+                delta = 1.0 if j == kk else 0.0
+                term = a * ((delta / rho) - wb[..., j] * w[..., kk] / rho**2)[..., None]
+                if np.any(b != 0.0):
+                    term = term + b * ((delta / r2) - wb[..., j] * w[..., kk] / r2**2)[..., None]
+                ddlog[..., j, kk, :] = term
+        idx = np.arange(k)
+        dh = np.zeros(w.shape[:-1] + (n, k, k), dtype=complex)
+        dh[..., idx, idx] = vals[..., None, :] * dlog
+        prod = dlog[..., :, None, :] * dlog.conj()[..., None, :, :]
+        ddh = np.zeros(w.shape[:-1] + (n, n, k, k), dtype=complex)
+        ddh[..., idx, idx] = vals[..., None, None, :] * (ddlog + prod)
+        return dh, ddh
+
+    @pytest.mark.parametrize("metric", [
+        ansatz_monad().h1, cone_monad().h1, twisted_monad(400.0).h1,
+        mo.DiagPowerMetric(consts=(0.7, 1.3), pow_rho=(-0.5, 0.5),
+                           pow_r2=(0.0, -0.5), pow_z2=(0.0, -1.0))],
+        ids=["ansatz", "cone", "twisted", "all-powers"])
+    def test_bit_identical_to_loops(self, metric):
+        from hymkit.ansatz import sample_log_uniform
+        rng = np.random.default_rng(7)
+        adhm_pts = rng.standard_normal((40, 4)) * 1.5
+        batches = [adhm_pts[:, :2] + 1j * adhm_pts[:, 2:],          # adhm, C^2
+                   sample_log_uniform(rng, 40, 1e-2, 1e2),            # ansatz
+                   sample_log_uniform(rng, 40, 0.3, 3.0)]             # cone
+        batches += [b[3] for b in batches] + [batches[1].reshape(4, 10, 3)]
+        for w in batches:
+            dh, ddh = self.loop_derivatives(metric, w)
+            assert np.array_equal(metric.dholo(w), dh)
+            assert np.array_equal(metric.dmixed(w), ddh)
+
 
 # ---------------------------------------------------------------------------
 # the fiber-first contraction against the ambient einsum chain
