@@ -216,6 +216,13 @@ def cmd_verify(args) -> int:
     if args.seed < 0:
         print(f"--seed must be non-negative, got {args.seed}", file=sys.stderr)
         return EXIT_USAGE
+    if args.suite == "potential" and args.samples is not None:
+        from .potential import MCParams
+        try:
+            MCParams(samples_per_shell=args.samples)
+        except ValueError as exc:
+            print(f"--samples for the potential suite: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     cfg = RunConfig(seed=args.seed, samples=args.samples,
                     out_dir=Path(args.out), tolerances=tols)
     try:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -550,9 +550,7 @@ def attach_barrier_potentials(domain: FlowDomain, mc=None) -> np.ndarray:
     gs = []
     for i, idx in enumerate(domain.barrier_nodes):
         node = tuple(int(v) for v in idx)
-        gv = eval_G(pts[node], MCParams(samples_per_shell=mc.samples_per_shell,
-                                        core_delta_rel=mc.core_delta_rel,
-                                        seed=mc.seed + 31 * i))
+        gv = eval_G(pts[node], replace(mc, seed=mc.seed + 31 * i))
         gs.append(gv.estimate)
     domain.barrier_g = np.asarray(gs)
     return domain.barrier_g

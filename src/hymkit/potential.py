@@ -20,7 +20,7 @@ weights.  A small core |x' - p| < delta is excluded and bounded analytically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,6 +43,7 @@ LAPLACIAN_CONSTANT = -4.0 * np.pi**3
 _OMEGA5 = np.pi**3        # area of the unit 5-sphere
 _OMEGA3 = 2.0 * np.pi**2  # area of the unit 3-sphere
 _T_MIN = 1e-6
+_MIN_SAMPLES = 8  # eval_G draws in fifths of a shell, the weak check in eighths
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,21 @@ class MCParams:
     shell_hi: int | None = None
     core_delta_rel: float = 1e-3
     seed: int = 0
+
+    def __post_init__(self):
+        def _is_int(v):
+            return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+        n, delta = self.samples_per_shell, self.core_delta_rel
+        for name, ok, rule in (
+                ("samples_per_shell", _is_int(n) and n >= _MIN_SAMPLES,
+                 f"an int >= {_MIN_SAMPLES}"),
+                ("core_delta_rel", isinstance(delta, (float, np.floating))
+                 and 0.0 < delta < 1.0, "a float in (0, 1)"),
+                ("seed", _is_int(self.seed) and self.seed >= 0, "an int >= 0"),
+                ("shell_lo", self.shell_lo is None or _is_int(self.shell_lo), "None or an int"),
+                ("shell_hi", self.shell_hi is None or _is_int(self.shell_hi), "None or an int")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     def shell_range(self, p_norm: float) -> tuple[int, int]:
         base = int(np.floor(np.log2(max(p_norm, 1e-6))))
@@ -81,112 +97,121 @@ class GValue:
         return self.estimate
 
 
-def _unit_vectors(rng: np.random.Generator, n: int, real_dim: int) -> np.ndarray:
-    g = rng.standard_normal((n, real_dim))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-
 # mixture weights: generic shell coverage / axis-adapted / kernel-adapted
 _W_GEN, _W_AXIS, _W_KER = 0.4, 0.2, 0.4
 
+# Points are complex (n, 3) arrays.  The samplers fill, and _sq_moduli reads,
+# their real view v = pts.view(float): v[:, 2j] = Re w_j, v[:, 2j+1] = Im w_j.
+_ONES6 = np.ones(6)
 
-def _shell_points(rng, n, r1, r2, p, delta, u_max):
-    """Draw n points from the three-component mixture for one shell.
 
-    n must be divisible by 5 so the component counts realise the mixture
-    weights exactly (keeps the estimator unbiased with deterministic counts).
+def _log_uniform(rng, lo, hi, n):
+    return np.exp(rng.uniform(np.log(lo), np.log(hi), n))
+
+
+def _sphere_points(rng, v, radii, centre=np.zeros(6)):
+    """Fill v with centre + radii times uniform directions of C^3 = R^6: coordinate
+    j is g[j] + i g[3+j] for a Gaussian g (drawn after the radii) scaled to |g| = radius."""
+    g = rng.standard_normal((len(radii), 6))
+    scale = radii / np.sqrt((g * g) @ _ONES6)
+    for col, j in enumerate((0, 3, 1, 4, 2, 5)):
+        v[:, col] = g[:, j] * scale + centre[col]
+
+
+def _shell_points(rng, v, n_gen, r1, r2):
+    """Fill v with n_gen generic then axis-adapted draws from the shell [r1, r2].
+
+    Generic: log-uniform radius, uniform direction.  Axis-adapted: log-uniform
+    radius and t = sigma/r^2, uniform (x, y) = (g0 + i g2, g1 + i g3) and z phase.
     """
-    base = n // 5
-    n_gen = 2 * base
-    n_axis = base
-    n_ker = 2 * base
-    # generic: log-uniform radius, uniform direction on S^5
-    r = np.exp(rng.uniform(np.log(r1), np.log(r2), n_gen))
-    d6 = _unit_vectors(rng, n_gen, 6)
-    pts_gen = r[:, None] * (d6[:, :3] + 1j * d6[:, 3:])
-    # axis-adapted: log-uniform radius and transverse fraction t = sigma/r^2
-    r = np.exp(rng.uniform(np.log(r1), np.log(r2), n_axis))
-    t = np.exp(rng.uniform(np.log(_T_MIN), 0.0, n_axis))
-    dir4 = _unit_vectors(rng, n_axis, 4)
+    _sphere_points(rng, v[:n_gen], _log_uniform(rng, r1, r2, n_gen))
+    va = v[n_gen:]
+    n_axis = len(va)
+    r = _log_uniform(rng, r1, r2, n_axis)
+    t = _log_uniform(rng, _T_MIN, 1.0, n_axis)
+    g = rng.standard_normal((n_axis, 4))
     phase = rng.uniform(0.0, 2 * np.pi, n_axis)
-    rho_t = r * np.sqrt(t)
-    zmod = r * np.sqrt(1.0 - t)
-    pts_axis = np.empty((n_axis, 3), dtype=complex)
-    pts_axis[:, 0] = rho_t * (dir4[:, 0] + 1j * dir4[:, 2])
-    pts_axis[:, 1] = rho_t * (dir4[:, 1] + 1j * dir4[:, 3])
-    pts_axis[:, 2] = zmod * np.exp(1j * phase)
-    # kernel-adapted: log-uniform distance from p
-    s = np.exp(rng.uniform(np.log(delta), np.log(u_max), n_ker))
-    dir6 = _unit_vectors(rng, n_ker, 6)
-    pts_ker = np.asarray(p)[None, :] + s[:, None] * (dir6[:, :3] + 1j * dir6[:, 3:])
-    return np.concatenate([pts_gen, pts_axis, pts_ker], axis=0)
+    rho = r * np.sqrt(t) / np.sqrt((g * g) @ _ONES6[:4])
+    for col, j in enumerate((0, 2, 1, 3)):
+        np.multiply(g[:, j], rho, out=va[:, col])
+    z = r * np.sqrt(1.0 - t) * np.exp(1j * phase)
+    va[:, 4], va[:, 5] = z.real, z.imag
 
 
-def _mixture_density(pts, r1, r2, p, delta, u_max):
-    """Density of the sampling mixture at arbitrary points, w.r.t. Lebesgue dV."""
-    r2n = np.sum(np.abs(pts) ** 2, axis=-1)
-    r = np.sqrt(r2n)
-    t = (np.abs(pts[:, 0]) ** 2 + np.abs(pts[:, 1]) ** 2) / r2n
-    log_r_span = np.log(r2 / r1)
-    log_t_span = -np.log(_T_MIN)
-    in_shell = (r >= r1) & (r <= r2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q_gen = np.where(in_shell, 1.0 / (_OMEGA5 * log_r_span * r**6), 0.0)
-        q_axis = np.where(
-            in_shell & (t >= _T_MIN),
-            2.0 / (log_r_span * log_t_span * _OMEGA3 * 2 * np.pi * r**6 * t**2),
-            0.0,
-        )
-    u = pts - np.asarray(p)[None, :]
-    s = np.sqrt(np.sum(np.abs(u) ** 2, axis=-1))
-    log_u_span = np.log(u_max / delta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q_ker = np.where(
-            (s >= delta) & (s <= u_max),
-            1.0 / (_OMEGA5 * log_u_span * s**6),
-            0.0,
-        )
-    return _W_GEN * q_gen + _W_AXIS * q_axis + _W_KER * q_ker
+def _ball_points(rng, n, centre, radius):
+    """Uniform points of the ball |x - centre| < radius and their distances."""
+    g = rng.standard_normal((n, 6))
+    d6 = g / np.linalg.norm(g, axis=1, keepdims=True)
+    rad = radius * rng.random(n) ** (1.0 / 6.0)
+    return centre[None, :] + rad[:, None] * (d6[:, :3] + 1j * d6[:, 3:]), rad
+
+
+def _sq_moduli(v, centre):
+    """|x'|^2, t = (|x|^2 + |y|^2)/|x'|^2 and |x' - centre|^2 from the real
+    view v of the points; ``centre`` is its real view tiled to v.size."""
+    sq = v * v
+    sigma = sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3]
+    r_sq = sigma + sq[:, 4] + sq[:, 5]
+    u = v.ravel() - centre
+    u *= u
+    return r_sq, sigma / r_sq, u.reshape(v.shape) @ _ONES6
+
+
+def _shell_density(in_shell, r_sq, t, w_gen, w_axis):
+    """w_gen q_gen + w_axis q_axis for one dyadic shell, w.r.t. Lebesgue dV."""
+    log_r_span = np.log(2.0)
+    c_gen = w_gen / (_OMEGA5 * log_r_span)
+    c_axis = w_axis * 2.0 / (log_r_span * -np.log(_T_MIN) * _OMEGA3 * 2 * np.pi)
+    q = np.where(t >= _T_MIN, c_axis / (t * t), 0.0)
+    q += c_gen
+    q /= r_sq * r_sq * r_sq
+    return np.where(in_shell, q, 0.0)
+
+
+def _radial_density(s_sq, lo, hi):
+    """Density of the log-uniform-distance component about a centre."""
+    with np.errstate(divide="ignore"):
+        q = 1.0 / (_OMEGA5 * np.log(hi / lo) * (s_sq * s_sq * s_sq))
+    return np.where((s_sq >= lo * lo) & (s_sq <= hi * hi), q, 0.0)
 
 
 def eval_G(p, mc: MCParams = MCParams()) -> GValue:
     """Stratified Monte Carlo estimate of the barrier potential at p != 0."""
-    w = np.asarray(p, dtype=complex).reshape(3)
+    w = np.array(p, dtype=complex).reshape(3)
     p_norm = float(np.sqrt(np.sum(np.abs(w) ** 2)))
-    if p_norm == 0.0:
-        raise ValueError("potential undefined at the origin")
+    if not 0.0 < p_norm < np.inf:
+        raise ValueError(f"potential needs a finite point other than the origin, got {w}")
     lo, hi = mc.shell_range(p_norm)
     delta = mc.core_delta_rel * p_norm
+    base = mc.samples_per_shell // 5
+    n = 5 * base  # component counts 2:1:2 realise the mixture weights exactly
+    w_tiled = np.tile(w.view(float), n)
     shells = []
-    total = 0.0
-    var = 0.0
     for k in range(lo, hi + 1):
         r1, r2 = 2.0**k, 2.0 ** (k + 1)
         u_max = p_norm + 2.0 * r2
         rng = np.random.default_rng([mc.seed, k - lo, 2654435761])
-        n = 5 * (mc.samples_per_shell // 5)
-        pts = _shell_points(rng, n, r1, r2, w, delta, u_max)
-        q = _mixture_density(pts, r1, r2, w, delta, u_max)
-        r = np.sqrt(np.sum(np.abs(pts) ** 2, axis=-1))
-        s = np.sqrt(np.sum(np.abs(pts - w[None, :]) ** 2, axis=-1))
-        mask = (r >= r1) & (r <= r2) & (s >= delta)
-        f = np.zeros(n)
-        idx = np.nonzero(mask)[0]
-        if idx.size:
-            f[idx] = curvature_weight(pts[idx]) / s[idx] ** 4
-        wgt = np.where(q > 0, f / np.where(q > 0, q, 1.0), 0.0)
-        contrib = float(wgt.mean())
-        err2 = float(wgt.var() / n)
-        shells.append((k, contrib, float(np.sqrt(err2))))
-        total += contrib
-        var += err2
+        pts = np.empty((n, 3), dtype=complex)
+        v = pts.view(float)
+        _shell_points(rng, v[:3 * base], 2 * base, r1, r2)
+        _sphere_points(rng, v[3 * base:], _log_uniform(rng, delta, u_max, 2 * base),
+                       w.view(float))
+        r_sq, t, s_sq = _sq_moduli(v, w_tiled)
+        in_shell = (r_sq >= r1 * r1) & (r_sq <= r2 * r2)
+        q = _shell_density(in_shell, r_sq, t, _W_GEN, _W_AXIS)
+        q += _W_KER * _radial_density(s_sq, delta, u_max)
+        idx = np.flatnonzero(in_shell & (s_sq >= delta * delta))
+        wgt = np.zeros(n)
+        wgt[idx] = curvature_weight(pts[idx]) / (s_sq[idx] ** 2 * q[idx])
+        shells.append((k, float(wgt.mean()), float(np.sqrt(wgt.var() / n))))
     # excluded core: integral <= sup_core(weight) * Omega5 * delta^2 / 2
     probe = np.concatenate([w[None, :] + 0.9 * delta * e[None, :]
                             for e in np.vstack([np.eye(3), 1j * np.eye(3)])])
     sup_core = float(np.max(curvature_weight(np.vstack([w[None, :], probe])))) * 1.5
     core_bound = 0.5 * _OMEGA5 * delta**2 * sup_core
     tail = 2.0 * max(shells[-1][1], 0.0)
-    return GValue(estimate=total, stderr=float(np.sqrt(var)),
+    return GValue(estimate=sum(c for _, c, _ in shells),
+                  stderr=float(np.sqrt(sum(e * e for _, _, e in shells))),
                   shells=tuple(shells), core_bound=core_bound,
                   tail_estimate=tail)
 
@@ -231,11 +256,21 @@ def _sphere_kernel_mean(a_vals, d_vals, n_theta: int = 96):
     th, wth = np.polynomial.legendre.leggauss(n_theta)
     theta = 0.5 * np.pi * (th + 1.0)
     wtheta = 0.5 * np.pi * wth
-    a = np.asarray(a_vals)[:, None, None]
-    d = np.asarray(d_vals)[None, :, None]
-    q = a**2 + d**2 - 2.0 * a * d * np.cos(theta)[None, None, :]
-    integrand = np.sin(theta)[None, None, :] ** 4 / q**2
-    return (8.0 / (3.0 * np.pi)) * np.sum(wtheta[None, None, :] * integrand, axis=-1)
+    sin4 = np.sin(theta) ** 4
+    m2cos = -2.0 * np.cos(theta)
+    a = np.asarray(a_vals, dtype=float)
+    d = np.asarray(d_vals, dtype=float)
+    out = np.empty((len(a), len(d)))
+    # blocks of 16 d-columns keep the (a, d, theta) integrand in L2
+    for j in range(0, len(d), 16):
+        db = d[j:j + 16]
+        q = np.multiply.outer(np.multiply.outer(a, db), m2cos)
+        q += (a[:, None] ** 2 + db**2)[:, :, None]
+        q *= q
+        np.divide(sin4, q, out=q)
+        q *= wtheta
+        out[:, j:j + 16] = q.sum(axis=-1)
+    return (8.0 / (3.0 * np.pi)) * out
 
 
 def bump_pairing(d_vals, radius: float, n_a: int = 64) -> np.ndarray:
@@ -254,7 +289,7 @@ def bump_pairing(d_vals, radius: float, n_a: int = 64) -> np.ndarray:
     return np.einsum("a,ad->d", w * lap * _OMEGA5 * a**5, mean_k)
 
 
-def _weak_check_once(c, radius, mc, n_nodes, seed):
+def _weak_check_once(c, radius, mc, n_nodes, seed, near):
     """One replica of the weak-form ratio.
 
     The numerator integral(G * Lap phi) is rewritten by Fubini as
@@ -263,6 +298,7 @@ def _weak_check_once(c, radius, mc, n_nodes, seed):
     cloud.  The denominator -4 pi^3 integral(weight * phi) uses independent
     uniform nodes on the support ball, so the ratio tests the importance
     sampler against plain volume sampling as well as the Laplacian constant.
+    ``near`` is (grid, Psi on it) on [0, 2 radius), shared by the replicas.
     """
     c_norm = float(np.sqrt(np.sum(np.abs(c) ** 2)))
     rng = np.random.default_rng(seed)
@@ -270,74 +306,38 @@ def _weak_check_once(c, radius, mc, n_nodes, seed):
     # source cloud: dyadic shells (generic + axis) plus a log-radial
     # component about the bump centre where Psi is supported
     lo, hi = mc.shell_range(c_norm)
-    n_shell = 2 * (mc.samples_per_shell // 8)
+    half = mc.samples_per_shell // 8
     s_mid_lo, s_mid_hi = 1e-3 * radius, 4.0 * max(c_norm, 2.0 * radius)
-    n_mid = 10 * n_shell
-    clouds = []
-    comps = []
-    for k in range(lo, hi + 1):
-        r1, r2 = 2.0**k, 2.0 ** (k + 1)
-        half = n_shell // 2
-        r = np.exp(rng.uniform(np.log(r1), np.log(r2), half))
-        d6 = _unit_vectors(rng, half, 6)
-        clouds.append(r[:, None] * (d6[:, :3] + 1j * d6[:, 3:]))
-        r = np.exp(rng.uniform(np.log(r1), np.log(r2), half))
-        t = np.exp(rng.uniform(np.log(_T_MIN), 0.0, half))
-        dir4 = _unit_vectors(rng, half, 4)
-        phase = rng.uniform(0.0, 2 * np.pi, half)
-        rho_t, zmod = r * np.sqrt(t), r * np.sqrt(1.0 - t)
-        pa = np.empty((half, 3), dtype=complex)
-        pa[:, 0] = rho_t * (dir4[:, 0] + 1j * dir4[:, 2])
-        pa[:, 1] = rho_t * (dir4[:, 1] + 1j * dir4[:, 3])
-        pa[:, 2] = zmod * np.exp(1j * phase)
-        clouds.append(pa)
-        comps.append((k, 2 * half))
-    s = np.exp(rng.uniform(np.log(s_mid_lo), np.log(s_mid_hi), n_mid))
-    d6 = _unit_vectors(rng, n_mid, 6)
-    clouds.append(c[None, :] + s[:, None] * (d6[:, :3] + 1j * d6[:, 3:]))
-    n_ball = 10 * n_shell
-    d6 = _unit_vectors(rng, n_ball, 6)
-    rb = radius * rng.random(n_ball) ** (1.0 / 6.0)
-    clouds.append(c[None, :] + rb[:, None] * (d6[:, :3] + 1j * d6[:, 3:]))
-    cloud = np.concatenate(clouds, axis=0)
+    n_sh, n_mid = (hi - lo + 1) * 2 * half, 20 * half
+    cloud = np.empty((n_sh + 2 * n_mid, 3), dtype=complex)
+    v = cloud.view(float)
+    for i, k in enumerate(range(lo, hi + 1)):
+        _shell_points(rng, v[2 * half * i:2 * half * (i + 1)], half, 2.0**k, 2.0 ** (k + 1))
+    _sphere_points(rng, v[n_sh:n_sh + n_mid],
+                   _log_uniform(rng, s_mid_lo, s_mid_hi, n_mid), c.view(float))
+    cloud[n_sh + n_mid:] = _ball_points(rng, n_mid, c, radius)[0]
     n_cloud = len(cloud)
 
-    r_cl = np.sqrt(np.sum(np.abs(cloud) ** 2, axis=-1))
-    t_cl = (np.abs(cloud[:, 0]) ** 2 + np.abs(cloud[:, 1]) ** 2) / r_cl**2
-    q = np.zeros(n_cloud)
-    log2span = np.log(2.0)
-    for k, cnt in comps:
-        r1, r2 = 2.0**k, 2.0 ** (k + 1)
-        sel = (r_cl >= r1) & (r_cl <= r2)
-        frac = cnt / n_cloud
-        q_gen = np.where(sel, 1.0 / (_OMEGA5 * log2span * r_cl**6), 0.0)
-        with np.errstate(divide="ignore"):
-            q_axis = np.where(sel & (t_cl >= _T_MIN),
-                              2.0 / (log2span * (-np.log(_T_MIN)) * _OMEGA3
-                                     * 2 * np.pi * r_cl**6 * t_cl**2), 0.0)
-        q += frac * 0.5 * (q_gen + q_axis)
-    s_c = np.sqrt(np.sum(np.abs(cloud - c[None, :]) ** 2, axis=-1))
-    with np.errstate(divide="ignore"):
-        q_mid = np.where((s_c >= s_mid_lo) & (s_c <= s_mid_hi),
-                         1.0 / (_OMEGA5 * np.log(s_mid_hi / s_mid_lo) * s_c**6), 0.0)
-    q += (n_mid / n_cloud) * q_mid
-    q_ball = np.where(s_c <= radius, 6.0 / (np.pi**3 * radius**6), 0.0)
-    q += (n_ball / n_cloud) * q_ball
+    r_sq, t, s_sq = _sq_moduli(v, np.tile(c.view(float), n_cloud))
+    # the ball component has as many points as the log-radial one
+    q = (n_mid / n_cloud) * (_radial_density(s_sq, s_mid_lo, s_mid_hi)
+                             + np.where(s_sq <= radius * radius,
+                                        6.0 / (np.pi**3 * radius**6), 0.0))
+    for k in range(lo, hi + 1):
+        q += _shell_density((r_sq >= 4.0**k) & (r_sq <= 4.0 ** (k + 1)), r_sq, t,
+                            half / n_cloud, half / n_cloud)
 
     # Psi interpolated from a dense distance grid
-    d_max = float(s_c.max())
-    grid = np.concatenate([np.linspace(0.0, 2.0 * radius, 600, endpoint=False),
-                           np.geomspace(2.0 * radius, max(d_max, 2.1 * radius), 200)])
-    psi_grid = bump_pairing(grid, radius)
-    psi = np.interp(s_c, grid, psi_grid)
+    s_c = np.sqrt(s_sq)
+    far = np.geomspace(2.0 * radius, max(float(s_c.max()), 2.1 * radius), 200)
+    psi = np.interp(s_c, np.concatenate([near[0], far]),
+                    np.concatenate([near[1], bump_pairing(far, radius)]))
     num_w = curvature_weight(cloud) * psi / q
     num = float(num_w.mean())
     num_err = float(num_w.std() / np.sqrt(n_cloud))
 
     # denominator: plain volume Monte Carlo on the support ball
-    dirs = _unit_vectors(rng, n_nodes, 6)
-    rad = radius * rng.random(n_nodes) ** (1.0 / 6.0)
-    nodes = c[None, :] + rad[:, None] * (dirs[:, :3] + 1j * dirs[:, 3:])
+    nodes, rad = _ball_points(rng, n_nodes, c, radius)
     vol = np.pi**3 * radius**6 / 6.0
     den_samples = curvature_weight(nodes) * bump(rad / radius)
     den = LAPLACIAN_CONSTANT * vol * float(den_samples.mean())
@@ -357,11 +357,13 @@ def laplacian_weak_check(center, radius: float, mc: MCParams = MCParams(),
     stderr combines the per-replica propagated errors with the replica
     spread.
     """
-    c = np.asarray(center, dtype=complex).reshape(3)
+    c = np.array(center, dtype=complex).reshape(3)
     c_norm = float(np.sqrt(np.sum(np.abs(c) ** 2)))
-    if c_norm <= radius:
-        raise ValueError("bump support must avoid the origin")
-    out = [_weak_check_once(c, radius, mc, n_nodes, seed=[seed, rep, 7919])
+    if not radius < c_norm < np.inf:
+        raise ValueError("bump centre must be finite and its support avoid the origin")
+    near_grid = np.linspace(0.0, 2.0 * radius, 600, endpoint=False)
+    near = (near_grid, bump_pairing(near_grid, radius))
+    out = [_weak_check_once(c, radius, mc, n_nodes, [seed, rep, 7919], near)
            for rep in range(replicas)]
     ratios = np.asarray([r for r, _ in out])
     inner = np.asarray([e for _, e in out])
@@ -379,14 +381,12 @@ def barrier_envelope_check(points, mc: MCParams = MCParams()) -> dict:
     """
     pts = np.asarray(points, dtype=complex).reshape(-1, 3)
     norms = np.sqrt(np.sum(np.abs(pts) ** 2, axis=-1))
-    if np.any(norms < 1.0):
-        raise ValueError("envelope calibrated for |w| >= 1")
+    if not np.all((norms >= 1.0) & (norms < np.inf)):
+        raise ValueError("envelope calibrated for finite points with |w| >= 1")
     ratios = np.empty(len(pts))
     g_min = np.inf
     for i, p in enumerate(pts):
-        gv = eval_G(p, MCParams(samples_per_shell=mc.samples_per_shell,
-                                core_delta_rel=mc.core_delta_rel,
-                                seed=mc.seed + 104729 * i))
+        gv = eval_G(p, replace(mc, seed=mc.seed + 104729 * i))
         g_min = min(g_min, gv.estimate)
         denom = abs(p[0]) + abs(p[1]) + np.sqrt(abs(p[2]))
         env = max(1.0, float(np.log(norms[i] / denom)))

@@ -1,9 +1,193 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hymkit import cli, flow
 from hymkit import potential as pot
-from hymkit.ansatz import sample_log_uniform
+from hymkit.ansatz import curvature_weight, sample_log_uniform
+
+# ---------------------------------------------------------------------------
+# references: the original complex-array sampler, its mixture density, the
+# estimator built on them, and the broadcast two-centre quadrature; the module's
+# kernels must reproduce their values (same RNG streams, same points)
+
+
+def _ref_unit_vectors(rng, n, real_dim):
+    g = rng.standard_normal((n, real_dim))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def _ref_shell_points(rng, n, r1, r2, p, delta, u_max):
+    base = n // 5
+    n_gen, n_axis, n_ker = 2 * base, base, 2 * base
+    r = np.exp(rng.uniform(np.log(r1), np.log(r2), n_gen))
+    d6 = _ref_unit_vectors(rng, n_gen, 6)
+    pts_gen = r[:, None] * (d6[:, :3] + 1j * d6[:, 3:])
+    r = np.exp(rng.uniform(np.log(r1), np.log(r2), n_axis))
+    t = np.exp(rng.uniform(np.log(pot._T_MIN), 0.0, n_axis))
+    dir4 = _ref_unit_vectors(rng, n_axis, 4)
+    phase = rng.uniform(0.0, 2 * np.pi, n_axis)
+    rho_t, zmod = r * np.sqrt(t), r * np.sqrt(1.0 - t)
+    pts_axis = np.empty((n_axis, 3), dtype=complex)
+    pts_axis[:, 0] = rho_t * (dir4[:, 0] + 1j * dir4[:, 2])
+    pts_axis[:, 1] = rho_t * (dir4[:, 1] + 1j * dir4[:, 3])
+    pts_axis[:, 2] = zmod * np.exp(1j * phase)
+    s = np.exp(rng.uniform(np.log(delta), np.log(u_max), n_ker))
+    dir6 = _ref_unit_vectors(rng, n_ker, 6)
+    pts_ker = p[None, :] + s[:, None] * (dir6[:, :3] + 1j * dir6[:, 3:])
+    return np.concatenate([pts_gen, pts_axis, pts_ker], axis=0)
+
+
+def _ref_mixture_density(pts, r1, r2, p, delta, u_max):
+    r2n = np.sum(np.abs(pts) ** 2, axis=-1)
+    r = np.sqrt(r2n)
+    t = (np.abs(pts[:, 0]) ** 2 + np.abs(pts[:, 1]) ** 2) / r2n
+    log_r_span, log_t_span = np.log(r2 / r1), -np.log(pot._T_MIN)
+    in_shell = (r >= r1) & (r <= r2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q_gen = np.where(in_shell, 1.0 / (pot._OMEGA5 * log_r_span * r**6), 0.0)
+        q_axis = np.where(in_shell & (t >= pot._T_MIN),
+                          2.0 / (log_r_span * log_t_span * pot._OMEGA3 * 2 * np.pi
+                                 * r**6 * t**2), 0.0)
+    s = np.sqrt(np.sum(np.abs(pts - p[None, :]) ** 2, axis=-1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q_ker = np.where((s >= delta) & (s <= u_max),
+                         1.0 / (pot._OMEGA5 * np.log(u_max / delta) * s**6), 0.0)
+    return pot._W_GEN * q_gen + pot._W_AXIS * q_axis + pot._W_KER * q_ker
+
+
+def _ref_eval_G(p, mc):
+    w = np.asarray(p, dtype=complex).reshape(3)
+    p_norm = float(np.sqrt(np.sum(np.abs(w) ** 2)))
+    lo, hi = mc.shell_range(p_norm)
+    delta = mc.core_delta_rel * p_norm
+    shells, total, var = [], 0.0, 0.0
+    for k in range(lo, hi + 1):
+        r1, r2 = 2.0**k, 2.0 ** (k + 1)
+        u_max = p_norm + 2.0 * r2
+        rng = np.random.default_rng([mc.seed, k - lo, 2654435761])
+        n = 5 * (mc.samples_per_shell // 5)
+        pts = _ref_shell_points(rng, n, r1, r2, w, delta, u_max)
+        q = _ref_mixture_density(pts, r1, r2, w, delta, u_max)
+        r = np.sqrt(np.sum(np.abs(pts) ** 2, axis=-1))
+        s = np.sqrt(np.sum(np.abs(pts - w[None, :]) ** 2, axis=-1))
+        mask = (r >= r1) & (r <= r2) & (s >= delta)
+        f = np.zeros(n)
+        f[mask] = curvature_weight(pts[mask]) / s[mask] ** 4
+        wgt = np.where(q > 0, f / np.where(q > 0, q, 1.0), 0.0)
+        shells.append((k, float(wgt.mean()), float(np.sqrt(wgt.var() / n))))
+        total += shells[-1][1]
+        var += float(wgt.var() / n)
+    probe = np.concatenate([w[None, :] + 0.9 * delta * e[None, :]
+                            for e in np.vstack([np.eye(3), 1j * np.eye(3)])])
+    sup_core = float(np.max(curvature_weight(np.vstack([w[None, :], probe])))) * 1.5
+    return pot.GValue(estimate=total, stderr=float(np.sqrt(var)), shells=tuple(shells),
+                      core_bound=0.5 * pot._OMEGA5 * delta**2 * sup_core,
+                      tail_estimate=2.0 * max(shells[-1][1], 0.0))
+
+
+def _ref_sphere_kernel_mean(a_vals, d_vals, n_theta=96):
+    th, wth = np.polynomial.legendre.leggauss(n_theta)
+    theta = 0.5 * np.pi * (th + 1.0)
+    wtheta = 0.5 * np.pi * wth
+    a = np.asarray(a_vals)[:, None, None]
+    d = np.asarray(d_vals)[None, :, None]
+    q = a**2 + d**2 - 2.0 * a * d * np.cos(theta)[None, None, :]
+    integrand = np.sin(theta)[None, None, :] ** 4 / q**2
+    return (8.0 / (3.0 * np.pi)) * np.sum(wtheta[None, None, :] * integrand, axis=-1)
+
+
+def _ref_bump_pairing(d_vals, radius, n_a=64):
+    xa, wa = np.polynomial.legendre.leggauss(n_a)
+    a = 0.5 * radius * (xa + 1.0)
+    w = 0.5 * radius * wa
+    lap = pot.bump_laplacian(a / radius, radius)
+    mean_k = _ref_sphere_kernel_mean(a, np.asarray(d_vals))
+    return np.einsum("a,ad->d", w * lap * pot._OMEGA5 * a**5, mean_k)
+
+
+def _ref_weak_check_once(c, radius, mc, n_nodes, seed):
+    c_norm = float(np.sqrt(np.sum(np.abs(c) ** 2)))
+    rng = np.random.default_rng(seed)
+    lo, hi = mc.shell_range(c_norm)
+    n_shell = 2 * (mc.samples_per_shell // 8)
+    s_mid_lo, s_mid_hi = 1e-3 * radius, 4.0 * max(c_norm, 2.0 * radius)
+    n_mid = n_ball = 10 * n_shell
+    half = n_shell // 2
+    clouds, comps = [], []
+    for k in range(lo, hi + 1):
+        r1, r2 = 2.0**k, 2.0 ** (k + 1)
+        r = np.exp(rng.uniform(np.log(r1), np.log(r2), half))
+        d6 = _ref_unit_vectors(rng, half, 6)
+        clouds.append(r[:, None] * (d6[:, :3] + 1j * d6[:, 3:]))
+        r = np.exp(rng.uniform(np.log(r1), np.log(r2), half))
+        t = np.exp(rng.uniform(np.log(pot._T_MIN), 0.0, half))
+        dir4 = _ref_unit_vectors(rng, half, 4)
+        phase = rng.uniform(0.0, 2 * np.pi, half)
+        rho_t, zmod = r * np.sqrt(t), r * np.sqrt(1.0 - t)
+        pa = np.empty((half, 3), dtype=complex)
+        pa[:, 0] = rho_t * (dir4[:, 0] + 1j * dir4[:, 2])
+        pa[:, 1] = rho_t * (dir4[:, 1] + 1j * dir4[:, 3])
+        pa[:, 2] = zmod * np.exp(1j * phase)
+        clouds.append(pa)
+        comps.append((k, 2 * half))
+    s = np.exp(rng.uniform(np.log(s_mid_lo), np.log(s_mid_hi), n_mid))
+    d6 = _ref_unit_vectors(rng, n_mid, 6)
+    clouds.append(c[None, :] + s[:, None] * (d6[:, :3] + 1j * d6[:, 3:]))
+    d6 = _ref_unit_vectors(rng, n_ball, 6)
+    rb = radius * rng.random(n_ball) ** (1.0 / 6.0)
+    clouds.append(c[None, :] + rb[:, None] * (d6[:, :3] + 1j * d6[:, 3:]))
+    cloud = np.concatenate(clouds, axis=0)
+    n_cloud = len(cloud)
+    r_cl = np.sqrt(np.sum(np.abs(cloud) ** 2, axis=-1))
+    t_cl = (np.abs(cloud[:, 0]) ** 2 + np.abs(cloud[:, 1]) ** 2) / r_cl**2
+    q = np.zeros(n_cloud)
+    log2span = np.log(2.0)
+    for k, cnt in comps:
+        r1, r2 = 2.0**k, 2.0 ** (k + 1)
+        sel = (r_cl >= r1) & (r_cl <= r2)
+        q_gen = np.where(sel, 1.0 / (pot._OMEGA5 * log2span * r_cl**6), 0.0)
+        with np.errstate(divide="ignore"):
+            q_axis = np.where(sel & (t_cl >= pot._T_MIN),
+                              2.0 / (log2span * (-np.log(pot._T_MIN)) * pot._OMEGA3
+                                     * 2 * np.pi * r_cl**6 * t_cl**2), 0.0)
+        q += cnt / n_cloud * 0.5 * (q_gen + q_axis)
+    s_c = np.sqrt(np.sum(np.abs(cloud - c[None, :]) ** 2, axis=-1))
+    with np.errstate(divide="ignore"):
+        q_mid = np.where((s_c >= s_mid_lo) & (s_c <= s_mid_hi),
+                         1.0 / (pot._OMEGA5 * np.log(s_mid_hi / s_mid_lo) * s_c**6), 0.0)
+    q += (n_mid / n_cloud) * q_mid
+    q += (n_ball / n_cloud) * np.where(s_c <= radius, 6.0 / (np.pi**3 * radius**6), 0.0)
+    grid = np.concatenate([np.linspace(0.0, 2.0 * radius, 600, endpoint=False),
+                           np.geomspace(2.0 * radius, max(float(s_c.max()), 2.1 * radius),
+                                        200)])
+    num_w = curvature_weight(cloud) * np.interp(s_c, grid, _ref_bump_pairing(grid, radius)) / q
+    num, num_err = float(num_w.mean()), float(num_w.std() / np.sqrt(n_cloud))
+    dirs = _ref_unit_vectors(rng, n_nodes, 6)
+    rad = radius * rng.random(n_nodes) ** (1.0 / 6.0)
+    nodes = c[None, :] + rad[:, None] * (dirs[:, :3] + 1j * dirs[:, 3:])
+    vol = np.pi**3 * radius**6 / 6.0
+    den_samples = curvature_weight(nodes) * pot.bump(rad / radius)
+    den = pot.LAPLACIAN_CONSTANT * vol * float(den_samples.mean())
+    den_err = abs(pot.LAPLACIAN_CONSTANT) * vol * float(den_samples.std() / np.sqrt(n_nodes))
+    ratio = num / den
+    return ratio, float(abs(ratio) * np.sqrt((num_err / num) ** 2 + (den_err / den) ** 2))
+
+
+def _ref_laplacian_weak_check(center, radius, mc, seed, n_nodes=4096, replicas=4):
+    c = np.asarray(center, dtype=complex).reshape(3)
+    out = [_ref_weak_check_once(c, radius, mc, n_nodes, [seed, rep, 7919])
+           for rep in range(replicas)]
+    ratios = np.asarray([r for r, _ in out])
+    inner = np.asarray([e for _, e in out])
+    stderr = max(ratios.std(ddof=1) / np.sqrt(replicas), inner.mean() / np.sqrt(replicas))
+    return {"ratio": float(ratios.mean()), "stderr": float(stderr), "replicas": ratios}
+
+
+# the weak-form checks of the potential suite: (center, radius)
+SUITE_CENTRES = (([10.0, 0, 0], 1.0), ([0, 0, 50.0], 2.0), ([5.0, 3.0, -4.0], 1.0))
 
 
 class TestLaplacianConstantOracle:
@@ -41,6 +225,25 @@ class TestLaplacianConstantOracle:
                  for e in np.eye(6))
         assert lap == pytest.approx(fd, rel=1e-5)
 
+    def test_sphere_kernel_mean_matches_broadcast_reference(self):
+        a = np.linspace(0.01, 2.5, 64)
+        d = np.concatenate([np.linspace(0.0, 5.0, 600, endpoint=False),
+                            np.geomspace(5.0, 300.0, 37)])
+        np.testing.assert_allclose(pot._sphere_kernel_mean(a, d),
+                                   _ref_sphere_kernel_mean(a, d), rtol=1e-12, atol=0)
+
+    def test_bump_pairing_memory(self):
+        # the (a, d, theta) integrand is evaluated in column blocks: one
+        # pairing on an 800-node grid allocated 113 MiB when it was built whole
+        grid = np.linspace(0.0, 40.0, 800)
+        tracemalloc.start()
+        try:
+            pot.bump_pairing(grid, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_two_center_reduction_matches_shell_values(self):
         # the quadrature spherical mean agrees with max(a, d)^{-4}
         a = np.array([0.5, 1.0, 1.3])
@@ -49,6 +252,71 @@ class TestLaplacianConstantOracle:
         for i, av in enumerate(a):
             for j, dv in enumerate(d):
                 assert m[i, j] == pytest.approx(max(av, dv) ** -4.0, rel=1e-9)
+
+
+class TestMatchesReference:
+    """Same RNG streams and points as the reference sampler, so the values
+    agree to rounding."""
+
+    @pytest.mark.parametrize("p", [[0.3, 0.2j, 0.1], [0.0, 0.0, 0.02 + 0.01j],
+                                   [10.0, 0, 0], [3.0 + 1j, 0.5, 20.0 + 2j],
+                                   [0.0, 400.0j, -650.0]])
+    @pytest.mark.parametrize("samples", [8, 1999, 6000])
+    def test_eval_G(self, p, samples):
+        mc = pot.MCParams(samples_per_shell=samples, seed=17)
+        got, ref = pot.eval_G(p, mc), _ref_eval_G(p, mc)
+        for field in ("estimate", "stderr", "core_bound", "tail_estimate"):
+            assert getattr(got, field) == pytest.approx(getattr(ref, field), rel=1e-12)
+        assert [k for k, _, _ in got.shells] == [k for k, _, _ in ref.shells]
+        np.testing.assert_allclose(np.array(got.shells), np.array(ref.shells),
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("i", range(3))
+    def test_weak_check_at_suite_centres(self, i):
+        center, rad = SUITE_CENTRES[i]
+        mc = pot.MCParams(samples_per_shell=2000)
+        got = pot.laplacian_weak_check(center, rad, mc, seed=i)
+        ref = _ref_laplacian_weak_check(center, rad, mc, seed=i)
+        assert got["ratio"] == pytest.approx(ref["ratio"], rel=1e-12)
+        assert got["stderr"] == pytest.approx(ref["stderr"], rel=1e-12)
+        np.testing.assert_allclose(got["replicas"], ref["replicas"], rtol=1e-12, atol=0)
+
+
+class TestMCParams:
+    @pytest.mark.parametrize("field,value", [
+        ("samples_per_shell", 7), ("samples_per_shell", 4), ("samples_per_shell", 0),
+        ("samples_per_shell", 8.0), ("samples_per_shell", True),
+        ("core_delta_rel", 0.0), ("core_delta_rel", -1.0), ("core_delta_rel", 1.0),
+        ("core_delta_rel", float("nan")), ("core_delta_rel", float("inf")),
+        ("core_delta_rel", 0), ("seed", -1), ("seed", 1.5),
+        ("shell_lo", 1.5), ("shell_hi", "3")])
+    def test_invalid_rejected(self, field, value):
+        # samples_per_shell 4 made every shell mean NaN; core_delta_rel 0 or -1
+        # raised OverflowError from the sampler
+        with pytest.raises(ValueError, match=field):
+            pot.MCParams(**{field: value})
+
+    def test_minimum_samples_runs(self):
+        mc = pot.MCParams(samples_per_shell=8, seed=2)
+        assert np.isfinite(pot.eval_G([10.0, 0, 0], mc).estimate)
+        wc = pot.laplacian_weak_check([10.0, 0, 0], 1.0, mc, replicas=2)
+        assert np.isfinite(wc["ratio"]) and np.isfinite(wc["stderr"])
+
+    def test_cli_samples_below_minimum_usage_error(self, tmp_path, capsys):
+        # used to end in a ZeroDivisionError traceback in the weak check
+        code = cli.main(["verify", "potential", "--samples", "7", "--out", str(tmp_path)])
+        assert code == cli.EXIT_USAGE
+        assert "samples_per_shell" in capsys.readouterr().err
+        assert not (tmp_path / "verify_potential.json").exists()
+
+    def test_per_point_params_keep_shell_range(self):
+        # a fixed shell range that misses the point is an error, not dropped
+        mc = pot.MCParams(samples_per_shell=500, shell_lo=0, shell_hi=1)
+        with pytest.raises(ValueError, match="cover"):
+            pot.barrier_envelope_check(np.array([[10.0, 0, 0]], dtype=complex), mc)
+        dom = flow.build_domain(resolution=5, n_barrier_nodes=2)
+        with pytest.raises(ValueError, match="cover"):
+            flow.attach_barrier_potentials(dom, mc)
 
 
 class TestEvalG:
@@ -84,6 +352,15 @@ class TestEvalG:
         with pytest.raises(ValueError):
             pot.eval_G([0.0, 0, 0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        # NaN failed by accident, inf raised OverflowError past the CLI handler
+        p = np.array([10.0, bad, 0.0], dtype=complex)
+        with pytest.raises(ValueError, match="finite"):
+            pot.eval_G(p)
+        with pytest.raises(ValueError, match="finite"):
+            pot.barrier_envelope_check(np.vstack([[2.0, 0, 0], p]))
+
     def test_shell_range_must_cover_point(self):
         with pytest.raises(ValueError, match="cover"):
             pot.eval_G([10.0, 0, 0], pot.MCParams(shell_lo=0, shell_hi=1))
@@ -102,6 +379,11 @@ class TestWeakForm:
     def test_support_through_origin_rejected(self):
         with pytest.raises(ValueError):
             pot.laplacian_weak_check([0.5, 0, 0], 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_centre_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            pot.laplacian_weak_check([10.0, bad, 0], 1.0)
 
 
 class TestEnvelope:
