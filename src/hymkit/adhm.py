@@ -88,13 +88,8 @@ def random_valid_data(rng: np.random.Generator, scale: float = 1.0) -> ADHMData:
     return ADHMData(a[0], a[1], b[0], b[1])
 
 
-def instanton_monad(d: ADHMData) -> mo.MonadSpec:
-    if d.degenerate:
-        raise ValueError("degenerate ADHM data: the connection is flat, no monad")
-    if not is_valid(d, tol=1e-9):
-        raise ValueError(f"ADHM equations violated: residuals {adhm_residual(d)}")
-    a1, a2, b1, b2 = d.as_tuple()
-
+def _maps(a1, a2, b1, b2):
+    """(alpha, beta, dalpha, dbeta) of the monad of any quadruple, batched."""
     def alpha(w):
         w = np.asarray(w, dtype=complex)
         out = np.zeros(w.shape[:-1] + (4, 1), dtype=complex)
@@ -127,6 +122,16 @@ def instanton_monad(d: ADHMData) -> mo.MonadSpec:
         out[..., 1, 0, 0] = -1.0
         return out
 
+    return alpha, beta, dalpha, dbeta
+
+
+def instanton_monad(d: ADHMData) -> mo.MonadSpec:
+    if d.degenerate:
+        raise ValueError("degenerate ADHM data: the connection is flat, no monad")
+    if not is_valid(d, tol=1e-9):
+        raise ValueError(f"ADHM equations violated: residuals {adhm_residual(d)}")
+    a1, a2, b1, b2 = d.as_tuple()
+    alpha, beta, dalpha, dbeta = _maps(a1, a2, b1, b2)
     return mo.MonadSpec(
         name=f"adhm({a1:.3g},{a2:.3g},{b1:.3g},{b2:.3g})",
         n=2, k0=1, k1=4, k2=1,
@@ -164,20 +169,39 @@ def asd_check(d: ADHMData, p, analytic: bool = True) -> float:
     return rep.norm_mean
 
 
+def _projector(alpha, beta):
+    """w -> I - K^dag (K K^dag)^{-1} K with K = [beta; alpha^dag] (batched).
+
+    The orthogonal projector onto ker beta ∩ ker alpha^dag, exact wherever
+    the two constraints are independent at w; no ADHM equation is assumed.
+    """
+    def proj(w):
+        w = np.asarray(w, dtype=complex)
+        k = np.concatenate([beta(w), np.swapaxes(alpha(w).conj(), -1, -2)], axis=-2)
+        kd = np.swapaxes(k.conj(), -1, -2)
+        return np.eye(4) - kd @ np.linalg.solve(k @ kd, k)
+
+    return proj
+
+
+def _projector_curvature(proj, p, h):
+    """P [d_mu P, d_nu P] P for mu < nu by centred differences of step h.
+
+    Real coordinate order (u1, v1, u2, v2) with w_j = u_j + i v_j.
+    """
+    w = np.asarray(p, dtype=complex)
+    steps = [np.array([h, 0]), np.array([1j * h, 0]),
+             np.array([0, h]), np.array([0, 1j * h])]
+    dp = [(proj(w + s) - proj(w - s)) / (2 * h) for s in steps]
+    p0 = proj(w)
+    return {(m, n): p0 @ (dp[m] @ dp[n] - dp[n] @ dp[m]) @ p0
+            for m in range(4) for n in range(m + 1, 4)}
+
+
 def projector_field(d: ADHMData):
     """p -> orthogonal projector onto ker beta ∩ ker alpha^dag (batched)."""
     spec = instanton_monad(d)
-
-    def proj(w):
-        w = np.asarray(w, dtype=complex)
-        a = spec.alpha(w)
-        b = spec.beta(w)
-        ad = np.swapaxes(a.conj(), -1, -2)
-        bd = np.swapaxes(b.conj(), -1, -2)
-        eye = np.broadcast_to(np.eye(4, dtype=complex), w.shape[:-1] + (4, 4))
-        return eye - a @ ad / (ad @ a) - bd @ b / (b @ bd)
-
-    return proj
+    return _projector(spec.alpha, spec.beta)
 
 
 def projector_curvature_fd(d: ADHMData, p, h: float = 1e-4):
@@ -190,65 +214,22 @@ def projector_curvature_fd(d: ADHMData, p, h: float = 1e-4):
     never touches the complex conventions.  Real coordinate order:
     (u1, v1, u2, v2) with w_j = u_j + i v_j.
     """
-    w = np.asarray(p, dtype=complex)
-    proj = projector_field(d)
-    steps = [np.array([h, 0]), np.array([1j * h, 0]),
-             np.array([0, h]), np.array([0, 1j * h])]
-    dp = [(proj(w + s) - proj(w - s)) / (2 * h) for s in steps]
-    p0 = proj(w)
-    fiber = mo.cohomology_frame(instanton_monad(d), p)
-    bmat = fiber.basis
-    comps = {}
-    for mu in range(4):
-        for nu in range(mu + 1, 4):
-            f = p0 @ (dp[mu] @ dp[nu] - dp[nu] @ dp[mu]) @ p0
-            comps[(mu, nu)] = bmat.conj().T @ f @ bmat
-    return comps
+    bmat = mo.cohomology_frame(instanton_monad(d), p).basis
+    comps = _projector_curvature(projector_field(d), p, h)
+    return {key: bmat.conj().T @ f @ bmat for key, f in comps.items()}
 
 
 def asd_defect_fd(a1, a2, b1, b2, p, h: float = 1e-4) -> float:
     """Anti-self-duality defect of the projection connection for raw data.
 
-    Works for arbitrary quadruples (no ADHM equations assumed): the fiber is
-    the SVD null space of the stacked constraints, the curvature comes from
-    finite differences of its orthogonal projector, and the defect sums the
-    three anti-self-duality relations in real components.  Valid data give
+    Works for arbitrary quadruples (no ADHM equations assumed): the curvature
+    comes from finite differences of the orthogonal projector onto the
+    common kernel of the constraints, and the defect sums the three
+    anti-self-duality relations in real components.  Valid data give
     FD-level residuals; data violating the equations give order-one defects.
     """
-    def alpha(w):
-        w = np.asarray(w, dtype=complex)
-        out = np.zeros(w.shape[:-1] + (4, 1), dtype=complex)
-        out[..., 0, 0] = w[..., 0]
-        out[..., 1, 0] = w[..., 1]
-        out[..., 2, 0] = a1
-        out[..., 3, 0] = a2
-        return out
-
-    def beta(w):
-        w = np.asarray(w, dtype=complex)
-        out = np.zeros(w.shape[:-1] + (1, 4), dtype=complex)
-        out[..., 0, 0] = -w[..., 1]
-        out[..., 0, 1] = w[..., 0]
-        out[..., 0, 2] = b1
-        out[..., 0, 3] = b2
-        return out
-
-    def proj(w):
-        k = np.concatenate([beta(w), np.swapaxes(alpha(w).conj(), -1, -2)],
-                           axis=-2)
-        _, _, vh = np.linalg.svd(k)
-        b0 = np.swapaxes(vh.conj(), -1, -2)[..., :, 2:]
-        return b0 @ np.swapaxes(b0.conj(), -1, -2)
-
-    w = np.asarray(p, dtype=complex)
-    steps = [np.array([h, 0]), np.array([1j * h, 0]),
-             np.array([0, h]), np.array([0, 1j * h])]
-    dp = [(proj(w + s) - proj(w - s)) / (2 * h) for s in steps]
-    p0 = proj(w)
-    comps = {}
-    for m in range(4):
-        for n in range(m + 1, 4):
-            comps[(m, n)] = p0 @ (dp[m] @ dp[n] - dp[n] @ dp[m]) @ p0
+    alpha, beta, _, _ = _maps(a1, a2, b1, b2)
+    comps = _projector_curvature(_projector(alpha, beta), p, h)
     return float(np.linalg.norm(comps[(0, 1)] + comps[(2, 3)])
                  + np.linalg.norm(comps[(0, 2)] - comps[(1, 3)])
                  + np.linalg.norm(comps[(0, 3)] + comps[(1, 2)]))

@@ -19,8 +19,6 @@ cancellation bounds used downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import adhm as adhm_mod
@@ -378,13 +376,8 @@ def mean_curvature_ratio_grad(p, fd_scale: float = 1e-2) -> float:
     def mean_in_frame(q):
         fiber = mo.cohomology_frame(spec, q)
         rep = mo.curvature(spec, q, fiber)
-        s = frame(q)
-        h0 = mo._metric_value(spec.h0, q)
-        h1v = fiber.h1
-        a = spec.alpha(q)
-        ad = mo._alpha_dag(spec, q, h0, h1v)
-        sp = s - a @ np.linalg.solve(ad @ a, ad @ s)
-        t = fiber.basis.conj().T @ h1v @ sp
+        # B^dag h1 alpha = (h0 alpha^dag B)^dag = 0, so no projection off Im alpha
+        t = fiber.basis.conj().T @ fiber.h1 @ frame(q)
         return np.linalg.inv(t) @ rep.mean @ t
 
     def gram(q):

@@ -82,6 +82,11 @@ def suite_adhm(cfg: RunConfig) -> list:
     return checks
 
 
+# weight_ratio_sup is a sup over the sample; at one point it reads 1.01-1.99
+# against the regression-locked 2.0, from 100 points on at least 1.9997
+ANSATZ_MIN_SAMPLES = 100
+
+
 def suite_ansatz(cfg: RunConfig) -> list:
     from . import ansatz
 
@@ -210,8 +215,10 @@ def cmd_verify(args) -> int:
         except ValueError:
             print(f"bad --tol {spec!r}, expected name=value", file=sys.stderr)
             return EXIT_USAGE
-    if args.samples is not None and args.samples < 1:
-        print(f"--samples must be at least 1, got {args.samples}", file=sys.stderr)
+    least = ANSATZ_MIN_SAMPLES if args.suite == "ansatz" else 1
+    if args.samples is not None and args.samples < least:
+        print(f"--samples for the {args.suite} suite must be at least {least}, "
+              f"got {args.samples}", file=sys.stderr)
         return EXIT_USAGE
     if args.seed < 0:
         print(f"--seed must be non-negative, got {args.seed}", file=sys.stderr)

@@ -39,10 +39,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import monads as mo
-from .ansatz import ansatz_monad, chart_frame
-from .geometry import coords
-
 __all__ = [
     "FlowConfig",
     "FlowDomain",

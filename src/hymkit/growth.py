@@ -25,9 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import monads as mo
-from .ansatz import ansatz_monad, cone_monad
-
 __all__ = [
     "Poly3",
     "KoszulSection",

@@ -19,11 +19,15 @@ where grad alpha^dag = dbar(alpha^dag) is a (0,1)-form, grad beta =
 (dbar beta^dag)^dag is a (1,0)-form, and F_{E1} is the Chern curvature of h1.
 All pairings and adjoints follow the conventions of :mod:`hymkit.geometry`.
 
-The curvature is contracted fiber first: every ingredient is multiplied by
-the h1-orthonormal fiber basis B (k1 x r) before the forms are paired, so the
-(n, n, r, r) coefficients are built directly by ordered batched matmuls and
-no (n, n, k1, k1) ambient form exists.  The pointwise, batched and oracle
-entry points all go through this one contraction (:func:`_fiber_forms`).
+There is one fiber frame and one contraction.  The h1-orthonormal basis B
+(k1 x r) of V_p is built by :func:`frame_batch`, Gram-Schmidt over the
+projected standard basis; :func:`cohomology_frame` is its batch of one.  The
+curvature is contracted fiber first: every ingredient is multiplied by B
+before the forms are paired, so the (n, n, r, r) coefficients are built
+directly by ordered batched matmuls and no (n, n, k1, k1) ambient form
+exists.  The pointwise, batched and oracle entry points all go through this
+one contraction (:func:`_fiber_forms`), and the metrics and maps at a point
+are evaluated once for both the frame and the forms (:func:`_values`).
 
 Everything here accepts a single point (shape (n,)) or a batch (..., n); the
 batched paths are used by the sampling-heavy diagnostics.
@@ -31,12 +35,12 @@ batched paths are used by the sampling-heavy diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import Point3, Form11, coords, fd_derivative, fd_mixed_second
+from .geometry import Form11, coords, fd_derivative, fd_mixed_second
 
 __all__ = [
     "MetricField",
@@ -211,14 +215,10 @@ def _fd_jacobian(fn, w, n, step):
 
 
 def _metric_value(metric, w):
-    if isinstance(metric, DiagPowerMetric):
-        return metric.value(w)
     return np.asarray(metric.value(w), dtype=complex)
 
 
 def _metric_dholo(metric, w, fd_step):
-    if isinstance(metric, DiagPowerMetric):
-        return metric.dholo(w)
     if metric.dholo is not None:
         return np.asarray(metric.dholo(w), dtype=complex)
     w = np.asarray(w, dtype=complex)
@@ -226,8 +226,6 @@ def _metric_dholo(metric, w, fd_step):
 
 
 def _metric_dmixed(metric, w, fd_step):
-    if isinstance(metric, DiagPowerMetric):
-        return metric.dmixed(w)
     if metric.dmixed is not None:
         return np.asarray(metric.dmixed(w), dtype=complex)
     w = np.asarray(w, dtype=complex)
@@ -329,11 +327,6 @@ def _alpha_dag(spec, w, h0, h1):
     return np.linalg.solve(h0, at @ h1) if spec.k0 > 0 else at @ h1
 
 
-def _beta_dag(spec, w, h1, h2):
-    bt = _ct(np.asarray(spec.beta(w), dtype=complex))
-    return np.linalg.solve(h1, bt @ h2)
-
-
 def _dbar_adjoint(m, dm, m_dag, hs_inv, ht, dhs, dht):
     """(0,1)-form dbar(m^dag) of m^dag = hs^{-1} conj(m)^t ht, along dwbar_j.
 
@@ -347,14 +340,36 @@ def _dbar_adjoint(m, dm, m_dag, hs_inv, ht, dhs, dht):
                           - _ct(dhs) @ one(m_dag))
 
 
-def _pieces(spec, w):
+def _values(spec, w):
+    """The metrics, maps and adjoints at w, each evaluated once, with the
+    inverses of h0, h1, (beta beta^dag) and (alpha^dag alpha)."""
+    h1 = _metric_value(spec.h1, w)
+    h2 = _metric_value(spec.h2, w)
+    h1_inv = np.linalg.inv(h1)
+    beta = np.asarray(spec.beta(w), dtype=complex)
+    beta_dag = h1_inv @ _ct(beta) @ h2
+    out = {"h1": h1, "h2": h2, "h1_inv": h1_inv, "beta": beta,
+           "beta_dag": beta_dag, "bbd_inv": np.linalg.inv(beta @ beta_dag)}
+    if spec.k0 > 0:
+        h0 = _metric_value(spec.h0, w)
+        h0_inv = np.linalg.inv(h0)
+        alpha = np.asarray(spec.alpha(w), dtype=complex)
+        alpha_dag = h0_inv @ _ct(alpha) @ h1
+        out.update(h0=h0, h0_inv=h0_inv, alpha=alpha, alpha_dag=alpha_dag,
+                   ada_inv=np.linalg.inv(alpha_dag @ alpha))
+    return out
+
+
+def _pieces(spec, w, values=None):
     """All pointwise ingredients needed by the curvature formula.
 
-    Each metric is inverted once.  grad_alpha_dag = dbar(alpha^dag) has
-    components along dwbar_j, (..., n, k0, k1); grad_beta = (dbar beta^dag)^dag
-    along dw_j, (..., n, k2, k1); dh1 and ddh1 are d_j h1 and d_j d_kbar h1.
+    The :func:`_values` at w (evaluated here unless given) plus the
+    derivatives: grad_alpha_dag = dbar(alpha^dag) has components along
+    dwbar_j, (..., n, k0, k1); grad_beta = (dbar beta^dag)^dag along dw_j,
+    (..., n, k2, k1); dh1 and ddh1 are d_j h1 and d_j d_kbar h1.
     """
     w = np.asarray(w, dtype=complex)
+    out = dict(_values(spec, w) if values is None else values)
 
     def holo(fn, dfn):
         # d_{w_j} of a monad map, analytic when the spec provides it
@@ -362,32 +377,18 @@ def _pieces(spec, w):
             return np.asarray(dfn(w), dtype=complex)
         return _fd_jacobian(fn, w, spec.n, spec.fd_step)
 
-    h1 = _metric_value(spec.h1, w)
-    h2 = _metric_value(spec.h2, w)
-    h1_inv = np.linalg.inv(h1)
+    h1, h2 = out["h1"], out["h2"]
     dh1 = _metric_dholo(spec.h1, w, spec.fd_step)
-    beta = np.asarray(spec.beta(w), dtype=complex)
-    beta_dag = h1_inv @ _ct(beta) @ h2
-    dbar_beta_dag = _dbar_adjoint(beta, holo(spec.beta, spec.dbeta),
-                                  beta_dag, h1_inv, h2, dh1,
+    dbar_beta_dag = _dbar_adjoint(out["beta"], holo(spec.beta, spec.dbeta),
+                                  out["beta_dag"], out["h1_inv"], h2, dh1,
                                   _metric_dholo(spec.h2, w, spec.fd_step))
-    out = {
-        "h1": h1, "h2": h2, "h1_inv": h1_inv,
-        "dh1": dh1, "ddh1": _metric_dmixed(spec.h1, w, spec.fd_step),
-        "beta": beta, "beta_dag": beta_dag,
-        "grad_beta": (np.linalg.inv(h2)[..., None, :, :] @ _ct(dbar_beta_dag)
-                      @ h1[..., None, :, :]),
-    }
+    out.update(dh1=dh1, ddh1=_metric_dmixed(spec.h1, w, spec.fd_step),
+               grad_beta=(np.linalg.inv(h2)[..., None, :, :] @ _ct(dbar_beta_dag)
+                          @ h1[..., None, :, :]))
     if spec.k0 > 0:
-        h0 = _metric_value(spec.h0, w)
-        h0_inv = np.linalg.inv(h0)
-        alpha = np.asarray(spec.alpha(w), dtype=complex)
-        alpha_dag = h0_inv @ _ct(alpha) @ h1
-        out.update(h0=h0, alpha=alpha, alpha_dag=alpha_dag,
-                   grad_alpha_dag=_dbar_adjoint(
-                       alpha, holo(spec.alpha, spec.dalpha),
-                       alpha_dag, h0_inv, h1,
-                       _metric_dholo(spec.h0, w, spec.fd_step), dh1))
+        out["grad_alpha_dag"] = _dbar_adjoint(
+            out["alpha"], holo(spec.alpha, spec.dalpha), out["alpha_dag"],
+            out["h0_inv"], h1, _metric_dholo(spec.h0, w, spec.fd_step), dh1)
     return out
 
 
@@ -429,80 +430,65 @@ def validate_monad(spec: MonadSpec, p) -> ValidityReport:
     )
 
 
-def _projector(spec, w, h0, h1, h2):
+def _projector(spec, values):
     """h1-orthogonal projector onto ker beta ∩ ker alpha^dag, batched."""
-    k1 = spec.k1
-    eye = np.broadcast_to(np.eye(k1, dtype=complex),
-                          np.asarray(w).shape[:-1] + (k1, k1))
-    b = np.asarray(spec.beta(w), dtype=complex)
-    bd = _beta_dag(spec, w, h1, h2)
-    bbd = b @ bd
-    p = eye - bd @ np.linalg.solve(bbd, b)
+    v = values
+    p = np.eye(spec.k1) - v["beta_dag"] @ v["bbd_inv"] @ v["beta"]
     if spec.k0 > 0:
-        a = np.asarray(spec.alpha(w), dtype=complex)
-        ad = _alpha_dag(spec, w, h0, h1)
-        ada = ad @ a
-        p = p - a @ np.linalg.solve(ada, ad)
+        p = p - v["alpha"] @ v["ada_inv"] @ v["alpha_dag"]
     return p
 
 
 def cohomology_frame(spec: MonadSpec, p) -> CohomFiber:
-    """Deterministic h1-orthonormal basis of the cohomology fiber at p.
-
-    Seeds are the projections of the standard basis vectors e_1..e_{k1}
-    (in index order) onto V_p, orthogonalised by modified Gram-Schmidt in the
-    h1 inner product; vectors whose residual norm drops below a relative
-    threshold are discarded.
-    """
+    """The :func:`frame_batch` basis of the cohomology fiber at one regular
+    point p, with its projector and h1."""
     rep = validate_monad(spec, p)
     if not rep.regular:
         raise SingularPointError(
             f"{spec.name}: singular point (sigma_min alpha={rep.sigma_min_alpha:.3e}, "
             f"beta^dag={rep.sigma_min_beta_dag:.3e})", report=rep)
     w = spec.point(p)
-    h0 = _metric_value(spec.h0, w)
-    h1 = _metric_value(spec.h1, w)
-    h2 = _metric_value(spec.h2, w)
-    proj = _projector(spec, w, h0, h1, h2)
-    r = spec.rank
-    basis = []
-    for i in range(spec.k1):
-        v = proj[:, i].copy()
-        for u in basis:
-            v -= u * (u.conj() @ h1 @ v)
-        nrm = np.sqrt(np.real(v.conj() @ h1 @ v))
-        if nrm > 1e-7:
-            basis.append(v / nrm)
-        if len(basis) == r:
-            break
-    if len(basis) != r:
-        raise SingularPointError(f"{spec.name}: fiber rank deficient at {w}", report=rep)
-    return CohomFiber(point=w, basis=np.stack(basis, axis=1), projector=proj, h1=h1)
+    v = _values(spec, w[None])
+    return CohomFiber(point=w, basis=frame_batch(spec, v)[0],
+                      projector=_projector(spec, v)[0], h1=v["h1"][0])
 
 
-def frame_batch(spec: MonadSpec, W: np.ndarray) -> np.ndarray:
-    """Batched h1-orthonormal fiber bases, (..., k1, r).
+def frame_batch(spec: MonadSpec, values: dict) -> np.ndarray:
+    """h1-orthonormal bases of the cohomology fibers, (..., k1, r).
 
-    Built from the SVD null space of the stacked constraints [beta; alpha^dag]
-    followed by an h1-Gram square root; unlike :func:`cohomology_frame` the
-    basis choice is not normative, so use it only for gauge-invariant
-    quantities.
+    ``values`` are the :func:`_values` at the points.  At every point the
+    seeds P e_1, ..., P e_{k1} (P the h1-orthogonal projector onto V_p) are
+    taken in index order and orthogonalised by modified Gram-Schmidt in h1;
+    a seed whose residual h1-norm is at most 1e-7 (an absolute threshold) is
+    discarded.  A point left with fewer than r columns, or with a non-finite
+    one, raises :class:`SingularPointError`.
     """
-    w = np.asarray(W, dtype=complex)
-    h0 = _metric_value(spec.h0, w)
-    h1 = _metric_value(spec.h1, w)
-    h2 = _metric_value(spec.h2, w)
-    b = np.asarray(spec.beta(w), dtype=complex)
-    rows = [b]
-    if spec.k0 > 0:
-        rows.append(_alpha_dag(spec, w, h0, h1))
-    k = np.concatenate(rows, axis=-2)
-    _, _, vh = np.linalg.svd(k)
-    b0 = np.swapaxes(vh.conj(), -1, -2)[..., :, spec.k0 + spec.k2:]
-    gram = np.swapaxes(b0.conj(), -1, -2) @ h1 @ b0
-    evals, evecs = np.linalg.eigh(gram)
-    inv_sqrt = evecs @ (evals[..., None] ** -0.5 * np.swapaxes(evecs.conj(), -1, -2))
-    return b0 @ inv_sqrt
+    h1 = values["h1"]
+    proj = _projector(spec, values)
+    r = spec.rank
+    lead = proj.shape[:-2]
+    basis = np.zeros(lead + (spec.k1, r), dtype=complex)
+    count = np.zeros(lead, dtype=int)
+    for i in range(spec.k1):
+        v = proj[..., :, i, None]
+        for c in range(min(i, r)):
+            # a column not filled yet is zero and leaves v unchanged
+            u = basis[..., c, None]
+            v = v - u * (_ct(u) @ h1 @ v)
+        nrm = np.sqrt(np.real(_ct(v) @ h1 @ v))
+        keep = (nrm[..., 0, 0] > 1e-7) & (count < r)
+        unit = v / np.where(keep[..., None, None], nrm, 1.0)
+        for c in range(r):
+            put = (keep & (count == c))[..., None, None]
+            basis[..., c, None] = np.where(put, unit, basis[..., c, None])
+        count = count + keep
+        if np.all(count == r):
+            break
+    bad = np.count_nonzero((count < r) | ~np.isfinite(basis).all(axis=(-2, -1)))
+    if bad:
+        raise SingularPointError(
+            f"{spec.name}: fiber rank deficient or non-finite at {bad} point(s)")
+    return basis
 
 
 def induced_metric(spec: MonadSpec, p, sections) -> np.ndarray:
@@ -535,7 +521,7 @@ def induced_metric(spec: MonadSpec, p, sections) -> np.ndarray:
 # curvature
 
 
-def _fiber_forms(spec, w, basis):
+def _fiber_forms(spec, w, basis, values):
     """Raw dw_j ^ dwbar_k coefficients N[j,k] of the induced curvature in the
     fiber basis B, (..., n, n, r, r), with <F s, s'> = s'^dag N[j,k] s.
 
@@ -552,7 +538,7 @@ def _fiber_forms(spec, w, basis):
     Hermitian h1, so N is the ambient form of the module docstring
     restricted to V_p.
     """
-    pc = _pieces(spec, w)
+    pc = _pieces(spec, w, values)
     n, r = spec.n, basis.shape[-1]
     lead = basis.shape[:-2]
 
@@ -569,7 +555,7 @@ def _fiber_forms(spec, w, basis):
 
     d = cols(pc["dh1"])
     g = cols(pc["grad_beta"])
-    m = pc["h2"] @ np.linalg.inv(pc["beta"] @ pc["beta_dag"])
+    m = pc["h2"] @ pc["bbd_inv"]
     # rows (k, a), columns (j, b): D_k^dag h1^{-1} D_j - G_k^dag m G_j
     out = np.swapaxes(unfold(_ct(d) @ (pc["h1_inv"] @ d) - _ct(g) @ (m @ g)), -4, -3)
     # rows a, columns (j, k, b): B^dag (d_j d_kbar h1) B
@@ -577,7 +563,7 @@ def _fiber_forms(spec, w, basis):
     out = out - np.moveaxis(dd, -4, -2)
     if spec.k0 > 0:
         a = cols(pc["grad_alpha_dag"])
-        m = pc["h0"] @ np.linalg.inv(pc["alpha_dag"] @ pc["alpha"])
+        m = pc["h0"] @ pc["ada_inv"]
         # rows (j, a), columns (k, b): A_j^dag m A_k
         out = out + unfold(_ct(a) @ (m @ a))
     return out
@@ -610,9 +596,9 @@ def form_norm_sq(f_raw: np.ndarray, n: int) -> np.ndarray:
     return total
 
 
-def _curvature_data(spec, w, basis):
+def _curvature_data(spec, w, basis, values):
     """Raw form, i Lambda F and the two norms in the fiber basis, batched."""
-    raw = _fiber_forms(spec, w, basis)
+    raw = _fiber_forms(spec, w, basis, values)
     mean = 2.0 * np.einsum("...jjab->...ab", raw)       # i Lambda F
     mean = 0.5 * (mean + _ct(mean))
     norm_mean = np.abs(np.linalg.eigvalsh(mean)).max(axis=-1)
@@ -630,7 +616,8 @@ def curvature(spec: MonadSpec, p, fiber: CohomFiber | None = None) -> CurvatureR
     """
     if fiber is None:
         fiber = cohomology_frame(spec, p)
-    raw, mean, norm_mean, norm_form = _curvature_data(spec, fiber.point, fiber.basis)
+    raw, mean, norm_mean, norm_form = _curvature_data(
+        spec, fiber.point, fiber.basis, _values(spec, fiber.point))
     # i F = i sum raw[j,k] dw_j ^ dwbar_k, i.e. Form11 coefficients = raw
     return CurvatureReport(
         point=fiber.point,
@@ -649,8 +636,9 @@ def curvature_batch(spec: MonadSpec, W: np.ndarray) -> dict:
     bases together with |F| and the spectral norm of i Lambda F.
     """
     w = np.asarray(W, dtype=complex)
-    basis = frame_batch(spec, w)
-    raw, mean, norm_mean, norm_form = _curvature_data(spec, w, basis)
+    values = _values(spec, w)
+    basis = frame_batch(spec, values)
+    raw, mean, norm_mean, norm_form = _curvature_data(spec, w, basis, values)
     return {"basis": basis, "form_raw": raw, "mean": mean,
             "norm_mean": norm_mean, "norm_form": norm_form}
 
@@ -686,15 +674,9 @@ def curvature_fd_check(spec: MonadSpec, p, frame, h: float = 1e-3) -> float:
 
     rep = curvature(spec, w)
     fiber = rep.fiber
-    # transport: columns of the frame expand in the orthonormal basis as T
-    s = np.asarray(frame(w), dtype=complex)
-    if spec.k0 > 0:
-        h0 = _metric_value(spec.h0, w)
-        h1v = _metric_value(spec.h1, w)
-        a = np.asarray(spec.alpha(w), dtype=complex)
-        ad = _alpha_dag(spec, w, h0, h1v)
-        s = s - a @ np.linalg.solve(ad @ a, ad @ s)
-    t = fiber.basis.conj().T @ fiber.h1 @ s
+    # transport: columns of the frame expand in the orthonormal basis as T;
+    # B^dag h1 alpha = (h0 alpha^dag B)^dag = 0, so no projection off Im alpha
+    t = fiber.basis.conj().T @ fiber.h1 @ np.asarray(frame(w), dtype=complex)
     engine_raw = np.linalg.inv(t) @ rep.form.coeff @ t
 
     scale = max(float(np.abs(engine_raw).max()), 1e-14)

@@ -30,6 +30,14 @@ class TestVerify:
                         "--out", str(tmp_path)]) == cli.EXIT_USAGE
         assert not (tmp_path / "verify_cone.json").exists()
 
+    @pytest.mark.parametrize("samples,code", [(99, cli.EXIT_USAGE), (100, cli.EXIT_PASS)])
+    def test_ansatz_minimum_samples(self, tmp_path, samples, code):
+        # fewer points make weight_ratio_sup a sup over too small a sample
+        assert cli.ANSATZ_MIN_SAMPLES == 100
+        assert run_cli(["verify", "ansatz", "--samples", str(samples),
+                        "--out", str(tmp_path)]) == code
+        assert (tmp_path / "verify_ansatz.json").exists() == (code == cli.EXIT_PASS)
+
     def test_cone_suite_passes(self, tmp_path, capsys):
         code = run_cli(["verify", "cone", "--seed", "3",
                         "--out", str(tmp_path)])

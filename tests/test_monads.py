@@ -96,6 +96,93 @@ class TestCohomologyFrame:
         np.testing.assert_array_equal(f1.basis, f2.basis)
 
 
+def _pointwise_frame(spec, w):
+    """The pointwise frame rule, one point at a time: seeds P e_1..P e_{k1} in
+    index order, modified Gram-Schmidt in h1, residual h1-norms <= 1e-7
+    discarded."""
+    h0, h1, h2 = (mo._metric_value(m, w) for m in (spec.h0, spec.h1, spec.h2))
+    b = np.asarray(spec.beta(w), dtype=complex)
+    bd = np.linalg.solve(h1, b.conj().T @ h2)
+    proj = np.eye(spec.k1) - bd @ np.linalg.solve(b @ bd, b)
+    if spec.k0 > 0:
+        a = np.asarray(spec.alpha(w), dtype=complex)
+        ad = mo._alpha_dag(spec, w, h0, h1)
+        proj = proj - a @ np.linalg.solve(ad @ a, ad)
+    basis = []
+    for i in range(spec.k1):
+        v = proj[:, i].copy()
+        for u in basis:
+            v -= u * (u.conj() @ h1 @ v)
+        nrm = np.sqrt(np.real(v.conj() @ h1 @ v))
+        if nrm > 1e-7:
+            basis.append(v / nrm)
+        if len(basis) == spec.rank:
+            break
+    return np.stack(basis, axis=1)
+
+
+class TestFrameBatch:
+    """The batched frame against the pointwise Gram-Schmidt rule."""
+
+    def case(self, name, rng):
+        p = rng.standard_normal((10, 6))
+        w = p[:, :3] + 1j * p[:, 3:]
+        if name == "ansatz":
+            # at (1, 0, 0) the seed P e_2 is 0 and the third seed is taken
+            w[:2] = [[1.0, 0, 0], [-2.0, 0, 0]]
+            return ansatz_monad(), w
+        if name == "adhm":
+            return adhm.instanton_monad(adhm.ADHMData(1, 0.5j, -0.5j, 1)), w[:, :2]
+        if name == "cone":
+            return cone_monad(), w
+        return twisted_monad(400), w + np.array([0, 0, 400.0])
+
+    @pytest.mark.parametrize("name", ["ansatz", "adhm", "cone", "twisted"])
+    def test_matches_pointwise_rule(self, name, rng):
+        spec, w = self.case(name, rng)
+        basis = mo.frame_batch(spec, mo._values(spec, w))
+        ref = np.stack([_pointwise_frame(spec, q) for q in w])
+        assert basis.shape == ref.shape
+        assert np.abs(basis - ref).max() <= 1e-12
+
+    def test_origin_in_batch_raises(self, main_spec):
+        w = np.array([[1.0, 0, 0], [0.0, 0, 0], [0.3, 0.4, 1.0]], dtype=complex)
+        with pytest.raises(ValueError):
+            mo.frame_batch(main_spec, mo._values(main_spec, w))
+        with pytest.raises(ValueError):
+            mo.curvature_batch(main_spec, w)
+
+    @pytest.mark.parametrize("scale", [np.nan, 1e-20])
+    def test_short_or_non_finite_point_raises(self, main_spec, scale):
+        # a NaN h1 norm, or residual norms all <= 1e-7, at the second point
+        values = mo._values(main_spec, np.array([[1.0, 0, 0], [0.3, 0.4, 1.0]]))
+        values["h1"][1] *= scale
+        with pytest.raises(mo.SingularPointError):
+            mo.frame_batch(main_spec, values)
+
+    def test_curvature_batch_evaluates_inputs_once(self):
+        base = ansatz_monad()
+        calls = {}
+
+        def counted(name, fn):
+            def wrapped(w):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(w)
+            return wrapped
+
+        def metric(name, m):
+            return mo.MetricField(value=counted(name, m.value), dholo=m.dholo,
+                                  dmixed=m.dmixed)
+
+        spec = mo.MonadSpec(
+            name="counted", n=3, k0=1, k1=4, k2=1,
+            alpha=counted("alpha", base.alpha), beta=counted("beta", base.beta),
+            h0=metric("h0", base.h0), h1=metric("h1", base.h1),
+            h2=metric("h2", base.h2), dalpha=base.dalpha, dbeta=base.dbeta)
+        mo.curvature_batch(spec, np.array([[0.5, 1.0, -0.3], [1.2, 0.3j, 0.4]]))
+        assert calls == {"h0": 1, "h1": 1, "h2": 1, "alpha": 1, "beta": 1}
+
+
 class TestInducedMetric:
     def test_gram_at_reference_point(self, main_spec):
         s = [np.array([0, 0, 1.0, 0]), np.array([0, 0, 0, 1.0])]
@@ -317,7 +404,7 @@ def _ref_ambient_forms(spec, w):
     f1 = -np.einsum("ab,jkbc->jkac", h1i, ddh1 - corr)
     beta = np.asarray(spec.beta(w), dtype=complex)
     gb = _ref_grad_beta(spec, w, h1, h2, dh1, dh2, dmap(spec.beta, spec.dbeta))
-    bbd_inv = np.linalg.inv(beta @ mo._beta_dag(spec, w, h1, h2))
+    bbd_inv = np.linalg.inv(beta @ h1i @ beta.conj().T @ h2)
     mid = np.einsum("ab,bc,jcd->jad", h2, bbd_inv, gb)
     out = (np.einsum("ab,jkbc->jkac", h1, f1)
            - np.einsum("kab,jbc->jkac", np.swapaxes(gb.conj(), -1, -2), mid))
