@@ -30,7 +30,6 @@ __all__ = [
     "cone_monad",
     "flat_metric_cone_monad",
     "twisted_monad",
-    "closed_form_ingredients",
     "curvature_weight",
     "mean_curvature_ratio",
     "mean_curvature_ratio_grad",
@@ -212,47 +211,7 @@ def twisted_monad(zeta: complex, root: complex | None = None) -> mo.MonadSpec:
 
 
 # ---------------------------------------------------------------------------
-# closed forms and weights
-
-
-def closed_form_ingredients(p) -> dict:
-    """Closed-form curvature ingredients of the main family at p.
-
-    Returns alpha^dag alpha, beta beta^dag, the rows of grad alpha^dag per
-    dwbar_j and of grad beta per dw_j, and the middle-bundle Chern term
-    F1[j,k] = -dbar_k(h1^{-1} d_j h1).
-    """
-    w = coords(p, 3)
-    x, y, z = w
-    rho = 1.0 + np.sum(np.abs(w) ** 2)
-    sig = abs(x) ** 2 + abs(y) ** 2
-    q = rho ** -0.5
-    ada = sig * q + 1.0
-    bbd = sig / q + abs(z) ** 2
-
-    grad_adag = np.zeros((3, 1, 4), dtype=complex)
-    for j in range(3):
-        grad_adag[j, 0, 0] = -np.conj(x) * w[j] / (2 * rho**1.5)
-        grad_adag[j, 0, 1] = -np.conj(y) * w[j] / (2 * rho**1.5)
-    grad_adag[0, 0, 0] += q
-    grad_adag[1, 0, 1] += q
-
-    grad_beta = np.zeros((3, 1, 4), dtype=complex)
-    for j in range(3):
-        grad_beta[j, 0, 0] = -y * np.conj(w[j]) / (2 * rho)
-        grad_beta[j, 0, 1] = x * np.conj(w[j]) / (2 * rho)
-    grad_beta[1, 0, 0] += -1.0
-    grad_beta[0, 0, 1] += 1.0
-    grad_beta[2, 0, 3] = 1.0
-
-    f1 = np.zeros((3, 3, 4, 4), dtype=complex)
-    for j in range(3):
-        for k in range(3):
-            cjk = 0.5 * ((1.0 if j == k else 0.0) / rho - np.conj(w[j]) * w[k] / rho**2)
-            f1[j, k, 0, 0] = cjk
-            f1[j, k, 1, 1] = cjk
-    return {"ada": ada, "bbd": bbd, "grad_adag": grad_adag,
-            "grad_beta": grad_beta, "f1": f1}
+# weights
 
 
 def curvature_weight(p) -> np.ndarray | float:
@@ -285,11 +244,13 @@ def cancellation(p):
     moderate constant uniformly on C^3 \\ {0}.
     """
     w = coords(p, 3)
-    ing = closed_form_ingredients(w)
+    v = mo._values(ansatz_monad(), w)
+    ada = np.real(v["alpha_dag"] @ v["alpha"])[0, 0]
+    bbd = np.real(v["beta"] @ v["beta_dag"])[0, 0]
     rho = 1.0 + np.sum(np.abs(w) ** 2)
-    lhs = 1.0 / (rho * ing["ada"]) - 1.0 / ing["bbd"]
-    rhs = 1.0 / (ing["bbd"] * np.sqrt(rho))
-    return float(np.real(lhs)), float(np.real(rhs))
+    lhs = 1.0 / (rho * ada) - 1.0 / bbd
+    rhs = 1.0 / (bbd * np.sqrt(rho))
+    return float(lhs), float(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -317,19 +278,11 @@ def weight_ratio_sup(n_points: int = 10_000, seed: int = 0,
     return float(np.max(data["norm_mean"] / ell))
 
 
-def mean_curvature_ratio(p, k: int = 0, fd_scale: float = 1e-2) -> float:
-    """|grad^k (i Lambda F)| divided by its decay weight at p.
-
-    k = 0 uses :func:`curvature_weight`; k = 1 uses the gradient weight
-    |w|^{-1} (|x| + |y| + |z|^{1/2})^{-3} valid for |x| >= 1, with the
-    covariant derivative evaluated in the dominant coordinate chart.
-    """
-    if k == 0:
-        rep = mo.curvature(ansatz_monad(), p)
-        return float(rep.norm_mean / curvature_weight(rep.point))
-    if k != 1:
-        raise ValueError("only k in {0, 1} is supported")
-    return mean_curvature_ratio_grad(p, fd_scale=fd_scale)
+def mean_curvature_ratio(p) -> float:
+    """|i Lambda F| divided by :func:`curvature_weight` at p (the gradient
+    counterpart is :func:`mean_curvature_ratio_grad`)."""
+    rep = mo.curvature(ansatz_monad(), p)
+    return float(rep.norm_mean / curvature_weight(rep.point))
 
 
 def _chart_for(w):

@@ -449,9 +449,9 @@ def energy(state: FlowState) -> float:
     nodes at least two layers from the boundary.  theta_j is formed entry by
     entry from the components with H^{-1} = adj(H) / det; the derivative of
     H10 = conj(H01) is the conjugate of the derivative of H01 along the
-    opposite complex direction, not conj(d_j H01).  Component norms use the
-    metric, |N|^2_H = tr(N H^{-1} N^dag H), and the same real-pair form
-    convention as the monad engine (:func:`hymkit.monads.form_norm_sq`).
+    opposite complex direction, not conj(d_j H01).  The density is the form
+    norm of :mod:`hymkit.geometry`, 4 sum_{p,q} |F_pq|^2_H, with the metric
+    norm |N|^2_H = tr(N H^{-1} N^dag H) of each component.
     """
     dom = state.domain
     one_in = (slice(1, -1),) * 6
@@ -491,15 +491,7 @@ def energy(state: FlowState) -> float:
         k10 = n01.conj() * (a * n00 + b * n10) + n11.conj() * (b.conj() * n00 + d * n10)
         return (d * k00 + a * k11 - 2.0 * (b * k10).real) / det
 
-    dens = 0.0
-    for p in range(3):
-        dens = dens + 4.0 * met_norm_sq(*f[p][p])
-    for p in range(3):
-        for q in range(p + 1, 3):
-            # |F_pq + F_qp|^2 once for each order of the pair, 2|F_pq - F_qp|^2
-            fpq, fqp = f[p][q], f[q][p]
-            dens = dens + 2.0 * met_norm_sq(*(x + y for x, y in zip(fpq, fqp)))
-            dens = dens + 2.0 * met_norm_sq(*(x - y for x, y in zip(fpq, fqp)))
+    dens = 4.0 * sum(met_norm_sq(*f[p][q]) for p in range(3) for q in range(3))
     cell = float(np.prod(dom.spacings))
     return float(dens.sum() * cell)
 

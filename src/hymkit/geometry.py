@@ -15,6 +15,11 @@ Every module in this package works with one set of conventions, pinned here:
   lambda_contract(phi) = 2 * sum_j c[j, j].  With this normalisation
   Lambda(i ddbar u) = (Delta u) / 2 where Delta is the full real Laplacian
   (sum of 2n second coordinate derivatives).
+* The squared norm of such a form is |phi|^2 = 4 * sum_{j,k} |c[j, k]|^2
+  (Frobenius norms for matrix-valued c).  By the parallelogram law this
+  equals the sum of the squared real 2-form components over all pairs of
+  real coordinates, sum_{j<k} 2|c_jk - c_kj|^2 + sum_{j != k} |c_jk + c_kj|^2
+  + 4 sum_j |c_jj|^2; with it the unit ADHM instanton has charge one.
 * The Chern curvature of a metric H in a holomorphic frame acts on
   coefficient columns as F = dbar(H^{-1} dH); its raw dw_j ^ dwbar_k
   coefficient is -d_{wbar_k}(H^{-1} d_{w_j} H).  For an abelian H = e^u this

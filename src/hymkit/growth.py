@@ -103,7 +103,6 @@ class Poly3:
         return f"Poly3({self.terms!r})"
 
 
-_T_BASIS = "t1 = (z,0,-x), t2 = (0,z,-y), t3 = (y,-x,0)"
 KOSZUL_RELATION = "x*t2 - y*t1 + z*t3 = 0"
 
 
@@ -115,7 +114,8 @@ def _det_seed(*parts) -> int:
 
 @dataclass
 class KoszulSection:
-    """Coefficients (f, g, h) for w = f t1 + g t2 + h t3."""
+    """Coefficients (f, g, h) for w = f t1 + g t2 + h t3, with the kernel
+    generators t1 = (z,0,-x), t2 = (0,z,-y), t3 = (y,-x,0)."""
 
     f: Poly3 = field(default_factory=Poly3)
     g: Poly3 = field(default_factory=Poly3)

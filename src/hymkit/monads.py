@@ -569,31 +569,10 @@ def _fiber_forms(spec, w, basis, values):
     return out
 
 
-def form_norm_sq(f_raw: np.ndarray, n: int) -> np.ndarray:
-    """Squared norm of a (1,1)-form from its raw coefficients A[j,k].
-
-    Sums squared Frobenius norms of the real 2-form components over all pairs
-    of the 2n real coordinates:
-        sum_{a<b} 2|A_ab - A_ba|^2 + sum_{a != b} |A_ab + A_ba|^2 + 4 sum_a |A_aa|^2.
-    This matches the standard curvature density (an ADHM one-instanton
-    integrates to one unit of charge).
-    """
-    def fro2(m):
-        return np.real(np.einsum("...ab,...ab->...", m, m.conj()))
-
-    total = 0.0
-    for a in range(n):
-        total = total + 4.0 * fro2(f_raw[..., a, a, :, :])
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            s = f_raw[..., a, b, :, :] + f_raw[..., b, a, :, :]
-            total = total + fro2(s)
-            if a < b:
-                d = f_raw[..., a, b, :, :] - f_raw[..., b, a, :, :]
-                total = total + 2.0 * fro2(d)
-    return total
+def form_norm_sq(f_raw: np.ndarray) -> np.ndarray:
+    """Squared norm 4 sum_{j,k} |A[j,k]|^2 of a (1,1)-form from its raw
+    coefficients (..., n, n, r, r), the form norm of :mod:`hymkit.geometry`."""
+    return 4.0 * np.real(np.einsum("...jkab,...jkab->...", f_raw, f_raw.conj()))
 
 
 def _curvature_data(spec, w, basis, values):
@@ -602,7 +581,7 @@ def _curvature_data(spec, w, basis, values):
     mean = 2.0 * np.einsum("...jjab->...ab", raw)       # i Lambda F
     mean = 0.5 * (mean + _ct(mean))
     norm_mean = np.abs(np.linalg.eigvalsh(mean)).max(axis=-1)
-    norm_form = np.sqrt(form_norm_sq(raw, spec.n))
+    norm_form = np.sqrt(form_norm_sq(raw))
     return raw, mean, norm_mean, norm_form
 
 

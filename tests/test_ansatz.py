@@ -2,8 +2,49 @@ import numpy as np
 import pytest
 
 from hymkit import adhm, ansatz, monads as mo
+from hymkit.geometry import coords
 
 SPEC = ansatz.ansatz_monad()
+
+
+def closed_form_ingredients(p) -> dict:
+    """Closed-form curvature ingredients of the main family at p.
+
+    Returns alpha^dag alpha, beta beta^dag, the rows of grad alpha^dag per
+    dwbar_j and of grad beta per dw_j, and the middle-bundle Chern term
+    F1[j,k] = -dbar_k(h1^{-1} d_j h1).
+    """
+    w = coords(p, 3)
+    x, y, z = w
+    rho = 1.0 + np.sum(np.abs(w) ** 2)
+    sig = abs(x) ** 2 + abs(y) ** 2
+    q = rho ** -0.5
+    ada = sig * q + 1.0
+    bbd = sig / q + abs(z) ** 2
+
+    grad_adag = np.zeros((3, 1, 4), dtype=complex)
+    for j in range(3):
+        grad_adag[j, 0, 0] = -np.conj(x) * w[j] / (2 * rho**1.5)
+        grad_adag[j, 0, 1] = -np.conj(y) * w[j] / (2 * rho**1.5)
+    grad_adag[0, 0, 0] += q
+    grad_adag[1, 0, 1] += q
+
+    grad_beta = np.zeros((3, 1, 4), dtype=complex)
+    for j in range(3):
+        grad_beta[j, 0, 0] = -y * np.conj(w[j]) / (2 * rho)
+        grad_beta[j, 0, 1] = x * np.conj(w[j]) / (2 * rho)
+    grad_beta[1, 0, 0] += -1.0
+    grad_beta[0, 0, 1] += 1.0
+    grad_beta[2, 0, 3] = 1.0
+
+    f1 = np.zeros((3, 3, 4, 4), dtype=complex)
+    for j in range(3):
+        for k in range(3):
+            cjk = 0.5 * ((1.0 if j == k else 0.0) / rho - np.conj(w[j]) * w[k] / rho**2)
+            f1[j, k, 0, 0] = cjk
+            f1[j, k, 1, 1] = cjk
+    return {"ada": ada, "bbd": bbd, "grad_adag": grad_adag,
+            "grad_beta": grad_beta, "f1": f1}
 
 
 def chern_f1(pc):
@@ -16,12 +57,12 @@ def chern_f1(pc):
 
 class TestClosedForms:
     def test_scalars_at_unit_x(self):
-        ing = ansatz.closed_form_ingredients([1.0, 0, 0])
+        ing = closed_form_ingredients([1.0, 0, 0])
         assert ing["ada"] == pytest.approx(1 + 2**-0.5, abs=1e-12)
         assert ing["bbd"] == pytest.approx(2**0.5, abs=1e-12)
 
     def test_scalars_on_axis(self):
-        ing = ansatz.closed_form_ingredients([0, 0, 10.0])
+        ing = closed_form_ingredients([0, 0, 10.0])
         assert ing["ada"] == pytest.approx(1.0)
         assert ing["bbd"] == pytest.approx(100.0)
 
@@ -29,7 +70,7 @@ class TestClosedForms:
         # third slot identically zero, fourth slot is dz
         for _ in range(10):
             p = rng.standard_normal(6)
-            ing = ansatz.closed_form_ingredients(p[:3] + 1j * p[3:])
+            ing = closed_form_ingredients(p[:3] + 1j * p[3:])
             gb = ing["grad_beta"]
             assert np.abs(gb[:, 0, 2]).max() == 0.0
             np.testing.assert_allclose(gb[:, 0, 3], [0, 0, 1.0], atol=1e-14)
@@ -38,7 +79,7 @@ class TestClosedForms:
         for _ in range(10):
             p = rng.standard_normal(6)
             w = p[:3] + 1j * p[3:]
-            ing = ansatz.closed_form_ingredients(w)
+            ing = closed_form_ingredients(w)
             pc = mo._pieces(SPEC, w)
             assert abs(ing["ada"] - (pc["alpha_dag"] @ pc["alpha"])[0, 0]) < 1e-6
             assert abs(ing["bbd"] - (pc["beta"] @ pc["beta_dag"])[0, 0]) < 1e-6
@@ -50,7 +91,7 @@ class TestClosedForms:
         # the engine pieces against plain finite differences of the maps
         stripped = adhm.strip_analytic_derivatives(SPEC, fd_step=1e-4)
         w = np.array([0.6, -0.3 + 0.5j, 0.8 - 0.2j])
-        ing = ansatz.closed_form_ingredients(w)
+        ing = closed_form_ingredients(w)
         pc = mo._pieces(stripped, w)
         assert np.abs(ing["grad_adag"] - pc["grad_alpha_dag"]).max() < 1e-6
         assert np.abs(ing["grad_beta"] - pc["grad_beta"]).max() < 1e-6
@@ -70,7 +111,7 @@ class TestWeight:
     def test_mean_curvature_ratio_spot(self):
         # regression lock: |i Lambda F| at the unit point equals sqrt(2)
         # while the weight is 1 there
-        r = ansatz.mean_curvature_ratio([1.0, 0, 0], k=0)
+        r = ansatz.mean_curvature_ratio([1.0, 0, 0])
         assert r == pytest.approx(np.sqrt(2.0), abs=1e-8)
 
     def test_weight_ratio_sup_bounded_and_reseed_stable(self):
@@ -88,7 +129,7 @@ class TestWeight:
             w = w / np.sqrt(np.sum(np.abs(w) ** 2)) * r
             if abs(w[0]) < 1.0:
                 continue
-            vals.append(ansatz.mean_curvature_ratio(w, k=1))
+            vals.append(ansatz.mean_curvature_ratio_grad(w))
         assert max(vals) <= 40.0  # locked: measured max ~ 23
 
 

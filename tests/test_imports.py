@@ -1,7 +1,9 @@
 """Every module-level import of the package is used (package re-exports in
-``__init__.py`` and ``from __future__`` excepted)."""
+``__init__.py`` and ``from __future__`` excepted), and every private
+module-level name is read somewhere in the package outside its definition."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,3 +32,44 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _reads(node) -> Counter:
+    """Names read under ``node``: loaded identifiers and attribute names."""
+    return Counter([n.id for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+                   + [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)])
+
+
+def dead_private_names(source: str, package_reads: Counter) -> list:
+    """Private module-level functions, classes and constants of ``source``
+    that ``package_reads`` counts no read of outside their own definition."""
+    dead = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        own = _reads(node)
+        dead += [name for name in names if name.startswith("_")
+                 and not name.startswith("__")
+                 and package_reads[name] - own[name] == 0]
+    return dead
+
+
+def test_detects_a_dead_private_name():
+    src = ("_A = 1\n_B = 2\n_C = _B\n__all__ = []\n"
+           "def _f():\n    return _f()\n"
+           "def _g():\n    return 0\n"
+           "class _K:\n    pass\n"
+           "def h():\n    return m._g(), _K\n")
+    assert dead_private_names(src, _reads(ast.parse(src))) == ["_A", "_C", "_f"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_private_names(path):
+    reads = sum((_reads(ast.parse(p.read_text())) for p in SRC.glob("*.py")), Counter())
+    assert dead_private_names(path.read_text(), reads) == []

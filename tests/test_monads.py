@@ -467,7 +467,7 @@ class TestFiberForms:
         mean = 2.0 * np.einsum("...jjab->...ab", raw)
         mean = 0.5 * (mean + np.swapaxes(mean.conj(), -1, -2))
         norm_mean = np.abs(np.linalg.eigvalsh(mean)).max(axis=-1)
-        norm_form = np.sqrt(mo.form_norm_sq(raw, spec.n))
+        norm_form = np.sqrt(mo.form_norm_sq(raw))
         scale = np.abs(raw).max()
         for got, ref in ((data["form_raw"], raw), (data["mean"], mean),
                          (data["norm_mean"], norm_mean),
@@ -480,3 +480,44 @@ class TestFiberForms:
         off = h1 - np.diag(np.diag(h1))
         assert np.abs(off).max() > 0.1
         np.testing.assert_allclose(h1, h1.conj().T, atol=1e-15)
+
+
+def _real_pair_norm_sq(f_raw, n):
+    """Squared Frobenius norms of the real 2-form components over all pairs
+    of the 2n real coordinates:
+    sum_{a<b} 2|A_ab - A_ba|^2 + sum_{a != b} |A_ab + A_ba|^2 + 4 sum_a |A_aa|^2."""
+    def fro2(m):
+        return np.real(np.einsum("...ab,...ab->...", m, m.conj()))
+
+    total = 0.0
+    for a in range(n):
+        total = total + 4.0 * fro2(f_raw[..., a, a, :, :])
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            s = f_raw[..., a, b, :, :] + f_raw[..., b, a, :, :]
+            total = total + fro2(s)
+            if a < b:
+                d = f_raw[..., a, b, :, :] - f_raw[..., b, a, :, :]
+                total = total + 2.0 * fro2(d)
+    return total
+
+
+class TestFormNorm:
+    """form_norm_sq = 4 sum |A_jk|^2 against the real-pair sum it equals."""
+
+    @pytest.mark.parametrize("name", ["ansatz", "adhm", "cone", "twisted"])
+    def test_engine_forms(self, name, rng):
+        spec, w = TestFrameBatch().case(name, rng)
+        raw = mo.curvature_batch(spec, w)["form_raw"]
+        ref = _real_pair_norm_sq(raw, spec.n)
+        assert np.all(ref > 0)
+        np.testing.assert_allclose(mo.form_norm_sq(raw), ref, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("shape", [(7, 2, 2, 2, 2), (3, 4, 3, 3, 2, 2),
+                                       (5, 3, 3, 3, 3)])
+    def test_random_non_hermitian(self, shape, rng):
+        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ref = _real_pair_norm_sq(raw, shape[-3])
+        np.testing.assert_allclose(mo.form_norm_sq(raw), ref, rtol=1e-13, atol=0)
