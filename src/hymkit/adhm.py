@@ -89,40 +89,14 @@ def random_valid_data(rng: np.random.Generator, scale: float = 1.0) -> ADHMData:
 
 
 def _maps(a1, a2, b1, b2):
-    """(alpha, beta, dalpha, dbeta) of the monad of any quadruple, batched."""
-    def alpha(w):
-        w = np.asarray(w, dtype=complex)
-        out = np.zeros(w.shape[:-1] + (4, 1), dtype=complex)
-        out[..., 0, 0] = w[..., 0]
-        out[..., 1, 0] = w[..., 1]
-        out[..., 2, 0] = a1
-        out[..., 3, 0] = a2
-        return out
+    """(alpha, beta, dalpha, dbeta) of the monad of any quadruple, batched.
 
-    def beta(w):
-        w = np.asarray(w, dtype=complex)
-        out = np.zeros(w.shape[:-1] + (1, 4), dtype=complex)
-        out[..., 0, 0] = -w[..., 1]
-        out[..., 0, 1] = w[..., 0]
-        out[..., 0, 2] = b1
-        out[..., 0, 3] = b2
-        return out
-
-    def dalpha(w):
-        w = np.asarray(w, dtype=complex)
-        out = np.zeros(w.shape[:-1] + (2, 4, 1), dtype=complex)
-        out[..., 0, 0, 0] = 1.0
-        out[..., 1, 1, 0] = 1.0
-        return out
-
-    def dbeta(w):
-        w = np.asarray(w, dtype=complex)
-        out = np.zeros(w.shape[:-1] + (2, 1, 4), dtype=complex)
-        out[..., 0, 0, 1] = 1.0
-        out[..., 1, 0, 0] = -1.0
-        return out
-
-    return alpha, beta, dalpha, dbeta
+    alpha = (x, y, a1, a2)^t and beta = (-y, x, b1, b2); the coefficient
+    tables list the entries of each map for the constant term, x and y.
+    """
+    return mo.affine_maps(
+        np.array([[0, 0, a1, a2], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=complex)[..., None],
+        np.array([[0, 0, b1, b2], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex)[:, None])
 
 
 def instanton_monad(d: ADHMData) -> mo.MonadSpec:

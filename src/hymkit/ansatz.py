@@ -51,51 +51,23 @@ __all__ = [
 # monad constructors
 
 
-def _alpha_main(w):
-    w = np.asarray(w, dtype=complex)
-    out = np.zeros(w.shape[:-1] + (4, 1), dtype=complex)
-    out[..., 0, 0] = w[..., 0]
-    out[..., 1, 0] = w[..., 1]
-    out[..., 2, 0] = 1.0
-    return out
-
-
-def _beta_main(w):
-    w = np.asarray(w, dtype=complex)
-    out = np.zeros(w.shape[:-1] + (1, 4), dtype=complex)
-    out[..., 0, 0] = -w[..., 1]
-    out[..., 0, 1] = w[..., 0]
-    out[..., 0, 3] = w[..., 2]
-    return out
-
-
-def _dalpha_main(w):
-    w = np.asarray(w, dtype=complex)
-    out = np.zeros(w.shape[:-1] + (3, 4, 1), dtype=complex)
-    out[..., 0, 0, 0] = 1.0
-    out[..., 1, 1, 0] = 1.0
-    return out
-
-
-def _dbeta_main(w):
-    w = np.asarray(w, dtype=complex)
-    out = np.zeros(w.shape[:-1] + (3, 1, 4), dtype=complex)
-    out[..., 0, 0, 1] = 1.0
-    out[..., 1, 0, 0] = -1.0
-    out[..., 2, 0, 3] = 1.0
-    return out
-
-
 def ansatz_monad() -> mo.MonadSpec:
-    """The rank-2 reflexive family over C^3; singular only at the origin."""
+    """The rank-2 reflexive family over C^3; singular only at the origin.
+
+    alpha = (x, y, 1, 0)^t and beta = (-y, x, 0, z); the coefficient tables
+    list the entries of each map for the constant term, x, y and z.
+    """
+    alpha, beta, dalpha, dbeta = mo.affine_maps(
+        np.array([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]])[..., None],
+        np.array([[0, 0, 0, 0], [0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1]])[:, None])
     return mo.MonadSpec(
         name="ansatz",
         n=3, k0=1, k1=4, k2=1,
-        alpha=_alpha_main, beta=_beta_main,
+        alpha=alpha, beta=beta,
         h0=mo.constant_metric(np.eye(1)),
         h1=mo.DiagPowerMetric(consts=(1, 1, 1, 1), pow_rho=(-0.5, -0.5, 0, 0)),
         h2=mo.constant_metric(np.eye(1)),
-        dalpha=_dalpha_main, dbeta=_dbeta_main,
+        dalpha=dalpha, dbeta=dbeta,
     )
 
 
@@ -104,39 +76,20 @@ def cone_monad() -> mo.MonadSpec:
 
     The scale-invariant weight exactly cancels the Einstein constant of the
     underlying projective cotangent geometry: i Lambda F = 0 at every
-    regular point.
+    regular point.  alpha is empty and beta = (x, y, z): constant term 0,
+    then the coefficient rows of x, y and z.
     """
-
-    def calpha(w):
-        w = np.asarray(w, dtype=complex)
-        return np.zeros(w.shape[:-1] + (3, 0), dtype=complex)
-
-    def cbeta(w):
-        w = np.asarray(w, dtype=complex)
-        out = np.zeros(w.shape[:-1] + (1, 3), dtype=complex)
-        out[..., 0, :] = w
-        return out
-
-    def cdalpha(w):
-        w = np.asarray(w, dtype=complex)
-        return np.zeros(w.shape[:-1] + (3, 3, 0), dtype=complex)
-
-    def cdbeta(w):
-        w = np.asarray(w, dtype=complex)
-        out = np.zeros(w.shape[:-1] + (3, 1, 3), dtype=complex)
-        for j in range(3):
-            out[..., j, 0, j] = 1.0
-        return out
-
+    alpha, beta, dalpha, dbeta = mo.affine_maps(np.zeros((4, 3, 0)),
+                                                np.eye(4, 3, k=-1)[:, None])
     return mo.MonadSpec(
         name="cone",
         n=3, k0=0, k1=3, k2=1,
-        alpha=calpha, beta=cbeta,
+        alpha=alpha, beta=beta,
         h0=mo.constant_metric(np.zeros((0, 0))),
         h1=mo.DiagPowerMetric(consts=(1, 1, 1), pow_rho=(0, 0, 0),
                               pow_r2=(-0.5, -0.5, -0.5)),
         h2=mo.constant_metric(np.eye(1)),
-        dalpha=cdalpha, dbeta=cdbeta,
+        dalpha=dalpha, dbeta=dbeta,
     )
 
 
@@ -155,7 +108,8 @@ def twisted_monad(zeta: complex, root: complex | None = None) -> mo.MonadSpec:
     """U(1)-twisted monad adapted to the z-axis near (0, 0, zeta), |zeta| >= 1.
 
     Maps are (x, y, c, 0)^t and (-y, x, 0, c) with c = zeta^{1/2} (principal
-    root unless given), and the middle metric is
+    root unless given), tabled like :func:`ansatz_monad`'s, and the middle
+    metric is
     diag(1, 1, (1+|w|^2)^{1/2}/|zeta|, |zeta| (1+|w|^2)^{1/2}/|z|^2),
     defined for z != 0.
     """
@@ -165,37 +119,9 @@ def twisted_monad(zeta: complex, root: complex | None = None) -> mo.MonadSpec:
     if abs(c * c - zeta) > 1e-9 * abs(zeta):
         raise ValueError("root is not a square root of zeta")
     az = abs(zeta)
-
-    def alpha(w):
-        w = np.asarray(w, dtype=complex)
-        out = np.zeros(w.shape[:-1] + (4, 1), dtype=complex)
-        out[..., 0, 0] = w[..., 0]
-        out[..., 1, 0] = w[..., 1]
-        out[..., 2, 0] = c
-        return out
-
-    def beta(w):
-        w = np.asarray(w, dtype=complex)
-        out = np.zeros(w.shape[:-1] + (1, 4), dtype=complex)
-        out[..., 0, 0] = -w[..., 1]
-        out[..., 0, 1] = w[..., 0]
-        out[..., 0, 3] = c
-        return out
-
-    def dalpha(w):
-        w = np.asarray(w, dtype=complex)
-        out = np.zeros(w.shape[:-1] + (3, 4, 1), dtype=complex)
-        out[..., 0, 0, 0] = 1.0
-        out[..., 1, 1, 0] = 1.0
-        return out
-
-    def dbeta(w):
-        w = np.asarray(w, dtype=complex)
-        out = np.zeros(w.shape[:-1] + (3, 1, 4), dtype=complex)
-        out[..., 0, 0, 1] = 1.0
-        out[..., 1, 0, 0] = -1.0
-        return out
-
+    alpha, beta, dalpha, dbeta = mo.affine_maps(
+        np.array([[0, 0, c, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]])[..., None],
+        np.array([[0, 0, 0, c], [0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0]])[:, None])
     h1 = mo.DiagPowerMetric(
         consts=(1.0, 1.0, 1.0 / az, az),
         pow_rho=(0, 0, 0.5, 0.5),
@@ -327,10 +253,9 @@ def mean_curvature_ratio_grad(p, fd_scale: float = 1e-2) -> float:
     h = fd_scale * max(1.0, 0.2 * reg_scale)
 
     def mean_in_frame(q):
-        fiber = mo.cohomology_frame(spec, q)
-        rep = mo.curvature(spec, q, fiber)
+        rep = mo.curvature(spec, q)
         # B^dag h1 alpha = (h0 alpha^dag B)^dag = 0, so no projection off Im alpha
-        t = fiber.basis.conj().T @ fiber.h1 @ frame(q)
+        t = rep.fiber.basis.conj().T @ rep.fiber.h1 @ frame(q)
         return np.linalg.inv(t) @ rep.mean @ t
 
     def gram(q):

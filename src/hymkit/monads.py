@@ -29,6 +29,9 @@ exists.  The pointwise, batched and oracle entry points all go through this
 one contraction (:func:`_fiber_forms`), and the metrics and maps at a point
 are evaluated once for both the frame and the forms (:func:`_values`).
 
+Every bundled monad has maps affine in w; :func:`affine_maps` builds a map
+and its derivative from one coefficient array, so the two cannot disagree.
+
 Everything here accepts a single point (shape (n,)) or a batch (..., n); the
 batched paths are used by the sampling-heavy diagnostics.
 """
@@ -47,6 +50,7 @@ __all__ = [
     "DiagPowerMetric",
     "constant_metric",
     "MonadSpec",
+    "affine_maps",
     "ValidityReport",
     "SingularPointError",
     "CohomFiber",
@@ -271,6 +275,33 @@ class MonadSpec:
         return coords(p, self.n)
 
 
+def affine_maps(alpha_coeffs, beta_coeffs):
+    """(alpha, beta, dalpha, dbeta) of a monad whose maps are affine in w.
+
+    Each coefficient array is (n + 1, rows, cols): the constant term C_0, then
+    the coefficients C_1 .. C_n of w_1 .. w_n.  The map is
+    C_0 + sum_j w_j C_j and its derivative along w_j is C_j, both batched.
+    """
+    def build(coeffs):
+        c = np.asarray(coeffs, dtype=complex)
+
+        def value(w):
+            w = np.asarray(w, dtype=complex)
+            out = np.broadcast_to(c[0], w.shape[:-1] + c.shape[1:]).copy()
+            for j in range(1, c.shape[0]):
+                out += w[..., j - 1, None, None] * c[j]
+            return out
+
+        def deriv(w):
+            return np.broadcast_to(c[1:], np.shape(w)[:-1] + c[1:].shape).copy()
+
+        return value, deriv
+
+    alpha, dalpha = build(alpha_coeffs)
+    beta, dbeta = build(beta_coeffs)
+    return alpha, beta, dalpha, dbeta
+
+
 class SingularPointError(ValueError):
     """Raised at points where the monad degenerates; carries diagnostics."""
 
@@ -321,12 +352,6 @@ class CurvatureReport:
 # pointwise maps
 
 
-def _alpha_dag(spec, w, h0, h1):
-    """alpha^dag = h0^{-1} conj(alpha)^t h1, batched."""
-    at = _ct(np.asarray(spec.alpha(w), dtype=complex))
-    return np.linalg.solve(h0, at @ h1) if spec.k0 > 0 else at @ h1
-
-
 def _dbar_adjoint(m, dm, m_dag, hs_inv, ht, dhs, dht):
     """(0,1)-form dbar(m^dag) of m^dag = hs^{-1} conj(m)^t ht, along dwbar_j.
 
@@ -340,23 +365,34 @@ def _dbar_adjoint(m, dm, m_dag, hs_inv, ht, dhs, dht):
                           - _ct(dhs) @ one(m_dag))
 
 
+def _inputs(spec, w):
+    """h1, h2, beta and, when k0 > 0, h0 and alpha at w."""
+    out = {"h1": _metric_value(spec.h1, w), "h2": _metric_value(spec.h2, w),
+           "beta": np.asarray(spec.beta(w), dtype=complex)}
+    if spec.k0 > 0:
+        out.update(h0=_metric_value(spec.h0, w),
+                   alpha=np.asarray(spec.alpha(w), dtype=complex))
+    return out
+
+
 def _values(spec, w):
     """The metrics, maps and adjoints at w, each evaluated once, with the
     inverses of h0, h1, (beta beta^dag) and (alpha^dag alpha)."""
-    h1 = _metric_value(spec.h1, w)
-    h2 = _metric_value(spec.h2, w)
-    h1_inv = np.linalg.inv(h1)
-    beta = np.asarray(spec.beta(w), dtype=complex)
-    beta_dag = h1_inv @ _ct(beta) @ h2
-    out = {"h1": h1, "h2": h2, "h1_inv": h1_inv, "beta": beta,
-           "beta_dag": beta_dag, "bbd_inv": np.linalg.inv(beta @ beta_dag)}
+    return _completed(spec, _inputs(spec, w))
+
+
+def _completed(spec, inputs):
+    """The :func:`_values` that follow from given :func:`_inputs`."""
+    out = dict(inputs)
+    h1_inv = np.linalg.inv(out["h1"])
+    beta_dag = h1_inv @ _ct(out["beta"]) @ out["h2"]
+    out.update(h1_inv=h1_inv, beta_dag=beta_dag,
+               bbd_inv=np.linalg.inv(out["beta"] @ beta_dag))
     if spec.k0 > 0:
-        h0 = _metric_value(spec.h0, w)
-        h0_inv = np.linalg.inv(h0)
-        alpha = np.asarray(spec.alpha(w), dtype=complex)
-        alpha_dag = h0_inv @ _ct(alpha) @ h1
-        out.update(h0=h0, h0_inv=h0_inv, alpha=alpha, alpha_dag=alpha_dag,
-                   ada_inv=np.linalg.inv(alpha_dag @ alpha))
+        h0_inv = np.linalg.inv(out["h0"])
+        alpha_dag = h0_inv @ _ct(out["alpha"]) @ out["h1"]
+        out.update(h0_inv=h0_inv, alpha_dag=alpha_dag,
+                   ada_inv=np.linalg.inv(alpha_dag @ out["alpha"]))
     return out
 
 
@@ -403,15 +439,17 @@ def validate_monad(spec: MonadSpec, p) -> ValidityReport:
     so the report is basis-independent.
     """
     w = spec.point(p)
-    h0 = _metric_value(spec.h0, w)
-    h1 = _metric_value(spec.h1, w)
-    h2 = _metric_value(spec.h2, w)
-    a = np.asarray(spec.alpha(w), dtype=complex)
-    b = np.asarray(spec.beta(w), dtype=complex)
-    l0 = np.linalg.cholesky(h0) if spec.k0 > 0 else None
-    l1 = np.linalg.cholesky(h1)
-    l2 = np.linalg.cholesky(h2)
+    return _validity(spec, w, _inputs(spec, w))
+
+
+def _validity(spec, w, inputs):
+    """The :class:`ValidityReport` at one point w from its :func:`_inputs`."""
+    b = inputs["beta"]
+    l1 = np.linalg.cholesky(inputs["h1"])
+    l2 = np.linalg.cholesky(inputs["h2"])
     if spec.k0 > 0:
+        a = inputs["alpha"]
+        l0 = np.linalg.cholesky(inputs["h0"])
         a_std = l1.conj().T @ a @ np.linalg.inv(l0.conj().T)
         smin_a = float(np.linalg.svd(a_std, compute_uv=False).min())
         res = float(np.abs(b @ a).max())
@@ -439,18 +477,27 @@ def _projector(spec, values):
     return p
 
 
-def cohomology_frame(spec: MonadSpec, p) -> CohomFiber:
-    """The :func:`frame_batch` basis of the cohomology fiber at one regular
-    point p, with its projector and h1."""
-    rep = validate_monad(spec, p)
+def _regular_fiber(spec, p):
+    """The fiber at one regular point p and the :func:`_values` it was built
+    from; the metrics and maps are evaluated once for the validity check,
+    the frame and any later use of the values."""
+    w = spec.point(p)
+    inputs = _inputs(spec, w[None])
+    rep = _validity(spec, w, {k: x[0] for k, x in inputs.items()})
     if not rep.regular:
         raise SingularPointError(
             f"{spec.name}: singular point (sigma_min alpha={rep.sigma_min_alpha:.3e}, "
             f"beta^dag={rep.sigma_min_beta_dag:.3e})", report=rep)
-    w = spec.point(p)
-    v = _values(spec, w[None])
-    return CohomFiber(point=w, basis=frame_batch(spec, v)[0],
-                      projector=_projector(spec, v)[0], h1=v["h1"][0])
+    v = _completed(spec, inputs)
+    fiber = CohomFiber(point=w, basis=frame_batch(spec, v)[0],
+                       projector=_projector(spec, v)[0], h1=v["h1"][0])
+    return fiber, {k: x[0] for k, x in v.items()}
+
+
+def cohomology_frame(spec: MonadSpec, p) -> CohomFiber:
+    """The :func:`frame_batch` basis of the cohomology fiber at one regular
+    point p, with its projector and h1."""
+    return _regular_fiber(spec, p)[0]
 
 
 def frame_batch(spec: MonadSpec, values: dict) -> np.ndarray:
@@ -512,7 +559,7 @@ def induced_metric(spec: MonadSpec, p, sections) -> np.ndarray:
     if spec.k0 > 0:
         h0 = _metric_value(spec.h0, w)
         a = np.asarray(spec.alpha(w), dtype=complex)
-        ad = _alpha_dag(spec, w, h0, h1)
+        ad = np.linalg.solve(h0, _ct(a) @ h1)      # alpha^dag
         s = s - a @ np.linalg.solve(ad @ a, ad @ s)
     return np.swapaxes(s.conj(), -1, -2) @ h1 @ s
 
@@ -594,9 +641,11 @@ def curvature(spec: MonadSpec, p, fiber: CohomFiber | None = None) -> CurvatureR
     norms.
     """
     if fiber is None:
-        fiber = cohomology_frame(spec, p)
+        fiber, values = _regular_fiber(spec, p)
+    else:
+        values = _values(spec, fiber.point)
     raw, mean, norm_mean, norm_form = _curvature_data(
-        spec, fiber.point, fiber.basis, _values(spec, fiber.point))
+        spec, fiber.point, fiber.basis, values)
     # i F = i sum raw[j,k] dw_j ^ dwbar_k, i.e. Form11 coefficients = raw
     return CurvatureReport(
         point=fiber.point,

@@ -193,3 +193,20 @@ class TestRunAllVerifications:
         monkeypatch.setattr(module, "hymkit_main", fake_main)
         assert module.run([str(tmp_path)]) == expected
         assert calls == ["verify"] * 5 + ["flow", "report"]
+
+    @pytest.mark.parametrize("seed_args", [["--seed"], ["--seed", "x"],
+                                           ["--seed", "-1"]])
+    def test_bad_seed_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
+                                       seed_args):
+        module = self.load()
+        calls = []
+
+        def fake_main(argv):
+            calls.append(argv[0])
+            return cli.EXIT_PASS
+
+        monkeypatch.setattr(module, "hymkit_main", fake_main)
+        assert module.run([str(tmp_path / "out"), *seed_args]) == cli.EXIT_USAGE
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+        assert "--seed" in capsys.readouterr().err

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hymkit import adhm, monads as mo
-from hymkit.ansatz import ansatz_monad, chart_frame, cone_monad, twisted_monad
+from hymkit.ansatz import (ansatz_monad, chart_frame, cone_monad,
+                           flat_metric_cone_monad, twisted_monad)
 from hymkit.geometry import fd_derivative, fd_mixed_second
 
 
@@ -44,6 +45,88 @@ class TestValidate:
         assert np.abs(b @ a).max() <= 1e-12
 
 
+def _spec_maps(spec):
+    return spec.alpha, spec.beta, spec.dalpha, spec.dbeta
+
+
+ROOT = complex(np.sqrt(-37 + 5j))
+
+# name -> (maps, n, entries of the column alpha or None if k0 = 0, entries
+# of the row beta), the entries written from each map's formula
+AFFINE_CASES = {
+    "ansatz": (lambda: _spec_maps(ansatz_monad()), 3,
+               lambda x, y, z: [x, y, 1, 0], lambda x, y, z: [-y, x, 0, z]),
+    "cone": (lambda: _spec_maps(cone_monad()), 3,
+             None, lambda x, y, z: [x, y, z]),
+    "flat-cone": (lambda: _spec_maps(flat_metric_cone_monad()), 3,
+                  None, lambda x, y, z: [x, y, z]),
+    "twisted-100-root-10": (lambda: _spec_maps(twisted_monad(100, root=10)), 3,
+                            lambda x, y, z: [x, y, 10, 0],
+                            lambda x, y, z: [-y, x, 0, 10]),
+    "twisted-100-root-minus-10": (lambda: _spec_maps(twisted_monad(100, root=-10)), 3,
+                                  lambda x, y, z: [x, y, -10, 0],
+                                  lambda x, y, z: [-y, x, 0, -10]),
+    "twisted-complex": (lambda: _spec_maps(twisted_monad(-37 + 5j)), 3,
+                        lambda x, y, z: [x, y, ROOT, 0],
+                        lambda x, y, z: [-y, x, 0, ROOT]),
+    "instanton": (lambda: _spec_maps(adhm.instanton_monad(
+                      adhm.ADHMData(1, 0.5j, -0.5j, 1))), 2,
+                  lambda x, y: [x, y, 1, 0.5j], lambda x, y: [-y, x, -0.5j, 1]),
+    "instanton-complex": (lambda: _spec_maps(adhm.instanton_monad(
+                              adhm.ADHMData(2 - 1j, 0, 0, 2 - 1j))), 2,
+                          lambda x, y: [x, y, 2 - 1j, 0],
+                          lambda x, y: [-y, x, 0, 2 - 1j]),
+    # a1 b1 + a2 b2 = 1: violates the ADHM equations
+    "raw-non-adhm": (lambda: adhm._maps(1, 0, 1, 0), 2,
+                     lambda x, y: [x, y, 1, 0], lambda x, y: [-y, x, 1, 0]),
+}
+
+
+def _entries(w, entries):
+    """The entries (scalars or arrays over the batch) stacked on a last axis."""
+    return np.stack([np.broadcast_to(np.asarray(e, dtype=complex), w.shape[:-1])
+                     for e in entries(*np.moveaxis(w, -1, 0))], axis=-1)
+
+
+class TestAffineMaps:
+    """Every bundled monad's maps against their formulas, and each derivative
+    against finite differences of its map."""
+
+    def points(self, n, rng):
+        p = rng.standard_normal((7, 2 * n)) * 2
+        w = p[:, :n] + 1j * p[:, n:]
+        w[0, 1] = 0.0  # a zero coordinate
+        return w
+
+    @pytest.mark.parametrize("name", list(AFFINE_CASES))
+    def test_maps_match_formulas(self, name, rng):
+        make, n, alpha_entries, beta_entries = AFFINE_CASES[name]
+        alpha, beta, _, _ = make()
+        w = self.points(n, rng)
+        for q in (w, w[3]):
+            expected_beta = _entries(q, beta_entries)[..., None, :]
+            if alpha_entries is None:
+                expected_alpha = np.zeros(q.shape[:-1] + (expected_beta.shape[-1], 0))
+            else:
+                expected_alpha = _entries(q, alpha_entries)[..., :, None]
+            for got, expected in ((alpha(q), expected_alpha), (beta(q), expected_beta)):
+                assert got.shape == expected.shape
+                np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("name", list(AFFINE_CASES))
+    def test_derivatives_match_finite_differences(self, name, rng):
+        make, n, _, _ = AFFINE_CASES[name]
+        alpha, beta, dalpha, dbeta = make()
+        w = self.points(n, rng)
+        for q in (w, w[3]):
+            for fn, dfn in ((alpha, dalpha), (beta, dbeta)):
+                d = dfn(q)
+                fd = mo._fd_jacobian(fn, q, n, 1e-5)
+                assert d.shape == fd.shape
+                scale = np.abs(d).max(initial=0.0)
+                assert np.abs(d - fd).max(initial=0.0) <= 1e-8 * scale
+
+
 class TestCohomologyFrame:
     def test_rank_is_two(self, main_spec):
         fiber = mo.cohomology_frame(main_spec, [1.0, 0, 0])
@@ -72,7 +155,7 @@ class TestCohomologyFrame:
             np.testing.assert_allclose(gram, np.eye(2), atol=1e-10)
             assert np.abs(main_spec.beta(w) @ fiber.basis).max() < 1e-10
             h0 = mo._metric_value(main_spec.h0, w)
-            adag = mo._alpha_dag(main_spec, w, h0, fiber.h1)
+            adag = np.linalg.solve(h0, main_spec.alpha(w).conj().T @ fiber.h1)
             assert np.abs(adag @ fiber.basis).max() < 1e-10
             proj = fiber.projector
             np.testing.assert_allclose(proj @ proj, proj, atol=1e-10)
@@ -106,7 +189,7 @@ def _pointwise_frame(spec, w):
     proj = np.eye(spec.k1) - bd @ np.linalg.solve(b @ bd, b)
     if spec.k0 > 0:
         a = np.asarray(spec.alpha(w), dtype=complex)
-        ad = mo._alpha_dag(spec, w, h0, h1)
+        ad = np.linalg.solve(h0, a.conj().T @ h1)
         proj = proj - a @ np.linalg.solve(ad @ a, ad)
     basis = []
     for i in range(spec.k1):
@@ -160,7 +243,18 @@ class TestFrameBatch:
         with pytest.raises(mo.SingularPointError):
             mo.frame_batch(main_spec, values)
 
-    def test_curvature_batch_evaluates_inputs_once(self):
+    @pytest.mark.parametrize("entry,expected", [
+        (lambda spec: mo.curvature_batch(
+            spec, np.array([[0.5, 1.0, -0.3], [1.2, 0.3j, 0.4]])),
+         {"h0": 1, "h1": 1, "h2": 1, "alpha": 1, "beta": 1}),
+        (lambda spec: mo.curvature(spec, [0.5, 1.0, -0.3]),
+         {"h0": 1, "h1": 1, "h2": 1, "alpha": 1, "beta": 1}),
+        # the Gram matrix needs no h2
+        (lambda spec: mo.induced_metric(
+            spec, [0.5, 1.0, -0.3], chart_frame("x")([0.5, 1.0, -0.3])),
+         {"h0": 1, "h1": 1, "alpha": 1, "beta": 1}),
+    ], ids=["curvature_batch", "curvature", "induced_metric"])
+    def test_evaluates_inputs_once(self, entry, expected):
         base = ansatz_monad()
         calls = {}
 
@@ -179,8 +273,8 @@ class TestFrameBatch:
             alpha=counted("alpha", base.alpha), beta=counted("beta", base.beta),
             h0=metric("h0", base.h0), h1=metric("h1", base.h1),
             h2=metric("h2", base.h2), dalpha=base.dalpha, dbeta=base.dbeta)
-        mo.curvature_batch(spec, np.array([[0.5, 1.0, -0.3], [1.2, 0.3j, 0.4]]))
-        assert calls == {"h0": 1, "h1": 1, "h2": 1, "alpha": 1, "beta": 1}
+        entry(spec)
+        assert calls == expected
 
 
 class TestInducedMetric:
@@ -411,7 +505,7 @@ def _ref_ambient_forms(spec, w):
     if spec.k0 > 0:
         alpha = np.asarray(spec.alpha(w), dtype=complex)
         ga = _ref_grad_alpha_dag(spec, w, h0, h1, dh0, dh1, dmap(spec.alpha, spec.dalpha))
-        ada_inv = np.linalg.inv(mo._alpha_dag(spec, w, h0, h1) @ alpha)
+        ada_inv = np.linalg.inv(np.linalg.solve(h0, alpha.conj().T @ h1) @ alpha)
         mid3 = np.einsum("ab,bc,kcd->kad", h0, ada_inv, ga)
         out = out + np.einsum("jab,kbc->jkac", np.swapaxes(ga.conj(), -1, -2), mid3)
     return out
