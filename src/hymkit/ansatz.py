@@ -151,15 +151,19 @@ def curvature_weight(p) -> np.ndarray | float:
     """
     w = np.atleast_2d(np.asarray(p, dtype=complex)) if not hasattr(p, "as_array") \
         else np.atleast_2d(p.as_array())
-    r2 = np.sum(np.abs(w) ** 2, axis=-1)
-    if np.any(r2 == 0.0):
+    sq = np.abs(w) ** 2
+    sigma = sq[..., 0] + sq[..., 1]
+    if np.any(sigma + sq[..., 2] == 0.0):
         raise ValueError("weight undefined at the origin")
-    r = np.sqrt(r2)
-    sig = np.abs(w[..., 0]) ** 2 + np.abs(w[..., 1]) ** 2
-    outer = 1.0 / ((sig + np.abs(w[..., 2])) * r)
-    inner = 1.0 / r2
-    val = np.where(r >= 1.0, outer, inner)
+    val = _weight(sigma, sq[..., 2])
     return float(val[0]) if val.size == 1 and np.asarray(p).ndim <= 1 else val
+
+
+def _weight(sigma, z_sq):
+    """:func:`curvature_weight` from sigma = |x|^2 + |y|^2 and |z|^2."""
+    r2 = sigma + z_sq
+    r = np.sqrt(r2)
+    return np.where(r >= 1.0, 1.0 / ((sigma + np.sqrt(z_sq)) * r), 1.0 / r2)
 
 
 def cancellation(p):
@@ -235,7 +239,7 @@ def chart_frame(chart: str):
     return frame
 
 
-def mean_curvature_ratio_grad(p, fd_scale: float = 1e-2) -> float:
+def mean_curvature_ratio_grad(p) -> float:
     """|grad(i Lambda F)| / (|w|^{-1} (|x|+|y|+|z|^{1/2})^{-3}) at p, |x| >= 1.
 
     The endomorphism i Lambda F is expressed in the dominant chart frame; its
@@ -250,7 +254,7 @@ def mean_curvature_ratio_grad(p, fd_scale: float = 1e-2) -> float:
         raise ValueError("gradient weight is calibrated for max(|x|,|y|) >= 1")
     frame = chart_frame(_chart_for(w))
     reg_scale = abs(w[0]) + abs(w[1]) + np.sqrt(abs(w[2]))
-    h = fd_scale * max(1.0, 0.2 * reg_scale)
+    h = 1e-2 * max(1.0, 0.2 * reg_scale)
 
     def mean_in_frame(q):
         rep = mo.curvature(spec, q)

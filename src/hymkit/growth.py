@@ -194,13 +194,13 @@ def cone_norm_sq(section: KoszulSection, w) -> np.ndarray:
     return np.sum(np.abs(kv) ** 2, axis=-1) / r
 
 
-def _ball_nodes(rng: np.random.Generator, n: int, n_strata: int = 8):
-    """Unit-ball nodes stratified over dyadic radial shells.
+def _ball_nodes(rng: np.random.Generator, n: int):
+    """Unit-ball nodes stratified over eight dyadic radial shells.
 
     Per-stratum counts are proportional to shell volume; returns nodes and
     the constant overall density 1/vol(B_1) absorbed into equal weights.
     """
-    edges = np.concatenate([[0.0], 0.5 ** np.arange(n_strata - 1, 0, -1), [1.0]])
+    edges = np.concatenate([[0.0], 0.5 ** np.arange(7, 0, -1), [1.0]])
     vols = edges[1:] ** 6 - edges[:-1] ** 6
     counts = np.maximum((vols * n).astype(int), 8)
     pts = []
@@ -229,9 +229,9 @@ def ball_integral(norm_sq_fn, radii, n_samples: int = 4096, seed: int = 0):
 
 
 def growth_degree(section: KoszulSection, end: str, radii=None,
-                  n_samples: int = 4096, seed: int = 0,
-                  metric: str = "main") -> GrowthReport:
-    """Fitted growth degree d = slope/2 - 3 at the origin or infinity."""
+                  n_samples: int = 4096, seed: int = 0) -> GrowthReport:
+    """Fitted growth degree d = slope/2 - 3 at the origin or infinity, under
+    the main-family metric."""
     if section.is_zero():
         raise ValueError("zero section has no growth degree")
     if end not in ("origin", "infinity"):
@@ -246,10 +246,9 @@ def growth_degree(section: KoszulSection, end: str, radii=None,
         raise ValueError("origin-end radii should not exceed 0.3")
     if end == "infinity" and radii.min() < 10.0:
         raise ValueError("infinity-end radii should be at least 10")
-    norm_fn = (lambda w: section_norm_sq(section, w)) if metric == "main" \
-        else (lambda w: cone_norm_sq(section, w))
     seed_eff = _det_seed(section.label, end, seed)
-    ints = ball_integral(norm_fn, radii, n_samples, seed=seed_eff)
+    ints = ball_integral(lambda w: section_norm_sq(section, w), radii, n_samples,
+                         seed=seed_eff)
     logs = np.log(ints)
     coeffs = np.polyfit(np.log(radii), logs, 1)
     fit = np.polyval(coeffs, np.log(radii))
@@ -260,13 +259,11 @@ def growth_degree(section: KoszulSection, end: str, radii=None,
                         fit_residual=resid)
 
 
-def filtration_table(sections, n_samples: int = 4096, seed: int = 0,
-                     match_tol: float = 0.25) -> dict:
+def filtration_table(sections, n_samples: int = 4096, seed: int = 0) -> dict:
     """(d_origin, d_infinity) for a family, plus the multiset-difference flag.
 
-    Degrees are rounded to the nearest integer for the multiset comparison
-    when within ``match_tol``; otherwise compared as reals on a match_tol
-    grid.
+    The multisets of degrees are compared after snapping each degree to the
+    nearest multiple of 1/4.
     """
     rows = []
     for s in sections:
@@ -279,7 +276,7 @@ def filtration_table(sections, n_samples: int = 4096, seed: int = 0,
                      "residuals": (d0.fit_residual, di.fit_residual)})
 
     def snap(v):
-        return round(v / match_tol) * match_tol
+        return round(v / 0.25) * 0.25
 
     m0 = sorted(snap(r["d_origin"]) for r in rows)
     mi = sorted(snap(r["d_infinity"]) for r in rows)

@@ -29,11 +29,20 @@ exists.  The pointwise, batched and oracle entry points all go through this
 one contraction (:func:`_fiber_forms`), and the metrics and maps at a point
 are evaluated once for both the frame and the forms (:func:`_values`).
 
+One singular-point rule serves every entry point, in :func:`_values`: a
+point is singular when the smallest h-metric singular value of beta^dag or
+alpha, the square root of the smallest eigenvalue of beta beta^dag or
+alpha^dag alpha, is not above ``SINGULAR_TOL`` = 1e-8, or when either Gram
+matrix is not finite.  It is checked before either is inverted and raises
+one :class:`SingularPointError` that counts the singular points and carries
+the :class:`ValidityReport` of the first; :func:`validate_monad` reports the
+same numbers without raising.
+
 Every bundled monad has maps affine in w; :func:`affine_maps` builds a map
 and its derivative from one coefficient array, so the two cannot disagree.
 
 Everything here accepts a single point (shape (n,)) or a batch (..., n); the
-batched paths are used by the sampling-heavy diagnostics.
+pointwise entry points are batches of one.
 """
 
 from __future__ import annotations
@@ -218,15 +227,16 @@ def _fd_jacobian(fn, w, n, step):
     return np.stack([fd_derivative(fn, w, j, "holo", step) for j in range(n)], axis=-3)
 
 
+def _holo(fn, dfn, w, step):
+    """d_{w_j} fn stacked as (..., n, a, b): the analytic derivative ``dfn``
+    when given, otherwise centered finite differences of ``fn``."""
+    if dfn is not None:
+        return np.asarray(dfn(w), dtype=complex)
+    return _fd_jacobian(fn, w, w.shape[-1], step)
+
+
 def _metric_value(metric, w):
     return np.asarray(metric.value(w), dtype=complex)
-
-
-def _metric_dholo(metric, w, fd_step):
-    if metric.dholo is not None:
-        return np.asarray(metric.dholo(w), dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    return _fd_jacobian(metric.value, w, w.shape[-1], fd_step)
 
 
 def _metric_dmixed(metric, w, fd_step):
@@ -365,66 +375,78 @@ def _dbar_adjoint(m, dm, m_dag, hs_inv, ht, dhs, dht):
                           - _ct(dhs) @ one(m_dag))
 
 
-def _inputs(spec, w):
-    """h1, h2, beta and, when k0 > 0, h0 and alpha at w."""
-    out = {"h1": _metric_value(spec.h1, w), "h2": _metric_value(spec.h2, w),
-           "beta": np.asarray(spec.beta(w), dtype=complex)}
-    if spec.k0 > 0:
-        out.update(h0=_metric_value(spec.h0, w),
-                   alpha=np.asarray(spec.alpha(w), dtype=complex))
-    return out
+def _sigma_min(gram):
+    """Smallest h-metric singular values sqrt(lambda_min) of batched Gram
+    matrices (beta beta^dag or alpha^dag alpha); NaN where one is not finite."""
+    finite = np.isfinite(gram).all(axis=(-2, -1))
+    lam = np.linalg.eigvals(np.where(finite[..., None, None], gram, 0.0))
+    return np.where(finite, np.sqrt(np.maximum(lam.real.min(axis=-1), 0.0)), np.nan)
+
+
+def _report(spec, w, v, i):
+    """The :class:`ValidityReport` of point ``i`` (an index into the batch
+    axes) from the :func:`_values` v at w."""
+    res = float(np.abs(v["beta"][i] @ v["alpha"][i]).max()) if spec.k0 > 0 else 0.0
+    s_a, s_b = float(v["sigma_alpha"][i]), float(v["sigma_beta"][i])
+    return ValidityReport(point=w[i], sigma_min_alpha=s_a, sigma_min_beta_dag=s_b,
+                          beta_alpha_residual=res,
+                          alpha_injective=s_a > SINGULAR_TOL,
+                          beta_surjective=s_b > SINGULAR_TOL)
 
 
 def _values(spec, w):
-    """The metrics, maps and adjoints at w, each evaluated once, with the
-    inverses of h0, h1, (beta beta^dag) and (alpha^dag alpha)."""
-    return _completed(spec, _inputs(spec, w))
-
-
-def _completed(spec, inputs):
-    """The :func:`_values` that follow from given :func:`_inputs`."""
-    out = dict(inputs)
+    """The metrics, maps and adjoints at w, each evaluated once, the smallest
+    h-metric singular values of alpha and beta^dag, and the inverses of h0,
+    h1, (beta beta^dag) and (alpha^dag alpha); raises the module's
+    :class:`SingularPointError` if any point is singular."""
+    out = {"h1": _metric_value(spec.h1, w), "h2": _metric_value(spec.h2, w),
+           "beta": np.asarray(spec.beta(w), dtype=complex)}
     h1_inv = np.linalg.inv(out["h1"])
     beta_dag = h1_inv @ _ct(out["beta"]) @ out["h2"]
-    out.update(h1_inv=h1_inv, beta_dag=beta_dag,
-               bbd_inv=np.linalg.inv(out["beta"] @ beta_dag))
+    bbd = out["beta"] @ beta_dag
+    sigma_beta = _sigma_min(bbd)
+    out.update(h1_inv=h1_inv, beta_dag=beta_dag, sigma_beta=sigma_beta,
+               sigma_alpha=np.full(sigma_beta.shape, np.inf))
     if spec.k0 > 0:
-        h0_inv = np.linalg.inv(out["h0"])
-        alpha_dag = h0_inv @ _ct(out["alpha"]) @ out["h1"]
-        out.update(h0_inv=h0_inv, alpha_dag=alpha_dag,
-                   ada_inv=np.linalg.inv(alpha_dag @ out["alpha"]))
+        out.update(h0=_metric_value(spec.h0, w),
+                   alpha=np.asarray(spec.alpha(w), dtype=complex))
+        out["h0_inv"] = np.linalg.inv(out["h0"])
+        out["alpha_dag"] = out["h0_inv"] @ _ct(out["alpha"]) @ out["h1"]
+        ada = out["alpha_dag"] @ out["alpha"]
+        out["sigma_alpha"] = _sigma_min(ada)
+    singular = ~(out["sigma_alpha"] > SINGULAR_TOL) | ~(out["sigma_beta"] > SINGULAR_TOL)
+    if np.any(singular):
+        rep = _report(spec, w, out, tuple(np.argwhere(singular)[0]))
+        raise SingularPointError(f"{spec.name}: {np.count_nonzero(singular)} singular "
+                                 f"point(s), the first: {rep}", report=rep)
+    out["bbd_inv"] = np.linalg.inv(bbd)
+    if spec.k0 > 0:
+        out["ada_inv"] = np.linalg.inv(ada)
     return out
 
 
-def _pieces(spec, w, values=None):
+def _pieces(spec, w, values):
     """All pointwise ingredients needed by the curvature formula.
 
-    The :func:`_values` at w (evaluated here unless given) plus the
-    derivatives: grad_alpha_dag = dbar(alpha^dag) has components along
-    dwbar_j, (..., n, k0, k1); grad_beta = (dbar beta^dag)^dag along dw_j,
-    (..., n, k2, k1); dh1 and ddh1 are d_j h1 and d_j d_kbar h1.
+    The :func:`_values` at w plus the derivatives: grad_alpha_dag =
+    dbar(alpha^dag) has components along dwbar_j, (..., n, k0, k1);
+    grad_beta = (dbar beta^dag)^dag along dw_j, (..., n, k2, k1); dh1 and
+    ddh1 are d_j h1 and d_j d_kbar h1.
     """
-    w = np.asarray(w, dtype=complex)
-    out = dict(_values(spec, w) if values is None else values)
-
-    def holo(fn, dfn):
-        # d_{w_j} of a monad map, analytic when the spec provides it
-        if dfn is not None:
-            return np.asarray(dfn(w), dtype=complex)
-        return _fd_jacobian(fn, w, spec.n, spec.fd_step)
-
+    out = dict(values)
     h1, h2 = out["h1"], out["h2"]
-    dh1 = _metric_dholo(spec.h1, w, spec.fd_step)
-    dbar_beta_dag = _dbar_adjoint(out["beta"], holo(spec.beta, spec.dbeta),
+    step = spec.fd_step
+    dh1 = _holo(spec.h1.value, spec.h1.dholo, w, step)
+    dbar_beta_dag = _dbar_adjoint(out["beta"], _holo(spec.beta, spec.dbeta, w, step),
                                   out["beta_dag"], out["h1_inv"], h2, dh1,
-                                  _metric_dholo(spec.h2, w, spec.fd_step))
-    out.update(dh1=dh1, ddh1=_metric_dmixed(spec.h1, w, spec.fd_step),
+                                  _holo(spec.h2.value, spec.h2.dholo, w, step))
+    out.update(dh1=dh1, ddh1=_metric_dmixed(spec.h1, w, step),
                grad_beta=(np.linalg.inv(h2)[..., None, :, :] @ _ct(dbar_beta_dag)
                           @ h1[..., None, :, :]))
     if spec.k0 > 0:
         out["grad_alpha_dag"] = _dbar_adjoint(
-            out["alpha"], holo(spec.alpha, spec.dalpha), out["alpha_dag"],
-            out["h0_inv"], h1, _metric_dholo(spec.h0, w, spec.fd_step), dh1)
+            out["alpha"], _holo(spec.alpha, spec.dalpha, w, step), out["alpha_dag"],
+            out["h0_inv"], h1, _holo(spec.h0.value, spec.h0.dholo, w, step), dh1)
     return out
 
 
@@ -435,37 +457,15 @@ def _pieces(spec, w, values=None):
 def validate_monad(spec: MonadSpec, p) -> ValidityReport:
     """Check fiberwise injectivity/surjectivity and the complex identity at p.
 
-    Singular values are measured in the h-metrics (via Cholesky congruence),
-    so the report is basis-independent.
+    The report holds the numbers of the module's singular-point rule (in the
+    h-metrics, so basis-independent); it does not raise at a singular point.
     """
     w = spec.point(p)
-    return _validity(spec, w, _inputs(spec, w))
-
-
-def _validity(spec, w, inputs):
-    """The :class:`ValidityReport` at one point w from its :func:`_inputs`."""
-    b = inputs["beta"]
-    l1 = np.linalg.cholesky(inputs["h1"])
-    l2 = np.linalg.cholesky(inputs["h2"])
-    if spec.k0 > 0:
-        a = inputs["alpha"]
-        l0 = np.linalg.cholesky(inputs["h0"])
-        a_std = l1.conj().T @ a @ np.linalg.inv(l0.conj().T)
-        smin_a = float(np.linalg.svd(a_std, compute_uv=False).min())
-        res = float(np.abs(b @ a).max())
-    else:
-        smin_a = np.inf
-        res = 0.0
-    b_std = l2.conj().T @ b @ np.linalg.inv(l1.conj().T)
-    smin_b = float(np.linalg.svd(b_std, compute_uv=False).min())
-    return ValidityReport(
-        point=w,
-        sigma_min_alpha=smin_a,
-        sigma_min_beta_dag=smin_b,
-        beta_alpha_residual=res,
-        alpha_injective=bool(smin_a > SINGULAR_TOL),
-        beta_surjective=bool(smin_b > SINGULAR_TOL),
-    )
+    try:
+        values = _values(spec, w)
+    except SingularPointError as err:
+        return err.report
+    return _report(spec, w, values, ())
 
 
 def _projector(spec, values):
@@ -478,20 +478,14 @@ def _projector(spec, values):
 
 
 def _regular_fiber(spec, p):
-    """The fiber at one regular point p and the :func:`_values` it was built
-    from; the metrics and maps are evaluated once for the validity check,
-    the frame and any later use of the values."""
+    """The fiber at one point p, built as a batch of one, with the batched
+    :func:`_values` and frame it came from."""
     w = spec.point(p)
-    inputs = _inputs(spec, w[None])
-    rep = _validity(spec, w, {k: x[0] for k, x in inputs.items()})
-    if not rep.regular:
-        raise SingularPointError(
-            f"{spec.name}: singular point (sigma_min alpha={rep.sigma_min_alpha:.3e}, "
-            f"beta^dag={rep.sigma_min_beta_dag:.3e})", report=rep)
-    v = _completed(spec, inputs)
-    fiber = CohomFiber(point=w, basis=frame_batch(spec, v)[0],
-                       projector=_projector(spec, v)[0], h1=v["h1"][0])
-    return fiber, {k: x[0] for k, x in v.items()}
+    v = _values(spec, w[None])
+    basis = frame_batch(spec, v)
+    fiber = CohomFiber(point=w, basis=basis[0], projector=_projector(spec, v)[0],
+                       h1=v["h1"][0])
+    return fiber, v, basis
 
 
 def cohomology_frame(spec: MonadSpec, p) -> CohomFiber:
@@ -632,7 +626,7 @@ def _curvature_data(spec, w, basis, values):
     return raw, mean, norm_mean, norm_form
 
 
-def curvature(spec: MonadSpec, p, fiber: CohomFiber | None = None) -> CurvatureReport:
+def curvature(spec: MonadSpec, p) -> CurvatureReport:
     """Curvature of the induced connection at a regular point p.
 
     The report carries i F_E in the orthonormal fiber basis as a Hermitian
@@ -640,20 +634,17 @@ def curvature(spec: MonadSpec, p, fiber: CohomFiber | None = None) -> CurvatureR
     curvature i Lambda F as an r x r Hermitian matrix, and gauge-invariant
     norms.
     """
-    if fiber is None:
-        fiber, values = _regular_fiber(spec, p)
-    else:
-        values = _values(spec, fiber.point)
+    fiber, values, basis = _regular_fiber(spec, p)
     raw, mean, norm_mean, norm_form = _curvature_data(
-        spec, fiber.point, fiber.basis, values)
+        spec, fiber.point[None], basis, values)
     # i F = i sum raw[j,k] dw_j ^ dwbar_k, i.e. Form11 coefficients = raw
     return CurvatureReport(
         point=fiber.point,
         fiber=fiber,
-        form=Form11(raw),
-        mean=mean,
-        norm_form=float(norm_form),
-        norm_mean=float(norm_mean),
+        form=Form11(raw[0]),
+        mean=mean[0],
+        norm_form=float(norm_form[0]),
+        norm_mean=float(norm_mean[0]),
     )
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ansatz import curvature_weight
+from .ansatz import _weight, curvature_weight
 
 __all__ = [
     "MCParams",
@@ -147,18 +147,19 @@ def _ball_points(rng, n, centre, radius):
 
 
 def _sq_moduli(v, centre):
-    """|x'|^2, t = (|x|^2 + |y|^2)/|x'|^2 and |x' - centre|^2 from the real
+    """|x'|^2, sigma = |x|^2 + |y|^2, |z|^2 and |x' - centre|^2 from the real
     view v of the points; ``centre`` is its real view tiled to v.size."""
     sq = v * v
     sigma = sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3]
     r_sq = sigma + sq[:, 4] + sq[:, 5]
     u = v.ravel() - centre
     u *= u
-    return r_sq, sigma / r_sq, u.reshape(v.shape) @ _ONES6
+    return r_sq, sigma, sq[:, 4] + sq[:, 5], u.reshape(v.shape) @ _ONES6
 
 
-def _shell_density(in_shell, r_sq, t, w_gen, w_axis):
+def _shell_density(in_shell, r_sq, sigma, w_gen, w_axis):
     """w_gen q_gen + w_axis q_axis for one dyadic shell, w.r.t. Lebesgue dV."""
+    t = sigma / r_sq
     log_r_span = np.log(2.0)
     c_gen = w_gen / (_OMEGA5 * log_r_span)
     c_axis = w_axis * 2.0 / (log_r_span * -np.log(_T_MIN) * _OMEGA3 * 2 * np.pi)
@@ -196,13 +197,13 @@ def eval_G(p, mc: MCParams = MCParams()) -> GValue:
         _shell_points(rng, v[:3 * base], 2 * base, r1, r2)
         _sphere_points(rng, v[3 * base:], _log_uniform(rng, delta, u_max, 2 * base),
                        w.view(float))
-        r_sq, t, s_sq = _sq_moduli(v, w_tiled)
+        r_sq, sigma, z_sq, s_sq = _sq_moduli(v, w_tiled)
         in_shell = (r_sq >= r1 * r1) & (r_sq <= r2 * r2)
-        q = _shell_density(in_shell, r_sq, t, _W_GEN, _W_AXIS)
+        q = _shell_density(in_shell, r_sq, sigma, _W_GEN, _W_AXIS)
         q += _W_KER * _radial_density(s_sq, delta, u_max)
         idx = np.flatnonzero(in_shell & (s_sq >= delta * delta))
         wgt = np.zeros(n)
-        wgt[idx] = curvature_weight(pts[idx]) / (s_sq[idx] ** 2 * q[idx])
+        wgt[idx] = _weight(sigma[idx], z_sq[idx]) / (s_sq[idx] ** 2 * q[idx])
         shells.append((k, float(wgt.mean()), float(np.sqrt(wgt.var() / n))))
     # excluded core: integral <= sup_core(weight) * Omega5 * delta^2 / 2
     probe = np.concatenate([w[None, :] + 0.9 * delta * e[None, :]
@@ -246,14 +247,14 @@ def bump_laplacian(s: np.ndarray, radius: float) -> np.ndarray:
     return out
 
 
-def _sphere_kernel_mean(a_vals, d_vals, n_theta: int = 96):
+def _sphere_kernel_mean(a_vals, d_vals):
     """Spherical mean of |y - x'|^{-4} over |y - c| = a at distance d = |x' - c|.
 
-    Exact two-centre reduction in R^6 by Gauss-Legendre in the polar angle;
+    Exact two-centre reduction in R^6 by 96-node Gauss-Legendre in the polar angle;
     the integrand stays bounded even when the sphere passes through x'.
     Returns an array of shape (len(a_vals), len(d_vals)).
     """
-    th, wth = np.polynomial.legendre.leggauss(n_theta)
+    th, wth = np.polynomial.legendre.leggauss(96)
     theta = 0.5 * np.pi * (th + 1.0)
     wtheta = 0.5 * np.pi * wth
     sin4 = np.sin(theta) ** 4
@@ -273,15 +274,15 @@ def _sphere_kernel_mean(a_vals, d_vals, n_theta: int = 96):
     return (8.0 / (3.0 * np.pi)) * out
 
 
-def bump_pairing(d_vals, radius: float, n_a: int = 64) -> np.ndarray:
+def bump_pairing(d_vals, radius: float) -> np.ndarray:
     """Psi(d) = integral of |x - x'|^{-4} Lap phi(x) dx for the radial bump.
 
-    Computed by exact quadrature (radial Gauss-Legendre times the two-centre
+    Computed by exact quadrature (64-node radial Gauss-Legendre times the two-centre
     spherical mean), with no closed-form potential theory assumed.  The
     fundamental-solution identity predicts Psi(d) = -4 pi^3 phi(d); the weak
     check measures how well that holds.
     """
-    xa, wa = np.polynomial.legendre.leggauss(n_a)
+    xa, wa = np.polynomial.legendre.leggauss(64)
     a = 0.5 * radius * (xa + 1.0)
     w = 0.5 * radius * wa
     lap = bump_laplacian(a / radius, radius)
@@ -289,7 +290,7 @@ def bump_pairing(d_vals, radius: float, n_a: int = 64) -> np.ndarray:
     return np.einsum("a,ad->d", w * lap * _OMEGA5 * a**5, mean_k)
 
 
-def _weak_check_once(c, radius, mc, n_nodes, seed, near):
+def _weak_check_once(c, radius, mc, seed, near):
     """One replica of the weak-form ratio.
 
     The numerator integral(G * Lap phi) is rewritten by Fubini as
@@ -318,13 +319,13 @@ def _weak_check_once(c, radius, mc, n_nodes, seed, near):
     cloud[n_sh + n_mid:] = _ball_points(rng, n_mid, c, radius)[0]
     n_cloud = len(cloud)
 
-    r_sq, t, s_sq = _sq_moduli(v, np.tile(c.view(float), n_cloud))
+    r_sq, sigma, z_sq, s_sq = _sq_moduli(v, np.tile(c.view(float), n_cloud))
     # the ball component has as many points as the log-radial one
     q = (n_mid / n_cloud) * (_radial_density(s_sq, s_mid_lo, s_mid_hi)
                              + np.where(s_sq <= radius * radius,
                                         6.0 / (np.pi**3 * radius**6), 0.0))
     for k in range(lo, hi + 1):
-        q += _shell_density((r_sq >= 4.0**k) & (r_sq <= 4.0 ** (k + 1)), r_sq, t,
+        q += _shell_density((r_sq >= 4.0**k) & (r_sq <= 4.0 ** (k + 1)), r_sq, sigma,
                             half / n_cloud, half / n_cloud)
 
     # Psi interpolated from a dense distance grid
@@ -332,24 +333,23 @@ def _weak_check_once(c, radius, mc, n_nodes, seed, near):
     far = np.geomspace(2.0 * radius, max(float(s_c.max()), 2.1 * radius), 200)
     psi = np.interp(s_c, np.concatenate([near[0], far]),
                     np.concatenate([near[1], bump_pairing(far, radius)]))
-    num_w = curvature_weight(cloud) * psi / q
+    num_w = _weight(sigma, z_sq) * psi / q
     num = float(num_w.mean())
     num_err = float(num_w.std() / np.sqrt(n_cloud))
 
     # denominator: plain volume Monte Carlo on the support ball
-    nodes, rad = _ball_points(rng, n_nodes, c, radius)
+    nodes, rad = _ball_points(rng, 4096, c, radius)
     vol = np.pi**3 * radius**6 / 6.0
     den_samples = curvature_weight(nodes) * bump(rad / radius)
     den = LAPLACIAN_CONSTANT * vol * float(den_samples.mean())
-    den_err = abs(LAPLACIAN_CONSTANT) * vol * float(den_samples.std() / np.sqrt(n_nodes))
+    den_err = abs(LAPLACIAN_CONSTANT) * vol * float(den_samples.std() / np.sqrt(len(nodes)))
     ratio = num / den
     err = abs(ratio) * np.sqrt((num_err / num) ** 2 + (den_err / den) ** 2)
     return ratio, float(err)
 
 
 def laplacian_weak_check(center, radius: float, mc: MCParams = MCParams(),
-                         n_nodes: int = 4096, seed: int = 0,
-                         replicas: int = 4) -> dict:
+                         seed: int = 0, replicas: int = 4) -> dict:
     """Ratio of integral(G * Lap phi) to -4 pi^3 integral(weight * phi).
 
     phi is the smooth radial bump at ``center`` (support must avoid the
@@ -363,7 +363,7 @@ def laplacian_weak_check(center, radius: float, mc: MCParams = MCParams(),
         raise ValueError("bump centre must be finite and its support avoid the origin")
     near_grid = np.linspace(0.0, 2.0 * radius, 600, endpoint=False)
     near = (near_grid, bump_pairing(near_grid, radius))
-    out = [_weak_check_once(c, radius, mc, n_nodes, [seed, rep, 7919], near)
+    out = [_weak_check_once(c, radius, mc, [seed, rep, 7919], near)
            for rep in range(replicas)]
     ratios = np.asarray([r for r, _ in out])
     inner = np.asarray([e for _, e in out])

@@ -80,7 +80,7 @@ class TestClosedForms:
             p = rng.standard_normal(6)
             w = p[:3] + 1j * p[3:]
             ing = closed_form_ingredients(w)
-            pc = mo._pieces(SPEC, w)
+            pc = mo._pieces(SPEC, w, mo._values(SPEC, w))
             assert abs(ing["ada"] - (pc["alpha_dag"] @ pc["alpha"])[0, 0]) < 1e-6
             assert abs(ing["bbd"] - (pc["beta"] @ pc["beta_dag"])[0, 0]) < 1e-6
             assert np.abs(ing["grad_adag"] - pc["grad_alpha_dag"]).max() < 1e-6
@@ -92,7 +92,7 @@ class TestClosedForms:
         stripped = adhm.strip_analytic_derivatives(SPEC, fd_step=1e-4)
         w = np.array([0.6, -0.3 + 0.5j, 0.8 - 0.2j])
         ing = closed_form_ingredients(w)
-        pc = mo._pieces(stripped, w)
+        pc = mo._pieces(stripped, w, mo._values(stripped, w))
         assert np.abs(ing["grad_adag"] - pc["grad_alpha_dag"]).max() < 1e-6
         assert np.abs(ing["grad_beta"] - pc["grad_beta"]).max() < 1e-6
         assert np.abs(ing["f1"] - chern_f1(pc)).max() < 1e-5

@@ -210,3 +210,23 @@ class TestRunAllVerifications:
         assert calls == []
         assert not (tmp_path / "out").exists()
         assert "--seed" in capsys.readouterr().err
+
+
+def test_decay_profile_script(tmp_path, capsys):
+    # the script runs curvature_batch down to r = 0.01 on three rays, where
+    # the singular-point rule must not fire
+    import csv
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).parents[1] / "scripts" / "decay_profile.py"
+    spec = importlib.util.spec_from_file_location("decay_profile", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    out = tmp_path / "out.csv"
+    assert module.main([out]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 180
+    for col in ("curvature_norm", "mean_curvature_norm", "weight"):
+        vals = np.array([float(row[col]) for row in rows])
+        assert np.all(np.isfinite(vals) & (vals > 0)), col

@@ -13,6 +13,17 @@ def main_spec():
     return ansatz_monad()
 
 
+def _zero_map_spec(zero_beta=True):
+    """All-zero ADHM maps (or a zero alpha only), built directly to bypass
+    the data validation."""
+    spec = adhm.instanton_monad(adhm.ADHMData(1, 0, 0, 1))
+    return mo.MonadSpec(
+        name="degenerate", n=2, k0=1, k1=4, k2=1,
+        alpha=lambda w: np.where(True, 0.0, 0.0) * spec.alpha(w),
+        beta=lambda w: (0.0 if zero_beta else 1.0) * spec.beta(w),
+        h0=spec.h0, h1=spec.h1, h2=spec.h2)
+
+
 class TestValidate:
     def test_regular_point(self, main_spec):
         rep = mo.validate_monad(main_spec, [1.0, 0, 0])
@@ -26,15 +37,7 @@ class TestValidate:
         assert rep.alpha_injective  # alpha = (0,0,1,0)^t stays injective
 
     def test_degenerate_adhm_alpha_fails(self):
-        # all-zero parameters: build the maps directly, bypassing validation
-        d = adhm.ADHMData(1, 0, 0, 1)
-        spec = adhm.instanton_monad(d)
-        zero = mo.MonadSpec(
-            name="degenerate", n=2, k0=1, k1=4, k2=1,
-            alpha=lambda w: np.where(True, 0.0, 0.0) * spec.alpha(w),
-            beta=lambda w: np.where(True, 0.0, 0.0) * spec.beta(w),
-            h0=spec.h0, h1=spec.h1, h2=spec.h2)
-        rep = mo.validate_monad(zero, [0.0, 0.0])
+        rep = mo.validate_monad(_zero_map_spec(), [0.0, 0.0])
         assert not rep.alpha_injective
 
     def test_beta_alpha_identity_random_points(self, main_spec, rng):
@@ -230,10 +233,12 @@ class TestFrameBatch:
 
     def test_origin_in_batch_raises(self, main_spec):
         w = np.array([[1.0, 0, 0], [0.0, 0, 0], [0.3, 0.4, 1.0]], dtype=complex)
-        with pytest.raises(ValueError):
-            mo.frame_batch(main_spec, mo._values(main_spec, w))
-        with pytest.raises(ValueError):
-            mo.curvature_batch(main_spec, w)
+        for spec in (main_spec, cone_monad()):
+            with np.errstate(divide="ignore"):  # the cone metric |w|^{-1} at 0
+                with pytest.raises(mo.SingularPointError, match="1 singular point"):
+                    mo.frame_batch(spec, mo._values(spec, w))
+                with pytest.raises(mo.SingularPointError, match="1 singular point"):
+                    mo.curvature_batch(spec, w)
 
     @pytest.mark.parametrize("scale", [np.nan, 1e-20])
     def test_short_or_non_finite_point_raises(self, main_spec, scale):
@@ -277,6 +282,109 @@ class TestFrameBatch:
         assert calls == expected
 
 
+def _ref_validity(spec, w):
+    """The per-point validity rule the engine used before its one
+    singular-point rule, kept as a reference: with h = L L^dag (Cholesky),
+    the smallest singular values of L1^dag alpha L0^{-dag} and
+    L2^dag beta L1^{-dag}, regular when both are above SINGULAR_TOL."""
+    h1, h2 = mo._metric_value(spec.h1, w), mo._metric_value(spec.h2, w)
+    b = np.asarray(spec.beta(w), dtype=complex)
+    l1, l2 = np.linalg.cholesky(h1), np.linalg.cholesky(h2)
+    if spec.k0 > 0:
+        a = np.asarray(spec.alpha(w), dtype=complex)
+        l0 = np.linalg.cholesky(mo._metric_value(spec.h0, w))
+        a_std = l1.conj().T @ a @ np.linalg.inv(l0.conj().T)
+        smin_a = float(np.linalg.svd(a_std, compute_uv=False).min())
+        res = float(np.abs(b @ a).max())
+    else:
+        smin_a, res = np.inf, 0.0
+    b_std = l2.conj().T @ b @ np.linalg.inv(l1.conj().T)
+    smin_b = float(np.linalg.svd(b_std, compute_uv=False).min())
+    return mo.ValidityReport(point=w, sigma_min_alpha=smin_a, sigma_min_beta_dag=smin_b,
+                             beta_alpha_residual=res,
+                             alpha_injective=bool(smin_a > mo.SINGULAR_TOL),
+                             beta_surjective=bool(smin_b > mo.SINGULAR_TOL))
+
+
+# name -> (spec, n, shift of the last coordinate); the twisted monad's h1
+# has a |z|^{-2} entry, so its points sit near z = 400
+RULE_CASES = {
+    "ansatz": (ansatz_monad, 3, 0.0),
+    "cone": (cone_monad, 3, 0.0),
+    "flat-cone": (flat_metric_cone_monad, 3, 0.0),
+    "twisted": (lambda: twisted_monad(400), 3, 400.0),
+    "instanton": (lambda: adhm.instanton_monad(adhm.ADHMData(1, 0.5j, -0.5j, 1)), 2, 0.0),
+    "zero-maps": (_zero_map_spec, 2, 0.0),
+    "zero-alpha": (lambda: _zero_map_spec(zero_beta=False), 2, 0.0),
+}
+AXIS_T = [0.0, 1e-12, 5e-9, 2e-8, 1.0]
+
+
+class TestSingularPointRule:
+    """The one singular-point rule against the per-point Cholesky/SVD rule,
+    on random points and on (t, 0, 0) for t down to the origin."""
+
+    def case(self, name, rng):
+        make, n, shift = RULE_CASES[name]
+        p = rng.standard_normal((6, 2 * n))
+        axis = np.zeros((len(AXIS_T), n), dtype=complex)
+        axis[:, 0] = AXIS_T
+        w = np.vstack([p[:, :n] + 1j * p[:, n:], axis])
+        w[:, -1] += shift
+        spec = make()
+        with np.errstate(divide="ignore"):  # the cone metric |w|^{-1} at 0
+            refs = [_ref_validity(spec, q) for q in w]
+        return spec, w, refs
+
+    @pytest.mark.parametrize("name", list(RULE_CASES))
+    def test_report_matches_reference(self, name, rng):
+        spec, w, refs = self.case(name, rng)
+        for q, ref in zip(w, refs):
+            with np.errstate(divide="ignore"):
+                rep = mo.validate_monad(spec, q)
+            np.testing.assert_allclose(
+                [rep.sigma_min_alpha, rep.sigma_min_beta_dag],
+                [ref.sigma_min_alpha, ref.sigma_min_beta_dag], rtol=1e-10, atol=0)
+            assert rep.beta_alpha_residual == ref.beta_alpha_residual
+            assert ((rep.alpha_injective, rep.beta_surjective)
+                    == (ref.alpha_injective, ref.beta_surjective))
+
+    @pytest.mark.parametrize("name", list(RULE_CASES))
+    def test_entry_points_raise_exactly_at_singular_points(self, name, rng):
+        spec, w, refs = self.case(name, rng)
+        entries = (lambda q: mo.curvature_batch(spec, q[None]),
+                   lambda q: mo.curvature(spec, q),
+                   lambda q: mo.cohomology_frame(spec, q))
+        with np.errstate(divide="ignore"):
+            for q, ref in zip(w, refs):
+                for entry in entries:
+                    if ref.regular:
+                        entry(q)
+                        continue
+                    with pytest.raises(mo.SingularPointError) as exc:
+                        entry(q)
+                    assert not exc.value.report.regular
+                    np.testing.assert_array_equal(exc.value.report.point, q)
+            bad = sum(not ref.regular for ref in refs)
+            if bad:
+                with pytest.raises(mo.SingularPointError,
+                                   match=f"{bad} singular point") as exc:
+                    mo.curvature_batch(spec, w)
+                first = next(q for q, ref in zip(w, refs) if not ref.regular)
+                np.testing.assert_array_equal(exc.value.report.point, first)
+            else:
+                mo.curvature_batch(spec, w)
+
+    def test_non_finite_gram_is_singular(self):
+        # at z = 0 the twisted h1 has an infinite entry and alpha^dag alpha is NaN
+        spec = twisted_monad(400)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rep = mo.validate_monad(spec, [1.0, 0, 0])
+            with pytest.raises(mo.SingularPointError, match="1 singular point"):
+                mo.curvature_batch(spec, [[1.0, 0, 400], [1.0, 0, 0]])
+        assert np.isnan(rep.sigma_min_alpha) and not rep.alpha_injective
+
+
 class TestInducedMetric:
     def test_gram_at_reference_point(self, main_spec):
         s = [np.array([0, 0, 1.0, 0]), np.array([0, 0, 0, 1.0])]
@@ -310,19 +418,19 @@ class TestCurvature:
             assert rep.form.is_hermitian(tol=1e-8)
 
     def test_gauge_invariance_of_norms(self, main_spec, rng):
-        w = np.array([0.8, -0.4 + 0.3j, 1.1])
-        fiber = mo.cohomology_frame(main_spec, w)
-        rep = mo.curvature(main_spec, w, fiber)
+        w = np.array([[0.8, -0.4 + 0.3j, 1.1]])
+        values = mo._values(main_spec, w)
+        basis = mo.frame_batch(main_spec, values)
+        _, _, norm_mean, norm_form = mo._curvature_data(main_spec, w, basis, values)
         # unitary recombination of the basis
         th = rng.standard_normal()
         u = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]],
                      dtype=complex)
         u = u @ np.diag(np.exp(1j * rng.standard_normal(2)))
-        fiber2 = mo.CohomFiber(point=fiber.point, basis=fiber.basis @ u,
-                               projector=fiber.projector, h1=fiber.h1)
-        rep2 = mo.curvature(main_spec, w, fiber2)
-        assert rep.norm_form == pytest.approx(rep2.norm_form, rel=1e-8)
-        assert rep.norm_mean == pytest.approx(rep2.norm_mean, abs=1e-8)
+        _, _, norm_mean2, norm_form2 = mo._curvature_data(main_spec, w, basis @ u,
+                                                          values)
+        assert norm_form[0] == pytest.approx(norm_form2[0], rel=1e-8)
+        assert norm_mean[0] == pytest.approx(norm_mean2[0], abs=1e-8)
 
     def test_batch_agrees_with_single(self, main_spec, rng):
         pts = rng.standard_normal((8, 6))
@@ -490,7 +598,7 @@ def _ref_ambient_forms(spec, w):
                          for j in range(n)], axis=0)
 
     h0, h1, h2 = (mo._metric_value(m, w) for m in (spec.h0, spec.h1, spec.h2))
-    dh0, dh1, dh2 = (mo._metric_dholo(m, w, spec.fd_step)
+    dh0, dh1, dh2 = (mo._holo(m.value, m.dholo, w, spec.fd_step)
                      for m in (spec.h0, spec.h1, spec.h2))
     ddh1 = mo._metric_dmixed(spec.h1, w, spec.fd_step)
     h1i = np.linalg.inv(h1)
