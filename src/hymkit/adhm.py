@@ -13,7 +13,7 @@ C^2/Z_2, with the U(1) action
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -119,13 +119,8 @@ def instanton_monad(d: ADHMData) -> mo.MonadSpec:
 
 def strip_analytic_derivatives(spec: mo.MonadSpec, fd_step: float = 1e-4) -> mo.MonadSpec:
     """Variant of a monad that forces the engine onto finite differences."""
-    h1 = mo.MetricField(value=spec.h1.value)
-    return mo.MonadSpec(
-        name=spec.name + "-fd", n=spec.n, k0=spec.k0, k1=spec.k1, k2=spec.k2,
-        alpha=spec.alpha, beta=spec.beta,
-        h0=spec.h0, h1=h1, h2=spec.h2,
-        dalpha=None, dbeta=None, fd_step=fd_step,
-    )
+    return replace(spec, name=spec.name + "-fd", h1=mo.MetricField(value=spec.h1.value),
+                   dalpha=None, dbeta=None, fd_step=fd_step)
 
 
 def asd_check(d: ADHMData, p, analytic: bool = True) -> float:

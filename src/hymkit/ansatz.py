@@ -19,6 +19,8 @@ cancellation bounds used downstream.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import adhm as adhm_mod
@@ -95,13 +97,7 @@ def cone_monad() -> mo.MonadSpec:
 
 def flat_metric_cone_monad() -> mo.MonadSpec:
     """Negative control: same kernel monad with the constant metric."""
-    cone = cone_monad()
-    return mo.MonadSpec(
-        name="cone-flat", n=3, k0=0, k1=3, k2=1,
-        alpha=cone.alpha, beta=cone.beta,
-        h0=cone.h0, h1=mo.constant_metric(np.eye(3)), h2=cone.h2,
-        dalpha=cone.dalpha, dbeta=cone.dbeta,
-    )
+    return replace(cone_monad(), name="cone-flat", h1=mo.constant_metric(np.eye(3)))
 
 
 def twisted_monad(zeta: complex, root: complex | None = None) -> mo.MonadSpec:

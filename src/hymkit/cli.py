@@ -7,7 +7,9 @@ Subcommands:
     hymkit report <file...> [--out DIR]
 
 Suites: adhm, ansatz, potential, cone, growth.  Exit codes: 0 all checks
-pass, 1 check failure, 2 usage or config error, 3 numerical abort.
+pass, 1 check failure, 2 usage or config error, 3 numerical abort.  The
+growth suite's report also holds its degree table, which ``report`` writes
+to growth_table.csv.
 Fixed seed implies byte-identical JSON/CSV outputs on one platform.
 """
 
@@ -50,7 +52,7 @@ def _check(name, value, bound, mode="le"):
 # suites
 
 
-def suite_adhm(cfg: RunConfig) -> list:
+def suite_adhm(cfg: RunConfig) -> tuple:
     from . import adhm
     from . import monads as mo
 
@@ -78,7 +80,7 @@ def suite_adhm(cfg: RunConfig) -> list:
                          cfg.tol("charge", 0.02)))
     nf = adhm.framed_moduli_point(adhm.ADHMData(2, 0, 0, 2))
     checks.append(_check("moduli_label_error", abs(nf.z2_label - 2.0), 1e-12))
-    return checks
+    return checks, {}
 
 
 # weight_ratio_sup is a sup over the sample; at one point it reads 1.01-1.99
@@ -86,7 +88,7 @@ def suite_adhm(cfg: RunConfig) -> list:
 ANSATZ_MIN_SAMPLES = 100
 
 
-def suite_ansatz(cfg: RunConfig) -> list:
+def suite_ansatz(cfg: RunConfig) -> tuple:
     from . import ansatz
 
     checks = []
@@ -112,10 +114,10 @@ def suite_ansatz(cfg: RunConfig) -> list:
     lbl = ansatz.fueter_map(4.0, root=2.0).z2_label
     lbl2 = ansatz.fueter_map(4.0, root=-2.0).z2_label
     checks.append(_check("fueter_root_gap", abs(lbl - lbl2), 1e-9))
-    return checks
+    return checks, {}
 
 
-def suite_potential(cfg: RunConfig) -> list:
+def suite_potential(cfg: RunConfig) -> tuple:
     from . import potential as pot
     from .ansatz import sample_log_uniform
 
@@ -146,10 +148,10 @@ def suite_potential(cfg: RunConfig) -> list:
                                                   seed=cfg.seed))
     checks.append(_check("envelope_sup", env["sup"], cfg.tol("envelope", 175.0)))
     checks.append(_check("g_min", env["g_min"], 0.0, mode="ge"))
-    return checks
+    return checks, {}
 
 
-def suite_cone(cfg: RunConfig) -> list:
+def suite_cone(cfg: RunConfig) -> tuple:
     from . import ansatz
     from . import monads as mo
 
@@ -160,10 +162,10 @@ def suite_cone(cfg: RunConfig) -> list:
                      cfg.tol("cone_residual", 1e-8))]
     rep = mo.curvature(ansatz.flat_metric_cone_monad(), [0, 0, 1.0])
     checks.append(_check("flat_metric_control", rep.norm_mean, 0.01, mode="ge"))
-    return checks
+    return checks, {}
 
 
-def suite_growth(cfg: RunConfig) -> list:
+def suite_growth(cfg: RunConfig) -> tuple:
     from . import growth
 
     checks = []
@@ -185,9 +187,11 @@ def suite_growth(cfg: RunConfig) -> list:
     cx = growth.convexity_check(t3, seed=cfg.seed)
     checks.append(_check("t3_convexity_residual", cx["residual"],
                          -2.0 * cx["stderr"], mode="ge"))
-    return checks
+    return checks, {"growth_table": [{key: r[key] for key in ("label", "d_origin", "d_infinity")}
+                                     for r in tab["rows"]]}
 
 
+# each suite returns its checks and the tables its report also holds
 SUITES = {
     "adhm": suite_adhm,
     "ansatz": suite_ansatz,
@@ -232,13 +236,13 @@ def cmd_verify(args) -> int:
     cfg = RunConfig(seed=args.seed, samples=args.samples,
                     out_dir=Path(args.out), tolerances=tols)
     try:
-        checks = SUITES[args.suite](cfg)
+        checks, tables = SUITES[args.suite](cfg)
     except (ValueError, RuntimeError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     report = {"suite": args.suite, "seed": args.seed,
               "samples": cfg.samples, "checks": checks,
-              "pass": all(c["pass"] for c in checks)}
+              "pass": all(c["pass"] for c in checks), **tables}
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out_dir / f"verify_{args.suite}.json"
     with open(out_path, "w") as fh:

@@ -21,13 +21,18 @@ All pairings and adjoints follow the conventions of :mod:`hymkit.geometry`.
 
 There is one fiber frame and one contraction.  The h1-orthonormal basis B
 (k1 x r) of V_p is built by :func:`frame_batch`, Gram-Schmidt over the
-projected standard basis; :func:`cohomology_frame` is its batch of one.  The
-curvature is contracted fiber first: every ingredient is multiplied by B
-before the forms are paired, so the (n, n, r, r) coefficients are built
-directly by ordered batched matmuls and no (n, n, k1, k1) ambient form
-exists.  The pointwise, batched and oracle entry points all go through this
-one contraction (:func:`_fiber_forms`), and the metrics and maps at a point
-are evaluated once for both the frame and the forms (:func:`_values`).
+projected standard basis; :func:`cohomology_frame` is its batch of one.
+Every ingredient is multiplied by B before the forms are paired
+(:func:`_fiber_forms`), so no (n, n, k1, k1) ambient form exists, and the
+metrics and maps at a point are evaluated once for both (:func:`_values`).
+
+Metrics keep one of two forms through the engine (:func:`_metric`).  A
+:class:`DiagPowerMetric`, which every bundled metric is (:func:`constant_metric`
+of a diagonal matrix included), stays diagonal: h, d h and d dbar h are
+diagonal columns, h^{-1} is their reciprocal, and the derivatives of a
+constant metric are None, so the terms they enter are dropped.  Any other
+metric is dense, multiplied by matmul and inverted by LAPACK.  Only
+:func:`_lmul`, :func:`_rmul` and :func:`_inv` tell the two forms apart.
 
 One singular-point rule serves every entry point, in :func:`_values`: a
 point is singular when the smallest h-metric singular value of beta^dag or
@@ -88,7 +93,8 @@ class DiagPowerMetric:
     |w|^2 is the full squared norm of the base point and z its last
     coordinate.  Covers every bundled monad (constant, conical and the
     nonstandard diagonal weights) with closed-form first and mixed second
-    derivatives.
+    derivatives.  The engine reads the diagonals (``_diag``); ``value``,
+    ``dholo`` and ``dmixed`` are the same numbers as matrices.
     """
 
     consts: tuple
@@ -98,12 +104,9 @@ class DiagPowerMetric:
 
     def __post_init__(self):
         k = len(self.consts)
-        object.__setattr__(self, "consts", tuple(float(c) for c in self.consts))
-        object.__setattr__(self, "pow_rho", tuple(float(a) for a in self.pow_rho))
-        pr = self.pow_r2 if self.pow_r2 is not None else (0.0,) * k
-        pz = self.pow_z2 if self.pow_z2 is not None else (0.0,) * k
-        object.__setattr__(self, "pow_r2", tuple(float(a) for a in pr))
-        object.__setattr__(self, "pow_z2", tuple(float(a) for a in pz))
+        for name in ("consts", "pow_rho", "pow_r2", "pow_z2"):
+            v = getattr(self, name)
+            object.__setattr__(self, name, tuple(map(float, (0.0,) * k if v is None else v)))
         if not (len(self.pow_rho) == len(self.pow_r2) == len(self.pow_z2) == k):
             raise ValueError("exponent tuples must match the number of entries")
 
@@ -112,32 +115,19 @@ class DiagPowerMetric:
         return len(self.consts)
 
     def _entries(self, w: np.ndarray):
-        rho = 1.0 + np.sum(np.abs(w) ** 2, axis=-1)
         r2 = np.sum(np.abs(w) ** 2, axis=-1)
-        z2 = np.abs(w[..., -1]) ** 2
-        c = np.asarray(self.consts)
-        a = np.asarray(self.pow_rho)
-        b = np.asarray(self.pow_r2)
-        g = np.asarray(self.pow_z2)
+        rho, z2 = 1.0 + r2, np.abs(w[..., -1]) ** 2
+        c, a, b, g = (np.asarray(t) for t in (self.consts, self.pow_rho,
+                                              self.pow_r2, self.pow_z2))
         vals = (c * rho[..., None] ** a
                 * np.where(b != 0.0, r2[..., None], 1.0) ** b
                 * np.where(g != 0.0, z2[..., None], 1.0) ** g)
         return vals, rho, r2, z2
 
-    def value(self, w: np.ndarray) -> np.ndarray:
-        vals, *_ = self._entries(np.asarray(w, dtype=complex))
-        k = self.dim
-        out = np.zeros(vals.shape[:-1] + (k, k), dtype=complex)
-        idx = np.arange(k)
-        out[..., idx, idx] = vals
-        return out
-
     def _dlog(self, w: np.ndarray, rho, r2, z2):
         """d_{w_j} log(entry_i) -> (..., n, k)."""
         wb = w.conj()
-        a = np.asarray(self.pow_rho)
-        b = np.asarray(self.pow_r2)
-        g = np.asarray(self.pow_z2)
+        a, b, g = (np.asarray(t) for t in (self.pow_rho, self.pow_r2, self.pow_z2))
         dlog = a * (wb / rho[..., None])[..., None]
         if np.any(b != 0.0):
             dlog = dlog + b * (wb / r2[..., None])[..., None]
@@ -145,31 +135,24 @@ class DiagPowerMetric:
             dlog[..., -1, :] += g * (1.0 / w[..., -1])[..., None]
         return dlog
 
-    def dholo(self, w: np.ndarray) -> np.ndarray:
-        """d_{w_j} h -> (..., n, k, k)."""
+    def _diag(self, w: np.ndarray, order: int):
+        """Diagonals of h (``order`` 0: (..., k)), d_j h (1: (..., n, k)) or
+        d_j d_kbar h (2: (..., n, n, k)); the derivatives of a constant
+        metric (every exponent 0) are None, meaning identically zero."""
         w = np.asarray(w, dtype=complex)
+        if not any(self.pow_rho + self.pow_r2 + self.pow_z2):
+            return None if order else np.full(w.shape[:-1] + (self.dim,), self.consts)
         vals, rho, r2, z2 = self._entries(w)
-        dlog = self._dlog(w, rho, r2, z2)
-        k = self.dim
-        n = w.shape[-1]
-        out = np.zeros(w.shape[:-1] + (n, k, k), dtype=complex)
-        idx = np.arange(k)
-        out[..., idx, idx] = vals[..., None, :] * dlog
-        return out
-
-    def dmixed(self, w: np.ndarray) -> np.ndarray:
-        """d_{w_j} d_{wbar_k} h -> (..., n, n, k, k)."""
-        w = np.asarray(w, dtype=complex)
-        vals, rho, r2, z2 = self._entries(w)
+        if order == 0:
+            return vals
         dlog = self._dlog(w, rho, r2, z2)  # (..., n, k)
-        n = w.shape[-1]
-        k = self.dim
-        a = np.asarray(self.pow_rho)
-        b = np.asarray(self.pow_r2)
+        if order == 1:
+            return vals[..., None, :] * dlog
         # d_{wbar_k} d_{w_j} log(entry): a*(delta_{jk}/rho - wb_j w_k / rho^2)
         #                              + b*(delta_{jk}/r2  - wb_j w_k / r2^2);
         # the |z|^2 factor is log-pluriharmonic away from z = 0.
-        delta = np.eye(n)
+        a, b = np.asarray(self.pow_rho), np.asarray(self.pow_r2)
+        delta = np.eye(w.shape[-1])
         wbw = w.conj()[..., :, None] * w[..., None, :]
         rho, r2 = rho[..., None, None], r2[..., None, None]
         ddlog = a * (delta / rho - wbw / rho**2)[..., None]
@@ -177,10 +160,26 @@ class DiagPowerMetric:
             ddlog = ddlog + b * (delta / r2 - wbw / r2**2)[..., None]
         # d_j d_kbar h = h * (ddlog + dlog_j * conj(dlog_k))   [entries are real]
         prod = dlog[..., :, None, :] * dlog.conj()[..., None, :, :]
-        out = np.zeros(w.shape[:-1] + (n, n, k, k), dtype=complex)
-        idx = np.arange(k)
-        out[..., idx, idx] = (vals[..., None, None, :] * (ddlog + prod))
-        return out
+        return vals[..., None, None, :] * (ddlog + prod)
+
+    def value(self, w: np.ndarray) -> np.ndarray:
+        return _diag_matrix(self._diag(w, 0), np.shape(w)[:-1] + (self.dim,))
+
+    def dholo(self, w: np.ndarray) -> np.ndarray:
+        """d_{w_j} h -> (..., n, k, k)."""
+        return _diag_matrix(self._diag(w, 1), np.shape(w) + (self.dim,))
+
+    def dmixed(self, w: np.ndarray) -> np.ndarray:
+        """d_{w_j} d_{wbar_k} h -> (..., n, n, k, k)."""
+        return _diag_matrix(self._diag(w, 2), np.shape(w) + (np.shape(w)[-1], self.dim))
+
+
+def _diag_matrix(d, shape) -> np.ndarray:
+    """Matrices (..., k, k) with diagonals d of ``shape`` (..., k), or 0."""
+    out = np.zeros(shape + shape[-1:], dtype=complex)
+    if d is not None:
+        out[..., np.arange(shape[-1]), np.arange(shape[-1])] = d
+    return out
 
 
 @dataclass(frozen=True)
@@ -197,24 +196,15 @@ class MetricField:
     dmixed: Optional[Callable] = None
 
 
-def constant_metric(m: np.ndarray) -> MetricField:
+def constant_metric(m: np.ndarray):
+    """The constant metric m: for a diagonal m a :class:`DiagPowerMetric`
+    with every exponent 0, otherwise a dense :class:`MetricField`."""
     m = np.asarray(m, dtype=complex)
-    k, n_ = m.shape
-
-    def value(w):
-        w = np.asarray(w)
-        return np.broadcast_to(m, w.shape[:-1] + m.shape).copy()
-
-    def dholo(w):
-        w = np.asarray(w)
-        return np.zeros(w.shape[:-1] + (w.shape[-1],) + m.shape, dtype=complex)
-
-    def dmixed(w):
-        w = np.asarray(w)
-        n = w.shape[-1]
-        return np.zeros(w.shape[:-1] + (n, n) + m.shape, dtype=complex)
-
-    return MetricField(value=value, dholo=dholo, dmixed=dmixed)
+    d = np.diagonal(m)
+    if np.array_equal(m, np.diag(d)) and not np.any(d.imag):
+        return DiagPowerMetric(consts=tuple(d.real), pow_rho=(0.0,) * len(d))
+    # finite differences of a constant are exactly 0
+    return MetricField(value=lambda w: np.broadcast_to(m, np.shape(w)[:-1] + m.shape).copy())
 
 
 def _ct(x):
@@ -247,6 +237,42 @@ def _metric_dmixed(metric, w, fd_step):
     return np.stack([np.stack([fd_mixed_second(metric.value, w, j, kk, fd_step)
                                for kk in range(n)], axis=-3)
                      for j in range(n)], axis=-4)
+
+
+def _metric(metric, w, order, step=None):
+    """h (``order`` 0), d_j h (1) or d_j d_kbar h (2) at w as the engine
+    carries it: a :class:`DiagPowerMetric` as diagonal columns (..., k, 1),
+    (..., n, k, 1), (..., n, n, k, 1), None for a derivative that is
+    identically zero; any other metric as dense matrices, its missing
+    derivatives by finite differences."""
+    if isinstance(metric, DiagPowerMetric):
+        d = metric._diag(w, order)
+        return None if d is None else d[..., None]
+    if order < 2:
+        return _holo(metric.value, metric.dholo, w, step) if order else _metric_value(metric, w)
+    return _metric_dmixed(metric, w, step)
+
+
+def _lmul(h, x, adj=False):
+    """h @ x (h^dag @ x with ``adj``) for a metric factor h from :func:`_metric`
+    or :func:`_inv`: a diagonal column (..., k, 1) scales the rows of x, a
+    dense (..., k, k) multiplies.  With :func:`_rmul` and :func:`_inv` the
+    only code that tells the two forms apart; at k = 1 they agree."""
+    if h.shape[-1] == 1:
+        return (h.conj() if adj else h) * x
+    return (_ct(h) if adj else h) @ x
+
+
+def _rmul(x, h, adj=False):
+    """x @ h (x @ h^dag with ``adj``): a diagonal column scales the columns."""
+    if h.shape[-1] == 1:
+        return x * np.swapaxes(h.conj() if adj else h, -1, -2)
+    return x @ (_ct(h) if adj else h)
+
+
+def _inv(h):
+    """h^{-1}: the reciprocal of a diagonal column, else the LAPACK inverse."""
+    return 1.0 / h if h.shape[-1] == 1 else np.linalg.inv(h)
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +393,17 @@ def _dbar_adjoint(m, dm, m_dag, hs_inv, ht, dhs, dht):
 
     dbar_j m^dag = hs^{-1} [conj(d_j m)^t ht + conj(m)^t (dbar_j ht)
                             - (dbar_j hs) m^dag],
-    with dbar_j h = (d_j h)^dag for Hermitian h; shape (..., n, ks, kt).
+    with dbar_j h = (d_j h)^dag for Hermitian h; shape (..., n, ks, kt).  A
+    metric derivative that is None (identically zero) drops its term.
     """
     def one(x):
         return x[..., None, :, :]
-    return one(hs_inv) @ (_ct(dm) @ one(ht) + one(_ct(m)) @ _ct(dht)
-                          - _ct(dhs) @ one(m_dag))
+    out = _rmul(_ct(dm), one(ht))
+    if dht is not None:
+        out = out + _rmul(one(_ct(m)), dht, adj=True)
+    if dhs is not None:
+        out = out - _lmul(dhs, one(m_dag), adj=True)
+    return _lmul(one(hs_inv), out)
 
 
 def _sigma_min(gram):
@@ -399,21 +430,24 @@ def _values(spec, w):
     h-metric singular values of alpha and beta^dag, and the inverses of h0,
     h1, (beta beta^dag) and (alpha^dag alpha); raises the module's
     :class:`SingularPointError` if any point is singular."""
-    out = {"h1": _metric_value(spec.h1, w), "h2": _metric_value(spec.h2, w),
-           "beta": np.asarray(spec.beta(w), dtype=complex)}
-    h1_inv = np.linalg.inv(out["h1"])
-    beta_dag = h1_inv @ _ct(out["beta"]) @ out["h2"]
-    bbd = out["beta"] @ beta_dag
-    sigma_beta = _sigma_min(bbd)
-    out.update(h1_inv=h1_inv, beta_dag=beta_dag, sigma_beta=sigma_beta,
-               sigma_alpha=np.full(sigma_beta.shape, np.inf))
-    if spec.k0 > 0:
-        out.update(h0=_metric_value(spec.h0, w),
-                   alpha=np.asarray(spec.alpha(w), dtype=complex))
-        out["h0_inv"] = np.linalg.inv(out["h0"])
-        out["alpha_dag"] = out["h0_inv"] @ _ct(out["alpha"]) @ out["h1"]
-        ada = out["alpha_dag"] @ out["alpha"]
-        out["sigma_alpha"] = _sigma_min(ada)
+    # a metric entry that is 0 or infinite at a singular point gives an
+    # infinite or NaN Gram matrix: the rule below, not a warning, reports it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = {"h1": _metric(spec.h1, w, 0), "h2": _metric(spec.h2, w, 0),
+               "beta": np.asarray(spec.beta(w), dtype=complex)}
+        h1_inv = _inv(out["h1"])
+        beta_dag = _rmul(_lmul(h1_inv, _ct(out["beta"])), out["h2"])
+        bbd = out["beta"] @ beta_dag
+        sigma_beta = _sigma_min(bbd)
+        out.update(h1_inv=h1_inv, beta_dag=beta_dag, sigma_beta=sigma_beta,
+                   sigma_alpha=np.full(sigma_beta.shape, np.inf))
+        if spec.k0 > 0:
+            out.update(h0=_metric(spec.h0, w, 0),
+                       alpha=np.asarray(spec.alpha(w), dtype=complex))
+            out["h0_inv"] = _inv(out["h0"])
+            out["alpha_dag"] = _rmul(_lmul(out["h0_inv"], _ct(out["alpha"])), out["h1"])
+            ada = out["alpha_dag"] @ out["alpha"]
+            out["sigma_alpha"] = _sigma_min(ada)
     singular = ~(out["sigma_alpha"] > SINGULAR_TOL) | ~(out["sigma_beta"] > SINGULAR_TOL)
     if np.any(singular):
         rep = _report(spec, w, out, tuple(np.argwhere(singular)[0]))
@@ -431,22 +465,23 @@ def _pieces(spec, w, values):
     The :func:`_values` at w plus the derivatives: grad_alpha_dag =
     dbar(alpha^dag) has components along dwbar_j, (..., n, k0, k1);
     grad_beta = (dbar beta^dag)^dag along dw_j, (..., n, k2, k1); dh1 and
-    ddh1 are d_j h1 and d_j d_kbar h1.
+    ddh1 are d_j h1 and d_j d_kbar h1 in the :func:`_metric` form, None
+    when h1 is constant.
     """
     out = dict(values)
     h1, h2 = out["h1"], out["h2"]
     step = spec.fd_step
-    dh1 = _holo(spec.h1.value, spec.h1.dholo, w, step)
+    dh1 = _metric(spec.h1, w, 1, step)
     dbar_beta_dag = _dbar_adjoint(out["beta"], _holo(spec.beta, spec.dbeta, w, step),
                                   out["beta_dag"], out["h1_inv"], h2, dh1,
-                                  _holo(spec.h2.value, spec.h2.dholo, w, step))
-    out.update(dh1=dh1, ddh1=_metric_dmixed(spec.h1, w, step),
-               grad_beta=(np.linalg.inv(h2)[..., None, :, :] @ _ct(dbar_beta_dag)
-                          @ h1[..., None, :, :]))
+                                  _metric(spec.h2, w, 1, step))
+    out.update(dh1=dh1, ddh1=_metric(spec.h1, w, 2, step),
+               grad_beta=_rmul(_lmul(_inv(h2)[..., None, :, :], _ct(dbar_beta_dag)),
+                               h1[..., None, :, :]))
     if spec.k0 > 0:
         out["grad_alpha_dag"] = _dbar_adjoint(
             out["alpha"], _holo(spec.alpha, spec.dalpha, w, step), out["alpha_dag"],
-            out["h0_inv"], h1, _holo(spec.h0.value, spec.h0.dholo, w, step), dh1)
+            out["h0_inv"], h1, _metric(spec.h0, w, 1, step), dh1)
     return out
 
 
@@ -484,7 +519,7 @@ def _regular_fiber(spec, p):
     v = _values(spec, w[None])
     basis = frame_batch(spec, v)
     fiber = CohomFiber(point=w, basis=basis[0], projector=_projector(spec, v)[0],
-                       h1=v["h1"][0])
+                       h1=_lmul(v["h1"][0], np.eye(spec.k1, dtype=complex)))
     return fiber, v, basis
 
 
@@ -515,8 +550,8 @@ def frame_batch(spec: MonadSpec, values: dict) -> np.ndarray:
         for c in range(min(i, r)):
             # a column not filled yet is zero and leaves v unchanged
             u = basis[..., c, None]
-            v = v - u * (_ct(u) @ h1 @ v)
-        nrm = np.sqrt(np.real(_ct(v) @ h1 @ v))
+            v = v - u * (_rmul(_ct(u), h1) @ v)
+        nrm = np.sqrt(np.real(_rmul(_ct(v), h1) @ v))
         keep = (nrm[..., 0, 0] > 1e-7) & (count < r)
         unit = v / np.where(keep[..., None, None], nrm, 1.0)
         for c in range(r):
@@ -566,9 +601,7 @@ def _fiber_forms(spec, w, basis, values):
     """Raw dw_j ^ dwbar_k coefficients N[j,k] of the induced curvature in the
     fiber basis B, (..., n, n, r, r), with <F s, s'> = s'^dag N[j,k] s.
 
-    Every ingredient is multiplied by B before it is paired, so no k1 x k1
-    form is built.  With D_j = (d_j h1) B, G_j = grad_beta_j B and
-    A_j = grad_alpha_dag_j B,
+    With D_j = (d_j h1) B, G_j = grad_beta_j B and A_j = grad_alpha_dag_j B,
 
         N[j,k] = D_k^dag h1^{-1} D_j - B^dag (d_j d_kbar h1) B
                  - G_k^dag h2 (beta beta^dag)^{-1} G_j
@@ -583,30 +616,36 @@ def _fiber_forms(spec, w, basis, values):
     n, r = spec.n, basis.shape[-1]
     lead = basis.shape[:-2]
 
-    def cols(m):
-        # stacked (..., s.., p, k1) times B, folded to (..., p, s.. r) with
-        # columns (stack index, fiber index): one matmul per point
-        mb = m.reshape(lead + (-1, m.shape[-1])) @ basis
-        mb = np.swapaxes(mb.reshape(lead + (-1, m.shape[-2], r)), -3, -2)
-        return mb.reshape(lead + (m.shape[-2], -1))
+    def cols(m, metric=False):
+        # a stacked map (one matmul per point) or metric derivative
+        # (..., s.., p, k1) times B, folded to (..., p, s.. r) with columns
+        # (stack index, fiber index)
+        if metric:
+            mb = _lmul(m, basis.reshape(lead + (1,) * (m.ndim - basis.ndim) + basis.shape[-2:]))
+        else:
+            mb = (m.reshape(lead + (-1, m.shape[-1])) @ basis).reshape(m.shape[:-1] + (r,))
+        p = mb.shape[-2]
+        return np.swapaxes(mb.reshape(lead + (-1, p, r)), -3, -2).reshape(lead + (p, -1))
 
     def unfold(f):
         # (..., n r, n r) with rows (x, a), columns (y, b) -> (..., x, y, a, b)
         return np.swapaxes(f.reshape(lead + (n, r, n, r)), -3, -2)
 
-    d = cols(pc["dh1"])
+    # rows (k, a), columns (j, b): D_k^dag h1^{-1} D_j - G_k^dag h2 (beta beta^dag)^{-1} G_j
     g = cols(pc["grad_beta"])
-    m = pc["h2"] @ pc["bbd_inv"]
-    # rows (k, a), columns (j, b): D_k^dag h1^{-1} D_j - G_k^dag m G_j
-    out = np.swapaxes(unfold(_ct(d) @ (pc["h1_inv"] @ d) - _ct(g) @ (m @ g)), -4, -3)
-    # rows a, columns (j, k, b): B^dag (d_j d_kbar h1) B
-    dd = (_ct(basis) @ cols(pc["ddh1"])).reshape(lead + (r, n, n, r))
-    out = out - np.moveaxis(dd, -4, -2)
+    f = -(_ct(g) @ (_lmul(pc["h2"], pc["bbd_inv"]) @ g))
+    if pc["dh1"] is not None:
+        d = cols(pc["dh1"], metric=True)
+        f = _ct(d) @ _lmul(pc["h1_inv"], d) + f
+    out = np.swapaxes(unfold(f), -4, -3)
+    if pc["ddh1"] is not None:
+        # rows a, columns (j, k, b): B^dag (d_j d_kbar h1) B
+        dd = (_ct(basis) @ cols(pc["ddh1"], metric=True)).reshape(lead + (r, n, n, r))
+        out = out - np.moveaxis(dd, -4, -2)
     if spec.k0 > 0:
         a = cols(pc["grad_alpha_dag"])
-        m = pc["h0"] @ pc["ada_inv"]
-        # rows (j, a), columns (k, b): A_j^dag m A_k
-        out = out + unfold(_ct(a) @ (m @ a))
+        # rows (j, a), columns (k, b): A_j^dag h0 (alpha^dag alpha)^{-1} A_k
+        out = out + unfold(_ct(a) @ (_lmul(pc["h0"], pc["ada_inv"]) @ a))
     return out
 
 

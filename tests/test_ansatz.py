@@ -48,11 +48,12 @@ def closed_form_ingredients(p) -> dict:
 
 
 def chern_f1(pc):
-    """F1[j,k] = -h1^{-1}(d_j d_kbar h1 - (d_k h1)^dag h1^{-1} d_j h1)."""
-    h1_inv = np.linalg.inv(pc["h1"])
-    dh1 = pc["dh1"]
+    """F1[j,k] = -h1^{-1}(d_j d_kbar h1 - (d_k h1)^dag h1^{-1} d_j h1), from
+    the engine's h1 pieces as dense matrices."""
+    h1, dh1, ddh1 = (mo._lmul(pc[key], np.eye(4)) for key in ("h1", "dh1", "ddh1"))
+    h1_inv = np.linalg.inv(h1)
     corr = np.swapaxes(dh1.conj(), -1, -2)[None, :] @ h1_inv @ dh1[:, None]
-    return -h1_inv @ (pc["ddh1"] - corr)
+    return -h1_inv @ (ddh1 - corr)
 
 
 class TestClosedForms:

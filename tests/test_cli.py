@@ -1,15 +1,45 @@
 import json
+import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hymkit import cli
+from hymkit.flow import FlowConfig
 
 
 def run_cli(args):
     return cli.main(args)
+
+
+_NOT_INT = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+                     st.booleans(), st.none(), st.lists(st.integers(), max_size=2))
+_NOT_REAL = st.one_of(st.text(max_size=4), st.booleans(),
+                      st.sampled_from([math.nan, math.inf, -math.inf]),
+                      st.lists(st.floats(), max_size=2))
+_INTERVAL = st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2)
+# values each FlowConfig field must reject
+INVALID_FLOW_FIELDS = {
+    "steps": st.one_of(st.integers(max_value=0), _NOT_INT),
+    "monitor_cadence": st.one_of(st.integers(max_value=0), _NOT_INT),
+    "n_barrier_nodes": st.one_of(st.integers(max_value=0), _NOT_INT),
+    "seed": st.one_of(st.integers(max_value=-1), _NOT_INT),
+    "resolution": st.one_of(st.integers(max_value=4), st.integers(min_value=12), _NOT_INT),
+    "dt": st.one_of(st.floats(max_value=0.0), _NOT_REAL),
+    "barrier_constant": st.one_of(st.floats(max_value=0.0, exclude_max=True),
+                                  st.none(), _NOT_REAL),
+    "box": st.one_of(
+        st.lists(_INTERVAL, max_size=5), st.lists(_INTERVAL, min_size=7, max_size=8),
+        st.lists(st.floats(1.0, 2.0), min_size=6, max_size=6), st.text(max_size=4),
+        st.none(), st.integers(),
+        # six intervals of which the first leaves the x-chart (Re x < 1)
+        st.lists(_INTERVAL, min_size=6, max_size=6).filter(lambda b: b[0][0] < 1.0)),
+}
 
 
 class TestVerify:
@@ -117,6 +147,31 @@ class TestFlow:
         assert run_cli(["flow", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", sorted(INVALID_FLOW_FIELDS) + ["unknown key", "document"])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_random_invalid_config_usage_error(self, kind, data):
+        # one field (or the whole document) is invalid, so the config is
+        # rejected before any flow step
+        doc = {"resolution": 5, "steps": 2, "monitor_cadence": 1, "n_barrier_nodes": 1}
+        if kind == "document":
+            doc = data.draw(st.one_of(st.lists(st.integers(), max_size=3), st.integers(),
+                                      st.text(max_size=4), st.none(), st.floats()))
+        elif kind == "unknown key":
+            key = data.draw(st.text(max_size=6).filter(
+                lambda k: k not in FlowConfig.__dataclass_fields__))
+            doc[key] = data.draw(st.integers())
+        else:
+            doc[kind] = data.draw(INVALID_FLOW_FIELDS[kind])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "flow.json"
+            path.write_text(json.dumps(doc))
+            code = run_cli(["flow", str(path), "--out", str(Path(tmp) / "out")])
+            assert code in (cli.EXIT_PASS, cli.EXIT_CHECK_FAILURE, cli.EXIT_USAGE,
+                            cli.EXIT_NUMERICAL)
+            assert code == cli.EXIT_USAGE, (doc, code)
+            assert not (Path(tmp) / "out").exists()
+
     def test_flow_deterministic(self, tmp_path):
         cfg = self.make_config(tmp_path)
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
@@ -141,6 +196,23 @@ class TestReport:
         assert lines[1].startswith("demo,a,1,2,le,pass")
         growth_lines = (out / "growth_table.csv").read_text().strip().split("\n")
         assert growth_lines[1] == "t3,1,0"
+
+    def test_growth_table_from_verify_run(self, tmp_path):
+        assert run_cli(["verify", "growth", "--seed", "0", "--samples", "1024",
+                        "--out", str(tmp_path)]) == cli.EXIT_PASS
+        report = json.loads((tmp_path / "verify_growth.json").read_text())
+        table = report["growth_table"]
+        assert [r["label"] for r in table] == ["t1", "t2", "t3"]
+        out = tmp_path / "merged"
+        assert run_cli(["report", str(tmp_path / "verify_growth.json"),
+                        "--out", str(out)]) == cli.EXIT_PASS
+        lines = (out / "growth_table.csv").read_text().strip().split("\n")
+        assert lines[0] == "section,d_origin,d_infinity"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [(lbl, float(d0), float(di)) for lbl, d0, di in rows] == \
+            [(r["label"], r["d_origin"], r["d_infinity"]) for r in table]
+        # t3 vanishes to first order at the origin and is bounded at infinity
+        assert abs(float(rows[2][1]) - 1.0) <= 0.05 and abs(float(rows[2][2])) <= 0.05
 
     def test_empty_inputs_ok(self, tmp_path):
         out = tmp_path / "merged"

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -384,6 +387,18 @@ class TestSingularPointRule:
                 mo.curvature_batch(spec, [[1.0, 0, 400], [1.0, 0, 0]])
         assert np.isnan(rep.sigma_min_alpha) and not rep.alpha_injective
 
+    @pytest.mark.parametrize("spec,w", [
+        (cone_monad(), [[0, 0, 0], [1.0, 0, 0]]),
+        (twisted_monad(400), [[1.0, 0, 0], [1.0, 0, 400]])], ids=["cone", "twisted"])
+    def test_singular_rule_decides_without_warnings(self, spec, w):
+        # a negative metric power of 0 (and inf * 0 in a Gram matrix) used to
+        # warn before the rule raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(mo.SingularPointError, match="1 singular point"):
+                mo.curvature_batch(spec, w)
+            assert not mo.validate_monad(spec, w[0]).regular
+
 
 class TestInducedMetric:
     def test_gram_at_reference_point(self, main_spec):
@@ -682,6 +697,73 @@ class TestFiberForms:
         off = h1 - np.diag(np.diag(h1))
         assert np.abs(off).max() > 0.1
         np.testing.assert_allclose(h1, h1.conj().T, atol=1e-15)
+
+
+def _dense_metrics(spec):
+    """The spec with every diagonal metric wrapped as a dense MetricField of
+    the same values and derivatives."""
+    def dense(m):
+        return mo.MetricField(value=m.value, dholo=m.dholo, dmixed=m.dmixed)
+    return dataclasses.replace(spec, h0=dense(spec.h0), h1=dense(spec.h1),
+                               h2=dense(spec.h2))
+
+
+class TestDiagonalMetrics:
+    """Diagonal metrics stay diagonal in the engine; the dense path agrees."""
+
+    @pytest.mark.parametrize("name", ["adhm", "ansatz", "cone", "twisted"])
+    def test_dense_path_agrees(self, name, rng):
+        spec, w = TestFrameBatch().case(name, rng)
+        if name == "ansatz":
+            assert np.array_equal(w[0], [1.0, 0, 0])
+        dense = _dense_metrics(spec)
+        assert isinstance(spec.h1, mo.DiagPowerMetric)
+        assert all(isinstance(m, mo.MetricField) for m in (dense.h0, dense.h1, dense.h2))
+        got, ref = mo.curvature_batch(spec, w), mo.curvature_batch(dense, w)
+        for key in ("form_raw", "norm_form", "norm_mean"):
+            scale = np.abs(ref[key]).max()
+            assert np.abs(got[key] - ref[key]).max() <= 1e-12 * scale, key
+
+    def test_constant_derivatives_are_skipped(self, rng):
+        calls = []
+
+        class Counted(mo.DiagPowerMetric):
+            def _dlog(self, *args):
+                calls.append(self)
+                return super()._dlog(*args)
+
+            def dholo(self, w):
+                calls.append(self)
+                return super().dholo(w)
+
+            def dmixed(self, w):
+                calls.append(self)
+                return super().dmixed(w)
+
+        def counted(spec):
+            return dataclasses.replace(spec, **{
+                key: Counted(m.consts, m.pow_rho, m.pow_r2, m.pow_z2)
+                for key, m in (("h0", spec.h0), ("h1", spec.h1), ("h2", spec.h2))})
+
+        spec, w = TestFrameBatch().case("adhm", rng)
+        mo.curvature_batch(counted(spec), w)
+        assert calls == []
+        spec = counted(ansatz_monad())
+        mo.curvature_batch(spec, TestFrameBatch().case("ansatz", rng)[1])
+        assert calls and all(m is spec.h1 for m in calls)
+
+    def test_constant_metric_forms(self):
+        for k in (0, 1, 4):
+            m = mo.constant_metric(2.0 * np.eye(k))
+            assert isinstance(m, mo.DiagPowerMetric) and m.consts == (2.0,) * k
+            assert m._diag(np.ones(3), 1) is None and m._diag(np.ones(3), 2) is None
+            assert np.array_equal(m.value(np.ones((5, 3))),
+                                  np.broadcast_to(2.0 * np.eye(k), (5, k, k)))
+            assert np.array_equal(m.dmixed(np.ones(3)), np.zeros((3, 3, k, k)))
+        off = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
+        m = mo.constant_metric(off)
+        assert isinstance(m, mo.MetricField)
+        assert np.array_equal(m.value(np.ones((5, 3))), np.broadcast_to(off, (5, 2, 2)))
 
 
 def _real_pair_norm_sq(f_raw, n):
