@@ -26,6 +26,25 @@ The second monitor, :func:`energy`, is the L^2 norm squared of the full
 curvature F_H = -dbar(H^{-1} d H) over the nodes two layers in, formed from
 the same components with the same explicit inverse.
 
+Symmetry reduction (Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986).
+The quarter turns y -> iy and z -> iz generate a group of order 16.  H0 on
+the default box is invariant under it,
+
+    H(x, iy, z) = (a, d, -i b)(x, y, z),   H(x, y, iz) = (a, d, i b)(x, y, z),
+
+and so is the centred stencil when each plane's two spacings are equal, so
+the discrete flow keeps the symmetry.  :func:`step` then forms the bracket
+and updates a, d, b only on one rectangular block: grid offsets >= 0 on
+Re y, Im y, Re z and Im z, with the x axes whole (for odd resolutions the
+axis lines are computed twice).  It fills the other three quadrants of each
+plane, interior nodes only, from ``np.rot90`` views: a and d as they are, b
+times (-i)^k on the y plane and i^k on the z plane for the k-th turn.  The
+reduced path applies when both planes have equal spacings and a, d and b
+are invariant under both turns to 8 eps max |f|; this is decided where the
+components are set (:func:`initial_state` and ``FlowState.h``).  Any other
+state, such as an uneven box or a perturbed H0, runs the same bracket on
+the whole interior.
+
 Axis order of the real grid: (Re x, Im x, Re y, Im y, Re z, Im z).
 """
 
@@ -215,7 +234,7 @@ def build_domain(box=None, resolution: int = 7,
     spacings = _grid_spacings(box, resolution)
     shape = (resolution,) * 6
     dom = FlowDomain(box=box, shape=shape, spacings=spacings,
-                     h0=None, interior=(slice(1, -1),) * 6,
+                     h0=None, interior=(slice(1, resolution - 1),) * 6,
                      barrier_nodes=None)
     pts = dom.grid_points()
     dom.h0 = _chart_gram(pts)
@@ -235,11 +254,11 @@ def _split(h: np.ndarray):
 
 
 class _Bracket(NamedTuple):
-    """B = Lap6 H - 4 sum_j (dbar_j H) H^{-1} (d_j H) on interior nodes.
+    """B = Lap6 H - 4 sum_j (dbar_j H) H^{-1} (d_j H) on the nodes of a region.
 
-    ``a``, ``d``, ``b`` are the interior components of the H it was computed
-    from and ``det = a d - |b|^2``; ``p``, ``s`` are the real diagonal of B and
-    ``q`` its upper off-diagonal entry (B is Hermitian).
+    ``a``, ``d``, ``b`` are the components on the region of the H it was
+    computed from and ``det = a d - |b|^2``; ``p``, ``s`` are the real
+    diagonal of B and ``q`` its upper off-diagonal entry (B is Hermitian).
     """
 
     a: np.ndarray
@@ -259,7 +278,14 @@ class FlowState:
     checkpoint layout.  ``h`` assembles the (..., 2, 2) matrix on read as a
     read-only array; assigning a matrix to ``h`` replaces the components
     (its lower off-diagonal entry is taken to be conj(H01)).
-    ``last_bracket`` is the bracket of the metric the last step started from.
+
+    ``region`` is the slice tuple a step computes on: the symmetry block when
+    the components are invariant under both quarter turns, else the whole
+    interior.  It is decided when the components are set, so set them through
+    :func:`initial_state` or ``h``, never by writing into ``a``, ``d`` or
+    ``b``.  ``last_bracket`` is the bracket of the metric the last step
+    started from, on ``region``: on the block its sup equals the interior
+    sup, because every orbit meets the block.
     """
 
     domain: FlowDomain
@@ -270,6 +296,10 @@ class FlowState:
     step_count: int = 0
     history: list = field(default_factory=list)  # (step, t, sup |iLamF|, energy)
     last_bracket: _Bracket | None = field(default=None, repr=False)
+    region: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.region = _step_region(self.domain, (self.a, self.d, self.b))
 
     @property
     def h(self) -> np.ndarray:
@@ -284,6 +314,7 @@ class FlowState:
     @h.setter
     def h(self, value) -> None:
         self.a, self.d, self.b = _split(value)
+        self.region = _step_region(self.domain, (self.a, self.d, self.b))
         self.last_bracket = None
 
 
@@ -291,15 +322,74 @@ def initial_state(domain: FlowDomain) -> FlowState:
     return FlowState(domain, *_split(domain.h0))
 
 
-def _axis_slices(interior, axis, shift):
-    sl = list(interior)
-    lo, hi = 1 + shift, -1 + shift
-    sl[axis] = slice(lo, hi) if hi != 0 else slice(lo, None)
+# The symmetry planes: the axis pair of z and of y, and the factor of H01
+# under the quarter turn (u, v) -> (-v, u) of the plane (H00, H11 keep).
+# z comes first: the first plane is filled only on the block's rows of the
+# second, and z's turn transposes the innermost axes, the strided copy.
+_PLANES = (((4, 5), 1j), ((2, 3), -1j))
+
+
+def _step_region(domain: FlowDomain, comps) -> tuple:
+    """The symmetry block if both quarter turns keep the state, else the interior.
+
+    A turn keeps it when its plane's two spacings are equal and a, d and
+    b / phase are invariant under ``np.rot90`` to 8 eps max |f|: H0's grid is
+    symmetric only to the rounding of ``linspace``.
+    """
+    n = domain.shape[2]
+    for axes, phase in _PLANES:
+        if domain.spacings[axes[0]] != domain.spacings[axes[1]]:
+            return domain.interior
+        for f, ph in zip(comps, (1.0, 1.0, phase)):
+            tol = 8.0 * np.finfo(float).eps * np.abs(f).max()
+            if not np.abs(f - ph * np.rot90(f, 1, axes)).max() <= tol:
+                return domain.interior
+    return domain.interior[:2] + (slice(n // 2, n - 1),) * 4
+
+
+def _rot90(f, k, axes):
+    """np.rot90(f, k, axes) for k = 1, 2 without its argument handling, which
+    is a third of the fill's time at resolution 5."""
+    return np.swapaxes(np.flip(f, axes[1]), *axes) if k == 1 else np.flip(f, axes)
+
+
+def _fill_by_rotation(state: FlowState) -> None:
+    """Fill the interior outside the block from rotated views of the block.
+
+    In offsets (p, q) from a plane's centre the block is p, q >= 0.  The
+    quarter turn R fills {p < 0, q >= 0} from the block, then R^2 fills
+    q < 0 from q >= 0.  rot90(f, k)[n] is f(R^{-k} n), and the symmetry gives
+    f(n) = phase^k f(R^{-k} n) for b and f(n) = f(R^{-k} n) for a and d.  The
+    z plane is filled on the block's y rows first, then the y plane on every
+    interior z.
+    """
+    dom = state.domain
+    region = list(state.region)
+    for axes, phase in _PLANES:
+        n = dom.shape[axes[0]]
+        pos, neg = slice(n // 2, n - 1), slice(1, n // 2)
+        for k, part in ((1, (neg, pos)), (2, (dom.interior[axes[0]], neg))):
+            sl = list(region)
+            sl[axes[0]], sl[axes[1]] = part
+            sl = tuple(sl)
+            for f in (state.a, state.d):
+                f[sl] = _rot90(f, k, axes)[sl]
+            state.b[sl] = phase**k * _rot90(state.b, k, axes)[sl]
+        for ax in axes:
+            region[ax] = dom.interior[ax]
+
+
+def _axis_slices(region, axis, shift):
+    sl = list(region)
+    sl[axis] = slice(sl[axis].start + shift, sl[axis].stop + shift)
     return tuple(sl)
 
 
-def _flow_bracket(state: FlowState) -> _Bracket:
-    """The flow bracket B on interior nodes, by components.
+def _flow_bracket(state: FlowState, region: tuple) -> _Bracket:
+    """The flow bracket B on the nodes of ``region``, by components.
+
+    ``region`` is a slice tuple inside the interior: the interior itself or
+    the symmetry block.
 
     With M_j = X_j - i Y_j, the centred differences of H along Re w_j and
     Im w_j, d_j H = M_j / 2 and dbar_j H = M_j^dag / 2; with the explicit
@@ -311,14 +401,13 @@ def _flow_bracket(state: FlowState) -> _Bracket:
     update is H += dt B and the mean curvature is -H^{-1} B / 2.
     """
     dom = state.domain
-    inner = dom.interior
     comps = (state.a, state.d, state.b)
     # copies: step updates the components in place after the bracket is taken
-    centre = [f[inner].copy() for f in comps]
+    centre = [f[region].copy() for f in comps]
     laps = [np.zeros_like(c) for c in centre]
     diffs = []  # per axis: centred differences of (a, d, b)
     for axis in range(6):
-        up, dn = _axis_slices(inner, axis, 1), _axis_slices(inner, axis, -1)
+        up, dn = _axis_slices(region, axis, 1), _axis_slices(region, axis, -1)
         sp = dom.spacings[axis]
         row = []
         for f, c, lap in zip(comps, centre, laps):
@@ -346,7 +435,7 @@ def _flow_bracket(state: FlowState) -> _Bracket:
 
 
 def _sup_norm(br: _Bracket) -> float:
-    """sup over interior nodes of the spectral radius of -H^{-1} B / 2.
+    """sup over the bracket's nodes of the spectral radius of -H^{-1} B / 2.
 
     That matrix is H-self-adjoint, so its eigenvalues are real; they follow
     from its trace and determinant.
@@ -364,7 +453,7 @@ def mean_curvature_field(state: FlowState):
     H-self-adjoint with real eigenvalues; the norm is the spectral radius.
     Returns ``(chi, sup)`` with chi of shape (..., 2, 2).
     """
-    br = _flow_bracket(state)
+    br = _flow_bracket(state, state.domain.interior)
     g = -0.5 / br.det
     chi = np.empty(br.det.shape + (2, 2), dtype=complex)
     chi[..., 0, 0] = g * (br.d * br.p - br.b * br.q.conj())
@@ -377,9 +466,11 @@ def mean_curvature_field(state: FlowState):
 def step(state: FlowState, dt: float | None = None) -> FlowState:
     """One explicit Euler step; boundary nodes are never touched.
 
-    The components are updated in place, H00 and H11 by the real diagonal of
-    the bracket and H01 by its upper entry, so H stays Hermitian by
-    construction.  The bracket is kept as ``state.last_bracket``.
+    The components are updated in place on ``state.region``, H00 and H11 by
+    the real diagonal of the bracket and H01 by its upper entry, so H stays
+    Hermitian by construction.  On the symmetry block the rest of the
+    interior is then filled by rotation.  The bracket is kept as
+    ``state.last_bracket``.
     """
     dom = state.domain
     bound = dom.cfl_bound()
@@ -387,11 +478,13 @@ def step(state: FlowState, dt: float | None = None) -> FlowState:
         dt = bound
     if dt > bound * (1.0 + 1e-12):
         raise ValueError(f"dt {dt:g} above CFL bound {bound:g}")
-    br = _flow_bracket(state)
-    inner = dom.interior
-    state.a[inner] += dt * br.p
-    state.d[inner] += dt * br.s
-    state.b[inner] += dt * br.q
+    region = state.region
+    br = _flow_bracket(state, region)
+    state.a[region] += dt * br.p
+    state.d[region] += dt * br.s
+    state.b[region] += dt * br.q
+    if region != dom.interior:
+        _fill_by_rotation(state)
     state.last_bracket = br
     state.t += dt
     state.step_count += 1
@@ -420,7 +513,7 @@ def run(domain: FlowDomain, n_steps: int, dt: float | None = None,
     History row k holds the values after step k (row 0: at H0).  A step
     forms the bracket of the metric it starts from, so a monitored row takes
     its sup from the bracket of the following step; only the last row
-    computes a bracket of its own, through :func:`mean_curvature_field`.
+    computes a bracket of its own, on ``state.region``.
     """
     state = initial_state(domain)
     nan = float("nan")
@@ -436,7 +529,7 @@ def run(domain: FlowDomain, n_steps: int, dt: float | None = None,
         if k % monitor_cadence == 0 or k == n_steps:
             pending = (k, state.t, energy(state) if with_energy else nan)
     k0, t0, e0 = pending
-    state.history.append((k0, t0, mean_curvature_field(state)[1], e0))
+    state.history.append((k0, t0, _sup_norm(_flow_bracket(state, state.region)), e0))
     _check_positivity(state)
     return state
 

@@ -86,6 +86,28 @@ def perturbed_h0(domain):
     return h
 
 
+def check_against_matrix_reference(dom, h, n_steps=5):
+    """mean_curvature_field and n_steps of step from h, against matrix_bracket.
+    h is not invariant under the quarter turns, so the step takes the whole
+    interior."""
+    det = np.real(h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0])
+    assert det.min() > 0
+    state = flow.initial_state(dom)
+    state.h = h
+    assert state.region == dom.interior
+    bracket, hinv = matrix_bracket(h, dom.spacings)
+    chi, _ = flow.mean_curvature_field(state)
+    chi_ref = -0.5 * hinv @ bracket
+    assert np.abs(chi - chi_ref).max() <= 1e-12 * np.abs(chi_ref).max()
+    dt = dom.cfl_bound()
+    h_ref = h.copy()
+    for _ in range(n_steps):
+        bracket, _ = matrix_bracket(h_ref, dom.spacings)
+        h_ref[dom.interior] += dt * bracket
+        flow.step(state, dt)
+        assert np.abs(state.h - h_ref).max() <= 1e-12 * np.abs(h_ref).max()
+
+
 @pytest.fixture(scope="module")
 def domain():
     return flow.build_domain(resolution=7)
@@ -249,20 +271,82 @@ class TestStep:
             assert np.abs(state.h[..., 0, 0].real - hs).max() <= 1e-8
 
     def test_nonabelian_matches_matrix_reference(self, domain):
-        h = perturbed_h0(domain)
-        det = np.real(h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0])
-        assert det.min() > 0
-        bracket, hinv = matrix_bracket(h, domain.spacings)
+        check_against_matrix_reference(domain, perturbed_h0(domain))
+
+    def test_uneven_box_matches_matrix_reference(self):
+        box = flow.DEFAULT_BOX[:3] + ((-0.5, 0.7),) + flow.DEFAULT_BOX[4:]
+        dom = flow.build_domain(box, resolution=5, n_barrier_nodes=4)
+        check_against_matrix_reference(dom, dom.h0)
+
+    def test_symmetric_state_takes_the_block(self, domain):
         state = flow.initial_state(domain)
-        state.h = h
-        chi, _ = flow.mean_curvature_field(state)
-        chi_ref = -0.5 * hinv @ bracket
-        assert np.abs(chi - chi_ref).max() <= 1e-12 * np.abs(chi_ref).max()
-        dt = domain.cfl_bound()
-        flow.step(state, dt)
-        h_ref = h.copy()
-        h_ref[domain.interior] += dt * bracket
-        assert np.abs(state.h - h_ref).max() <= 1e-12 * np.abs(h_ref).max()
+        assert state.region != domain.interior
+        assert state.region[:2] == domain.interior[:2]
+        assert state.region[2:] == (slice(3, 6),) * 4
+        state.h = perturbed_h0(domain)
+        assert state.region == domain.interior
+        state.h = domain.h0
+        assert state.region != domain.interior
+
+
+def at_rotated(f, axes):
+    """f at the node of (u, v) -> (-v, u) on the plane of the axis pair:
+    entry [..., i, j, ...] is f[..., n-1-j, i, ...]."""
+    return np.swapaxes(np.flip(f, axes[0]), *axes)
+
+
+def interior_steps(dom, n_steps):
+    """n_steps explicit Euler steps from H0 with the bracket called directly
+    on the whole interior: the general path, free of the symmetry block."""
+    state = flow.initial_state(dom)
+    dt = dom.cfl_bound()
+    for _ in range(n_steps):
+        br = flow._flow_bracket(state, dom.interior)
+        state.a[dom.interior] += dt * br.p
+        state.d[dom.interior] += dt * br.s
+        state.b[dom.interior] += dt * br.q
+    return state
+
+
+class TestSymmetry:
+    def test_rotation_helper_matches_grid(self):
+        pts = flow.build_domain(resolution=5, n_barrier_nodes=4).grid_points()
+        for j, axes in ((1, (2, 3)), (2, (4, 5))):
+            np.testing.assert_allclose(at_rotated(pts[..., j], axes), 1j * pts[..., j],
+                                       atol=1e-15)
+
+    def test_whole_interior_flow_keeps_the_symmetry(self):
+        # H(x, iy, z) = (a, d, -i b), H(x, y, iz) = (a, d, i b) and
+        # H(conj w) = conj H(w) after 100 steps of the general path
+        state = interior_steps(flow.build_domain(resolution=5, n_barrier_nodes=4), 100)
+        a, d, b = state.a, state.d, state.b
+        assert np.abs(b).max() > 0.05
+        for axes, phase in (((2, 3), -1j), ((4, 5), 1j)):
+            assert np.abs(at_rotated(a, axes) - a).max() <= 1e-15
+            assert np.abs(at_rotated(d, axes) - d).max() <= 1e-15
+            assert np.abs(at_rotated(b, axes) - phase * b).max() <= 1e-15
+        conj = (1, 3, 5)  # Im x, Im y, Im z -> their negatives
+        assert np.abs(np.flip(a, conj) - a).max() <= 1e-15
+        assert np.abs(np.flip(d, conj) - d).max() <= 1e-15
+        assert np.abs(np.flip(b, conj) - b.conj()).max() <= 1e-15
+
+    @pytest.mark.parametrize("resolution", [5, 6, 7])
+    def test_block_path_matches_whole_interior(self, resolution):
+        dom = flow.build_domain(resolution=resolution, n_barrier_nodes=4)
+        ref = interior_steps(dom, 100)
+        state = flow.initial_state(dom)
+        assert state.region != dom.interior
+        for _ in range(100):
+            flow.step(state)
+        for f, g in ((state.a, ref.a), (state.d, ref.d), (state.b, ref.b)):
+            assert np.abs(f - g).max() <= 1e-14
+        mask = np.ones(dom.shape, dtype=bool)
+        mask[dom.interior] = False
+        assert np.array_equal(state.h[mask], dom.h0[mask])
+        # every orbit meets the block, so the block bracket has the interior sup
+        sup_block = flow._sup_norm(flow._flow_bracket(state, state.region))
+        sup_inner = flow._sup_norm(flow._flow_bracket(state, dom.interior))
+        assert sup_block == pytest.approx(sup_inner, rel=1e-14, abs=0.0)
 
 
 @pytest.fixture(scope="module")
