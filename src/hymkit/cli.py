@@ -10,7 +10,8 @@ Suites: adhm, ansatz, potential, cone, growth.  Exit codes: 0 all checks
 pass, 1 check failure, 2 usage or config error, 3 numerical abort.  The
 growth suite's report also holds its degree table, which ``report`` writes
 to growth_table.csv.
-Fixed seed implies byte-identical JSON/CSV outputs on one platform.
+Fixed seed implies byte-identical JSON/CSV outputs on one platform, except
+the run record ``run.json`` that ``flow`` writes, which holds stage timings.
 """
 
 from __future__ import annotations
@@ -18,7 +19,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import platform
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +32,10 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+# thread-count variables of the BLAS and OpenMP runtimes, kept in run.json
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 @dataclass
@@ -256,7 +264,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    from . import flow as fl
+    """Run the flow; write history.csv, the checkpoint and run.json, the run
+    record: versions, thread variables, grid, dt, path, the first step with
+    sup <= 1e-12 sup0 and the seconds of each stage."""
+    from . import __version__, flow as fl
 
     try:
         cfg = fl.FlowConfig.from_json(args.config)
@@ -265,18 +276,36 @@ def cmd_flow(args) -> int:
         return EXIT_USAGE
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    start = time.perf_counter()
     try:
         dom = fl.build_domain(cfg.box, cfg.resolution,
                               n_barrier_nodes=cfg.n_barrier_nodes, seed=cfg.seed)
+        built = time.perf_counter()
         state = fl.run(dom, cfg.steps, dt=cfg.dt,
                        monitor_cadence=cfg.monitor_cadence)
     except (fl.PositivityError, ValueError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    ran = time.perf_counter()
     fl.write_history_csv(state, out_dir / "history.csv")
     fl.save_checkpoint(state, out_dir / "checkpoint.bin")
     sups = [row[2] for row in state.history]
     ratio = sups[-1] / sups[0] if sups[0] > 0 else 0.0
+    record = {
+        "hymkit": __version__, "python": platform.python_version(),
+        "numpy": np.__version__,
+        "threads": {name: os.environ.get(name) for name in THREAD_VARIABLES},
+        "resolution": cfg.resolution, "steps": cfg.steps,
+        "dt": dom.cfl_bound() if cfg.dt is None else cfg.dt, "cfl_bound": dom.cfl_bound(),
+        "path": "block" if state.table.dst.size else "interior",
+        "table_nodes": int(state.table.nodes.size),
+        "converge_step": next((row[0] for row in state.history
+                               if row[2] <= 1e-12 * sups[0]), None),
+        "seconds": {"build_domain": built - start, **state.seconds,
+                    "io": time.perf_counter() - ran},
+    }
+    with open(out_dir / "run.json", "w") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
     print(f"flow: {cfg.steps} steps, sup |iLamF| {sups[0]:.4g} -> {sups[-1]:.4g} "
           f"(ratio {ratio:.3g})")
     print(f"history and checkpoint written to {out_dir}")

@@ -36,14 +36,25 @@ and so is the centred stencil when each plane's two spacings are equal, so
 the discrete flow keeps the symmetry.  :func:`step` then forms the bracket
 and updates a, d, b only on one rectangular block: grid offsets >= 0 on
 Re y, Im y, Re z and Im z, with the x axes whole (for odd resolutions the
-axis lines are computed twice).  It fills the other three quadrants of each
-plane, interior nodes only, from ``np.rot90`` views: a and d as they are, b
-times (-i)^k on the y plane and i^k on the z plane for the k-th turn.  The
-reduced path applies when both planes have equal spacings and a, d and b
-are invariant under both turns to 8 eps max |f|; this is decided where the
-components are set (:func:`initial_state` and ``FlowState.h``).  Any other
-state, such as an uneven box or a perturbed H0, runs the same bracket on
-the whole interior.
+axis lines are computed twice).  This applies when both planes have equal
+spacings and a, d and b are invariant under both turns to 8 eps max |f|.
+Any other state, such as an uneven box or a perturbed H0, runs on the
+whole interior.
+
+Both paths run on one stencil table of flat indices into the C-ordered
+components, built where the components are set (:func:`initial_state` and
+``FlowState.h``).  It holds the nodes a step updates and their twelve axis
+neighbours, so the bracket gathers each component in two fancy indexes
+instead of slicing 6-D views.  On the block it also holds the fill map:
+each interior node outside the block, the block node it copies, and the
+power of i that multiplies b there.  The map is the rotation rule applied
+once to an index and a phase array; a step applies it after the update, so
+a, d and b are whole after every step.  :func:`energy` sums its density over
+orbit representatives, the block's nodes two layers in, each weighted by
+its orbit's size over the number of its members in the block: per plane 4
+off the axes, 2 on an axis line and 1 at the centre, so 16 for every node
+at even resolutions.  On the interior table the fill map is empty and every
+weight is 1.
 
 Axis order of the real grid: (Re x, Im x, Re y, Im y, Re z, Im z).
 """
@@ -52,6 +63,7 @@ from __future__ import annotations
 
 import csv
 import json
+import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -254,11 +266,12 @@ def _split(h: np.ndarray):
 
 
 class _Bracket(NamedTuple):
-    """B = Lap6 H - 4 sum_j (dbar_j H) H^{-1} (d_j H) on the nodes of a region.
+    """B = Lap6 H - 4 sum_j (dbar_j H) H^{-1} (d_j H) on the nodes of a table.
 
-    ``a``, ``d``, ``b`` are the components on the region of the H it was
-    computed from and ``det = a d - |b|^2``; ``p``, ``s`` are the real
-    diagonal of B and ``q`` its upper off-diagonal entry (B is Hermitian).
+    Every field is 1-D over the table's ``nodes``.  ``a``, ``d``, ``b`` are
+    the components there of the H it was computed from and
+    ``det = a d - |b|^2``; ``p``, ``s`` are the real diagonal of B and ``q``
+    its upper off-diagonal entry (B is Hermitian).
     """
 
     a: np.ndarray
@@ -270,6 +283,30 @@ class _Bracket(NamedTuple):
     q: np.ndarray
 
 
+class _Stencil(NamedTuple):
+    """Flat indices into the C-ordered components: one state's stencil table.
+
+    ``nodes`` are the nodes a step updates, in C order, and
+    ``nbr[axis, 0 | 1]`` their +1 and -1 neighbours along ``axis``.  After
+    the update node ``dst[i]`` takes a and d from ``src[i]`` and b times
+    ``phase[i]``.  :func:`energy` sums its density over ``reps`` with
+    ``weights``; it forms theta on ``support`` from the neighbours
+    ``support_nbr`` and differences it at ``reps`` through ``rep_nbr``, the
+    positions in ``support`` of the reps' neighbours.
+    """
+
+    nodes: np.ndarray          # (N,)
+    nbr: np.ndarray            # (6, 2, N)
+    dst: np.ndarray            # (M,)
+    src: np.ndarray            # (M,)
+    phase: np.ndarray          # (M,) complex
+    reps: np.ndarray           # (R,)
+    weights: np.ndarray        # (R,)
+    support: np.ndarray        # (S,)
+    support_nbr: np.ndarray    # (6, 2, S)
+    rep_nbr: np.ndarray        # (6, 2, R), indices into support
+
+
 @dataclass
 class FlowState:
     """The flowing metric, held by its Hermitian components on every node.
@@ -279,13 +316,14 @@ class FlowState:
     read-only array; assigning a matrix to ``h`` replaces the components
     (its lower off-diagonal entry is taken to be conj(H01)).
 
-    ``region`` is the slice tuple a step computes on: the symmetry block when
-    the components are invariant under both quarter turns, else the whole
-    interior.  It is decided when the components are set, so set them through
-    :func:`initial_state` or ``h``, never by writing into ``a``, ``d`` or
-    ``b``.  ``last_bracket`` is the bracket of the metric the last step
-    started from, on ``region``: on the block its sup equals the interior
-    sup, because every orbit meets the block.
+    ``table`` is the :class:`_Stencil` a step runs on: the symmetry block
+    when the components are invariant under both quarter turns, else the
+    whole interior.  It is built where the components are set, so set them
+    through :func:`initial_state` or ``h``, never by writing into ``a``,
+    ``d`` or ``b``.  ``last_bracket`` is the bracket of the metric the last
+    step started from, 1-D over the table's nodes: on the block its sup
+    equals the interior sup, because every orbit meets the block.
+    ``seconds`` holds the stage times of :func:`run`.
     """
 
     domain: FlowDomain
@@ -296,10 +334,11 @@ class FlowState:
     step_count: int = 0
     history: list = field(default_factory=list)  # (step, t, sup |iLamF|, energy)
     last_bracket: _Bracket | None = field(default=None, repr=False)
-    region: tuple = field(init=False, repr=False)
+    seconds: dict = field(default_factory=dict, repr=False)
+    table: _Stencil = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.region = _step_region(self.domain, (self.a, self.d, self.b))
+        self.table = _stencil(self.domain, _symmetric(self.domain, (self.a, self.d, self.b)))
 
     @property
     def h(self) -> np.ndarray:
@@ -314,7 +353,7 @@ class FlowState:
     @h.setter
     def h(self, value) -> None:
         self.a, self.d, self.b = _split(value)
-        self.region = _step_region(self.domain, (self.a, self.d, self.b))
+        self.__post_init__()
         self.last_bracket = None
 
 
@@ -324,72 +363,69 @@ def initial_state(domain: FlowDomain) -> FlowState:
 
 # The symmetry planes: the axis pair of z and of y, and the factor of H01
 # under the quarter turn (u, v) -> (-v, u) of the plane (H00, H11 keep).
-# z comes first: the first plane is filled only on the block's rows of the
-# second, and z's turn transposes the innermost axes, the strided copy.
 _PLANES = (((4, 5), 1j), ((2, 3), -1j))
 
 
-def _step_region(domain: FlowDomain, comps) -> tuple:
-    """The symmetry block if both quarter turns keep the state, else the interior.
+def _symmetric(domain: FlowDomain, comps) -> bool:
+    """Whether both quarter turns keep the state.
 
     A turn keeps it when its plane's two spacings are equal and a, d and
     b / phase are invariant under ``np.rot90`` to 8 eps max |f|: H0's grid is
     symmetric only to the rounding of ``linspace``.
     """
-    n = domain.shape[2]
     for axes, phase in _PLANES:
         if domain.spacings[axes[0]] != domain.spacings[axes[1]]:
-            return domain.interior
+            return False
         for f, ph in zip(comps, (1.0, 1.0, phase)):
             tol = 8.0 * np.finfo(float).eps * np.abs(f).max()
             if not np.abs(f - ph * np.rot90(f, 1, axes)).max() <= tol:
-                return domain.interior
-    return domain.interior[:2] + (slice(n // 2, n - 1),) * 4
+                return False
+    return True
 
 
-def _rot90(f, k, axes):
-    """np.rot90(f, k, axes) for k = 1, 2 without its argument handling, which
-    is a third of the fill's time at resolution 5."""
-    return np.swapaxes(np.flip(f, axes[1]), *axes) if k == 1 else np.flip(f, axes)
+def _stencil(domain: FlowDomain, block: bool) -> _Stencil:
+    """The stencil table of the symmetry block, or else of the whole interior.
 
-
-def _fill_by_rotation(state: FlowState) -> None:
-    """Fill the interior outside the block from rotated views of the block.
-
-    In offsets (p, q) from a plane's centre the block is p, q >= 0.  The
-    quarter turn R fills {p < 0, q >= 0} from the block, then R^2 fills
-    q < 0 from q >= 0.  rot90(f, k)[n] is f(R^{-k} n), and the symmetry gives
-    f(n) = phase^k f(R^{-k} n) for b and f(n) = f(R^{-k} n) for a and d.  The
-    z plane is filled on the block's y rows first, then the y plane on every
-    interior z.
+    The fill map is the rotation rule applied once to an array of flat
+    indices and an array of phases.  In offsets (p, q) from a plane's centre
+    the block is p, q >= 0.  The quarter turn R fills {p < 0, q >= 0} from
+    the block, then R^2 fills q < 0 from q >= 0: rot90(f, k)[n] is
+    f(R^{-k} n), and the symmetry gives f(n) = phase^k f(R^{-k} n) for b and
+    f(n) = f(R^{-k} n) for a and d.  The z plane is filled on the block's y
+    rows, then the y plane on every interior z.  A rep's weight, its orbit's
+    size over the number of its members in the block, is 2 to the number of
+    y and z axes on which it is off the centre.
     """
-    dom = state.domain
-    region = list(state.region)
-    for axes, phase in _PLANES:
-        n = dom.shape[axes[0]]
-        pos, neg = slice(n // 2, n - 1), slice(1, n // 2)
-        for k, part in ((1, (neg, pos)), (2, (dom.interior[axes[0]], neg))):
-            sl = list(region)
+    shape, n, inner = domain.shape, domain.shape[2], domain.interior
+    flat = np.arange(domain.n_nodes).reshape(shape)
+    stride = np.array(flat.strides) // flat.itemsize
+    shift = np.stack([stride, -stride], axis=1)[..., None]  # (6, 2, 1)
+    region = inner[:2] + (slice(n // 2, n - 1),) * 4 if block else inner
+    src, phase, filled = flat.copy(), np.ones(shape, dtype=complex), list(region)
+    for axes, ph in _PLANES if block else ():
+        neg = slice(1, n // 2)
+        for k, part in ((1, (neg, region[axes[1]])), (2, (inner[axes[0]], neg))):
+            sl = list(filled)
             sl[axes[0]], sl[axes[1]] = part
             sl = tuple(sl)
-            for f in (state.a, state.d):
-                f[sl] = _rot90(f, k, axes)[sl]
-            state.b[sl] = phase**k * _rot90(state.b, k, axes)[sl]
+            src[sl] = np.rot90(src, k, axes)[sl]
+            phase[sl] = ph**k * np.rot90(phase, k, axes)[sl]
         for ax in axes:
-            region[ax] = dom.interior[ax]
+            filled[ax] = inner[ax]
+    dst, src, phase = (f[inner].ravel() for f in (flat, src, phase))
+    moved = src != dst
+    nodes = flat[region].ravel()
+    reps = flat[tuple(slice(max(sl.start, 2), n - 2) for sl in region)].ravel()
+    off_centre = sum(2 * i != n - 1 for i in np.unravel_index(reps, shape)[2:])
+    # sorted and distinct, like np.unique, which would import numpy.ma
+    support = np.flatnonzero(np.bincount((reps + shift).ravel(), minlength=domain.n_nodes))
+    return _Stencil(nodes, nodes + shift, dst[moved], src[moved], phase[moved], reps,
+                    2.0**off_centre if block else np.ones(reps.size), support,
+                    support + shift, np.searchsorted(support, reps + shift))
 
 
-def _axis_slices(region, axis, shift):
-    sl = list(region)
-    sl[axis] = slice(sl[axis].start + shift, sl[axis].stop + shift)
-    return tuple(sl)
-
-
-def _flow_bracket(state: FlowState, region: tuple) -> _Bracket:
-    """The flow bracket B on the nodes of ``region``, by components.
-
-    ``region`` is a slice tuple inside the interior: the interior itself or
-    the symmetry block.
+def _flow_bracket(state: FlowState, table: _Stencil) -> _Bracket:
+    """The flow bracket B on the nodes of ``table``, by components.
 
     With M_j = X_j - i Y_j, the centred differences of H along Re w_j and
     Im w_j, d_j H = M_j / 2 and dbar_j H = M_j^dag / 2; with the explicit
@@ -400,35 +436,31 @@ def _flow_bracket(state: FlowState, region: tuple) -> _Bracket:
     Only the real diagonal and the upper off-diagonal entry are formed.  The
     update is H += dt B and the mean curvature is -H^{-1} B / 2.
     """
-    dom = state.domain
-    comps = (state.a, state.d, state.b)
-    # copies: step updates the components in place after the bracket is taken
-    centre = [f[region].copy() for f in comps]
-    laps = [np.zeros_like(c) for c in centre]
-    diffs = []  # per axis: centred differences of (a, d, b)
-    for axis in range(6):
-        up, dn = _axis_slices(region, axis, 1), _axis_slices(region, axis, -1)
-        sp = dom.spacings[axis]
-        row = []
-        for f, c, lap in zip(comps, centre, laps):
-            fp, fm = f[up], f[dn]
-            lap += (fp + fm - 2.0 * c) / sp**2
-            row.append((fp - fm) / (2.0 * sp))
-        diffs.append(row)
+    sp = state.domain.spacings[:, None]
+    centre, laps, diffs = [], [], []  # diffs: (Re w_j, Im w_j) rows, each (3, N)
+    for f in (state.a, state.d, state.b):
+        fl = f.reshape(-1)
+        c, g = fl[table.nodes], fl[table.nbr]
+        centre.append(c)
+        laps.append(sum((g[:, 0] + g[:, 1] - 2.0 * c) / sp**2))
+        df = (g[:, 0] - g[:, 1]) / (2.0 * sp)
+        diffs.append((df[0::2], df[1::2]))
     a, d, b = centre
-    tp, ts, tq = 0.0, 0.0, 0.0   # diagonal and (0, 1) entry of sum_j M^dag adj(H) M
-    for j in range(3):
-        (xa, xd, xb), (ya, yd, yb) = diffs[2 * j], diffs[2 * j + 1]
-        m00 = xa - 1j * ya
-        m11 = xd - 1j * yd
-        m01 = xb - 1j * yb
-        m10 = xb.conj() - 1j * yb.conj()
-        u0 = d * m01 - b * m11          # column 1 of adj(H) M
-        u1 = a * m11 - b.conj() * m01
-        tp = tp + (d * (xa * xa + ya * ya) + a * (m10.real**2 + m10.imag**2)
-                   - 2.0 * (m00.conj() * b * m10).real)
-        ts = ts + (m01.conj() * u0 + m11.conj() * u1).real
-        tq = tq + m00.conj() * u0 + m10.conj() * u1
+    (xa, ya), (xd, yd), (xb, yb) = diffs
+    m00 = xa - 1j * ya
+    m11 = xd - 1j * yd
+    m01 = xb - 1j * yb
+    m10 = xb.conj() - 1j * yb.conj()
+    u0 = d * m01 - b * m11          # column 1 of adj(H) M
+    u1 = a * m11 - b.conj() * m01
+    # diagonal and (0, 1) entry of sum_j M^dag adj(H) M; the builtin sum adds
+    # the rows to 0 one by one, the order of a loop over axes and j
+    tp = sum(d * (xa * xa + ya * ya) + a * (m10.real**2 + m10.imag**2)
+             - 2.0 * (m00.conj() * b * m10).real)
+    ts = sum((m01.conj() * u0 + m11.conj() * u1).real)
+    tq = 0.0
+    for x, y in zip(m00.conj() * u0, m10.conj() * u1):
+        tq = tq + x + y
     det = a * d - (b.real**2 + b.imag**2)
     lap_a, lap_d, lap_b = laps
     return _Bracket(a, d, b, det, lap_a - tp / det, lap_d - ts / det, lap_b - tq / det)
@@ -451,26 +483,25 @@ def mean_curvature_field(state: FlowState):
 
     Per node the 2x2 matrix chi = -H^{-1} B / 2 = -adj(H) B / (2 det) is
     H-self-adjoint with real eigenvalues; the norm is the spectral radius.
-    Returns ``(chi, sup)`` with chi of shape (..., 2, 2).
+    Returns ``(chi, sup)`` with chi of shape (..., 2, 2) over the interior.
     """
-    br = _flow_bracket(state, state.domain.interior)
+    br = _flow_bracket(state, _stencil(state.domain, block=False))
     g = -0.5 / br.det
     chi = np.empty(br.det.shape + (2, 2), dtype=complex)
     chi[..., 0, 0] = g * (br.d * br.p - br.b * br.q.conj())
     chi[..., 0, 1] = g * (br.d * br.q - br.b * br.s)
     chi[..., 1, 0] = g * (br.a * br.q.conj() - br.b.conj() * br.p)
     chi[..., 1, 1] = g * (br.a * br.s - br.b.conj() * br.q)
-    return chi, _sup_norm(br)
+    return chi.reshape(tuple(s - 2 for s in state.domain.shape) + (2, 2)), _sup_norm(br)
 
 
 def step(state: FlowState, dt: float | None = None) -> FlowState:
     """One explicit Euler step; boundary nodes are never touched.
 
-    The components are updated in place on ``state.region``, H00 and H11 by
+    The components are updated in place on the table's nodes, H00 and H11 by
     the real diagonal of the bracket and H01 by its upper entry, so H stays
-    Hermitian by construction.  On the symmetry block the rest of the
-    interior is then filled by rotation.  The bracket is kept as
-    ``state.last_bracket``.
+    Hermitian by construction; the table's fill map then completes the
+    interior.  The bracket is kept as ``state.last_bracket``.
     """
     dom = state.domain
     bound = dom.cfl_bound()
@@ -478,13 +509,13 @@ def step(state: FlowState, dt: float | None = None) -> FlowState:
         dt = bound
     if dt > bound * (1.0 + 1e-12):
         raise ValueError(f"dt {dt:g} above CFL bound {bound:g}")
-    region = state.region
-    br = _flow_bracket(state, region)
-    state.a[region] += dt * br.p
-    state.d[region] += dt * br.s
-    state.b[region] += dt * br.q
-    if region != dom.interior:
-        _fill_by_rotation(state)
+    t = state.table
+    br = _flow_bracket(state, t)
+    for f, c, inc, ph in ((state.a, br.a, br.p, 1.0), (state.d, br.d, br.s, 1.0),
+                          (state.b, br.b, br.q, t.phase)):
+        fl = f.reshape(-1)
+        fl[t.nodes] = c + dt * inc
+        fl[t.dst] = ph * fl[t.src]
     state.last_bracket = br
     state.t += dt
     state.step_count += 1
@@ -513,11 +544,24 @@ def run(domain: FlowDomain, n_steps: int, dt: float | None = None,
     History row k holds the values after step k (row 0: at H0).  A step
     forms the bracket of the metric it starts from, so a monitored row takes
     its sup from the bracket of the following step; only the last row
-    computes a bracket of its own, on ``state.region``.
+    computes a bracket of its own, on ``state.table``.  ``state.seconds``
+    holds the time spent in :func:`initial_state` (``table``), in
+    :func:`energy`, in the positivity checks and in the rest (``steps``).
     """
+    clock = time.perf_counter
+    start = clock()
     state = initial_state(domain)
+    sec = state.seconds
+    sec.update(table=clock() - start, energy=0.0, positivity=0.0)
+
+    def timed(name, fn):  # fn(state), its time added to sec[name]
+        t = clock()
+        out = fn(state)
+        sec[name] += clock() - t
+        return out
+
     nan = float("nan")
-    pending = (0, 0.0, energy(state) if with_energy else nan)  # row without its sup
+    pending = (0, 0.0, timed("energy", energy) if with_energy else nan)  # row without its sup
     for k in range(1, n_steps + 1):
         step(state, dt)
         if pending is not None:
@@ -525,12 +569,13 @@ def run(domain: FlowDomain, n_steps: int, dt: float | None = None,
             state.history.append((k0, t0, _sup_norm(state.last_bracket), e0))
             pending = None
         if k % 50 == 0:
-            _check_positivity(state)
+            timed("positivity", _check_positivity)
         if k % monitor_cadence == 0 or k == n_steps:
-            pending = (k, state.t, energy(state) if with_energy else nan)
+            pending = (k, state.t, timed("energy", energy) if with_energy else nan)
     k0, t0, e0 = pending
-    state.history.append((k0, t0, _sup_norm(_flow_bracket(state, state.region)), e0))
-    _check_positivity(state)
+    state.history.append((k0, t0, _sup_norm(_flow_bracket(state, state.table)), e0))
+    timed("positivity", _check_positivity)
+    sec["steps"] = clock() - start - sum(sec.values())
     return state
 
 
@@ -544,35 +589,29 @@ def energy(state: FlowState) -> float:
     H10 = conj(H01) is the conjugate of the derivative of H01 along the
     opposite complex direction, not conj(d_j H01).  The density is the form
     norm of :mod:`hymkit.geometry`, 4 sum_{p,q} |F_pq|^2_H, with the metric
-    norm |N|^2_H = tr(N H^{-1} N^dag H) of each component.
+    norm |N|^2_H = tr(N H^{-1} N^dag H) of each component.  It is formed at
+    the table's representatives, theta only at their neighbours, and summed
+    with the orbit weights.
     """
-    dom = state.domain
-    one_in = (slice(1, -1),) * 6
-
-    def diff(f, axis):
-        # centred difference, on the nodes one layer further in than f's
-        sl_p, sl_m = list(one_in), list(one_in)
-        sl_p[axis] = slice(2, None)
-        sl_m[axis] = slice(0, -2)
-        return (f[tuple(sl_p)] - f[tuple(sl_m)]) / (2.0 * dom.spacings[axis])
-
-    a, d, b = (f[one_in] for f in (state.a, state.d, state.b))
+    dom, tab = state.domain, state.table
+    sp2 = 2.0 * dom.spacings[:, None]
+    comps = [f.reshape(-1) for f in (state.a, state.d, state.b)]
+    da, dd, db = ((g[:, 0] - g[:, 1]) / sp2 for g in (f[tab.support_nbr] for f in comps))
+    a, d, b = (f[tab.support] for f in comps)
     inv_det = 1.0 / (a * d - (b.real**2 + b.imag**2))
-    thetas = []  # per j: the entries (00, 01, 10, 11) of theta_j on the 1-in grid
-    for j in range(3):
-        (xa, xd, xb), (ya, yd, yb) = ([diff(f, ax) for f in (state.a, state.d, state.b)]
-                                      for ax in (2 * j, 2 * j + 1))
-        h00 = 0.5 * (xa - 1j * ya)
-        h11 = 0.5 * (xd - 1j * yd)
-        h01 = 0.5 * (xb - 1j * yb)
-        h10 = 0.5 * (xb.conj() - 1j * yb.conj())
-        thetas.append(((d * h00 - b * h10) * inv_det, (d * h01 - b * h11) * inv_det,
-                       (a * h10 - b.conj() * h00) * inv_det,
-                       (a * h11 - b.conj() * h01) * inv_det))
-    f = [[[-0.5 * (diff(t, 2 * k) + 1j * diff(t, 2 * k + 1)) for t in theta]
-          for k in range(3)] for theta in thetas]
+    re, im = slice(0, None, 2), slice(1, None, 2)  # the axes of Re w_j and Im w_j
+    h00 = 0.5 * (da[re] - 1j * da[im])  # (3, S): d_j H per j
+    h11 = 0.5 * (dd[re] - 1j * dd[im])
+    h01 = 0.5 * (db[re] - 1j * db[im])
+    h10 = 0.5 * (db[re].conj() - 1j * db[im].conj())
+    theta = np.stack([(d * h00 - b * h10) * inv_det, (d * h01 - b * h11) * inv_det,
+                      (a * h10 - b.conj() * h00) * inv_det,
+                      (a * h11 - b.conj() * h01) * inv_det])  # (entry, j, S)
+    g = theta[..., tab.rep_nbr]
+    dtheta = (g[..., 0, :] - g[..., 1, :]) / sp2  # (entry, j, axis, R)
+    f = -0.5 * (dtheta[:, :, re] + 1j * dtheta[:, :, im])  # (entry, j, k, R)
 
-    a, d, b = (c[one_in] for c in (a, d, b))  # now on the nodes two layers in
+    a, d, b = (c[tab.reps] for c in comps)
     det = a * d - (b.real**2 + b.imag**2)
 
     def met_norm_sq(n00, n01, n10, n11):
@@ -584,9 +623,10 @@ def energy(state: FlowState) -> float:
         k10 = n01.conj() * (a * n00 + b * n10) + n11.conj() * (b.conj() * n00 + d * n10)
         return (d * k00 + a * k11 - 2.0 * (b * k10).real) / det
 
-    dens = 4.0 * sum(met_norm_sq(*f[p][q]) for p in range(3) for q in range(3))
+    norms = met_norm_sq(*f)  # (j, k, R)
+    dens = 4.0 * sum(norms[p, q] for p in range(3) for q in range(3))
     cell = float(np.prod(dom.spacings))
-    return float(dens.sum() * cell)
+    return float((tab.weights * dens).sum() * cell)
 
 
 def barrier_check(state: FlowState, c_barrier: float,

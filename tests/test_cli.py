@@ -117,6 +117,25 @@ class TestFlow:
         sidecar = json.loads((out / "checkpoint.bin.json").read_text())
         assert sidecar["shape"] == [5] * 6
 
+    def test_flow_writes_run_record(self, tmp_path):
+        cfg = self.make_config(tmp_path, steps=150)
+        out = tmp_path / "out"
+        assert run_cli(["flow", str(cfg), "--out", str(out)]) == cli.EXIT_PASS
+        rec = json.loads((out / "run.json").read_text())
+        assert set(rec) == {"hymkit", "python", "numpy", "threads", "resolution", "steps",
+                            "dt", "cfl_bound", "path", "table_nodes", "converge_step",
+                            "seconds"}
+        assert all(isinstance(rec[k], str) for k in ("hymkit", "python", "numpy"))
+        assert set(rec["threads"]) == set(cli.THREAD_VARIABLES)
+        assert all(v is None or isinstance(v, str) for v in rec["threads"].values())
+        assert (rec["resolution"], rec["steps"]) == (5, 150)
+        assert rec["dt"] == rec["cfl_bound"] == 0.25**2 / 16  # spacing 1/4, dt null
+        assert rec["path"] == "block" and rec["table_nodes"] == 3**2 * 2**4
+        assert isinstance(rec["converge_step"], int) and 0 < rec["converge_step"] <= 150
+        assert set(rec["seconds"]) == {"build_domain", "table", "steps", "energy",
+                                       "positivity", "io"}
+        assert all(isinstance(v, float) and v >= 0 for v in rec["seconds"].values())
+
     def test_missing_config_usage_error(self, tmp_path):
         assert run_cli(["flow", str(tmp_path / "nope.json")]) == cli.EXIT_USAGE
 

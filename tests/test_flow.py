@@ -94,7 +94,7 @@ def check_against_matrix_reference(dom, h, n_steps=5):
     assert det.min() > 0
     state = flow.initial_state(dom)
     state.h = h
-    assert state.region == dom.interior
+    assert state.table.dst.size == 0
     bracket, hinv = matrix_bracket(h, dom.spacings)
     chi, _ = flow.mean_curvature_field(state)
     chi_ref = -0.5 * hinv @ bracket
@@ -280,13 +280,16 @@ class TestStep:
 
     def test_symmetric_state_takes_the_block(self, domain):
         state = flow.initial_state(domain)
-        assert state.region != domain.interior
-        assert state.region[:2] == domain.interior[:2]
-        assert state.region[2:] == (slice(3, 6),) * 4
+        flat = np.arange(domain.n_nodes).reshape(domain.shape)
+        block = flat[domain.interior[:2] + (slice(3, 6),) * 4].ravel()
+        assert np.array_equal(state.table.nodes, block)
+        assert state.table.dst.size == 5**6 - block.size
         state.h = perturbed_h0(domain)
-        assert state.region == domain.interior
+        assert np.array_equal(state.table.nodes, flat[domain.interior].ravel())
+        assert state.table.dst.size == 0
+        assert np.all(state.table.weights == 1.0)
         state.h = domain.h0
-        assert state.region != domain.interior
+        assert np.array_equal(state.table.nodes, block)
 
 
 def at_rotated(f, axes):
@@ -295,16 +298,96 @@ def at_rotated(f, axes):
     return np.swapaxes(np.flip(f, axes[0]), *axes)
 
 
-def interior_steps(dom, n_steps):
-    """n_steps explicit Euler steps from H0 with the bracket called directly
-    on the whole interior: the general path, free of the symmetry block."""
-    state = flow.initial_state(dom)
+# the quarter-turn planes (z, then y) and the factor of H01 under each turn
+PLANES = (((4, 5), 1j), ((2, 3), -1j))
+
+
+def block_region(dom):
+    n = dom.shape[2]
+    return dom.interior[:2] + (slice(n // 2, n - 1),) * 4
+
+
+def slice_bracket(comps, spacings, region):
+    """The flow bracket (a, d, b, det, p, s, q) on a slice region, from
+    shifted 6-D views of the components: the reference for the stencil
+    tables, with the same arithmetic in the same order."""
+    def shifted(axis, shift):
+        sl = list(region)
+        sl[axis] = slice(sl[axis].start + shift, sl[axis].stop + shift)
+        return tuple(sl)
+
+    centre = [f[region].copy() for f in comps]
+    laps = [np.zeros_like(c) for c in centre]
+    diffs = []
+    for axis in range(6):
+        up, dn = shifted(axis, 1), shifted(axis, -1)
+        sp = spacings[axis]
+        row = []
+        for f, c, lap in zip(comps, centre, laps):
+            fp, fm = f[up], f[dn]
+            lap += (fp + fm - 2.0 * c) / sp**2
+            row.append((fp - fm) / (2.0 * sp))
+        diffs.append(row)
+    a, d, b = centre
+    tp, ts, tq = 0.0, 0.0, 0.0
+    for j in range(3):
+        (xa, xd, xb), (ya, yd, yb) = diffs[2 * j], diffs[2 * j + 1]
+        m00 = xa - 1j * ya
+        m11 = xd - 1j * yd
+        m01 = xb - 1j * yb
+        m10 = xb.conj() - 1j * yb.conj()
+        u0 = d * m01 - b * m11
+        u1 = a * m11 - b.conj() * m01
+        tp = tp + (d * (xa * xa + ya * ya) + a * (m10.real**2 + m10.imag**2)
+                   - 2.0 * (m00.conj() * b * m10).real)
+        ts = ts + (m01.conj() * u0 + m11.conj() * u1).real
+        tq = tq + m00.conj() * u0 + m10.conj() * u1
+    det = a * d - (b.real**2 + b.imag**2)
+    lap_a, lap_d, lap_b = laps
+    return flow._Bracket(a, d, b, det, lap_a - tp / det, lap_d - ts / det, lap_b - tq / det)
+
+
+def fill_by_rotation(comps, dom, region):
+    """Fill the interior outside the block from rotated views of the block:
+    the quarter turn fills {p < 0, q >= 0} of each plane, the half turn
+    q < 0, b times phase^k; the z plane on the block's y rows first."""
+    a, d, b = comps
+    region = list(region)
+    for axes, phase in PLANES:
+        n = dom.shape[axes[0]]
+        pos, neg = slice(n // 2, n - 1), slice(1, n // 2)
+        for k, part in ((1, (neg, pos)), (2, (dom.interior[axes[0]], neg))):
+            sl = list(region)
+            sl[axes[0]], sl[axes[1]] = part
+            sl = tuple(sl)
+            for f in (a, d):
+                f[sl] = np.rot90(f, k, axes)[sl]
+            b[sl] = phase**k * np.rot90(b, k, axes)[sl]
+        for ax in axes:
+            region[ax] = dom.interior[ax]
+
+
+def slice_steps(dom, h, region, n_steps):
+    """n_steps explicit Euler steps from h on a slice region, filling the
+    rest of the interior by rotation when the region is the block.  Returns
+    the components and the last step's bracket."""
+    comps = [np.array(c) for c in (h[..., 0, 0].real, h[..., 1, 1].real, h[..., 0, 1])]
     dt = dom.cfl_bound()
+    br = None
     for _ in range(n_steps):
-        br = flow._flow_bracket(state, dom.interior)
-        state.a[dom.interior] += dt * br.p
-        state.d[dom.interior] += dt * br.s
-        state.b[dom.interior] += dt * br.q
+        br = slice_bracket(comps, dom.spacings, region)
+        for f, inc in zip(comps, (br.p, br.s, br.q)):
+            f[region] += dt * inc
+        if region != dom.interior:
+            fill_by_rotation(comps, dom, region)
+    return comps, br
+
+
+def interior_steps(dom, n_steps):
+    """n_steps explicit Euler steps from H0 with the slice bracket on the
+    whole interior: the general path, free of the symmetry block."""
+    state = flow.initial_state(dom)
+    (state.a, state.d, state.b), _ = slice_steps(dom, dom.h0, dom.interior, n_steps)
     return state
 
 
@@ -335,7 +418,7 @@ class TestSymmetry:
         dom = flow.build_domain(resolution=resolution, n_barrier_nodes=4)
         ref = interior_steps(dom, 100)
         state = flow.initial_state(dom)
-        assert state.region != dom.interior
+        assert state.table.dst.size > 0
         for _ in range(100):
             flow.step(state)
         for f, g in ((state.a, ref.a), (state.d, ref.d), (state.b, ref.b)):
@@ -344,9 +427,27 @@ class TestSymmetry:
         mask[dom.interior] = False
         assert np.array_equal(state.h[mask], dom.h0[mask])
         # every orbit meets the block, so the block bracket has the interior sup
-        sup_block = flow._sup_norm(flow._flow_bracket(state, state.region))
-        sup_inner = flow._sup_norm(flow._flow_bracket(state, dom.interior))
+        sup_block = flow._sup_norm(flow._flow_bracket(state, state.table))
+        sup_inner = flow._sup_norm(flow._flow_bracket(state, flow._stencil(dom, False)))
         assert sup_block == pytest.approx(sup_inner, rel=1e-14, abs=0.0)
+
+
+    @pytest.mark.parametrize("start", ["h0", "perturbed"])
+    @pytest.mark.parametrize("resolution", [5, 6, 7])
+    def test_tables_bit_identical_to_slices(self, resolution, start):
+        # H0 takes the block and its fill map, the perturbed H0 the interior
+        dom = flow.build_domain(resolution=resolution, n_barrier_nodes=4)
+        h = dom.h0 if start == "h0" else perturbed_h0(dom)
+        region = block_region(dom) if start == "h0" else dom.interior
+        ref, ref_br = slice_steps(dom, h, region, 100)
+        state = flow.initial_state(dom)
+        state.h = h
+        assert (state.table.dst.size > 0) == (start == "h0")
+        for _ in range(100):
+            flow.step(state)
+        for f, g in zip((state.a, state.d, state.b), ref):
+            assert np.array_equal(f, g)
+        assert flow._sup_norm(state.last_bracket) == flow._sup_norm(ref_br)
 
 
 @pytest.fixture(scope="module")
@@ -418,7 +519,7 @@ class TestEnergy:
         e = flow.energy(state)
         assert e == pytest.approx(0.01193, rel=0.05)
 
-    @pytest.mark.parametrize("resolution", [5, 6])
+    @pytest.mark.parametrize("resolution", [5, 6, 7])
     @pytest.mark.parametrize("n_steps", [0, 30])
     def test_matches_matrix_reference(self, resolution, n_steps):
         dom = flow.build_domain(resolution=resolution, n_barrier_nodes=4)
@@ -429,6 +530,26 @@ class TestEnergy:
         ref = matrix_energy(state)
         assert ref > 0
         assert abs(flow.energy(state) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("resolution", [5, 6, 7, 8])
+    def test_orbit_weights_cover_the_two_in_nodes(self, resolution):
+        dom = flow.build_domain(resolution=resolution, n_barrier_nodes=4)
+        table = flow._stencil(dom, block=True)
+        assert table.weights.sum() == (resolution - 4) ** 6
+        factors = {16.0} if resolution % 2 == 0 else {1.0, 2.0, 4.0, 8.0, 16.0}
+        assert set(table.weights) <= factors
+
+    @pytest.mark.parametrize("resolution", [6, 7])
+    def test_block_energy_matches_interior_table(self, resolution):
+        dom = flow.build_domain(resolution=resolution, n_barrier_nodes=4)
+        state = flow.initial_state(dom)
+        for _ in range(30):
+            flow.step(state)
+        assert state.table.dst.size > 0
+        e_block = flow.energy(state)
+        state.table = flow._stencil(dom, block=False)
+        e_inner = flow.energy(state)
+        assert e_block == pytest.approx(e_inner, rel=1e-14, abs=0.0)
 
     def test_matches_matrix_reference_random_offdiagonal(self):
         dom = flow.build_domain(resolution=6, n_barrier_nodes=4)
