@@ -3,7 +3,7 @@
 Modules:
 
 * :mod:`hymkit.geometry` - conventions, Wirtinger finite differences,
-  metric adjoints, the Kahler contraction.
+  the Kahler contraction.
 * :mod:`hymkit.monads` - monad validity, cohomology fibers, induced metrics
   and the curvature of the induced connection.
 * :mod:`hymkit.adhm` - the ADHM one-instanton family on C^2.
@@ -16,9 +16,8 @@ Modules:
 * :mod:`hymkit.cli` - the `hymkit` command-line entry point.
 """
 
-from .geometry import Point3, Form11, adjoint_wrt, fd_derivative, lambda_contract
+from .geometry import Point3, Form11, fd_derivative, lambda_contract
 
 __version__ = "0.1.0"
 
-__all__ = ["Point3", "Form11", "adjoint_wrt", "fd_derivative",
-           "lambda_contract", "__version__"]
+__all__ = ["Point3", "Form11", "fd_derivative", "lambda_contract", "__version__"]

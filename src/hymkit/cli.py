@@ -11,7 +11,8 @@ pass, 1 check failure, 2 usage or config error, 3 numerical abort.  The
 growth suite's report also holds its degree table, which ``report`` writes
 to growth_table.csv.
 Fixed seed implies byte-identical JSON/CSV outputs on one platform, except
-the run record ``run.json`` that ``flow`` writes, which holds stage timings.
+the run records, which hold timings: ``run_<suite>.json`` next to each
+``verify_<suite>.json`` and ``run.json`` next to the flow's history.
 """
 
 from __future__ import annotations
@@ -33,27 +34,54 @@ EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-# thread-count variables of the BLAS and OpenMP runtimes, kept in run.json
+# thread-count variables of the BLAS and OpenMP runtimes, kept in the run records
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                     "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 @dataclass
 class RunConfig:
+    """A suite's settings, its sample count and its checks' wall seconds."""
+
     seed: int = 0
     samples: int | None = None
     out_dir: Path = Path(".")
     tolerances: dict = field(default_factory=dict)
+    sample_count: int | None = None
+    seconds: dict = field(default_factory=dict)
+    _mark: float = field(default_factory=time.perf_counter, repr=False)
 
     def tol(self, name: str, default: float) -> float:
         return float(self.tolerances.get(name, default))
 
+    def n_samples(self, default: int) -> int:
+        """--samples, or the suite's ``default`` when it is not given."""
+        self.sample_count = self.samples or default
+        return self.sample_count
 
-def _check(name, value, bound, mode="le"):
-    value = float(value)
-    ok = value <= bound if mode == "le" else value >= bound
-    return {"name": name, "value": value, "bound": float(bound),
-            "mode": mode, "pass": bool(ok)}
+    def check(self, name, value, bound, mode="le") -> dict:
+        """A check's record.  Its producer ran since the previous check (or
+        since the suite started); that time goes to ``seconds[name]``."""
+        now = time.perf_counter()
+        self.seconds[name], self._mark = now - self._mark, now
+        value = float(value)
+        ok = value <= bound if mode == "le" else value >= bound
+        return {"name": name, "value": value, "bound": float(bound),
+                "mode": mode, "pass": bool(ok)}
+
+
+def _provenance() -> dict:
+    """Versions and thread variables, the head of every run record."""
+    from . import __version__
+
+    return {"hymkit": __version__, "python": platform.python_version(),
+            "numpy": np.__version__,
+            "threads": {name: os.environ.get(name) for name in THREAD_VARIABLES}}
+
+
+def _write_json(path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +93,7 @@ def suite_adhm(cfg: RunConfig) -> tuple:
     from . import monads as mo
 
     rng = np.random.default_rng(cfg.seed)
-    n_pts = cfg.samples or 100
+    n_pts = cfg.n_samples(100)
     checks = []
     datasets = [adhm.ADHMData(1, 0, 0, 1)] + \
         [adhm.random_valid_data(rng) for _ in range(4)]
@@ -76,18 +104,18 @@ def suite_adhm(cfg: RunConfig) -> tuple:
         pts = pts[:, :2] + 1j * pts[:, 2:]
         data = mo.curvature_batch(spec, pts)
         worst_an = max(worst_an, float(data["norm_mean"].max()))
-    checks.append(_check("asd_residual_analytic", worst_an,
-                         cfg.tol("asd_analytic", 1e-9)))
+    checks.append(cfg.check("asd_residual_analytic", worst_an,
+                            cfg.tol("asd_analytic", 1e-9)))
     spec_fd = adhm.strip_analytic_derivatives(adhm.instanton_monad(datasets[0]))
     pts = rng.standard_normal((10, 4))
     data = mo.curvature_batch(spec_fd, pts[:, :2] + 1j * pts[:, 2:])
     worst_fd = float(data["norm_mean"].max())
-    checks.append(_check("asd_residual_fd", worst_fd, cfg.tol("asd_fd", 1e-6)))
+    checks.append(cfg.check("asd_residual_fd", worst_fd, cfg.tol("asd_fd", 1e-6)))
     q = adhm.charge(adhm.ADHMData(1, 0, 0, 1), r_cut=20.0)
-    checks.append(_check("charge_error", abs(q["charge"] - 1.0),
-                         cfg.tol("charge", 0.02)))
+    checks.append(cfg.check("charge_error", abs(q["charge"] - 1.0),
+                            cfg.tol("charge", 0.02)))
     nf = adhm.framed_moduli_point(adhm.ADHMData(2, 0, 0, 2))
-    checks.append(_check("moduli_label_error", abs(nf.z2_label - 2.0), 1e-12))
+    checks.append(cfg.check("moduli_label_error", abs(nf.z2_label - 2.0), 1e-12))
     return checks, {}
 
 
@@ -101,27 +129,27 @@ def suite_ansatz(cfg: RunConfig) -> tuple:
 
     checks = []
     lhs, rhs = ansatz.cancellation([1.0, 0, 0])
-    checks.append(_check("cancellation_spot_lhs", abs(lhs + 0.41421356), 1e-6))
-    checks.append(_check("cancellation_spot_rhs", abs(rhs - 0.5), 1e-12))
-    n_pts = cfg.samples or 10_000
+    checks.append(cfg.check("cancellation_spot_lhs", abs(lhs + 0.41421356), 1e-6))
+    checks.append(cfg.check("cancellation_spot_rhs", abs(rhs - 0.5), 1e-12))
+    n_pts = cfg.n_samples(10_000)
     sup = ansatz.weight_ratio_sup(n_pts, seed=cfg.seed)
-    checks.append(_check("weight_ratio_sup", sup,
-                         cfg.tol("weight_ratio", 2.6)))
+    checks.append(cfg.check("weight_ratio_sup", sup,
+                            cfg.tol("weight_ratio", 2.6)))
     d1 = ansatz.decay_slope([1, 1, 0], np.geomspace(10, 1000, 25))
-    checks.append(_check("generic_decay_slope_error", abs(d1["slope"] + 3.0),
-                         cfg.tol("slope_generic", 0.1)))
+    checks.append(cfg.check("generic_decay_slope_error", abs(d1["slope"] + 3.0),
+                            cfg.tol("slope_generic", 0.1)))
     d2 = ansatz.decay_slope([1, 0, 0], np.geomspace(1e-3, 0.1, 25))
-    checks.append(_check("origin_decay_slope_error", abs(d2["slope"] + 2.0),
-                         cfg.tol("slope_origin", 0.15)))
+    checks.append(cfg.check("origin_decay_slope_error", abs(d2["slope"] + 2.0),
+                            cfg.tol("slope_origin", 0.15)))
     sups = {}
     for zeta in (100.0, 400.0, 1600.0):
         sups[zeta] = ansatz.instanton_comparison(zeta, seed=cfg.seed)["scaled_sup"]
     spread = max(sups.values()) / min(sups.values())
-    checks.append(_check("bubbling_scaled_spread", spread,
-                         cfg.tol("bubbling_factor", 2.0)))
+    checks.append(cfg.check("bubbling_scaled_spread", spread,
+                            cfg.tol("bubbling_factor", 2.0)))
     lbl = ansatz.fueter_map(4.0, root=2.0).z2_label
     lbl2 = ansatz.fueter_map(4.0, root=-2.0).z2_label
-    checks.append(_check("fueter_root_gap", abs(lbl - lbl2), 1e-9))
+    checks.append(cfg.check("fueter_root_gap", abs(lbl - lbl2), 1e-9))
     return checks, {}
 
 
@@ -130,13 +158,13 @@ def suite_potential(cfg: RunConfig) -> tuple:
     from .ansatz import sample_log_uniform
 
     checks = []
-    mc = pot.MCParams(samples_per_shell=cfg.samples or 2000, seed=cfg.seed)
+    mc = pot.MCParams(samples_per_shell=cfg.n_samples(2000), seed=cfg.seed)
     for i, (center, rad) in enumerate((([10.0, 0, 0], 1.0),
                                        ([0, 0, 50.0], 2.0),
                                        ([5.0, 3.0, -4.0], 1.0))):
         wc = pot.laplacian_weak_check(center, rad, mc, seed=cfg.seed + i)
         tol = max(cfg.tol("laplacian_ratio", 0.1), 2.0 * wc["stderr"])
-        checks.append(_check(f"laplacian_ratio_dev_{i}", abs(wc["ratio"] - 1.0), tol))
+        checks.append(cfg.check(f"laplacian_ratio_dev_{i}", abs(wc["ratio"] - 1.0), tol))
     rng = np.random.default_rng(cfg.seed)
     pts = [sample_log_uniform(rng, 200, 1.0, 1000.0)]
     # the z-axis vicinity (log-branch of the envelope) and the transition
@@ -154,8 +182,8 @@ def suite_potential(cfg: RunConfig) -> tuple:
     env = pot.barrier_envelope_check(np.vstack(pts),
                                      pot.MCParams(samples_per_shell=6000,
                                                   seed=cfg.seed))
-    checks.append(_check("envelope_sup", env["sup"], cfg.tol("envelope", 175.0)))
-    checks.append(_check("g_min", env["g_min"], 0.0, mode="ge"))
+    checks.append(cfg.check("envelope_sup", env["sup"], cfg.tol("envelope", 175.0)))
+    checks.append(cfg.check("g_min", env["g_min"], 0.0, mode="ge"))
     return checks, {}
 
 
@@ -164,12 +192,12 @@ def suite_cone(cfg: RunConfig) -> tuple:
     from . import monads as mo
 
     rng = np.random.default_rng(cfg.seed)
-    pts = ansatz.sample_log_uniform(rng, cfg.samples or 50, 0.3, 3.0)
+    pts = ansatz.sample_log_uniform(rng, cfg.n_samples(50), 0.3, 3.0)
     res = ansatz.cone_hym_residual(pts)
-    checks = [_check("cone_hym_residual", float(res.max()),
-                     cfg.tol("cone_residual", 1e-8))]
+    checks = [cfg.check("cone_hym_residual", float(res.max()),
+                        cfg.tol("cone_residual", 1e-8))]
     rep = mo.curvature(ansatz.flat_metric_cone_monad(), [0, 0, 1.0])
-    checks.append(_check("flat_metric_control", rep.norm_mean, 0.01, mode="ge"))
+    checks.append(cfg.check("flat_metric_control", rep.norm_mean, 0.01, mode="ge"))
     return checks, {}
 
 
@@ -178,23 +206,23 @@ def suite_growth(cfg: RunConfig) -> tuple:
 
     checks = []
     t1, t2, t3 = (growth.KoszulSection.generator(i) for i in (1, 2, 3))
-    n = cfg.samples or 4096
+    n = cfg.n_samples(4096)
     d0 = growth.growth_degree(t3, "origin", n_samples=n, seed=cfg.seed)
     di = growth.growth_degree(t3, "infinity", n_samples=n, seed=cfg.seed)
-    checks.append(_check("t3_origin_degree_error", abs(d0.degree - 1.0),
-                         cfg.tol("degree", 0.05)))
-    checks.append(_check("t3_infinity_degree_error", abs(di.degree),
-                         cfg.tol("degree", 0.05)))
+    checks.append(cfg.check("t3_origin_degree_error", abs(d0.degree - 1.0),
+                            cfg.tol("degree", 0.05)))
+    checks.append(cfg.check("t3_infinity_degree_error", abs(di.degree),
+                            cfg.tol("degree", 0.05)))
     tab = growth.filtration_table([t1, t2, t3], n_samples=n, seed=cfg.seed)
-    checks.append(_check("filtrations_differ", 1.0 if tab["filtrations_differ"]
-                         else 0.0, 1.0, mode="ge"))
+    checks.append(cfg.check("filtrations_differ", 1.0 if tab["filtrations_differ"]
+                            else 0.0, 1.0, mode="ge"))
     zt3 = t3.times(growth.Poly3.monomial(0, 0, 1), "z*t3")
     diz = growth.growth_degree(zt3, "infinity", n_samples=n, seed=cfg.seed)
-    checks.append(_check("degree_shift_error", abs(diz.degree - di.degree - 1.0),
-                         cfg.tol("degree_shift", 0.07)))
+    checks.append(cfg.check("degree_shift_error", abs(diz.degree - di.degree - 1.0),
+                            cfg.tol("degree_shift", 0.07)))
     cx = growth.convexity_check(t3, seed=cfg.seed)
-    checks.append(_check("t3_convexity_residual", cx["residual"],
-                         -2.0 * cx["stderr"], mode="ge"))
+    checks.append(cfg.check("t3_convexity_residual", cx["residual"],
+                            -2.0 * cx["stderr"], mode="ge"))
     return checks, {"growth_table": [{key: r[key] for key in ("label", "d_origin", "d_infinity")}
                                      for r in tab["rows"]]}
 
@@ -247,27 +275,33 @@ def cmd_verify(args) -> int:
         checks, tables = SUITES[args.suite](cfg)
     except (ValueError, RuntimeError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    report = {"suite": args.suite, "seed": args.seed,
-              "samples": cfg.samples, "checks": checks,
-              "pass": all(c["pass"] for c in checks), **tables}
+        checks, code = None, EXIT_NUMERICAL
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = cfg.out_dir / f"verify_{args.suite}.json"
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-    for c in checks:
-        status = "pass" if c["pass"] else "FAIL"
-        print(f"[{status}] {c['name']}: {c['value']:.6g} "
-              f"({'<=' if c['mode'] == 'le' else '>='} {c['bound']:.6g})")
-    print(f"report written to {out_path}")
-    return EXIT_PASS if report["pass"] else EXIT_CHECK_FAILURE
+    if checks is not None:
+        report = {"suite": args.suite, "seed": args.seed,
+                  "samples": cfg.samples, "checks": checks,
+                  "pass": all(c["pass"] for c in checks), **tables}
+        out_path = cfg.out_dir / f"verify_{args.suite}.json"
+        _write_json(out_path, report)
+        for c in checks:
+            status = "pass" if c["pass"] else "FAIL"
+            print(f"[{status}] {c['name']}: {c['value']:.6g} "
+                  f"({'<=' if c['mode'] == 'le' else '>='} {c['bound']:.6g})")
+        print(f"report written to {out_path}")
+        code = EXIT_PASS if report["pass"] else EXIT_CHECK_FAILURE
+    # the run record: the checks timed before an abort, if there was one
+    _write_json(cfg.out_dir / f"run_{args.suite}.json",
+                {**_provenance(), "suite": args.suite, "seed": args.seed,
+                 "samples": cfg.sample_count, "exit_code": code,
+                 "seconds": cfg.seconds})
+    return code
 
 
 def cmd_flow(args) -> int:
     """Run the flow; write history.csv, the checkpoint and run.json, the run
     record: versions, thread variables, grid, dt, path, the first step with
     sup <= 1e-12 sup0 and the seconds of each stage."""
-    from . import __version__, flow as fl
+    from . import flow as fl
 
     try:
         cfg = fl.FlowConfig.from_json(args.config)
@@ -292,10 +326,7 @@ def cmd_flow(args) -> int:
     sups = [row[2] for row in state.history]
     ratio = sups[-1] / sups[0] if sups[0] > 0 else 0.0
     record = {
-        "hymkit": __version__, "python": platform.python_version(),
-        "numpy": np.__version__,
-        "threads": {name: os.environ.get(name) for name in THREAD_VARIABLES},
-        "resolution": cfg.resolution, "steps": cfg.steps,
+        **_provenance(), "resolution": cfg.resolution, "steps": cfg.steps,
         "dt": dom.cfl_bound() if cfg.dt is None else cfg.dt, "cfl_bound": dom.cfl_bound(),
         "path": "block" if state.table.dst.size else "interior",
         "table_nodes": int(state.table.nodes.size),
@@ -304,8 +335,7 @@ def cmd_flow(args) -> int:
         "seconds": {"build_domain": built - start, **state.seconds,
                     "io": time.perf_counter() - ran},
     }
-    with open(out_dir / "run.json", "w") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
+    _write_json(out_dir / "run.json", record)
     print(f"flow: {cfg.steps} steps, sup |iLamF| {sups[0]:.4g} -> {sups[-1]:.4g} "
           f"(ratio {ratio:.3g})")
     print(f"history and checkpoint written to {out_dir}")

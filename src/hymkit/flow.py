@@ -283,6 +283,13 @@ class _Bracket(NamedTuple):
     q: np.ndarray
 
 
+class _Region(NamedTuple):
+    """The part of a :class:`_Stencil` that :func:`_flow_bracket` reads."""
+
+    nodes: np.ndarray          # (N,)
+    nbr: np.ndarray            # (6, 2, N)
+
+
 class _Stencil(NamedTuple):
     """Flat indices into the C-ordered components: one state's stencil table.
 
@@ -398,8 +405,6 @@ def _stencil(domain: FlowDomain, block: bool) -> _Stencil:
     """
     shape, n, inner = domain.shape, domain.shape[2], domain.interior
     flat = np.arange(domain.n_nodes).reshape(shape)
-    stride = np.array(flat.strides) // flat.itemsize
-    shift = np.stack([stride, -stride], axis=1)[..., None]  # (6, 2, 1)
     region = inner[:2] + (slice(n // 2, n - 1),) * 4 if block else inner
     src, phase, filled = flat.copy(), np.ones(shape, dtype=complex), list(region)
     for axes, ph in _PLANES if block else ():
@@ -418,10 +423,17 @@ def _stencil(domain: FlowDomain, block: bool) -> _Stencil:
     reps = flat[tuple(slice(max(sl.start, 2), n - 2) for sl in region)].ravel()
     off_centre = sum(2 * i != n - 1 for i in np.unravel_index(reps, shape)[2:])
     # sorted and distinct, like np.unique, which would import numpy.ma
-    support = np.flatnonzero(np.bincount((reps + shift).ravel(), minlength=domain.n_nodes))
-    return _Stencil(nodes, nodes + shift, dst[moved], src[moved], phase[moved], reps,
+    rep_nbr = _nbr(shape, reps)
+    support = np.flatnonzero(np.bincount(rep_nbr.ravel(), minlength=domain.n_nodes))
+    return _Stencil(nodes, _nbr(shape, nodes), dst[moved], src[moved], phase[moved], reps,
                     2.0**off_centre if block else np.ones(reps.size), support,
-                    support + shift, np.searchsorted(support, reps + shift))
+                    _nbr(shape, support), np.searchsorted(support, rep_nbr))
+
+
+def _nbr(shape, idx) -> np.ndarray:
+    """Flat indices (6, 2, N) of the axis neighbours of the flat indices idx."""
+    stride = np.cumprod((1,) + shape[:0:-1])[::-1]
+    return idx + np.stack([stride, -stride], axis=1)[..., None]
 
 
 def _flow_bracket(state: FlowState, table: _Stencil) -> _Bracket:
@@ -484,8 +496,11 @@ def mean_curvature_field(state: FlowState):
     Per node the 2x2 matrix chi = -H^{-1} B / 2 = -adj(H) B / (2 det) is
     H-self-adjoint with real eigenvalues; the norm is the spectral radius.
     Returns ``(chi, sup)`` with chi of shape (..., 2, 2) over the interior.
+    Of a stencil table it builds only what :func:`_flow_bracket` reads.
     """
-    br = _flow_bracket(state, _stencil(state.domain, block=False))
+    dom = state.domain
+    nodes = np.arange(dom.n_nodes).reshape(dom.shape)[dom.interior].ravel()
+    br = _flow_bracket(state, _Region(nodes, _nbr(dom.shape, nodes)))
     g = -0.5 / br.det
     chi = np.empty(br.det.shape + (2, 2), dtype=complex)
     chi[..., 0, 0] = g * (br.d * br.p - br.b * br.q.conj())
@@ -501,7 +516,8 @@ def step(state: FlowState, dt: float | None = None) -> FlowState:
     The components are updated in place on the table's nodes, H00 and H11 by
     the real diagonal of the bracket and H01 by its upper entry, so H stays
     Hermitian by construction; the table's fill map then completes the
-    interior.  The bracket is kept as ``state.last_bracket``.
+    interior.  The bracket is kept as ``state.last_bracket``.  A component
+    that is not C-contiguous, whose ``reshape(-1)`` is a copy, is refused.
     """
     dom = state.domain
     bound = dom.cfl_bound()
@@ -510,6 +526,8 @@ def step(state: FlowState, dt: float | None = None) -> FlowState:
     if dt > bound * (1.0 + 1e-12):
         raise ValueError(f"dt {dt:g} above CFL bound {bound:g}")
     t = state.table
+    if not all(f.flags.c_contiguous for f in (state.a, state.d, state.b)):
+        raise ValueError("a, d and b must be C-contiguous: set them through h")
     br = _flow_bracket(state, t)
     for f, c, inc, ph in ((state.a, br.a, br.p, 1.0), (state.d, br.d, br.s, 1.0),
                           (state.b, br.b, br.q, t.phase)):

@@ -38,12 +38,8 @@ __all__ = [
     "Point3",
     "Form11",
     "lambda_contract",
-    "adjoint_wrt",
-    "inner",
     "fd_derivative",
     "fd_mixed_second",
-    "check_hermitian",
-    "check_positive_definite",
     "DEFAULT_FD_STEP",
 ]
 
@@ -103,15 +99,6 @@ class Form11:
     def n(self) -> int:
         return self.coeff.shape[0]
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        c = self.coeff
-        if c.ndim == 2:
-            dev = np.abs(c - c.conj().T).max()
-        else:
-            dev = np.abs(c - c.conj().transpose(1, 0, 3, 2)).max()
-        scale = max(np.abs(c).max(), 1.0)
-        return bool(dev <= tol * scale)
-
 
 def lambda_contract(phi: Form11 | np.ndarray) -> np.ndarray | complex:
     """Contract a (1,1)-form against the flat Kahler form.
@@ -125,32 +112,6 @@ def lambda_contract(phi: Form11 | np.ndarray) -> np.ndarray | complex:
     n = c.shape[0]
     tr = sum(c[j, j] for j in range(n))
     return 2.0 * tr
-
-
-def inner(a: np.ndarray, b: np.ndarray, h: np.ndarray | None = None):
-    """<a, b>_h = b^dag h a (linear in a, antilinear in b)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if h is None:
-        return np.einsum("...i,...i->...", b.conj(), a)
-    return np.einsum("...i,...ij,...j->...", b.conj(), np.asarray(h, dtype=complex), a)
-
-
-def adjoint_wrt(m: np.ndarray, h_src: np.ndarray, h_dst: np.ndarray) -> np.ndarray:
-    """Adjoint of M: (C^k, h_src) -> (C^m, h_dst).
-
-    Defined by <M u, v>_dst = <u, M^dag v>_src, which gives
-    M^dag = h_src^{-1} conj(M)^t h_dst.
-    """
-    m = np.asarray(m, dtype=complex)
-    h_src = np.asarray(h_src, dtype=complex)
-    h_dst = np.asarray(h_dst, dtype=complex)
-    if m.shape[-2] != h_dst.shape[-1] or m.shape[-1] != h_src.shape[-1]:
-        raise ValueError(
-            f"dimension mismatch: M {m.shape}, h_src {h_src.shape}, h_dst {h_dst.shape}"
-        )
-    mt = np.swapaxes(m.conj(), -1, -2)
-    return np.linalg.solve(h_src, mt @ h_dst)
 
 
 def _shift(w: np.ndarray, dir: int, delta: complex) -> np.ndarray:
@@ -212,17 +173,3 @@ def fd_mixed_second(f, p, j: int, k: int, h: float = DEFAULT_FD_STEP):
     dvu = real_mixed(1j * h, h)
     # (d_uj - i d_vj)(d_uk + i d_vk) / 4
     return 0.25 * (duu + dvv + 1j * duv - 1j * dvu)
-
-
-def check_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
-    m = np.asarray(m, dtype=complex)
-    scale = max(np.abs(m).max(), 1.0)
-    return bool(np.abs(m - np.swapaxes(m.conj(), -1, -2)).max() <= tol * scale)
-
-
-def check_positive_definite(m: np.ndarray, tol: float = 1e-12) -> bool:
-    m = np.asarray(m, dtype=complex)
-    if not check_hermitian(m, tol=1e-8):
-        return False
-    ev = np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m.conj(), -1, -2)))
-    return bool(ev.min() > tol * max(ev.max(), 0.0))

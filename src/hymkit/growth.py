@@ -35,7 +35,6 @@ __all__ = [
     "growth_degree",
     "filtration_table",
     "convexity_check",
-    "search_sections",
     "KOSZUL_RELATION",
 ]
 
@@ -304,29 +303,3 @@ def convexity_check(section: KoszulSection, n_samples: int = 8192,
     return {"residual": float(reps.mean()),
             "stderr": float(reps.std(ddof=1) / 2.0),
             "scale": float(np.mean(scales))}
-
-
-def search_sections(candidates=None, n_samples: int = 2048, seed: int = 0):
-    """Scan candidate sections for the ordering of their two growth degrees.
-
-    Returns rows sorted by d_infinity - d_origin (largest first); utility for
-    hunting sections whose growth at infinity exceeds the local growth.
-    """
-    if candidates is None:
-        t1, t2, t3 = (KoszulSection.generator(i) for i in (1, 2, 3))
-        z = Poly3.monomial(0, 0, 1)
-        x = Poly3.monomial(1, 0, 0)
-        candidates = [t1, t2, t3,
-                      t3.times(z, "z*t3"), t3.times(x, "x*t3"),
-                      t1.times(z, "z*t1"),
-                      KoszulSection(Poly3.const(1.0), Poly3(),
-                                    Poly3.const(1.0), label="t1+t3")]
-    rows = []
-    for s in candidates:
-        d0 = growth_degree(s, "origin", n_samples=n_samples, seed=seed)
-        di = growth_degree(s, "infinity", n_samples=n_samples, seed=seed)
-        rows.append({"label": s.label, "d_origin": d0.degree,
-                     "d_infinity": di.degree,
-                     "gap": di.degree - d0.degree})
-    rows.sort(key=lambda r: -r["gap"])
-    return rows

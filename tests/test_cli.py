@@ -88,6 +88,35 @@ class TestVerify:
                         "--samples", "2048", "--out", str(tmp_path)])
         assert code == cli.EXIT_PASS
 
+    def test_verify_writes_run_record(self, tmp_path):
+        assert run_cli(["verify", "cone", "--seed", "2", "--samples", "20",
+                        "--out", str(tmp_path)]) == cli.EXIT_PASS
+        rec = json.loads((tmp_path / "run_cone.json").read_text())
+        assert set(rec) == {"hymkit", "python", "numpy", "threads", "suite", "seed",
+                            "samples", "exit_code", "seconds"}
+        assert all(isinstance(rec[k], str) for k in ("hymkit", "python", "numpy"))
+        assert set(rec["threads"]) == set(cli.THREAD_VARIABLES)
+        assert all(v is None or isinstance(v, str) for v in rec["threads"].values())
+        assert (rec["suite"], rec["seed"], rec["samples"], rec["exit_code"]) == \
+            ("cone", 2, 20, cli.EXIT_PASS)
+        report = json.loads((tmp_path / "verify_cone.json").read_text())
+        assert list(rec["seconds"]) == sorted(c["name"] for c in report["checks"])
+        assert all(isinstance(v, float) and v >= 0 for v in rec["seconds"].values())
+        # the default sample count is recorded, not the missing flag
+        assert run_cli(["verify", "cone", "--out", str(tmp_path)]) == cli.EXIT_PASS
+        rec = json.loads((tmp_path / "run_cone.json").read_text())
+        assert (rec["seed"], rec["samples"]) == (0, 50)
+
+    def test_run_record_of_a_numerical_abort(self, tmp_path, monkeypatch):
+        def abort(cfg):
+            cfg.check("first", 0.0, 1.0)
+            raise ValueError("no finite value")
+        monkeypatch.setitem(cli.SUITES, "cone", abort)
+        assert run_cli(["verify", "cone", "--out", str(tmp_path)]) == cli.EXIT_NUMERICAL
+        assert not (tmp_path / "verify_cone.json").exists()
+        rec = json.loads((tmp_path / "run_cone.json").read_text())
+        assert rec["exit_code"] == cli.EXIT_NUMERICAL and list(rec["seconds"]) == ["first"]
+
     def test_deterministic_output(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         for out in (d1, d2):

@@ -223,6 +223,18 @@ class TestStep:
         with pytest.raises(ValueError, match="CFL"):
             flow.step(state, dt=0.2 * float(domain.spacings.min()) ** 2)
 
+    @pytest.mark.parametrize("name", ["a", "d", "b"])
+    def test_non_contiguous_component_refused(self, name):
+        # a step writes through reshape(-1), a copy of such an array, so the
+        # update would be lost without an error
+        state = flow.initial_state(flow.build_domain(resolution=5, n_barrier_nodes=1))
+        setattr(state, name, np.asfortranarray(getattr(state, name)))
+        before = [f.copy() for f in (state.a, state.d, state.b)]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            flow.step(state)
+        assert all(np.array_equal(f, g) for f, g in zip((state.a, state.d, state.b), before))
+        assert state.step_count == 0
+
     def test_abelian_decay_and_diagonality(self):
         dom = flow.build_domain(resolution=7, n_barrier_nodes=4)
         dom.h0 = np.broadcast_to(np.eye(2, dtype=complex),

@@ -158,10 +158,3 @@ class TestConvexity:
     def test_generator_nonnegative(self):
         res = growth.convexity_check(T1)
         assert res["residual"] >= -2.0 * res["stderr"]
-
-
-def test_search_sections_runs():
-    rows = growth.search_sections(n_samples=1024)
-    assert rows[0]["gap"] >= rows[-1]["gap"]
-    labels = {r["label"] for r in rows}
-    assert "t3" in labels

@@ -430,7 +430,9 @@ class TestCurvature:
             p = rng.standard_normal(6)
             rep = mo.curvature(main_spec, p[:3] + 1j * p[3:])
             np.testing.assert_allclose(rep.mean, rep.mean.conj().T, atol=1e-10)
-            assert rep.form.is_hermitian(tol=1e-8)
+            c = rep.form.coeff
+            np.testing.assert_allclose(c, c.conj().transpose(1, 0, 3, 2), rtol=0,
+                                       atol=1e-8 * max(np.abs(c).max(), 1.0))
 
     def test_gauge_invariance_of_norms(self, main_spec, rng):
         w = np.array([[0.8, -0.4 + 0.3j, 1.1]])
@@ -805,3 +807,130 @@ class TestFormNorm:
         raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         ref = _real_pair_norm_sq(raw, shape[-3])
         np.testing.assert_allclose(mo.form_norm_sq(raw), ref, rtol=1e-13, atol=0)
+
+
+def _hermitian_batch(rng, shape, r):
+    m = rng.standard_normal(shape + (r, r)) + 1j * rng.standard_normal(shape + (r, r))
+    return m + mo._ct(m)
+
+
+class TestClosedForms:
+    """The size-1 and size-2 rules of the engine against LAPACK references."""
+
+    def gram_batch(self, rng):
+        # 1x1 Gram matrices beta beta^dag: real and positive up to rounding,
+        # with a zero, tiny entries and non-finite ones
+        g = (rng.random(200) * 10.0 ** rng.integers(-20, 3, 200)
+             + 1j * 1e-18 * rng.standard_normal(200)).astype(complex)
+        g[:6] = [0.0, np.inf, np.nan, complex(np.nan, 1.0), complex(1.0, np.inf), 1e-40]
+        return g[:, None, None]
+
+    def test_sigma_min_size_one(self, rng):
+        g = self.gram_batch(rng)
+        finite = np.isfinite(g).all(axis=(-2, -1))
+        lam = np.linalg.eigvals(np.where(finite[:, None, None], g, 0.0)).real.min(axis=-1)
+        ref = np.where(finite, np.sqrt(np.maximum(lam, 0.0)), np.nan)
+        got = mo._sigma_min(g)
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0, equal_nan=True)
+        assert np.array_equal(np.isnan(got), ~finite)
+        # a NaN singular value is singular under the rule
+        assert not np.any(got[~finite] > mo.SINGULAR_TOL)
+
+    def test_sigma_min_larger_gram_keeps_lapack(self, rng):
+        a = rng.standard_normal((50, 3, 2)) + 1j * rng.standard_normal((50, 3, 2))
+        g = mo._ct(a) @ a
+        g[0, 0, 1] = np.nan
+        ref = np.sqrt(np.maximum(np.linalg.eigvalsh(g[1:]).min(axis=-1), 0.0))
+        got = mo._sigma_min(g)
+        assert np.isnan(got[0])
+        np.testing.assert_allclose(got[1:], ref, rtol=1e-12)
+
+    def test_gram_inverse_size_one(self, rng):
+        g = self.gram_batch(rng)[6:]
+        np.testing.assert_allclose(mo._inv(g), np.linalg.inv(g), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_spectral_radius(self, rng, r):
+        m = _hermitian_batch(rng, (300,), r)
+        m[:4] *= np.array([0.0, 1e-30, 1e30, 1.0])[:, None, None]
+        m[3] = np.diag(np.arange(r, dtype=float))  # a zero eigenvalue
+        ref = np.abs(np.linalg.eigvalsh(m)).max(axis=-1)
+        np.testing.assert_allclose(mo._spectral_radius(m), ref, rtol=1e-14, atol=0)
+
+    def test_spectral_radius_two_of_multiples_of_identity(self):
+        # equal diagonal and no off-diagonal: the discriminant is 0
+        m = np.array([[[-3.0, 0.0], [0.0, -3.0]], [[0.0, 0.0], [0.0, 0.0]]], dtype=complex)
+        assert np.array_equal(mo._spectral_radius(m), [3.0, 0.0])
+
+    @pytest.mark.parametrize("make", [
+        lambda: adhm.instanton_monad(adhm.ADHMData(1, 0.5j, -0.5j, 1)), ansatz_monad],
+        ids=["instanton", "ansatz"])
+    def test_no_lapack_on_bundled_monads(self, rng, monkeypatch, make):
+        # every bundled monad has k0 <= 1, k2 = 1 and rank 2: the closed
+        # forms must serve all of it, with no fall-back to LAPACK
+        spec = make()
+        w = rng.standard_normal((50, spec.n)) + 1j * rng.standard_normal((50, spec.n)) + 0.5
+        ref = mo.curvature_batch(spec, w)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+        for name in ("inv", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        got = mo.curvature_batch(spec, w)
+        assert all(np.array_equal(got[key], ref[key]) for key in ref)
+
+
+class TestBlocks:
+    """curvature_batch runs over blocks of BLOCK_POINTS points."""
+
+    def test_blocks_are_bit_identical_to_one_block(self, monkeypatch):
+        # charge's batch shape, (radial, polar, phase, phase, coordinate)
+        spec = adhm.instanton_monad(adhm.ADHMData(1, 0, 0, 1))
+        r, nu, p1, p2 = np.meshgrid(np.linspace(0.1, 3.0, 12), np.linspace(0.1, 1.4, 10),
+                                    np.linspace(0, 6, 10), np.linspace(0, 6, 10),
+                                    indexing="ij")
+        w = np.stack([r * np.cos(nu) * np.exp(1j * p1), r * np.sin(nu) * np.exp(1j * p2)],
+                     axis=-1)
+        assert w.shape == (12, 10, 10, 10, 2) and w[..., 0].size > 2 * mo.BLOCK_POINTS
+        blocked = mo.curvature_batch(spec, w)
+        monkeypatch.setattr(mo, "BLOCK_POINTS", w[..., 0].size)
+        whole = mo.curvature_batch(spec, w)
+        flat = mo.curvature_batch(spec, w.reshape(-1, 2))
+        assert blocked["form_raw"].shape == (12, 10, 10, 10, 2, 2, 2, 2)
+        assert blocked["norm_mean"].shape == (12, 10, 10, 10)
+        for key in whole:
+            assert np.array_equal(blocked[key], whole[key])
+            assert np.array_equal(flat[key].reshape(whole[key].shape), whole[key])
+
+    def test_zero_point_batch(self, main_spec):
+        out = mo.curvature_batch(main_spec, np.zeros((0, 3)))
+        assert out["basis"].shape == (0, 4, 2)
+        assert out["form_raw"].shape == (0, 3, 3, 2, 2)
+        assert out["mean"].shape == (0, 2, 2)
+        assert out["norm_mean"].shape == out["norm_form"].shape == (0,)
+
+    def test_single_point_keeps_its_shape(self, main_spec):
+        out = mo.curvature_batch(main_spec, [0.3, 1.0, -0.2j])
+        assert out["form_raw"].shape == (3, 3, 2, 2) and out["norm_mean"].shape == ()
+
+    @pytest.mark.parametrize("make,first,second", [
+        (ansatz_monad, [0, 0, 0], [0, 0, 0]),
+        (cone_monad, [0, 0, 0], [0, 0, 0]),
+        (lambda: twisted_monad(400), [1.0, 0, 0], [2.0, 1.0, 0])],
+        ids=["ansatz-origin", "cone-origin", "twisted-z0"])
+    def test_singular_points_in_two_blocks(self, rng, make, first, second):
+        spec = make()
+        n_pts = 3 * mo.BLOCK_POINTS
+        w = rng.standard_normal((n_pts, 3)) + 1j * rng.standard_normal((n_pts, 3))
+        w[:, 2] += 400.0 if spec.name.startswith("twisted") else 1.0
+        w[mo.BLOCK_POINTS + 3], w[2 * mo.BLOCK_POINTS + 5] = first, second  # blocks 1, 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ref = mo.validate_monad(spec, first)
+            # blocks of the flattened batch cross the first of its two axes
+            with pytest.raises(mo.SingularPointError, match="2 singular point") as exc:
+                mo.curvature_batch(spec, w.reshape(4, -1, 3))
+        rep = exc.value.report
+        assert not rep.regular
+        np.testing.assert_array_equal(rep.point, first)
+        np.testing.assert_array_equal([rep.sigma_min_alpha, rep.sigma_min_beta_dag],
+                                      [ref.sigma_min_alpha, ref.sigma_min_beta_dag])
