@@ -117,10 +117,11 @@ def instanton_monad(d: ADHMData) -> mo.MonadSpec:
     )
 
 
-def strip_analytic_derivatives(spec: mo.MonadSpec, fd_step: float = 1e-4) -> mo.MonadSpec:
-    """Variant of a monad that forces the engine onto finite differences."""
+def strip_analytic_derivatives(spec: mo.MonadSpec) -> mo.MonadSpec:
+    """Variant of a monad that forces the engine onto finite differences of
+    step 1e-4."""
     return replace(spec, name=spec.name + "-fd", h1=mo.MetricField(value=spec.h1.value),
-                   dalpha=None, dbeta=None, fd_step=fd_step)
+                   dalpha=None, dbeta=None, fd_step=1e-4)
 
 
 def asd_check(d: ADHMData, p, analytic: bool = True) -> float:
@@ -211,13 +212,13 @@ def curvature_density(d: ADHMData, points: np.ndarray) -> np.ndarray:
     return data["norm_form"] ** 2
 
 
-def charge(d: ADHMData, r_cut: float = 20.0, n_radial: int = 12,
-           n_angular: int = 10) -> dict:
+def charge(d: ADHMData, r_cut: float = 20.0) -> dict:
     """Instanton charge (1 / 8 pi^2) * integral of |F|^2 over |p| <= r_cut.
 
-    Dyadic radial panels with Gauss-Legendre nodes, tensor angular rule on S^3
-    (Gauss-Legendre in the polar angle, trapezoid in both phases).  Records an
-    analytic O(r_cut^{-4}) tail estimate from the charge-1 profile.
+    Dyadic radial panels with 12 Gauss-Legendre nodes each, tensor angular
+    rule on S^3 with 10 nodes per angle (Gauss-Legendre in the polar angle,
+    trapezoid in both phases).  Records an analytic O(r_cut^{-4}) tail
+    estimate from the charge-1 profile.
     """
     if d.degenerate:
         return {"charge": 0.0, "tail": 0.0, "tail_ok": True}
@@ -227,7 +228,8 @@ def charge(d: ADHMData, r_cut: float = 20.0, n_radial: int = 12,
     edges.append(lo)
     while edges[-1] < r_cut:
         edges.append(min(2 * edges[-1], r_cut))
-    xs, ws = np.polynomial.legendre.leggauss(n_radial)
+    n_angular = 10
+    xs, ws = np.polynomial.legendre.leggauss(12)
     nu_x, nu_w = np.polynomial.legendre.leggauss(n_angular)
     nu = 0.25 * np.pi * (nu_x + 1.0)
     nu_w = nu_w * 0.25 * np.pi

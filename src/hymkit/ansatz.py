@@ -41,6 +41,8 @@ __all__ = [
     "profile_ratio",
     "asymptotic_frame",
     "chart_frame",
+    "chart_gram",
+    "induced_pairing",
     "instanton_comparison",
     "fueter_map",
     "cone_hym_residual",
@@ -71,6 +73,37 @@ def ansatz_monad() -> mo.MonadSpec:
         h2=mo.constant_metric(np.eye(1)),
         dalpha=dalpha, dbeta=dbeta,
     )
+
+
+def _zero(c) -> bool:
+    """Whether c is a structural zero: a scalar equal to 0."""
+    return np.isscalar(c) and c == 0
+
+
+def _dot(u, v):
+    """sum_i conj(u_i) v_i over the terms free of a structural zero."""
+    return sum(np.conj(a) * b for a, b in zip(u, v) if not (_zero(a) or _zero(b)))
+
+
+def induced_pairing(w, s, t):
+    """s^dag h1 t - conj(alpha^dag h1 s) (alpha^dag h1 t) / (alpha^dag h1 alpha).
+
+    The Gram entry G[s, t] in the metric :func:`ansatz_monad` induces on
+    ker beta, the h1 pairing after projecting off Im alpha, batched over w
+    (..., 3): h1 = diag(q, q, 1, 1), q = (1+|w|^2)^{-1/2}, alpha = (x, y, 1, 0)^t.
+    s and t are 4-tuples of components, arrays or scalars; a scalar 0 costs nothing.
+    """
+    w = np.asarray(w, dtype=complex)
+    x, y, z = w[..., 0], w[..., 1], w[..., 2]
+    sig = np.abs(x) ** 2 + np.abs(y) ** 2
+    q = (1.0 + sig + np.abs(z) ** 2) ** -0.5
+    alpha = (x, y, 1, 0)  # and alpha^dag h1 alpha = q sig + 1
+
+    def pair(u, v):  # u^dag h1 v
+        head, tail = _dot(u[:2], v[:2]), _dot(u[2:], v[2:])
+        return tail if _zero(head) else q * head + tail
+
+    return pair(s, t) - np.conj(pair(alpha, s)) * pair(alpha, t) / (q * sig + 1.0)
 
 
 def cone_monad() -> mo.MonadSpec:
@@ -184,20 +217,19 @@ def cancellation(p):
 
 
 def sample_log_uniform(rng: np.random.Generator, n: int, r_min: float,
-                       r_max: float, dim: int = 3) -> np.ndarray:
-    """n points of C^dim with log-uniform radius in [r_min, r_max]."""
-    g = rng.standard_normal((n, 2 * dim))
+                       r_max: float) -> np.ndarray:
+    """n points of C^3 with log-uniform radius in [r_min, r_max]."""
+    g = rng.standard_normal((n, 6))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     r = np.exp(rng.uniform(np.log(r_min), np.log(r_max), size=n))
     pts = g * r[:, None]
-    return pts[:, :dim] + 1j * pts[:, dim:]
+    return pts[:, :3] + 1j * pts[:, 3:]
 
 
-def weight_ratio_sup(n_points: int = 10_000, seed: int = 0,
-                     r_min: float = 1e-2, r_max: float = 1e3) -> float:
-    """sup of |i Lambda F| / weight over a log-uniform sample of radii."""
+def weight_ratio_sup(n_points: int = 10_000, seed: int = 0) -> float:
+    """sup of |i Lambda F| / weight over radii log-uniform in [1e-2, 1e3]."""
     rng = np.random.default_rng(seed)
-    pts = sample_log_uniform(rng, n_points, r_min, r_max)
+    pts = sample_log_uniform(rng, n_points, 1e-2, 1e3)
     spec = ansatz_monad()
     data = mo.curvature_batch(spec, pts)
     ell = curvature_weight(pts)
@@ -211,28 +243,42 @@ def mean_curvature_ratio(p) -> float:
     return float(rep.norm_mean / curvature_weight(rep.point))
 
 
-def _chart_for(w):
-    return "x" if abs(w[0]) >= abs(w[1]) else "y"
+def _chart_sections(chart: str):
+    """w (..., 3) -> the chart frame's two sections, as 4-tuples of components:
+    x-chart (0,0,1,0), (0, -z/x, 0, 1); y-chart (0,0,1,0), (z/y, 0, 0, 1)."""
+    if chart not in ("x", "y"):
+        raise ValueError("chart must be 'x' or 'y'")
+    return lambda w: ((0, 0, 1, 0), (0, -w[..., 2] / w[..., 0], 0, 1) if chart == "x"
+                      else (w[..., 2] / w[..., 1], 0, 0, 1))
 
 
 def chart_frame(chart: str):
-    """Holomorphic ker-beta frame valid where the chart coordinate is nonzero.
-
-    x-chart: (0,0,1,0), (0, -z/x, 0, 1);  y-chart: (0,0,1,0), (z/y, 0, 0, 1).
-    """
-    if chart not in ("x", "y"):
-        raise ValueError("chart must be 'x' or 'y'")
+    """Holomorphic ker-beta frame valid where the chart coordinate is nonzero:
+    q (..., 3) -> the chart's sections as the columns of a (..., 4, 2) matrix."""
+    sections = _chart_sections(chart)
 
     def frame(q):
         q = np.asarray(q, dtype=complex)
-        s1 = np.array([0, 0, 1, 0], dtype=complex)
-        if chart == "x":
-            s2 = np.array([0, -q[2] / q[0], 0, 1], dtype=complex)
-        else:
-            s2 = np.array([q[2] / q[1], 0, 0, 1], dtype=complex)
-        return np.stack([s1, s2], axis=1)
+        out = np.zeros(q.shape[:-1] + (4, 2), dtype=complex)
+        for k, section in enumerate(sections(q)):
+            for i, c in enumerate(section):
+                out[..., i, k] = c
+        return out
 
     return frame
+
+
+def chart_gram(w, chart: str) -> np.ndarray:
+    """Gram matrix (..., 2, 2) of the chart frame at w (..., 3) under
+    :func:`induced_pairing`, with a real diagonal."""
+    w = np.asarray(w, dtype=complex)
+    s1, s2 = _chart_sections(chart)(w)
+    g = np.empty(w.shape[:-1] + (2, 2), dtype=complex)
+    g[..., 0, 0] = induced_pairing(w, s1, s1).real
+    g[..., 0, 1] = induced_pairing(w, s1, s2)
+    g[..., 1, 0] = g[..., 0, 1].conj()
+    g[..., 1, 1] = induced_pairing(w, s2, s2).real
+    return g
 
 
 def mean_curvature_ratio_grad(p) -> float:
@@ -248,7 +294,8 @@ def mean_curvature_ratio_grad(p) -> float:
     w = coords(p, 3)
     if abs(w[0]) < 1.0 and abs(w[1]) < 1.0:
         raise ValueError("gradient weight is calibrated for max(|x|,|y|) >= 1")
-    frame = chart_frame(_chart_for(w))
+    chart = "x" if abs(w[0]) >= abs(w[1]) else "y"
+    frame = chart_frame(chart)
     reg_scale = abs(w[0]) + abs(w[1]) + np.sqrt(abs(w[2]))
     h = 1e-2 * max(1.0, 0.2 * reg_scale)
 
@@ -258,10 +305,7 @@ def mean_curvature_ratio_grad(p) -> float:
         t = rep.fiber.basis.conj().T @ rep.fiber.h1 @ frame(q)
         return np.linalg.inv(t) @ rep.mean @ t
 
-    def gram(q):
-        return mo.induced_metric(spec, q, frame(q))
-
-    g0 = gram(w)
+    g0 = chart_gram(w, chart)
     g0_inv = np.linalg.inv(g0)
     m0 = mean_in_frame(w)
     total = 0.0
@@ -273,7 +317,7 @@ def mean_curvature_ratio_grad(p) -> float:
             delta = np.zeros(3, dtype=complex)
             delta[j] = real_dir * h
             dm = (mean_in_frame(w + delta) - mean_in_frame(w - delta)) / (2 * h)
-            dg = (gram(w + delta) - gram(w - delta)) / (2 * h)
+            dg = (chart_gram(w + delta, chart) - chart_gram(w - delta, chart)) / (2 * h)
             conn = g0_inv @ dg
             # connection form along a real direction: A_j dw_j + A_j^dag dwbar_j
             cov = dm + conn @ m0 - m0 @ conn
@@ -343,9 +387,8 @@ def asymptotic_frame(p, chart: str) -> dict:
     cc = w[0] if chart == "x" else w[1]
     if abs(cc) == 0:
         raise ValueError(f"chart coordinate {chart} vanishes at this point")
-    frame = chart_frame(chart)
-    s = frame(w)
-    g = mo.induced_metric(ansatz_monad(), w, s)
+    s = chart_frame(chart)(w)
+    g = chart_gram(w, chart)
     dev = float(np.linalg.norm(g - np.eye(2), 2))
     r = float(np.sqrt(np.sum(np.abs(w) ** 2)))
     return {"sections": s, "gram": g, "deviation": dev,

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
+import math
 import os
 import platform
 import sys
@@ -46,13 +48,9 @@ class RunConfig:
     seed: int = 0
     samples: int | None = None
     out_dir: Path = Path(".")
-    tolerances: dict = field(default_factory=dict)
     sample_count: int | None = None
     seconds: dict = field(default_factory=dict)
     _mark: float = field(default_factory=time.perf_counter, repr=False)
-
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
 
     def n_samples(self, default: int) -> int:
         """--samples, or the suite's ``default`` when it is not given."""
@@ -88,7 +86,7 @@ def _write_json(path, obj) -> None:
 # suites
 
 
-def suite_adhm(cfg: RunConfig) -> tuple:
+def suite_adhm(cfg: RunConfig, asd_analytic=1e-9, asd_fd=1e-6, charge=0.02) -> tuple:
     from . import adhm
     from . import monads as mo
 
@@ -104,16 +102,14 @@ def suite_adhm(cfg: RunConfig) -> tuple:
         pts = pts[:, :2] + 1j * pts[:, 2:]
         data = mo.curvature_batch(spec, pts)
         worst_an = max(worst_an, float(data["norm_mean"].max()))
-    checks.append(cfg.check("asd_residual_analytic", worst_an,
-                            cfg.tol("asd_analytic", 1e-9)))
+    checks.append(cfg.check("asd_residual_analytic", worst_an, asd_analytic))
     spec_fd = adhm.strip_analytic_derivatives(adhm.instanton_monad(datasets[0]))
     pts = rng.standard_normal((10, 4))
     data = mo.curvature_batch(spec_fd, pts[:, :2] + 1j * pts[:, 2:])
     worst_fd = float(data["norm_mean"].max())
-    checks.append(cfg.check("asd_residual_fd", worst_fd, cfg.tol("asd_fd", 1e-6)))
+    checks.append(cfg.check("asd_residual_fd", worst_fd, asd_fd))
     q = adhm.charge(adhm.ADHMData(1, 0, 0, 1), r_cut=20.0)
-    checks.append(cfg.check("charge_error", abs(q["charge"] - 1.0),
-                            cfg.tol("charge", 0.02)))
+    checks.append(cfg.check("charge_error", abs(q["charge"] - 1.0), charge))
     nf = adhm.framed_moduli_point(adhm.ADHMData(2, 0, 0, 2))
     checks.append(cfg.check("moduli_label_error", abs(nf.z2_label - 2.0), 1e-12))
     return checks, {}
@@ -124,7 +120,8 @@ def suite_adhm(cfg: RunConfig) -> tuple:
 ANSATZ_MIN_SAMPLES = 100
 
 
-def suite_ansatz(cfg: RunConfig) -> tuple:
+def suite_ansatz(cfg: RunConfig, weight_ratio=2.6, slope_generic=0.1, slope_origin=0.15,
+                 bubbling_factor=2.0) -> tuple:
     from . import ansatz
 
     checks = []
@@ -133,27 +130,25 @@ def suite_ansatz(cfg: RunConfig) -> tuple:
     checks.append(cfg.check("cancellation_spot_rhs", abs(rhs - 0.5), 1e-12))
     n_pts = cfg.n_samples(10_000)
     sup = ansatz.weight_ratio_sup(n_pts, seed=cfg.seed)
-    checks.append(cfg.check("weight_ratio_sup", sup,
-                            cfg.tol("weight_ratio", 2.6)))
+    checks.append(cfg.check("weight_ratio_sup", sup, weight_ratio))
     d1 = ansatz.decay_slope([1, 1, 0], np.geomspace(10, 1000, 25))
     checks.append(cfg.check("generic_decay_slope_error", abs(d1["slope"] + 3.0),
-                            cfg.tol("slope_generic", 0.1)))
+                            slope_generic))
     d2 = ansatz.decay_slope([1, 0, 0], np.geomspace(1e-3, 0.1, 25))
     checks.append(cfg.check("origin_decay_slope_error", abs(d2["slope"] + 2.0),
-                            cfg.tol("slope_origin", 0.15)))
+                            slope_origin))
     sups = {}
     for zeta in (100.0, 400.0, 1600.0):
         sups[zeta] = ansatz.instanton_comparison(zeta, seed=cfg.seed)["scaled_sup"]
     spread = max(sups.values()) / min(sups.values())
-    checks.append(cfg.check("bubbling_scaled_spread", spread,
-                            cfg.tol("bubbling_factor", 2.0)))
+    checks.append(cfg.check("bubbling_scaled_spread", spread, bubbling_factor))
     lbl = ansatz.fueter_map(4.0, root=2.0).z2_label
     lbl2 = ansatz.fueter_map(4.0, root=-2.0).z2_label
     checks.append(cfg.check("fueter_root_gap", abs(lbl - lbl2), 1e-9))
     return checks, {}
 
 
-def suite_potential(cfg: RunConfig) -> tuple:
+def suite_potential(cfg: RunConfig, laplacian_ratio=0.1, envelope=175.0) -> tuple:
     from . import potential as pot
     from .ansatz import sample_log_uniform
 
@@ -163,7 +158,7 @@ def suite_potential(cfg: RunConfig) -> tuple:
                                        ([0, 0, 50.0], 2.0),
                                        ([5.0, 3.0, -4.0], 1.0))):
         wc = pot.laplacian_weak_check(center, rad, mc, seed=cfg.seed + i)
-        tol = max(cfg.tol("laplacian_ratio", 0.1), 2.0 * wc["stderr"])
+        tol = max(laplacian_ratio, 2.0 * wc["stderr"])
         checks.append(cfg.check(f"laplacian_ratio_dev_{i}", abs(wc["ratio"] - 1.0), tol))
     rng = np.random.default_rng(cfg.seed)
     pts = [sample_log_uniform(rng, 200, 1.0, 1000.0)]
@@ -182,44 +177,40 @@ def suite_potential(cfg: RunConfig) -> tuple:
     env = pot.barrier_envelope_check(np.vstack(pts),
                                      pot.MCParams(samples_per_shell=6000,
                                                   seed=cfg.seed))
-    checks.append(cfg.check("envelope_sup", env["sup"], cfg.tol("envelope", 175.0)))
+    checks.append(cfg.check("envelope_sup", env["sup"], envelope))
     checks.append(cfg.check("g_min", env["g_min"], 0.0, mode="ge"))
     return checks, {}
 
 
-def suite_cone(cfg: RunConfig) -> tuple:
+def suite_cone(cfg: RunConfig, cone_residual=1e-8) -> tuple:
     from . import ansatz
     from . import monads as mo
 
     rng = np.random.default_rng(cfg.seed)
     pts = ansatz.sample_log_uniform(rng, cfg.n_samples(50), 0.3, 3.0)
     res = ansatz.cone_hym_residual(pts)
-    checks = [cfg.check("cone_hym_residual", float(res.max()),
-                        cfg.tol("cone_residual", 1e-8))]
+    checks = [cfg.check("cone_hym_residual", float(res.max()), cone_residual)]
     rep = mo.curvature(ansatz.flat_metric_cone_monad(), [0, 0, 1.0])
     checks.append(cfg.check("flat_metric_control", rep.norm_mean, 0.01, mode="ge"))
     return checks, {}
 
 
-def suite_growth(cfg: RunConfig) -> tuple:
+def suite_growth(cfg: RunConfig, degree=0.05, degree_shift=0.07) -> tuple:
     from . import growth
 
     checks = []
     t1, t2, t3 = (growth.KoszulSection.generator(i) for i in (1, 2, 3))
     n = cfg.n_samples(4096)
-    d0 = growth.growth_degree(t3, "origin", n_samples=n, seed=cfg.seed)
-    di = growth.growth_degree(t3, "infinity", n_samples=n, seed=cfg.seed)
-    checks.append(cfg.check("t3_origin_degree_error", abs(d0.degree - 1.0),
-                            cfg.tol("degree", 0.05)))
-    checks.append(cfg.check("t3_infinity_degree_error", abs(di.degree),
-                            cfg.tol("degree", 0.05)))
     tab = growth.filtration_table([t1, t2, t3], n_samples=n, seed=cfg.seed)
+    d0, di = tab["rows"][2]["d_origin"], tab["rows"][2]["d_infinity"]  # t3's degrees
+    checks.append(cfg.check("t3_origin_degree_error", abs(d0 - 1.0), degree))
+    checks.append(cfg.check("t3_infinity_degree_error", abs(di), degree))
     checks.append(cfg.check("filtrations_differ", 1.0 if tab["filtrations_differ"]
                             else 0.0, 1.0, mode="ge"))
     zt3 = t3.times(growth.Poly3.monomial(0, 0, 1), "z*t3")
     diz = growth.growth_degree(zt3, "infinity", n_samples=n, seed=cfg.seed)
-    checks.append(cfg.check("degree_shift_error", abs(diz.degree - di.degree - 1.0),
-                            cfg.tol("degree_shift", 0.07)))
+    checks.append(cfg.check("degree_shift_error", abs(diz.degree - di - 1.0),
+                            degree_shift))
     cx = growth.convexity_check(t3, seed=cfg.seed)
     checks.append(cfg.check("t3_convexity_residual", cx["residual"],
                             -2.0 * cx["stderr"], mode="ge"))
@@ -227,7 +218,8 @@ def suite_growth(cfg: RunConfig) -> tuple:
                                      for r in tab["rows"]]}
 
 
-# each suite returns its checks and the tables its report also holds
+# each suite returns its checks and the tables its report also holds; its
+# keyword parameters are the tolerances --tol may set
 SUITES = {
     "adhm": suite_adhm,
     "ansatz": suite_ansatz,
@@ -246,13 +238,17 @@ def cmd_verify(args) -> int:
         print(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}",
               file=sys.stderr)
         return EXIT_USAGE
+    known = list(inspect.signature(SUITES[args.suite]).parameters)[1:]
     tols = {}
     for spec in args.tol or []:
         name, _, val = spec.partition("=")
         try:
             tols[name] = float(val)
         except ValueError:
-            print(f"bad --tol {spec!r}, expected name=value", file=sys.stderr)
+            tols[name] = math.nan
+        if name not in known or not math.isfinite(tols[name]):
+            print(f"bad --tol {spec!r}: the {args.suite} suite reads "
+                  f"{', '.join(known)}, each set to a finite number", file=sys.stderr)
             return EXIT_USAGE
     least = ANSATZ_MIN_SAMPLES if args.suite == "ansatz" else 1
     if args.samples is not None and args.samples < least:
@@ -269,10 +265,9 @@ def cmd_verify(args) -> int:
         except ValueError as exc:
             print(f"--samples for the potential suite: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    cfg = RunConfig(seed=args.seed, samples=args.samples,
-                    out_dir=Path(args.out), tolerances=tols)
+    cfg = RunConfig(seed=args.seed, samples=args.samples, out_dir=Path(args.out))
     try:
-        checks, tables = SUITES[args.suite](cfg)
+        checks, tables = SUITES[args.suite](cfg, **tols)
     except (ValueError, RuntimeError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         checks, code = None, EXIT_NUMERICAL

@@ -2,8 +2,8 @@
 
 The flow evolves a 2x2 positive Hermitian field H (the cohomology metric in
 the x-chart holomorphic frame) on a box with Re(x) >= 1, keeping the
-boundary pinned to the monad metric H0 and driving the interior mean
-curvature to zero:
+boundary pinned to the monad metric H0 (:func:`hymkit.ansatz.chart_gram`)
+and driving the interior mean curvature to zero:
 
     H^{-1} dH/dt = -2 i Lambda F_H,
     i Lambda F_H = -2 sum_j H^{-1} (d_j dbar_j H - (dbar_j H) H^{-1} (d_j H)),
@@ -69,6 +69,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+
+from .ansatz import chart_gram
 
 __all__ = [
     "FlowConfig",
@@ -217,28 +219,6 @@ class FlowDomain:
         return CFL_COEFF * float(self.spacings.min()) ** 2
 
 
-def _chart_gram(points: np.ndarray) -> np.ndarray:
-    """Closed-form x-chart Gram of the monad metric, batched over (..., 3).
-
-    Frame sections (0,0,1,0) and (0, -z/x, 0, 1); entries are the h1 inner
-    products after projecting off the image of alpha.
-    """
-    x, y, z = points[..., 0], points[..., 1], points[..., 2]
-    rho = 1.0 + np.abs(x) ** 2 + np.abs(y) ** 2 + np.abs(z) ** 2
-    q = rho**-0.5
-    sig = np.abs(x) ** 2 + np.abs(y) ** 2
-    ada = sig * q + 1.0
-    a1 = np.conj(1.0 + 0 * x)  # alpha^dag s1 = 1
-    a2 = -np.conj(y) * q * z / x  # alpha^dag s2
-    g = np.empty(points.shape[:-1] + (2, 2), dtype=complex)
-    # the diagonal is real: drop the rounding residue of the complex products
-    g[..., 0, 0] = (1.0 - np.conj(a1) * a1 / ada).real
-    g[..., 0, 1] = -np.conj(a1) * a2 / ada
-    g[..., 1, 0] = np.conj(g[..., 0, 1])
-    g[..., 1, 1] = (q * np.abs(z / x) ** 2 + 1.0 - np.conj(a2) * a2 / ada).real
-    return g
-
-
 def build_domain(box=None, resolution: int = 7,
                  n_barrier_nodes: int = 12, seed: int = 0) -> FlowDomain:
     """Grid the box, fill the boundary metric, and pick barrier check nodes."""
@@ -248,8 +228,7 @@ def build_domain(box=None, resolution: int = 7,
     dom = FlowDomain(box=box, shape=shape, spacings=spacings,
                      h0=None, interior=(slice(1, resolution - 1),) * 6,
                      barrier_nodes=None)
-    pts = dom.grid_points()
-    dom.h0 = _chart_gram(pts)
+    dom.h0 = chart_gram(dom.grid_points(), "x")
     rng = np.random.default_rng(seed)
     idx = rng.integers(1, resolution - 1, size=(n_barrier_nodes, 6))
     idx[0] = (resolution // 2,) * 6
@@ -556,7 +535,7 @@ def _check_positivity(state: FlowState):
 
 
 def run(domain: FlowDomain, n_steps: int, dt: float | None = None,
-        monitor_cadence: int = 10, with_energy: bool = True) -> FlowState:
+        monitor_cadence: int = 10) -> FlowState:
     """Run the flow from H0, recording sup |i Lambda F| and interior energy.
 
     History row k holds the values after step k (row 0: at H0).  A step
@@ -578,8 +557,7 @@ def run(domain: FlowDomain, n_steps: int, dt: float | None = None,
         sec[name] += clock() - t
         return out
 
-    nan = float("nan")
-    pending = (0, 0.0, timed("energy", energy) if with_energy else nan)  # row without its sup
+    pending = (0, 0.0, timed("energy", energy))  # row without its sup
     for k in range(1, n_steps + 1):
         step(state, dt)
         if pending is not None:
@@ -589,7 +567,7 @@ def run(domain: FlowDomain, n_steps: int, dt: float | None = None,
         if k % 50 == 0:
             timed("positivity", _check_positivity)
         if k % monitor_cadence == 0 or k == n_steps:
-            pending = (k, state.t, timed("energy", energy) if with_energy else nan)
+            pending = (k, state.t, timed("energy", energy))
     k0, t0, e0 = pending
     state.history.append((k0, t0, _sup_norm(_flow_bracket(state, state.table)), e0))
     timed("positivity", _check_positivity)

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ansatz import induced_pairing
+
 __all__ = [
     "Poly3",
     "KoszulSection",
@@ -70,10 +72,7 @@ class Poly3:
         return Poly3(out)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            out[key] = out.get(key, 0.0) - val
-        return Poly3(out)
+        return self + other * -1.0
 
     def __mul__(self, other):
         if not isinstance(other, Poly3):
@@ -141,15 +140,11 @@ class KoszulSection:
         out[..., 2] = -fv * x - gv * y
         return out
 
-    def monad_vector(self, w) -> np.ndarray:
-        """Representative (-w2, w1, 0, w3) in ker beta of the main family."""
+    def monad_vector(self, w) -> tuple:
+        """Representative (-w2, w1, 0, w3) in ker beta of the main family, as
+        the 4-tuple of components :func:`hymkit.ansatz.induced_pairing` reads."""
         kv = self.kernel_vector(w)
-        out = np.empty(kv.shape[:-1] + (4,), dtype=complex)
-        out[..., 0] = -kv[..., 1]
-        out[..., 1] = kv[..., 0]
-        out[..., 2] = 0.0
-        out[..., 3] = kv[..., 2]
-        return out
+        return (-kv[..., 1], kv[..., 0], 0, kv[..., 2])
 
     def times(self, p: Poly3, label: str | None = None) -> "KoszulSection":
         return KoszulSection(p * self.f, p * self.g, p * self.h,
@@ -167,22 +162,10 @@ class GrowthReport:
 
 
 def section_norm_sq(section: KoszulSection, w) -> np.ndarray:
-    """Squared norm under the main-family metric at batched points.
-
-    |s|^2 = h1(v', v') with v' the projection of the monad representative
-    off Im(alpha); in closed form
-    |v|^2_h - |alpha^dag v|^2 / (alpha^dag alpha).
-    """
-    w = np.asarray(w, dtype=complex)
+    """Squared norm under the main-family metric at batched points:
+    :func:`hymkit.ansatz.induced_pairing` of the monad representative."""
     v = section.monad_vector(w)
-    x, y, z = w[..., 0], w[..., 1], w[..., 2]
-    rho = 1.0 + np.abs(x) ** 2 + np.abs(y) ** 2 + np.abs(z) ** 2
-    q = rho**-0.5
-    ada = (np.abs(x) ** 2 + np.abs(y) ** 2) * q + 1.0
-    norm_h = (q * (np.abs(v[..., 0]) ** 2 + np.abs(v[..., 1]) ** 2)
-              + np.abs(v[..., 2]) ** 2 + np.abs(v[..., 3]) ** 2)
-    adag_v = q * (np.conj(x) * v[..., 0] + np.conj(y) * v[..., 1]) + v[..., 2]
-    return np.real(norm_h - np.abs(adag_v) ** 2 / ada)
+    return induced_pairing(w, v, v).real
 
 
 def cone_norm_sq(section: KoszulSection, w) -> np.ndarray:
@@ -270,9 +253,7 @@ def filtration_table(sections, n_samples: int = 4096, seed: int = 0) -> dict:
             raise ValueError(f"zero section in family: {s.label!r}")
         d0 = growth_degree(s, "origin", n_samples=n_samples, seed=seed)
         di = growth_degree(s, "infinity", n_samples=n_samples, seed=seed)
-        rows.append({"label": s.label, "d_origin": d0.degree,
-                     "d_infinity": di.degree,
-                     "residuals": (d0.fit_residual, di.fit_residual)})
+        rows.append({"label": s.label, "d_origin": d0.degree, "d_infinity": di.degree})
 
     def snap(v):
         return round(v / 0.25) * 0.25

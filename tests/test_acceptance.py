@@ -241,7 +241,7 @@ def test_criterion_08_potential():
 def long_flow():
     t0 = time.time()
     dom = flow.build_domain(resolution=7, n_barrier_nodes=12, seed=0)
-    state = flow.run(dom, 10_000, monitor_cadence=10, with_energy=False)
+    state = flow.run(dom, 10_000, monitor_cadence=10)
     return dom, state, time.time() - t0
 
 

@@ -90,7 +90,7 @@ class TestClosedForms:
 
     def test_cross_check_against_fd(self):
         # the engine pieces against plain finite differences of the maps
-        stripped = adhm.strip_analytic_derivatives(SPEC, fd_step=1e-4)
+        stripped = adhm.strip_analytic_derivatives(SPEC)
         w = np.array([0.6, -0.3 + 0.5j, 0.8 - 0.2j])
         ing = closed_form_ingredients(w)
         pc = mo._pieces(stripped, w, mo._values(stripped, w))
@@ -238,6 +238,48 @@ class TestAsymptoticFrame:
     def test_zero_chart_coordinate_rejected(self):
         with pytest.raises(ValueError):
             ansatz.asymptotic_frame([0.0, 1.0, 0], "x")
+
+
+class TestInducedPairing:
+    # the points spread over six decades of |w|
+    @pytest.mark.parametrize("chart", ["x", "y"])
+    def test_matches_the_generic_induced_metric(self, rng, chart):
+        w = ansatz.sample_log_uniform(rng, 300, 1e-3, 1e3)
+        frame = ansatz.chart_frame(chart)
+        ref = np.stack([mo.induced_metric(SPEC, p, frame(p)) for p in w])
+        scale = np.linalg.norm(ref, axis=(1, 2))[:, None, None]
+        gram = ansatz.chart_gram(w, chart)
+        assert (np.abs(gram - ref) / scale).max() <= 1e-13
+        # any pair of sections: columns combined with random coefficients
+        c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        s, t = (tuple(frame(w)[:, i] @ ci for i in range(4)) for ci in c)
+        expect = np.einsum("i,nij,j->n", c[0].conj(), ref, c[1])
+        np.testing.assert_allclose(ansatz.induced_pairing(w, s, t), expect,
+                                   rtol=1e-13, atol=1e-13 * scale.max())
+
+    def test_structural_zeros_change_nothing(self, rng):
+        # a scalar 0 component gives the pairing of an array of zeros there
+        w = ansatz.sample_log_uniform(rng, 50, 1e-3, 1e3)
+        x, y, z = w.T
+        zero = np.zeros(len(w), dtype=complex)
+        s, t = (0, -z / x, 0, 1), (z / y, 0, 0, 1)
+        dense = tuple(zero + c for c in s), tuple(zero + c for c in t)
+        np.testing.assert_allclose(ansatz.induced_pairing(w, s, t),
+                                   ansatz.induced_pairing(w, *dense), rtol=1e-15)
+
+    @pytest.mark.parametrize("chart", ["x", "y"])
+    def test_batched_chart_frame_is_the_per_point_stack(self, rng, chart):
+        w = ansatz.sample_log_uniform(rng, 40, 1e-3, 1e3).reshape(5, 8, 3)
+        frame = ansatz.chart_frame(chart)
+        stack = np.stack([frame(p) for p in w.reshape(-1, 3)]).reshape(5, 8, 4, 2)
+        assert np.array_equal(frame(w), stack)
+        assert frame(w[0, 0]).shape == (4, 2)
+
+    def test_unknown_chart_rejected(self):
+        with pytest.raises(ValueError):
+            ansatz.chart_frame("z")
+        with pytest.raises(ValueError):
+            ansatz.chart_gram([1.0, 1.0, 1.0], "z")
 
 
 class TestSymmetry:

@@ -78,6 +78,29 @@ class TestVerify:
         names = {c["name"] for c in report["checks"]}
         assert "cone_hym_residual" in names
 
+    @pytest.mark.parametrize("spec", ["cone_residul=1e-30",          # misspelt
+                                      "flat_metric_control=1e9",     # a check, not a --tol
+                                      "degree=0.1",                  # the growth suite's
+                                      "cone_residual=inf", "cone_residual=nan",
+                                      "cone_residual=-inf"])
+    def test_tolerance_the_suite_does_not_read_usage_error(self, tmp_path, monkeypatch,
+                                                           spec):
+        from hymkit import ansatz
+
+        def no_sampling(*args):
+            raise AssertionError("sampled before the --tol check")
+        monkeypatch.setattr(ansatz, "sample_log_uniform", no_sampling)
+        assert run_cli(["verify", "cone", "--out", str(tmp_path),
+                        "--tol", spec]) == cli.EXIT_USAGE
+        assert not (tmp_path / "verify_cone.json").exists()
+
+    @pytest.mark.parametrize("suite", sorted(cli.SUITES))
+    def test_every_suite_rejects_a_tolerance_it_does_not_read(self, tmp_path, suite):
+        # each suite reads its --tol names up front, before any sampling
+        assert run_cli(["verify", suite, "--out", str(tmp_path),
+                        "--tol", "no_such_tolerance=1"]) == cli.EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+
     def test_tolerance_override_can_fail(self, tmp_path):
         code = run_cli(["verify", "cone", "--out", str(tmp_path),
                         "--tol", "cone_residual=1e-30"])

@@ -444,6 +444,12 @@ class TestSymmetry:
         assert sup_block == pytest.approx(sup_inner, rel=1e-14, abs=0.0)
 
 
+    @pytest.mark.parametrize("resolution", [5, 6, 7, 8])
+    def test_default_box_takes_the_block(self, resolution):
+        # H0 from ansatz.chart_gram is invariant under both quarter turns
+        dom = flow.build_domain(resolution=resolution, n_barrier_nodes=4)
+        assert flow.initial_state(dom).table.dst.size > 0
+
     @pytest.mark.parametrize("start", ["h0", "perturbed"])
     @pytest.mark.parametrize("resolution", [5, 6, 7])
     def test_tables_bit_identical_to_slices(self, resolution, start):
@@ -502,7 +508,7 @@ class TestRun:
         # run takes a monitored row's sup from the next step's bracket; the
         # rows must equal a plain loop of step and mean_curvature_field
         dom = flow.build_domain(resolution=5, n_barrier_nodes=4)
-        state = flow.run(dom, 20, monitor_cadence=5, with_energy=False)
+        state = flow.run(dom, 20, monitor_cadence=5)
         ref = flow.initial_state(dom)
         rows = [(0, 0.0, flow.mean_curvature_field(ref)[1])]
         for k in range(1, 21):
@@ -615,7 +621,7 @@ class TestIO:
 
     def test_history_csv_format(self, tmp_path):
         dom = flow.build_domain(resolution=5, n_barrier_nodes=4)
-        state = flow.run(dom, 20, monitor_cadence=5, with_energy=False)
+        state = flow.run(dom, 20, monitor_cadence=5)
         path = tmp_path / "history.csv"
         flow.write_history_csv(state, path)
         lines = path.read_text().strip().split("\n")

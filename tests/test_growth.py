@@ -35,7 +35,7 @@ class TestKoszulSections:
         spec = ansatz_monad()
         w = rng.standard_normal((20, 3)) + 1j * rng.standard_normal((20, 3))
         for s in (T1, T2, T3):
-            v = s.monad_vector(w)
+            v = np.stack(np.broadcast_arrays(*s.monad_vector(w)), axis=-1)
             res = np.einsum("...ij,...j->...i", spec.beta(w), v)
             assert np.abs(res).max() <= 1e-12
 

@@ -459,7 +459,7 @@ class TestCurvature:
             assert data["norm_mean"][i] == pytest.approx(rep.norm_mean, rel=1e-9)
 
     def test_fd_fallback_matches_analytic(self, main_spec):
-        stripped = adhm.strip_analytic_derivatives(main_spec, fd_step=1e-4)
+        stripped = adhm.strip_analytic_derivatives(main_spec)
         w = np.array([0.9, 0.4 - 0.2j, 0.7 + 0.1j])
         r_an = mo.curvature(main_spec, w)
         r_fd = mo.curvature(stripped, w)
@@ -670,7 +670,7 @@ class TestFiberForms:
         if name == "nondiag_h1":
             return _nondiagonal_h1_monad(), w
         if name == "fd_stripped":
-            return adhm.strip_analytic_derivatives(ansatz_monad(), fd_step=1e-4), w
+            return adhm.strip_analytic_derivatives(ansatz_monad()), w
         return ansatz_monad(), w
 
     @pytest.mark.parametrize("name", ["adhm", "ansatz", "cone", "twisted",
