@@ -93,17 +93,23 @@ def induced_pairing(w, s, t):
     (..., 3): h1 = diag(q, q, 1, 1), q = (1+|w|^2)^{-1/2}, alpha = (x, y, 1, 0)^t.
     s and t are 4-tuples of components, arrays or scalars; a scalar 0 costs nothing.
     """
+    pair, alpha, alpha_sq = _h1_pairing(w)
+    return pair(s, t) - np.conj(pair(alpha, s)) * pair(alpha, t) / alpha_sq
+
+
+def _h1_pairing(w):
+    """(pair, alpha, alpha^dag h1 alpha) at w (..., 3), with q and
+    |x|^2 + |y|^2 formed once: pair(u, v) = u^dag h1 v on 4-tuples."""
     w = np.asarray(w, dtype=complex)
     x, y, z = w[..., 0], w[..., 1], w[..., 2]
     sig = np.abs(x) ** 2 + np.abs(y) ** 2
     q = (1.0 + sig + np.abs(z) ** 2) ** -0.5
-    alpha = (x, y, 1, 0)  # and alpha^dag h1 alpha = q sig + 1
 
-    def pair(u, v):  # u^dag h1 v
+    def pair(u, v):
         head, tail = _dot(u[:2], v[:2]), _dot(u[2:], v[2:])
         return tail if _zero(head) else q * head + tail
 
-    return pair(s, t) - np.conj(pair(alpha, s)) * pair(alpha, t) / (q * sig + 1.0)
+    return pair, (x, y, 1, 0), q * sig + 1.0
 
 
 def cone_monad() -> mo.MonadSpec:
@@ -270,14 +276,21 @@ def chart_frame(chart: str):
 
 def chart_gram(w, chart: str) -> np.ndarray:
     """Gram matrix (..., 2, 2) of the chart frame at w (..., 3) under
-    :func:`induced_pairing`, with a real diagonal."""
+    :func:`induced_pairing`, with a real diagonal; q, |x|^2 + |y|^2 and
+    alpha^dag h1 s for each section s are formed once."""
     w = np.asarray(w, dtype=complex)
-    s1, s2 = _chart_sections(chart)(w)
+    sections = _chart_sections(chart)(w)
+    pair, alpha, alpha_sq = _h1_pairing(w)
+    proj = [pair(alpha, s) for s in sections]
+
+    def entry(i, j):
+        return pair(sections[i], sections[j]) - np.conj(proj[i]) * proj[j] / alpha_sq
+
     g = np.empty(w.shape[:-1] + (2, 2), dtype=complex)
-    g[..., 0, 0] = induced_pairing(w, s1, s1).real
-    g[..., 0, 1] = induced_pairing(w, s1, s2)
+    g[..., 0, 0] = entry(0, 0).real
+    g[..., 0, 1] = entry(0, 1)
     g[..., 1, 0] = g[..., 0, 1].conj()
-    g[..., 1, 1] = induced_pairing(w, s2, s2).real
+    g[..., 1, 1] = entry(1, 1).real
     return g
 
 
@@ -359,11 +372,10 @@ def decay_slope(ray, r_values) -> dict:
     pts = rs[:, None] * ray[None, :]
     data = mo.curvature_batch(ansatz_monad(), pts)
     logs = np.log(data["norm_form"])
-    coeffs, res = np.polyfit(np.log(rs), logs, 1, full=False), None
-    slope = float(coeffs[0])
+    coeffs = np.polyfit(np.log(rs), logs, 1)
     fit = np.polyval(coeffs, np.log(rs))
     resid = float(np.sqrt(np.mean((fit - logs) ** 2)))
-    return {"slope": slope, "residual": resid, "norms": data["norm_form"]}
+    return {"slope": float(coeffs[0]), "residual": resid}
 
 
 def profile_ratio(r_values) -> np.ndarray:
@@ -441,8 +453,7 @@ def instanton_comparison(zeta: complex, n_samples: int = 24, seed: int = 0) -> d
             axial += sv_t.sum(axis=-1)
     return {"scaled_sup": float(np.max(gaps) * abs(zeta) ** 2),
             "sup": float(np.max(gaps)),
-            "axial_sup": float(np.max(axial)),
-            "n_samples": n_samples}
+            "axial_sup": float(np.max(axial))}
 
 
 def fueter_map(zeta: complex, root: complex | None = None) -> adhm_mod.FramedModuliPoint:

@@ -48,13 +48,19 @@ neighbours, so the bracket gathers each component in two fancy indexes
 instead of slicing 6-D views.  On the block it also holds the fill map:
 each interior node outside the block, the block node it copies, and the
 power of i that multiplies b there.  The map is the rotation rule applied
-once to an index and a phase array; a step applies it after the update, so
-a, d and b are whole after every step.  :func:`energy` sums its density over
-orbit representatives, the block's nodes two layers in, each weighted by
-its orbit's size over the number of its members in the block: per plane 4
-off the axes, 2 on an axis line and 1 at the centre, so 16 for every node
-at even resolutions.  On the interior table the fill map is empty and every
-weight is 1.
+once to an index and a phase array.  Its first entries are the halo, the
+nodes outside the block that are stencil neighbours of block nodes (512 of
+3,840 at resolution 6, 3,888 of 43,740 at 8).  The fill contract: a step
+fills only the halo, which is all the next step reads outside the block,
+and the whole interior is filled once, on the first read of the full state
+after a step (``FlowState.a``, ``d``, ``b`` and ``h``, so :func:`energy`,
+the positivity check, :func:`save_checkpoint`, :func:`barrier_check` and
+whatever reads the state :func:`run` returns).  :func:`energy` sums its
+density over orbit representatives, the block's nodes two layers in, each
+weighted by its orbit's size over the number of its members in the block:
+per plane 4 off the axes, 2 on an axis line and 1 at the centre, so 16 for
+every node at even resolutions.  On the interior table the fill map is
+empty and every weight is 1.
 
 Axis order of the real grid: (Re x, Im x, Re y, Im y, Re z, Im z).
 """
@@ -207,12 +213,11 @@ class FlowDomain:
 
     def grid_points(self) -> np.ndarray:
         """Complex coordinates (..., 3) of every node."""
-        axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(self.box, self.shape)]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        axes = [np.linspace(lo, hi, n).reshape((n,) + (1,) * (5 - k))
+                for k, ((lo, hi), n) in enumerate(zip(self.box, self.shape))]
         pts = np.empty(self.shape + (3,), dtype=complex)
-        pts[..., 0] = mesh[0] + 1j * mesh[1]
-        pts[..., 1] = mesh[2] + 1j * mesh[3]
-        pts[..., 2] = mesh[4] + 1j * mesh[5]
+        for j in range(3):
+            pts[..., j] = axes[2 * j] + 1j * axes[2 * j + 1]
         return pts
 
     def cfl_bound(self) -> float:
@@ -266,31 +271,48 @@ class _Region(NamedTuple):
     """The part of a :class:`_Stencil` that :func:`_flow_bracket` reads."""
 
     nodes: np.ndarray          # (N,)
-    nbr: np.ndarray            # (6, 2, N)
+    nbr: np.ndarray            # (2, 6, N)
 
 
 class _Stencil(NamedTuple):
     """Flat indices into the C-ordered components: one state's stencil table.
 
     ``nodes`` are the nodes a step updates, in C order, and
-    ``nbr[axis, 0 | 1]`` their +1 and -1 neighbours along ``axis``.  After
-    the update node ``dst[i]`` takes a and d from ``src[i]`` and b times
-    ``phase[i]``.  :func:`energy` sums its density over ``reps`` with
-    ``weights``; it forms theta on ``support`` from the neighbours
-    ``support_nbr`` and differences it at ``reps`` through ``rep_nbr``, the
-    positions in ``support`` of the reps' neighbours.
+    ``nbr[0 | 1, axis]`` their +1 and -1 neighbours along ``axis``.  The
+    fill map: node ``dst[i]`` takes a and d from ``src[i]`` and b times
+    ``phase[i]``.  Its first ``halo`` entries are the halo, the ``nbr``
+    entries outside ``nodes`` and the boundary; both parts are in C order.
+    :func:`energy` sums its density over ``reps`` with ``weights``; it forms
+    theta on ``support`` from the neighbours ``support_nbr`` and differences
+    it at ``reps`` through ``rep_nbr``, the positions in ``support`` of the
+    reps' neighbours.
     """
 
     nodes: np.ndarray          # (N,)
-    nbr: np.ndarray            # (6, 2, N)
+    nbr: np.ndarray            # (2, 6, N)
     dst: np.ndarray            # (M,)
     src: np.ndarray            # (M,)
     phase: np.ndarray          # (M,) complex
+    halo: int
     reps: np.ndarray           # (R,)
     weights: np.ndarray        # (R,)
     support: np.ndarray        # (S,)
-    support_nbr: np.ndarray    # (6, 2, S)
-    rep_nbr: np.ndarray        # (6, 2, R), indices into support
+    support_nbr: np.ndarray    # (2, 6, S)
+    rep_nbr: np.ndarray        # (2, 6, R), indices into support
+
+
+def _component(name: str) -> property:
+    """A :class:`FlowState` component, whole on the interior when read or
+    assigned: the stored field ``name`` after the fill map is applied."""
+    def read(state):
+        state._fill()
+        return getattr(state, name)
+
+    def write(state, value):
+        state._fill()
+        setattr(state, name, value)
+
+    return property(read, write)
 
 
 @dataclass
@@ -306,25 +328,46 @@ class FlowState:
     when the components are invariant under both quarter turns, else the
     whole interior.  It is built where the components are set, so set them
     through :func:`initial_state` or ``h``, never by writing into ``a``,
-    ``d`` or ``b``.  ``last_bracket`` is the bracket of the metric the last
-    step started from, 1-D over the table's nodes: on the block its sup
-    equals the interior sup, because every orbit meets the block.
+    ``d`` or ``b``.  A step on the block fills only the table's halo; the
+    first read or assignment of ``a``, ``d``, ``b`` or ``h`` after it
+    applies the whole fill map, so a reader always sees the whole interior.
+    ``last_bracket`` is the bracket of the metric the last step started
+    from, 1-D over the table's nodes: on the block its sup equals the
+    interior sup, because every orbit meets the block.
     ``seconds`` holds the stage times of :func:`run`.
     """
 
     domain: FlowDomain
-    a: np.ndarray
-    d: np.ndarray
-    b: np.ndarray
+    _a: np.ndarray = field(repr=False)
+    _d: np.ndarray = field(repr=False)
+    _b: np.ndarray = field(repr=False)
     t: float = 0.0
     step_count: int = 0
     history: list = field(default_factory=list)  # (step, t, sup |iLamF|, energy)
     last_bracket: _Bracket | None = field(default=None, repr=False)
     seconds: dict = field(default_factory=dict, repr=False)
     table: _Stencil = field(init=False, repr=False)
+    _whole: bool = field(default=True, init=False, repr=False)  # fill map applied
 
     def __post_init__(self):
-        self.table = _stencil(self.domain, _symmetric(self.domain, (self.a, self.d, self.b)))
+        self.table = _stencil(self.domain, _symmetric(self.domain, self._comps()))
+        self._whole = True
+
+    def _comps(self):
+        """The components as stored: after a block step, whole only on the
+        block, the halo and the boundary."""
+        return self._a, self._d, self._b
+
+    def _fill(self) -> None:
+        """Apply the table's whole fill map unless it is applied already."""
+        if not self._whole:
+            t = self.table
+            for f, ph in zip(self._comps(), (1.0, 1.0, t.phase)):
+                fl = f.reshape(-1)
+                fl[t.dst] = ph * fl[t.src]
+            self._whole = True
+
+    a, d, b = _component("_a"), _component("_d"), _component("_b")
 
     @property
     def h(self) -> np.ndarray:
@@ -338,7 +381,7 @@ class FlowState:
 
     @h.setter
     def h(self, value) -> None:
-        self.a, self.d, self.b = _split(value)
+        self._a, self._d, self._b = _split(value)
         self.__post_init__()
         self.last_bracket = None
 
@@ -359,12 +402,13 @@ def _symmetric(domain: FlowDomain, comps) -> bool:
     b / phase are invariant under ``np.rot90`` to 8 eps max |f|: H0's grid is
     symmetric only to the rounding of ``linspace``.
     """
-    for axes, phase in _PLANES:
-        if domain.spacings[axes[0]] != domain.spacings[axes[1]]:
-            return False
-        for f, ph in zip(comps, (1.0, 1.0, phase)):
-            tol = 8.0 * np.finfo(float).eps * np.abs(f).max()
-            if not np.abs(f - ph * np.rot90(f, 1, axes)).max() <= tol:
+    if any(domain.spacings[i] != domain.spacings[j] for (i, j), _ in _PLANES):
+        return False
+    for k, f in enumerate(comps):
+        tol = 8.0 * np.finfo(float).eps * np.abs(f).max()
+        for axes, phase in _PLANES:
+            turned = np.rot90(f, 1, axes)
+            if not np.abs(f - (phase * turned if k == 2 else turned)).max() <= tol:
                 return False
     return True
 
@@ -397,22 +441,29 @@ def _stencil(domain: FlowDomain, block: bool) -> _Stencil:
         for ax in axes:
             filled[ax] = inner[ax]
     dst, src, phase = (f[inner].ravel() for f in (flat, src, phase))
-    moved = src != dst
     nodes = flat[region].ravel()
+    nbr = _nbr(shape, nodes)
+    near = np.zeros(domain.n_nodes, dtype=bool)
+    near[nbr] = True
+    moved = src != dst
+    # the halo first, each part in C order
+    order = np.argsort(~near[dst[moved]], kind="stable")
+    dst, src, phase = (f[moved][order] for f in (dst, src, phase))
     reps = flat[tuple(slice(max(sl.start, 2), n - 2) for sl in region)].ravel()
     off_centre = sum(2 * i != n - 1 for i in np.unravel_index(reps, shape)[2:])
     # sorted and distinct, like np.unique, which would import numpy.ma
     rep_nbr = _nbr(shape, reps)
     support = np.flatnonzero(np.bincount(rep_nbr.ravel(), minlength=domain.n_nodes))
-    return _Stencil(nodes, _nbr(shape, nodes), dst[moved], src[moved], phase[moved], reps,
+    return _Stencil(nodes, nbr, dst, src, phase, int(near[dst].sum()), reps,
                     2.0**off_centre if block else np.ones(reps.size), support,
                     _nbr(shape, support), np.searchsorted(support, rep_nbr))
 
 
 def _nbr(shape, idx) -> np.ndarray:
-    """Flat indices (6, 2, N) of the axis neighbours of the flat indices idx."""
+    """Flat indices (2, 6, N) of the +1 and -1 axis neighbours of the flat
+    indices idx."""
     stride = np.cumprod((1,) + shape[:0:-1])[::-1]
-    return idx + np.stack([stride, -stride], axis=1)[..., None]
+    return idx + np.stack([stride, -stride])[..., None]
 
 
 def _flow_bracket(state: FlowState, table: _Stencil) -> _Bracket:
@@ -426,15 +477,22 @@ def _flow_bracket(state: FlowState, table: _Stencil) -> _Bracket:
 
     Only the real diagonal and the upper off-diagonal entry are formed.  The
     update is H += dt B and the mean curvature is -H^{-1} B / 2.
+
+    The state's own table reads no node outside its halo; any other table
+    may, so the fill map is applied first.  Each ``.sum(axis=0)`` adds the
+    rows in order, as a loop over the axes or over j would.
     """
+    if table is not state.table:
+        state._fill()
     sp = state.domain.spacings[:, None]
+    sp_sq, sp_2 = sp**2, 2.0 * sp
     centre, laps, diffs = [], [], []  # diffs: (Re w_j, Im w_j) rows, each (3, N)
-    for f in (state.a, state.d, state.b):
+    for f in state._comps():
         fl = f.reshape(-1)
         c, g = fl[table.nodes], fl[table.nbr]
         centre.append(c)
-        laps.append(sum((g[:, 0] + g[:, 1] - 2.0 * c) / sp**2))
-        df = (g[:, 0] - g[:, 1]) / (2.0 * sp)
+        laps.append(((g[0] + g[1] - 2.0 * c) / sp_sq).sum(axis=0))
+        df = (g[0] - g[1]) / sp_2
         diffs.append((df[0::2], df[1::2]))
     a, d, b = centre
     (xa, ya), (xd, yd), (xb, yb) = diffs
@@ -444,13 +502,13 @@ def _flow_bracket(state: FlowState, table: _Stencil) -> _Bracket:
     m10 = xb.conj() - 1j * yb.conj()
     u0 = d * m01 - b * m11          # column 1 of adj(H) M
     u1 = a * m11 - b.conj() * m01
-    # diagonal and (0, 1) entry of sum_j M^dag adj(H) M; the builtin sum adds
-    # the rows to 0 one by one, the order of a loop over axes and j
-    tp = sum(d * (xa * xa + ya * ya) + a * (m10.real**2 + m10.imag**2)
-             - 2.0 * (m00.conj() * b * m10).real)
-    ts = sum((m01.conj() * u0 + m11.conj() * u1).real)
+    c00 = m00.conj()
+    # diagonal and (0, 1) entry of sum_j M^dag adj(H) M
+    tp = (d * (xa * xa + ya * ya) + a * (m10.real**2 + m10.imag**2)
+          - 2.0 * (c00 * b * m10).real).sum(axis=0)
+    ts = (m01.conj() * u0 + m11.conj() * u1).real.sum(axis=0)
     tq = 0.0
-    for x, y in zip(m00.conj() * u0, m10.conj() * u1):
+    for x, y in zip(c00 * u0, m10.conj() * u1):
         tq = tq + x + y
     det = a * d - (b.real**2 + b.imag**2)
     lap_a, lap_d, lap_b = laps
@@ -494,9 +552,11 @@ def step(state: FlowState, dt: float | None = None) -> FlowState:
 
     The components are updated in place on the table's nodes, H00 and H11 by
     the real diagonal of the bracket and H01 by its upper entry, so H stays
-    Hermitian by construction; the table's fill map then completes the
-    interior.  The bracket is kept as ``state.last_bracket``.  A component
-    that is not C-contiguous, whose ``reshape(-1)`` is a copy, is refused.
+    Hermitian by construction; the table's halo, the part of its fill map
+    the next step reads, is then filled.  The rest of the interior is filled
+    on the next read of ``state.a``, ``d``, ``b`` or ``h``.  The bracket is
+    kept as ``state.last_bracket``.  A component that is not C-contiguous,
+    whose ``reshape(-1)`` is a copy, is refused.
     """
     dom = state.domain
     bound = dom.cfl_bound()
@@ -505,14 +565,18 @@ def step(state: FlowState, dt: float | None = None) -> FlowState:
     if dt > bound * (1.0 + 1e-12):
         raise ValueError(f"dt {dt:g} above CFL bound {bound:g}")
     t = state.table
-    if not all(f.flags.c_contiguous for f in (state.a, state.d, state.b)):
+    comps = state._comps()
+    if not all(f.flags.c_contiguous for f in comps):
         raise ValueError("a, d and b must be C-contiguous: set them through h")
     br = _flow_bracket(state, t)
-    for f, c, inc, ph in ((state.a, br.a, br.p, 1.0), (state.d, br.d, br.s, 1.0),
-                          (state.b, br.b, br.q, t.phase)):
+    dst, src = t.dst[:t.halo], t.src[:t.halo]
+    for f, c, inc, ph in zip(comps, (br.a, br.d, br.b), (br.p, br.s, br.q),
+                             (1.0, 1.0, t.phase[:t.halo])):
         fl = f.reshape(-1)
         fl[t.nodes] = c + dt * inc
-        fl[t.dst] = ph * fl[t.src]
+        fl[dst] = ph * fl[src]
+    if t.halo < t.dst.size:
+        state._whole = False
     state.last_bracket = br
     state.t += dt
     state.step_count += 1
@@ -592,7 +656,7 @@ def energy(state: FlowState) -> float:
     dom, tab = state.domain, state.table
     sp2 = 2.0 * dom.spacings[:, None]
     comps = [f.reshape(-1) for f in (state.a, state.d, state.b)]
-    da, dd, db = ((g[:, 0] - g[:, 1]) / sp2 for g in (f[tab.support_nbr] for f in comps))
+    da, dd, db = ((g[0] - g[1]) / sp2 for g in (f[tab.support_nbr] for f in comps))
     a, d, b = (f[tab.support] for f in comps)
     inv_det = 1.0 / (a * d - (b.real**2 + b.imag**2))
     re, im = slice(0, None, 2), slice(1, None, 2)  # the axes of Re w_j and Im w_j
@@ -604,7 +668,7 @@ def energy(state: FlowState) -> float:
                       (a * h10 - b.conj() * h00) * inv_det,
                       (a * h11 - b.conj() * h01) * inv_det])  # (entry, j, S)
     g = theta[..., tab.rep_nbr]
-    dtheta = (g[..., 0, :] - g[..., 1, :]) / sp2  # (entry, j, axis, R)
+    dtheta = (g[..., 0, :, :] - g[..., 1, :, :]) / sp2  # (entry, j, axis, R)
     f = -0.5 * (dtheta[:, :, re] + 1j * dtheta[:, :, im])  # (entry, j, k, R)
 
     a, d, b = (c[tab.reps] for c in comps)
@@ -685,10 +749,9 @@ def save_checkpoint(state: FlowState, path) -> None:
     """
     path = Path(path)
     out = np.zeros((state.a.size, 8), dtype="<f8")
-    out[:, 0] = state.a.ravel()
-    out[:, 1] = state.d.ravel()
-    out[:, 2] = state.b.real.ravel()
-    out[:, 3] = state.b.imag.ravel()
+    out[:, 0] = state.a.reshape(-1)
+    out[:, 1] = state.d.reshape(-1)
+    out[:, 2:4] = state.b.reshape(-1, 1).view(float)  # (re, im) pairs
     out.tofile(path)
     sidecar = {
         "box": [list(iv) for iv in state.domain.box],

@@ -155,10 +155,7 @@ class KoszulSection:
 class GrowthReport:
     label: str
     end: str                 # "origin" or "infinity"
-    radii: tuple
-    log_integrals: tuple
     degree: float
-    fit_residual: float
 
 
 def section_norm_sq(section: KoszulSection, w) -> np.ndarray:
@@ -231,14 +228,8 @@ def growth_degree(section: KoszulSection, end: str, radii=None,
     seed_eff = _det_seed(section.label, end, seed)
     ints = ball_integral(lambda w: section_norm_sq(section, w), radii, n_samples,
                          seed=seed_eff)
-    logs = np.log(ints)
-    coeffs = np.polyfit(np.log(radii), logs, 1)
-    fit = np.polyval(coeffs, np.log(radii))
-    resid = float(np.sqrt(np.mean((fit - logs) ** 2)))
-    return GrowthReport(label=section.label, end=end, radii=tuple(radii),
-                        log_integrals=tuple(logs),
-                        degree=float(0.5 * coeffs[0] - 3.0),
-                        fit_residual=resid)
+    coeffs = np.polyfit(np.log(radii), np.log(ints), 1)
+    return GrowthReport(label=section.label, end=end, degree=float(0.5 * coeffs[0] - 3.0))
 
 
 def filtration_table(sections, n_samples: int = 4096, seed: int = 0) -> dict:

@@ -21,6 +21,7 @@ weights.  A small core |x' - p| < delta is excluded and bounded analytically.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -92,9 +93,6 @@ class GValue:
     shells: tuple           # (k, contribution, stderr) per dyadic shell
     core_bound: float       # analytic bound on the excluded core
     tail_estimate: float    # geometric extrapolation beyond the outer shell
-
-    def __float__(self):
-        return self.estimate
 
 
 # mixture weights: generic shell coverage / axis-adapted / kernel-adapted
@@ -247,6 +245,15 @@ def bump_laplacian(s: np.ndarray, radius: float) -> np.ndarray:
     return out
 
 
+@cache
+def _gauss_legendre(n: int):
+    """The n-node Gauss-Legendre rule on [-1, 1] as read-only (nodes,
+    weights), computed on first use in a process."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _sphere_kernel_mean(a_vals, d_vals):
     """Spherical mean of |y - x'|^{-4} over |y - c| = a at distance d = |x' - c|.
 
@@ -254,7 +261,7 @@ def _sphere_kernel_mean(a_vals, d_vals):
     the integrand stays bounded even when the sphere passes through x'.
     Returns an array of shape (len(a_vals), len(d_vals)).
     """
-    th, wth = np.polynomial.legendre.leggauss(96)
+    th, wth = _gauss_legendre(96)
     theta = 0.5 * np.pi * (th + 1.0)
     wtheta = 0.5 * np.pi * wth
     sin4 = np.sin(theta) ** 4
@@ -282,7 +289,7 @@ def bump_pairing(d_vals, radius: float) -> np.ndarray:
     fundamental-solution identity predicts Psi(d) = -4 pi^3 phi(d); the weak
     check measures how well that holds.
     """
-    xa, wa = np.polynomial.legendre.leggauss(64)
+    xa, wa = _gauss_legendre(64)
     a = 0.5 * radius * (xa + 1.0)
     w = 0.5 * radius * wa
     lap = bump_laplacian(a / radius, radius)

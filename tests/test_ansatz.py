@@ -268,6 +268,24 @@ class TestInducedPairing:
                                    ansatz.induced_pairing(w, *dense), rtol=1e-15)
 
     @pytest.mark.parametrize("chart", ["x", "y"])
+    @pytest.mark.parametrize("resolution", [5, 6, 7, 8, 9])
+    def test_chart_gram_bit_identical_to_entrywise_pairings(self, resolution, chart):
+        # chart_gram shares q, sigma and alpha^dag h1 s between its entries;
+        # on the flow's grids (x and y swapped for the y chart) every bit of
+        # the three induced_pairing calls must survive
+        from hymkit import flow
+        w = flow.build_domain(resolution=resolution, n_barrier_nodes=1).grid_points()
+        if chart == "y":
+            w = w[..., [1, 0, 2]]
+        s1, s2 = ansatz._chart_sections(chart)(w)
+        ref = np.empty(w.shape[:-1] + (2, 2), dtype=complex)
+        ref[..., 0, 0] = ansatz.induced_pairing(w, s1, s1).real
+        ref[..., 0, 1] = ansatz.induced_pairing(w, s1, s2)
+        ref[..., 1, 0] = ref[..., 0, 1].conj()
+        ref[..., 1, 1] = ansatz.induced_pairing(w, s2, s2).real
+        assert np.array_equal(ansatz.chart_gram(w, chart).view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("chart", ["x", "y"])
     def test_batched_chart_frame_is_the_per_point_stack(self, rng, chart):
         w = ansatz.sample_log_uniform(rng, 40, 1e-3, 1e3).reshape(5, 8, 3)
         frame = ansatz.chart_frame(chart)

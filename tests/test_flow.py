@@ -136,6 +136,14 @@ class TestBuildDomain:
         with pytest.raises(ValueError, match="spacing"):
             flow.build_domain(box, resolution=5)
 
+    @pytest.mark.parametrize("resolution", [5, 6, 7, 8, 9])
+    def test_grid_points_bit_identical_to_meshgrid(self, resolution):
+        dom = flow.build_domain(resolution=resolution, n_barrier_nodes=1)
+        axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(dom.box, dom.shape)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        ref = np.stack([mesh[2 * j] + 1j * mesh[2 * j + 1] for j in range(3)], axis=-1)
+        assert np.array_equal(dom.grid_points().view(np.uint64), ref.view(np.uint64))
+
     def test_h0_positive_definite_everywhere(self, domain):
         h = domain.h0
         tr = np.real(h[..., 0, 0] + h[..., 1, 1])
@@ -466,6 +474,62 @@ class TestSymmetry:
         for f, g in zip((state.a, state.d, state.b), ref):
             assert np.array_equal(f, g)
         assert flow._sup_norm(state.last_bracket) == flow._sup_norm(ref_br)
+
+
+class TestHalo:
+    @pytest.mark.parametrize("resolution,halo", [(5, 288), (6, 512), (7, 2700), (8, 3888)])
+    def test_stencil_reads_block_boundary_and_halo_only(self, resolution, halo):
+        dom = flow.build_domain(resolution=resolution, n_barrier_nodes=1)
+        table = flow._stencil(dom, block=True)
+        assert table.halo == halo
+        readable = np.ones(dom.shape, dtype=bool)  # the boundary,
+        readable[dom.interior] = False
+        readable = readable.reshape(-1)
+        readable[table.nodes] = True                # the block
+        readable[table.dst[:table.halo]] = True     # and the halo
+        assert readable[table.nbr].all()
+        # the halo holds only stencil neighbours, the rest of the map none
+        near = np.zeros(dom.n_nodes, dtype=bool)
+        near[table.nbr] = True
+        assert near[table.dst[:table.halo]].all()
+        assert not near[table.dst[table.halo:]].any()
+        assert flow._stencil(dom, block=False).halo == 0
+
+    @pytest.mark.parametrize("resolution,n_steps", [(6, 200), (7, 60)])
+    def test_run_matches_slices_with_a_full_fill(self, resolution, n_steps):
+        # run steps the block and fills only the halo between full-state
+        # reads; the reference fills the whole interior after every step
+        dom = flow.build_domain(resolution=resolution, n_barrier_nodes=4)
+        region = block_region(dom)
+        comps = [np.array(c) for c in flow._split(dom.h0)]
+        probe = flow.initial_state(dom)  # energy's block table and weights
+        dt, t, rows = dom.cfl_bound(), 0.0, []
+        for k in range(n_steps + 1):
+            br = slice_bracket(comps, dom.spacings, region)
+            if k % 10 == 0 or k == n_steps:
+                probe.a, probe.d, probe.b = (c.copy() for c in comps)
+                rows.append((k, t, flow._sup_norm(br), flow.energy(probe)))
+            if k == n_steps:
+                break
+            for f, inc in zip(comps, (br.p, br.s, br.q)):
+                f[region] += dt * inc
+            fill_by_rotation(comps, dom, region)
+            t += dt
+        state = flow.run(dom, n_steps, monitor_cadence=10)
+        assert state.history == rows
+        for f, g in zip((state.a, state.d, state.b), comps):
+            assert np.array_equal(f, g)
+
+    def test_readers_see_the_whole_interior(self):
+        dom = flow.build_domain(resolution=6, n_barrier_nodes=1)
+        state, ref = flow.initial_state(dom), flow.initial_state(dom)
+        flow.step(state)
+        flow.step(ref)
+        assert ref.a is ref._comps()[0]  # a full-state read applies the fill map
+        stored = state._comps()
+        assert not np.array_equal(stored[0], ref._comps()[0])  # the halo only
+        assert np.array_equal(state.h, ref.h)
+        assert all(np.array_equal(f, g) for f, g in zip(stored, ref._comps()))
 
 
 @pytest.fixture(scope="module")
