@@ -16,8 +16,8 @@ Modules:
 * :mod:`hymkit.cli` - the `hymkit` command-line entry point.
 """
 
-from .geometry import Point3, Form11, fd_derivative, lambda_contract
+from .geometry import fd_derivative, lambda_contract
 
 __version__ = "0.1.0"
 
-__all__ = ["Point3", "Form11", "fd_derivative", "lambda_contract", "__version__"]
+__all__ = ["fd_derivative", "lambda_contract", "__version__"]

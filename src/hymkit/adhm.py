@@ -24,14 +24,15 @@ __all__ = [
     "FramedModuliPoint",
     "adhm_residual",
     "random_valid_data",
+    "is_valid",
     "instanton_monad",
-    "asd_check",
+    "strip_analytic_derivatives",
     "curvature_density",
     "charge",
     "curvature_scale",
     "framed_moduli_point",
-    "projector_field",
     "projector_curvature_fd",
+    "asd_defect_fd",
 ]
 
 VALID_TOL = 1e-12
@@ -124,21 +125,6 @@ def strip_analytic_derivatives(spec: mo.MonadSpec) -> mo.MonadSpec:
                    dalpha=None, dbeta=None, fd_step=1e-4)
 
 
-def asd_check(d: ADHMData, p, analytic: bool = True) -> float:
-    """|i Lambda F| + |F^{0,2}| + |F^{2,0}| at a point of C^2.
-
-    The induced connection is the Chern connection of the cohomology metric,
-    so its curvature is type (1,1) and the (0,2)/(2,0) blocks vanish
-    identically; the measured residual is the mean-curvature norm.  With
-    ``analytic=False`` the monad derivatives come from finite differences.
-    """
-    spec = instanton_monad(d)
-    if not analytic:
-        spec = strip_analytic_derivatives(spec)
-    rep = mo.curvature(spec, p)
-    return rep.norm_mean
-
-
 def _projector(alpha, beta):
     """w -> I - K^dag (K K^dag)^{-1} K with K = [beta; alpha^dag] (batched).
 
@@ -168,12 +154,6 @@ def _projector_curvature(proj, p, h):
             for m in range(4) for n in range(m + 1, 4)}
 
 
-def projector_field(d: ADHMData):
-    """p -> orthogonal projector onto ker beta ∩ ker alpha^dag (batched)."""
-    spec = instanton_monad(d)
-    return _projector(spec.alpha, spec.beta)
-
-
 def projector_curvature_fd(d: ADHMData, p, h: float = 1e-4):
     """Full curvature of the projection connection by finite differences.
 
@@ -184,8 +164,9 @@ def projector_curvature_fd(d: ADHMData, p, h: float = 1e-4):
     never touches the complex conventions.  Real coordinate order:
     (u1, v1, u2, v2) with w_j = u_j + i v_j.
     """
-    bmat = mo.cohomology_frame(instanton_monad(d), p).basis
-    comps = _projector_curvature(projector_field(d), p, h)
+    spec = instanton_monad(d)
+    bmat = mo.cohomology_frame(spec, p)
+    comps = _projector_curvature(_projector(spec.alpha, spec.beta), p, h)
     return {key: bmat.conj().T @ f @ bmat for key, f in comps.items()}
 
 

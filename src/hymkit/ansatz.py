@@ -33,7 +33,6 @@ __all__ = [
     "flat_metric_cone_monad",
     "twisted_monad",
     "curvature_weight",
-    "mean_curvature_ratio",
     "mean_curvature_ratio_grad",
     "cancellation",
     "section_component_bound",
@@ -184,14 +183,13 @@ def curvature_weight(p) -> np.ndarray | float:
     a fixed representative of its uniform-equivalence class (hard switch at
     |w| = 1).  Accepts a single point or an array (..., 3).
     """
-    w = np.atleast_2d(np.asarray(p, dtype=complex)) if not hasattr(p, "as_array") \
-        else np.atleast_2d(p.as_array())
+    w = np.asarray(p, dtype=complex)
     sq = np.abs(w) ** 2
     sigma = sq[..., 0] + sq[..., 1]
     if np.any(sigma + sq[..., 2] == 0.0):
         raise ValueError("weight undefined at the origin")
     val = _weight(sigma, sq[..., 2])
-    return float(val[0]) if val.size == 1 and np.asarray(p).ndim <= 1 else val
+    return float(val) if w.ndim == 1 else val
 
 
 def _weight(sigma, z_sq):
@@ -240,13 +238,6 @@ def weight_ratio_sup(n_points: int = 10_000, seed: int = 0) -> float:
     data = mo.curvature_batch(spec, pts)
     ell = curvature_weight(pts)
     return float(np.max(data["norm_mean"] / ell))
-
-
-def mean_curvature_ratio(p) -> float:
-    """|i Lambda F| divided by :func:`curvature_weight` at p (the gradient
-    counterpart is :func:`mean_curvature_ratio_grad`)."""
-    rep = mo.curvature(ansatz_monad(), p)
-    return float(rep.norm_mean / curvature_weight(rep.point))
 
 
 def _chart_sections(chart: str):
@@ -315,8 +306,8 @@ def mean_curvature_ratio_grad(p) -> float:
     def mean_in_frame(q):
         rep = mo.curvature(spec, q)
         # B^dag h1 alpha = (h0 alpha^dag B)^dag = 0, so no projection off Im alpha
-        t = rep.fiber.basis.conj().T @ rep.fiber.h1 @ frame(q)
-        return np.linalg.inv(t) @ rep.mean @ t
+        t = rep["basis"].conj().T @ spec.h1.value(q) @ frame(q)
+        return np.linalg.inv(t) @ rep["mean"] @ t
 
     g0 = chart_gram(w, chart)
     g0_inv = np.linalg.inv(g0)
@@ -349,13 +340,14 @@ def section_component_bound(p, samples: int = 64, seed: int = 0) -> float:
     h-norm in the cohomology fiber.
     """
     spec = ansatz_monad()
-    fiber = mo.cohomology_frame(spec, p)
+    w = spec.point(p)
+    basis = mo.cohomology_frame(spec, w)
+    rank = basis.shape[1]
     rng = np.random.default_rng(seed)
-    c = rng.standard_normal((samples, fiber.rank)) + 1j * rng.standard_normal((samples, fiber.rank))
+    c = rng.standard_normal((samples, rank)) + 1j * rng.standard_normal((samples, rank))
     c /= np.linalg.norm(c, axis=1, keepdims=True)
-    s = c @ fiber.basis.T  # (samples, k1)
+    s = c @ basis.T  # (samples, k1)
     num = np.abs(s[:, 0]) + np.abs(s[:, 1])
-    w = fiber.point
     r = np.sqrt(np.sum(np.abs(w) ** 2))
     sig1 = abs(w[0]) + abs(w[1])
     cap = np.sqrt(r + 1.0)

@@ -7,7 +7,8 @@ Subcommands:
     hymkit report <file...> [--out DIR]
 
 Suites: adhm, ansatz, potential, cone, growth.  Exit codes: 0 all checks
-pass, 1 check failure, 2 usage or config error, 3 numerical abort.  The
+pass, 1 check failure, 2 usage or config error (an unusable --out, or a
+report input that is not a verify report, included), 3 numerical abort.  The
 growth suite's report also holds its degree table, which ``report`` writes
 to growth_table.csv.
 Fixed seed implies byte-identical JSON/CSV outputs on one platform, except
@@ -75,6 +76,17 @@ def _provenance() -> dict:
     return {"hymkit": __version__, "python": platform.python_version(),
             "numpy": np.__version__,
             "threads": {name: os.environ.get(name) for name in THREAD_VARIABLES}}
+
+
+def _out_dir(path) -> Path | None:
+    """The ``--out`` directory, created if it is missing; None, with a
+    message, when it cannot be (a file of that name, say)."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"--out {path} is not a usable directory: {exc}", file=sys.stderr)
+        return None
+    return Path(path)
 
 
 def _write_json(path, obj) -> None:
@@ -191,7 +203,7 @@ def suite_cone(cfg: RunConfig, cone_residual=1e-8) -> tuple:
     res = ansatz.cone_hym_residual(pts)
     checks = [cfg.check("cone_hym_residual", float(res.max()), cone_residual)]
     rep = mo.curvature(ansatz.flat_metric_cone_monad(), [0, 0, 1.0])
-    checks.append(cfg.check("flat_metric_control", rep.norm_mean, 0.01, mode="ge"))
+    checks.append(cfg.check("flat_metric_control", rep["norm_mean"], 0.01, mode="ge"))
     return checks, {}
 
 
@@ -265,13 +277,15 @@ def cmd_verify(args) -> int:
         except ValueError as exc:
             print(f"--samples for the potential suite: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    cfg = RunConfig(seed=args.seed, samples=args.samples, out_dir=Path(args.out))
+    out_dir = _out_dir(args.out)
+    if out_dir is None:
+        return EXIT_USAGE
+    cfg = RunConfig(seed=args.seed, samples=args.samples, out_dir=out_dir)
     try:
         checks, tables = SUITES[args.suite](cfg, **tols)
     except (ValueError, RuntimeError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         checks, code = None, EXIT_NUMERICAL
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if checks is not None:
         report = {"suite": args.suite, "seed": args.seed,
                   "samples": cfg.samples, "checks": checks,
@@ -303,8 +317,9 @@ def cmd_flow(args) -> int:
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
+    if out_dir is None:
+        return EXIT_USAGE
     start = time.perf_counter()
     try:
         dom = fl.build_domain(cfg.box, cfg.resolution,
@@ -338,6 +353,11 @@ def cmd_flow(args) -> int:
 
 
 def cmd_report(args) -> int:
+    """Merge verify reports into report.csv (and growth_table.csv); a file
+    that is not a verify report is a usage error, and no CSV is written."""
+    out_dir = _out_dir(args.out)
+    if out_dir is None:
+        return EXIT_USAGE
     rows = []
     growth_rows = []
     for path in args.inputs:
@@ -347,16 +367,19 @@ def cmd_report(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"cannot read {path}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        suite = data.get("suite", Path(path).stem)
-        for c in data.get("checks", []):
-            rows.append([suite, c["name"], format(c["value"], ".17g"),
-                         format(c["bound"], ".17g"), c["mode"],
-                         "pass" if c["pass"] else "fail"])
-        for r in data.get("growth_table", []):
-            growth_rows.append([r["label"], format(r["d_origin"], ".17g"),
-                                format(r["d_infinity"], ".17g")])
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            suite = data.get("suite", Path(path).stem)
+            for c in data.get("checks", []):
+                rows.append([suite, c["name"], format(c["value"], ".17g"),
+                             format(c["bound"], ".17g"), c["mode"],
+                             "pass" if c["pass"] else "fail"])
+            for r in data.get("growth_table", []):
+                growth_rows.append([r["label"], format(r["d_origin"], ".17g"),
+                                    format(r["d_infinity"], ".17g")])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            print(f"{path} is not a verify report: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     out_path = out_dir / "report.csv"
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -10,9 +10,10 @@ Every module in this package works with one set of conventions, pinned here:
   for coefficient columns v.
 * The adjoint of a linear map M: (C^k, h_src) -> (C^m, h_dst) is
   M^dag = h_src^{-1} conj(M)^t h_dst.
-* A (1,1)-form is stored through coefficients c[j, k] with
-  phi = i * sum_{j,k} c[j, k] dw_j ^ dwbar_k; the contraction against omega is
-  lambda_contract(phi) = 2 * sum_j c[j, j].  With this normalisation
+* A (1,1)-form is stored as its coefficient array c[j, k], (n, n) or
+  (n, n, r, r), with phi = i * sum_{j,k} c[j, k] dw_j ^ dwbar_k (the curvature
+  engine's ``form_raw``); the contraction against omega is
+  lambda_contract(c) = 2 * sum_j c[j, j].  With this normalisation
   Lambda(i ddbar u) = (Delta u) / 2 where Delta is the full real Laplacian
   (sum of 2n second coordinate derivatives).
 * The squared norm of such a form is |phi|^2 = 4 * sum_{j,k} |c[j, k]|^2
@@ -30,13 +31,10 @@ Wirtinger derivatives: d_w = (d_u - i d_v)/2 and d_wbar = (d_u + i d_v)/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "Point3",
-    "Form11",
+    "coords",
     "lambda_contract",
     "fd_derivative",
     "fd_mixed_second",
@@ -46,67 +44,23 @@ __all__ = [
 DEFAULT_FD_STEP = 1e-3
 
 
-@dataclass(frozen=True)
-class Point3:
-    """A point of C^3 (set z = 0 to work on C^2)."""
-
-    x: complex
-    y: complex
-    z: complex = 0j
-
-    @property
-    def norm_sq(self) -> float:
-        return abs(self.x) ** 2 + abs(self.y) ** 2 + abs(self.z) ** 2
-
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(self.norm_sq))
-
-    def as_array(self, n: int = 3) -> np.ndarray:
-        return np.array([self.x, self.y, self.z][:n], dtype=complex)
-
-
 def coords(p, n: int = 3) -> np.ndarray:
-    """Normalise a Point3 / sequence / array to a complex (n,) array."""
-    if isinstance(p, Point3):
-        return p.as_array(n)
+    """A point or batch (..., n) as a complex array, its last axis checked."""
     w = np.asarray(p, dtype=complex)
     if w.shape[-1] != n:
         raise ValueError(f"expected {n} complex coordinates, got shape {w.shape}")
     return w
 
 
-@dataclass(frozen=True)
-class Form11:
-    """A (1,1)-form phi = i sum c[j,k] dw_j ^ dwbar_k.
+def lambda_contract(c) -> np.ndarray | complex:
+    """Contract a (1,1)-form, given by its coefficients c, against the flat
+    Kahler form.
 
-    ``coeff`` has shape (n, n) for scalar forms or (n, n, r, r) when the
-    coefficients are endomorphism valued.  A Hermitian form satisfies
-    c[j, k] = c[k, j]^dag in the endomorphism slot.
+    ``c`` is (n, n) for a scalar form or (n, n, r, r) for an endomorphism-
+    valued one.  Returns 2 * sum_j c[j, j]; a scalar for scalar forms, an
+    (r, r) matrix for endomorphism-valued ones.
     """
-
-    coeff: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeff, dtype=complex)
-        if c.ndim not in (2, 4) or c.shape[0] != c.shape[1]:
-            raise ValueError(f"Form11 coefficients must be (n,n[,r,r]), got {c.shape}")
-        if c.ndim == 4 and c.shape[2] != c.shape[3]:
-            raise ValueError(f"endomorphism slot must be square, got {c.shape}")
-        object.__setattr__(self, "coeff", c)
-
-    @property
-    def n(self) -> int:
-        return self.coeff.shape[0]
-
-
-def lambda_contract(phi: Form11 | np.ndarray) -> np.ndarray | complex:
-    """Contract a (1,1)-form against the flat Kahler form.
-
-    Returns 2 * sum_j c[j, j]; a scalar for scalar forms, an (r, r) matrix for
-    endomorphism-valued ones.
-    """
-    c = phi.coeff if isinstance(phi, Form11) else np.asarray(phi, dtype=complex)
+    c = np.asarray(c, dtype=complex)
     if c.ndim not in (2, 4) or c.shape[0] != c.shape[1]:
         raise ValueError(f"expected (n,n[,r,r]) coefficients, got {c.shape}")
     n = c.shape[0]
@@ -133,7 +87,7 @@ def fd_derivative(f, p, dir: int, kind: str = "holo", h: float = DEFAULT_FD_STEP
         raise ValueError("fd step must be positive")
     if kind not in ("holo", "anti"):
         raise ValueError(f"kind must be 'holo' or 'anti', got {kind!r}")
-    w = np.asarray(p, dtype=complex) if not isinstance(p, Point3) else p.as_array()
+    w = np.asarray(p, dtype=complex)
     du = (np.asarray(f(_shift(w, dir, h)), dtype=complex)
           - np.asarray(f(_shift(w, dir, -h)), dtype=complex)) / (2.0 * h)
     dv = (np.asarray(f(_shift(w, dir, 1j * h)), dtype=complex)
@@ -149,7 +103,7 @@ def fd_mixed_second(f, p, j: int, k: int, h: float = DEFAULT_FD_STEP):
     Built from the four real mixed second derivatives of the pair of real
     coordinate directions underlying w_j and w_k.
     """
-    w = np.asarray(p, dtype=complex) if not isinstance(p, Point3) else p.as_array()
+    w = np.asarray(p, dtype=complex)
 
     def real_mixed(da: complex, db: complex):
         # second derivative along the real directions da (coord j), db (coord k)

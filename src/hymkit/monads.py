@@ -19,9 +19,11 @@ where grad alpha^dag = dbar(alpha^dag) is a (0,1)-form, grad beta =
 (dbar beta^dag)^dag is a (1,0)-form, and F_{E1} is the Chern curvature of h1.
 All pairings and adjoints follow the conventions of :mod:`hymkit.geometry`.
 
-There is one fiber frame and one contraction.  The h1-orthonormal basis B
-(k1 x r) of V_p is built by :func:`frame_batch`, Gram-Schmidt over the
-projected standard basis; :func:`cohomology_frame` is its batch of one.
+There is one fiber frame, one contraction and one result record.  The
+h1-orthonormal basis B (k1 x r) of V_p is built by :func:`frame_batch`,
+Gram-Schmidt over the projected standard basis.  :func:`curvature_batch`
+returns a dict of arrays: the keys ``basis``, ``form_raw``, ``mean``,
+``norm_mean`` and ``norm_form``, each with the batch axes of its input.
 Every ingredient is multiplied by B before the forms are paired
 (:func:`_fiber_forms`), so no (n, n, k1, k1) ambient form exists, and the
 metrics and maps at a point are evaluated once for both (:func:`_values`).
@@ -52,8 +54,10 @@ batch, then works per block of ``BLOCK_POINTS`` points, bit for bit the same.
 Every bundled monad has maps affine in w; :func:`affine_maps` builds a map
 and its derivative from one coefficient array, so the two cannot disagree.
 
-Everything here accepts a single point (shape (n,)) or a batch (..., n); the
-pointwise entry points are batches of one.
+Everything here accepts a single point (shape (n,)) or a batch (..., n).
+The one-point entry points are batches of one: :func:`curvature` returns
+the :func:`curvature_batch` record of a single point, with no batch axes,
+and :func:`cohomology_frame` its (k1, r) basis.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import Form11, coords, fd_derivative, fd_mixed_second
+from .geometry import coords, fd_derivative, fd_mixed_second
 
 __all__ = [
     "MetricField",
@@ -73,8 +77,6 @@ __all__ = [
     "affine_maps",
     "ValidityReport",
     "SingularPointError",
-    "CohomFiber",
-    "CurvatureReport",
     "validate_monad",
     "cohomology_frame",
     "frame_batch",
@@ -371,30 +373,6 @@ class ValidityReport:
         return self.alpha_injective and self.beta_surjective
 
 
-@dataclass(frozen=True)
-class CohomFiber:
-    """Orthonormal (w.r.t. h1) basis of V_p = ker beta ∩ ker alpha^dag."""
-
-    point: np.ndarray
-    basis: np.ndarray      # (k1, r), columns h1-orthonormal
-    projector: np.ndarray  # (k1, k1), h1-orthogonal projector onto V_p
-    h1: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[1]
-
-
-@dataclass(frozen=True)
-class CurvatureReport:
-    point: np.ndarray
-    fiber: CohomFiber
-    form: Form11           # i F_E as a Hermitian Form11: lambda_contract(form) = mean
-    mean: np.ndarray       # (r, r) Hermitian, i Lambda F in the fiber basis
-    norm_form: float       # real-component Frobenius norm of F
-    norm_mean: float       # spectral norm of i Lambda F
-
-
 # ---------------------------------------------------------------------------
 # pointwise maps
 
@@ -526,21 +504,10 @@ def _projector(spec, values):
     return p
 
 
-def _regular_fiber(spec, p):
-    """The fiber at one point p, built as a batch of one, with the batched
-    :func:`_values` and frame it came from."""
-    w = spec.point(p)
-    v = _values(spec, w[None])
-    basis = frame_batch(spec, v)
-    fiber = CohomFiber(point=w, basis=basis[0], projector=_projector(spec, v)[0],
-                       h1=_lmul(v["h1"][0], np.eye(spec.k1, dtype=complex)))
-    return fiber, v, basis
-
-
-def cohomology_frame(spec: MonadSpec, p) -> CohomFiber:
-    """The :func:`frame_batch` basis of the cohomology fiber at one regular
-    point p, with its projector and h1."""
-    return _regular_fiber(spec, p)[0]
+def cohomology_frame(spec: MonadSpec, p) -> np.ndarray:
+    """The (k1, r) :func:`frame_batch` basis of the cohomology fiber at one
+    regular point p, built as a batch of one."""
+    return frame_batch(spec, _values(spec, spec.point(p)[None]))[0]
 
 
 def frame_batch(spec: MonadSpec, values: dict) -> np.ndarray:
@@ -688,35 +655,21 @@ def _spectral_radius(m):
                                              + (m01.real**2 + m01.imag**2))
 
 
-def curvature(spec: MonadSpec, p) -> CurvatureReport:
-    """Curvature of the induced connection at a regular point p.
-
-    The report carries i F_E in the orthonormal fiber basis as a Hermitian
-    Form11 (its Lambda-contraction is the mean curvature), the mean
-    curvature i Lambda F as an r x r Hermitian matrix, and gauge-invariant
-    norms.
-    """
-    fiber, values, basis = _regular_fiber(spec, p)
-    raw, mean, norm_mean, norm_form = _curvature_data(
-        spec, fiber.point[None], basis, values)
-    # i F = i sum raw[j,k] dw_j ^ dwbar_k, i.e. Form11 coefficients = raw
-    return CurvatureReport(
-        point=fiber.point,
-        fiber=fiber,
-        form=Form11(raw[0]),
-        mean=mean[0],
-        norm_form=float(norm_form[0]),
-        norm_mean=float(norm_mean[0]),
-    )
+def curvature(spec: MonadSpec, p) -> dict:
+    """The :func:`curvature_batch` record at one regular point p (n,), with
+    no batch axes."""
+    return curvature_batch(spec, spec.point(p))
 
 
 def curvature_batch(spec: MonadSpec, W: np.ndarray) -> dict:
-    """Batched gauge-invariant curvature data at regular points.
+    """Curvature data at regular points W (..., n), the engine's one record.
 
-    Returns raw form coefficients (..., n, n, r, r) in per-point orthonormal
-    bases together with |F| and the spectral norm of i Lambda F.  The
-    singular-point rule sees the whole batch; the frames and forms are built
-    over blocks of ``BLOCK_POINTS`` points of the flattened batch.
+    Returns ``basis`` (..., k1, r), the :func:`frame_batch` bases; the raw
+    form coefficients ``form_raw`` (..., n, n, r, r) in those bases, with
+    i F = i sum raw[j,k] dw_j ^ dwbar_k; ``mean`` (..., r, r), the Hermitian
+    i Lambda F; ``norm_mean``, its spectral norm; and ``norm_form``, |F|.
+    The singular-point rule sees the whole batch; the frames and forms are
+    built over blocks of ``BLOCK_POINTS`` points of the flattened batch.
     """
     w = np.asarray(W, dtype=complex)
     lead = w.shape[:-1]
@@ -761,11 +714,10 @@ def curvature_fd_check(spec: MonadSpec, p, frame, h: float = 1e-3) -> float:
             fd_raw[j, k] = -fd_derivative(lambda q, jj=j: theta(q, jj), w, k, "anti", h)
 
     rep = curvature(spec, w)
-    fiber = rep.fiber
     # transport: columns of the frame expand in the orthonormal basis as T;
     # B^dag h1 alpha = (h0 alpha^dag B)^dag = 0, so no projection off Im alpha
-    t = fiber.basis.conj().T @ fiber.h1 @ np.asarray(frame(w), dtype=complex)
-    engine_raw = np.linalg.inv(t) @ rep.form.coeff @ t
+    t = rep["basis"].conj().T @ spec.h1.value(w) @ np.asarray(frame(w), dtype=complex)
+    engine_raw = np.linalg.inv(t) @ rep["form_raw"] @ t
 
     scale = max(float(np.abs(engine_raw).max()), 1e-14)
     return float(np.abs(fd_raw - engine_raw).max() / scale)

@@ -33,6 +33,7 @@ __all__ = [
     "eval_G",
     "bump",
     "bump_laplacian",
+    "bump_pairing",
     "laplacian_weak_check",
     "barrier_envelope_check",
     "LAPLACIAN_CONSTANT",

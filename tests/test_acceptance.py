@@ -38,7 +38,7 @@ def test_criterion_01_adhm_asd():
         spec_fd = adhm.strip_analytic_derivatives(adhm.instanton_monad(d))
         for p in rng.standard_normal((100, 4)) * 1.5:
             rep = mo.curvature(spec_fd, p[:2] + 1j * p[2:])
-            worst_fd = max(worst_fd, rep.norm_mean)
+            worst_fd = max(worst_fd, rep["norm_mean"])
     elapsed = time.time() - t0
     ok = worst_analytic <= 1e-9 and worst_fd <= 1e-6 and elapsed < 10.0
     report("criterion 1 (ADHM ASD)", ok,
@@ -283,7 +283,7 @@ def test_criterion_10_cone():
     rng = np.random.default_rng(5)
     pts = ansatz.sample_log_uniform(rng, 50, 0.3, 3.0)
     worst = float(ansatz.cone_hym_residual(pts).max())
-    control = mo.curvature(ansatz.flat_metric_cone_monad(), [0, 0, 1.0]).norm_mean
+    control = mo.curvature(ansatz.flat_metric_cone_monad(), [0, 0, 1.0])["norm_mean"]
     ok = worst <= 1e-8 and control >= 0.01
     report("criterion 10 (conical HYM)", ok,
            f"residual {worst:.2e} <= 1e-8 at 50 points; "

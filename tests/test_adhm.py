@@ -43,8 +43,7 @@ class TestInstantonMonad:
     def test_rank_two(self):
         spec = adhm.instanton_monad(adhm.ADHMData(1, 0, 0, 1))
         assert spec.rank == 2
-        fiber = mo.cohomology_frame(spec, [0.2, 0.4])
-        assert fiber.rank == 2
+        assert mo.cohomology_frame(spec, [0.2, 0.4]).shape == (4, 2)
 
     def test_degenerate_data_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -52,14 +51,19 @@ class TestInstantonMonad:
 
 
 class TestASD:
+    """The induced connection is the Chern connection of the cohomology
+    metric, so its curvature is type (1,1): |i Lambda F| is the whole
+    anti-self-duality residual."""
+
     def test_unit_data_spot(self):
-        assert adhm.asd_check(adhm.ADHMData(1, 0, 0, 1), [0.3, -0.7]) <= 1e-9
+        spec = adhm.instanton_monad(adhm.ADHMData(1, 0, 0, 1))
+        assert mo.curvature(spec, [0.3, -0.7])["norm_mean"] <= 1e-9
 
     def test_scaled_data_random_points(self, rng):
-        d = adhm.ADHMData(2, 0, 0, 2)
+        spec = adhm.instanton_monad(adhm.ADHMData(2, 0, 0, 2))
         pts = rng.standard_normal((10, 4))
         for p in pts:
-            assert adhm.asd_check(d, p[:2] + 1j * p[2:]) <= 1e-8
+            assert mo.curvature(spec, p[:2] + 1j * p[2:])["norm_mean"] <= 1e-8
 
     def test_invalid_data_is_not_asd(self):
         # negative control: raw quadruple violating the complex equation
@@ -68,9 +72,10 @@ class TestASD:
         assert adhm.asd_defect_fd(1, 0, 0, 1, [0.4, 0.9]) < 1e-6
 
     def test_fd_derivative_mode(self, rng):
-        d = adhm.random_valid_data(rng)
+        spec = adhm.strip_analytic_derivatives(
+            adhm.instanton_monad(adhm.random_valid_data(rng)))
         for p in rng.standard_normal((5, 4)):
-            assert adhm.asd_check(d, p[:2] + 1j * p[2:], analytic=False) <= 1e-6
+            assert mo.curvature(spec, p[:2] + 1j * p[2:])["norm_mean"] <= 1e-6
 
     @given(theta=st.floats(0.0, 2 * np.pi))
     def test_u1_orbit_invariance(self, theta):
@@ -80,7 +85,7 @@ class TestASD:
         assert adhm.is_valid(d)
         rot = d.rotated(theta)
         p = [0.3, -0.2 + 0.4j]
-        assert adhm.asd_check(rot, p) <= 1e-9
+        assert mo.curvature(adhm.instanton_monad(rot), p)["norm_mean"] <= 1e-9
         assert adhm.curvature_scale(rot) == pytest.approx(adhm.curvature_scale(d))
         nf1 = adhm.framed_moduli_point(d).normal_form
         nf2 = adhm.framed_moduli_point(rot).normal_form
@@ -99,12 +104,12 @@ class TestProjectorOracle:
         assert np.abs(comps[(0, 3)] + comps[(1, 2)]).max() < 1e-7
 
     def test_matches_complex_engine(self):
-        # the report form stores i F, whose coefficients are the raw
+        # the record's form_raw holds the coefficients of i F, the raw
         # dw_j ^ dwbar_k components; F(u1, v1) = -2 i raw[0, 0]
         d = adhm.ADHMData(1, 0, 0, 1)
         p = [0.3, -0.7]
         comps = adhm.projector_curvature_fd(d, p)
-        raw = mo.curvature(adhm.instanton_monad(d), p).form.coeff
+        raw = mo.curvature(adhm.instanton_monad(d), p)["form_raw"]
         np.testing.assert_allclose(comps[(0, 1)], -2j * raw[0, 0], atol=1e-6)
         # mixed component F(u1, u2) = raw[0,1] - raw[1,0]
         np.testing.assert_allclose(comps[(0, 2)], raw[0, 1] - raw[1, 0], atol=1e-6)

@@ -140,6 +140,15 @@ class TestVerify:
         rec = json.loads((tmp_path / "run_cone.json").read_text())
         assert rec["exit_code"] == cli.EXIT_NUMERICAL and list(rec["seconds"]) == ["first"]
 
+    def test_out_naming_a_file_usage_error(self, tmp_path, monkeypatch, capsys):
+        # refused before the suite runs
+        out = tmp_path / "taken"
+        out.write_text("")
+        monkeypatch.setitem(cli.SUITES, "cone", lambda cfg: pytest.fail("suite ran"))
+        assert run_cli(["verify", "cone", "--out", str(out)]) == cli.EXIT_USAGE
+        assert str(out) in capsys.readouterr().err
+        assert out.read_text() == ""
+
     def test_deterministic_output(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         for out in (d1, d2):
@@ -187,6 +196,16 @@ class TestFlow:
         assert set(rec["seconds"]) == {"build_domain", "table", "steps", "energy",
                                        "positivity", "io"}
         assert all(isinstance(v, float) and v >= 0 for v in rec["seconds"].values())
+
+    def test_out_naming_a_file_usage_error(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        monkeypatch.setattr("hymkit.flow.build_domain",
+                            lambda *a, **k: pytest.fail("flow ran"))
+        assert run_cli(["flow", str(self.make_config(tmp_path)),
+                        "--out", str(out)]) == cli.EXIT_USAGE
+        assert str(out) in capsys.readouterr().err
+        assert out.read_text() == ""
 
     def test_missing_config_usage_error(self, tmp_path):
         assert run_cli(["flow", str(tmp_path / "nope.json")]) == cli.EXIT_USAGE
@@ -295,6 +314,32 @@ class TestReport:
         bad = tmp_path / "bad.json"
         bad.write_text("{{{{")
         assert run_cli(["report", str(bad)]) == cli.EXIT_USAGE
+
+    def test_out_naming_a_file_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "verify_demo.json"
+        src.write_text(json.dumps({"suite": "demo", "checks": []}))
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run_cli(["report", str(src), "--out", str(out)]) == cli.EXIT_USAGE
+        assert str(out) in capsys.readouterr().err
+        assert out.read_text() == ""
+
+    @pytest.mark.parametrize("doc", [
+        [{"name": "a", "value": 1.0, "bound": 2.0, "mode": "le", "pass": True}],
+        {"checks": [{"value": 1.0, "bound": 2.0, "mode": "le", "pass": True}]},
+        {"checks": [{"name": "a", "value": "one", "bound": 2.0, "mode": "le",
+                     "pass": True}]},
+    ], ids=["top-level-list", "check-without-name", "non-numeric-value"])
+    def test_json_that_is_not_a_report_usage_error(self, tmp_path, capsys, doc):
+        good = tmp_path / "verify_good.json"
+        good.write_text(json.dumps({"suite": "good", "checks": [
+            {"name": "a", "value": 1.0, "bound": 2.0, "mode": "le", "pass": True}]}))
+        bad = tmp_path / "verify_bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "merged"
+        assert run_cli(["report", str(good), str(bad), "--out", str(out)]) == cli.EXIT_USAGE
+        assert str(bad) in capsys.readouterr().err
+        assert list(out.glob("*.csv")) == []
 
 
 def test_module_entry_point():

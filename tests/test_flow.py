@@ -194,7 +194,7 @@ class TestMeanCurvatureField:
             det = np.real(np.linalg.det(c))
             disc = np.sqrt(max(tr * tr - 4 * det, 0.0))
             grid_norm = max(abs(0.5 * (tr + disc)), abs(0.5 * (tr - disc)))
-            assert abs(grid_norm - rep.norm_mean) <= 5.0 * h2
+            assert abs(grid_norm - rep["norm_mean"]) <= 5.0 * h2
 
     def test_refinement_second_order(self):
         # discrepancy against the engine shrinks like the squared spacing
@@ -212,7 +212,7 @@ class TestMeanCurvatureField:
             det = np.real(np.linalg.det(c))
             disc = np.sqrt(max(tr * tr - 4 * det, 0.0))
             grid_norm = max(abs(0.5 * (tr + disc)), abs(0.5 * (tr - disc)))
-            errs.append(abs(grid_norm - rep.norm_mean))
+            errs.append(abs(grid_norm - rep["norm_mean"]))
         hs = [1.0 / (res - 1) for res in (5, 7, 9)]
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.4)
@@ -581,6 +581,34 @@ class TestRun:
                 rows.append((k, ref.t, flow.mean_curvature_field(ref)[1]))
         assert [row[:3] for row in state.history] == rows
         assert np.array_equal(state.h, ref.h)
+
+    def test_periodic_positivity_check_reads_the_table_only(self):
+        dom = flow.build_domain(resolution=6, n_barrier_nodes=1)
+        state = flow.step(flow.initial_state(dom))
+        flow._check_positivity(state, whole=False)
+        assert not state._whole  # passed without applying the fill map
+
+    @pytest.mark.parametrize("field,value", [("_a", -1.0), ("_b", np.nan)])
+    def test_periodic_positivity_check_names_the_whole_checks_node(self, field, value):
+        dom = flow.build_domain(resolution=6, n_barrier_nodes=1)
+        states = [flow.step(flow.initial_state(dom)) for _ in range(2)]
+        nodes = []
+        for state, whole in zip(states, (False, True)):
+            getattr(state, field).reshape(-1)[state.table.nodes[-1]] = value
+            with pytest.raises(flow.PositivityError) as exc:
+                flow._check_positivity(state, whole=whole)
+            nodes.append(exc.value.node)
+        assert nodes[0] == nodes[1]
+
+    def test_final_positivity_check_covers_the_boundary(self):
+        # a corner is no node's stencil neighbour: only the final whole-grid
+        # check of run sees it
+        dom = flow.build_domain(resolution=5, n_barrier_nodes=1)
+        dom.h0 = dom.h0.copy()
+        dom.h0[(0,) * 6] = -np.eye(2)
+        with pytest.raises(flow.PositivityError, match="step 50") as exc:
+            flow.run(dom, 50)
+        assert exc.value.node == (0,) * 6
 
     def test_positivity_along_flow(self, result):
         h = result.h

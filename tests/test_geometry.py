@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hymkit import monads as mo
-from hymkit.geometry import (Form11, Point3, fd_derivative, fd_mixed_second,
-                             lambda_contract)
+from hymkit.geometry import fd_derivative, fd_mixed_second, lambda_contract
 
 
 # Oracles of the conventions in hymkit.geometry, stated by their definitions;
@@ -43,9 +42,8 @@ def check_positive_definite(m, tol=1e-12) -> bool:
     return bool(ev.min() > tol * max(ev.max(), 0.0))
 
 
-def form_is_hermitian(form: Form11, tol=1e-10) -> bool:
+def form_is_hermitian(c, tol=1e-10) -> bool:
     """c[j, k] = c[k, j]^dag in the endomorphism slot."""
-    c = form.coeff
     dev = np.abs(c - (c.conj().T if c.ndim == 2 else c.conj().transpose(1, 0, 3, 2))).max()
     return bool(dev <= tol * max(np.abs(c).max(), 1.0))
 
@@ -60,18 +58,18 @@ class TestLambdaContract:
         # phi = i dx ^ dxbar on C^1
         c = np.zeros((1, 1), dtype=complex)
         c[0, 0] = 1.0
-        assert lambda_contract(Form11(c)) == pytest.approx(2.0)
+        assert lambda_contract(c) == pytest.approx(2.0)
 
     def test_off_diagonal_contracts_to_zero(self):
         c = np.zeros((2, 2), dtype=complex)
         c[0, 1] = 1.0  # i dx ^ dybar
-        assert lambda_contract(Form11(c)) == pytest.approx(0.0)
+        assert lambda_contract(c) == pytest.approx(0.0)
 
     def test_scalar_anchor_half_laplacian(self):
         # u = |x|^2 on C^3: i ddbar u has coefficient matrix diag(1, 0, 0),
         # so Lambda = 2 = (Delta u) / 2 with Delta u = 4
         c = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        assert lambda_contract(Form11(c)) == pytest.approx(2.0)
+        assert lambda_contract(c) == pytest.approx(2.0)
 
     def test_polynomial_anchor_with_analytic_coefficients(self):
         # u = a|x|^2 + b|y|^2 + c|z|^2 + 2 Re(d x ybar)
@@ -81,22 +79,22 @@ class TestLambdaContract:
         coeff = np.array([[a, d, 0], [np.conj(d), b, 0], [0, 0, c]],
                          dtype=complex)
         lap_over_2 = 2.0 * (a + b + c)
-        assert lambda_contract(Form11(coeff)) == pytest.approx(lap_over_2, abs=1e-8)
+        assert lambda_contract(coeff) == pytest.approx(lap_over_2, abs=1e-8)
 
     def test_linearity(self, rng):
         c1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         c2 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        lhs = lambda_contract(Form11(2.0 * c1 + 3.0 * c2))
-        assert lhs == pytest.approx(2 * lambda_contract(Form11(c1))
-                                    + 3 * lambda_contract(Form11(c2)))
+        lhs = lambda_contract(2.0 * c1 + 3.0 * c2)
+        assert lhs == pytest.approx(2 * lambda_contract(c1)
+                                    + 3 * lambda_contract(c2))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Form11(np.zeros((2, 3)))
+            lambda_contract(np.zeros((2, 3)))
 
     def test_endomorphism_valued(self, rng):
         c = rng.standard_normal((2, 2, 3, 3)) * (1 + 0j)
-        out = lambda_contract(Form11(c))
+        out = lambda_contract(c)
         assert out.shape == (3, 3)
         np.testing.assert_allclose(out, 2.0 * (c[0, 0] + c[1, 1]))
 
@@ -106,9 +104,9 @@ class TestLambdaContract:
         c[1, 0] = c[0, 1].conj().T
         c[0, 0] = np.eye(2)
         c[1, 1] = np.eye(2)
-        assert form_is_hermitian(Form11(c))
+        assert form_is_hermitian(c)
         c[1, 0] = 2 * c[1, 0]
-        assert not form_is_hermitian(Form11(c))
+        assert not form_is_hermitian(c)
 
 
 class TestAdjoint:
@@ -214,23 +212,6 @@ class TestFiniteDifferences:
             fd_derivative(lambda w: w[0], [0, 0, 0], 0, "holo", h=0.0)
         with pytest.raises(ValueError):
             fd_derivative(lambda w: w[0], [0, 0, 0], 0, "sideways")
-
-
-class TestPoint3:
-    def test_norms(self):
-        p = Point3(3 + 4j, 0, 1j)
-        assert p.norm_sq == pytest.approx(26.0)
-        assert p.norm == pytest.approx(np.sqrt(26.0))
-
-    def test_norm_equals_six_real_squares(self, rng):
-        vals = rng.standard_normal(6)
-        p = Point3(complex(vals[0], vals[1]), complex(vals[2], vals[3]),
-                   complex(vals[4], vals[5]))
-        assert p.norm_sq == pytest.approx(np.sum(vals**2))
-
-    def test_as_array_c2(self):
-        p = Point3(1.0, 2.0)
-        np.testing.assert_allclose(p.as_array(2), [1.0, 2.0])
 
 
 def test_positive_definite_checks(rng):

@@ -1,8 +1,11 @@
 """Every module-level import of the package is used (package re-exports in
-``__init__.py`` and ``from __future__`` excepted), and every private
-module-level name is read somewhere in the package outside its definition."""
+``__init__.py`` and ``from __future__`` excepted), every private
+module-level name is read somewhere in the package outside its definition,
+and every ``__all__`` names only what its module defines and lists each of
+its public functions and classes."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -73,3 +76,40 @@ def test_detects_a_dead_private_name():
 def test_no_dead_private_names(path):
     reads = sum((_reads(ast.parse(p.read_text())) for p in SRC.glob("*.py")), Counter())
     assert dead_private_names(path.read_text(), reads) == []
+
+
+PACKAGE = sorted(p for p in SRC.glob("*.py") if p.name != "__main__.py")
+
+
+def declared_all(source: str):
+    """The names of a module's literal ``__all__``, or None without one."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return [ast.literal_eval(e) for e in node.value.elts]
+    return None
+
+
+def public_definitions(source: str) -> list:
+    """Public module-level functions and classes."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def test_detects_an_unlisted_definition():
+    src = "__all__ = ['f']\ndef f():\n    pass\ndef g():\n    pass\nclass _K:\n    pass\n"
+    assert declared_all(src) == ["f"]
+    assert public_definitions(src) == ["f", "g"]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if declared_all(p.read_text())],
+                         ids=lambda p: p.name)
+def test_all_resolves_and_lists_every_public_definition(path):
+    source = path.read_text()
+    names = declared_all(source)
+    module = importlib.import_module(
+        "hymkit" if path.stem == "__init__" else f"hymkit.{path.stem}")
+    assert sorted(set(names)) == sorted(names), "a name is listed twice"
+    assert [n for n in names if not hasattr(module, n)] == []
+    assert [n for n in public_definitions(source) if n not in names] == []

@@ -135,38 +135,38 @@ class TestAffineMaps:
 
 class TestCohomologyFrame:
     def test_rank_is_two(self, main_spec):
-        fiber = mo.cohomology_frame(main_spec, [1.0, 0, 0])
-        assert fiber.rank == 2 == main_spec.rank
+        basis = mo.cohomology_frame(main_spec, [1.0, 0, 0])
+        assert basis.shape == (4, 2) and main_spec.rank == 2
 
     def test_fiber_conditions_at_unit_x(self, main_spec):
         # at (1,0,0): v2 = 0 and v1/sqrt(2) + v3 = 0 cut the fiber
-        fiber = mo.cohomology_frame(main_spec, [1.0, 0, 0])
-        b = fiber.basis
+        b = mo.cohomology_frame(main_spec, [1.0, 0, 0])
+        h1 = main_spec.h1.value(np.array([1.0, 0, 0]))
         assert np.abs(b[1, :]).max() < 1e-10
         assert np.abs(b[0, :] * 2**-0.5 + b[2, :]).max() < 1e-10
         # contains (0,0,0,1) and the normalisation of (1,0,-2^{-1/2},0)
-        coords = fiber.basis.conj().T @ fiber.h1 @ np.array([0, 0, 0, 1.0])
-        recon = fiber.basis @ coords
-        np.testing.assert_allclose(recon, [0, 0, 0, 1.0], atol=1e-10)
+        coords = b.conj().T @ h1 @ np.array([0, 0, 0, 1.0])
+        np.testing.assert_allclose(b @ coords, [0, 0, 0, 1.0], atol=1e-10)
         v = np.array([1.0, 0, -(2**-0.5), 0])
-        coords = fiber.basis.conj().T @ fiber.h1 @ v
-        np.testing.assert_allclose(fiber.basis @ coords, v, atol=1e-10)
+        coords = b.conj().T @ h1 @ v
+        np.testing.assert_allclose(b @ coords, v, atol=1e-10)
 
     def test_orthonormal_and_annihilated(self, main_spec, rng):
         for _ in range(5):
             p = rng.standard_normal(6)
             w = p[:3] + 1j * p[3:]
-            fiber = mo.cohomology_frame(main_spec, w)
-            gram = fiber.basis.conj().T @ fiber.h1 @ fiber.basis
+            basis = mo.cohomology_frame(main_spec, w)
+            h1 = main_spec.h1.value(w)
+            gram = basis.conj().T @ h1 @ basis
             np.testing.assert_allclose(gram, np.eye(2), atol=1e-10)
-            assert np.abs(main_spec.beta(w) @ fiber.basis).max() < 1e-10
+            assert np.abs(main_spec.beta(w) @ basis).max() < 1e-10
             h0 = mo._metric_value(main_spec.h0, w)
-            adag = np.linalg.solve(h0, main_spec.alpha(w).conj().T @ fiber.h1)
-            assert np.abs(adag @ fiber.basis).max() < 1e-10
-            proj = fiber.projector
+            adag = np.linalg.solve(h0, main_spec.alpha(w).conj().T @ h1)
+            assert np.abs(adag @ basis).max() < 1e-10
+            proj = mo._projector(main_spec, mo._values(main_spec, w))
             np.testing.assert_allclose(proj @ proj, proj, atol=1e-10)
             # h1-self-adjoint projector
-            lhs = fiber.h1 @ proj
+            lhs = h1 @ proj
             np.testing.assert_allclose(lhs, lhs.conj().T, atol=1e-10)
 
     def test_singular_point_raises_with_diagnostics(self, main_spec):
@@ -175,14 +175,14 @@ class TestCohomologyFrame:
         assert exc.value.report is not None
 
     def test_cone_fiber_at_unit_z(self):
-        fiber = mo.cohomology_frame(cone_monad(), [0, 0, 1.0])
-        assert fiber.rank == 2
-        assert np.abs(fiber.basis[2, :]).max() < 1e-12
+        basis = mo.cohomology_frame(cone_monad(), [0, 0, 1.0])
+        assert basis.shape == (3, 2)
+        assert np.abs(basis[2, :]).max() < 1e-12
 
     def test_deterministic(self, main_spec):
         f1 = mo.cohomology_frame(main_spec, [0.3, -0.2j, 1.0])
         f2 = mo.cohomology_frame(main_spec, [0.3, -0.2j, 1.0])
-        np.testing.assert_array_equal(f1.basis, f2.basis)
+        np.testing.assert_array_equal(f1, f2)
 
 
 def _pointwise_frame(spec, w):
@@ -414,9 +414,8 @@ class TestInducedMetric:
         assert dev <= 1.0 * 10.0 / 100.0  # C * |w| / |y|^2 with C = 1
 
     def test_orthonormal_basis_gives_identity(self, main_spec):
-        fiber = mo.cohomology_frame(main_spec, [0.5, 1.0, -0.3])
-        g = mo.induced_metric(main_spec, fiber.point,
-                              [fiber.basis[:, 0], fiber.basis[:, 1]])
+        basis = mo.cohomology_frame(main_spec, [0.5, 1.0, -0.3])
+        g = mo.induced_metric(main_spec, [0.5, 1.0, -0.3], [basis[:, 0], basis[:, 1]])
         np.testing.assert_allclose(g, np.eye(2), atol=1e-10)
 
     def test_rejects_section_outside_kernel(self, main_spec):
@@ -429,8 +428,8 @@ class TestCurvature:
         for _ in range(5):
             p = rng.standard_normal(6)
             rep = mo.curvature(main_spec, p[:3] + 1j * p[3:])
-            np.testing.assert_allclose(rep.mean, rep.mean.conj().T, atol=1e-10)
-            c = rep.form.coeff
+            np.testing.assert_allclose(rep["mean"], rep["mean"].conj().T, atol=1e-10)
+            c = rep["form_raw"]
             np.testing.assert_allclose(c, c.conj().transpose(1, 0, 3, 2), rtol=0,
                                        atol=1e-8 * max(np.abs(c).max(), 1.0))
 
@@ -455,16 +454,44 @@ class TestCurvature:
         data = mo.curvature_batch(main_spec, pts)
         for i, p in enumerate(pts):
             rep = mo.curvature(main_spec, p)
-            assert data["norm_form"][i] == pytest.approx(rep.norm_form, rel=1e-9)
-            assert data["norm_mean"][i] == pytest.approx(rep.norm_mean, rel=1e-9)
+            assert data["norm_form"][i] == pytest.approx(float(rep["norm_form"]), rel=1e-9)
+            assert data["norm_mean"][i] == pytest.approx(float(rep["norm_mean"]), rel=1e-9)
+
+    @pytest.mark.parametrize("name", ["ansatz", "cone", "cone-flat", "twisted", "adhm",
+                                      "ansatz-fd", "adhm-fd"])
+    def test_one_point_calls_are_rows_of_the_batch(self, name, rng):
+        # curvature and cohomology_frame return, bit for bit, a row of the
+        # curvature_batch record; "-fd" is the finite-difference oracle
+        spec = {"ansatz": ansatz_monad, "cone": cone_monad,
+                "cone-flat": flat_metric_cone_monad,
+                "twisted": lambda: twisted_monad(100.0),
+                "adhm": lambda: adhm.instanton_monad(adhm.ADHMData(1, 0, 0, 1)),
+                "ansatz-fd": lambda: adhm.strip_analytic_derivatives(ansatz_monad()),
+                "adhm-fd": lambda: adhm.strip_analytic_derivatives(
+                    adhm.instanton_monad(adhm.random_valid_data(rng)))}[name]()
+        p = rng.standard_normal((20, 2 * spec.n))
+        w = p[:, :spec.n] + 1j * p[:, spec.n:]
+        if name == "twisted":
+            w[:, 2] += 100.0
+        data = mo.curvature_batch(spec, w)
+        shapes = {"basis": (spec.k1, 2), "form_raw": (spec.n, spec.n, 2, 2),
+                  "mean": (2, 2), "norm_mean": (), "norm_form": ()}
+        for i, q in enumerate(w):
+            rep = mo.curvature(spec, q)
+            assert {key: x.shape for key, x in rep.items()} == shapes
+            for key, x in rep.items():
+                assert x.tobytes() == data[key][i].tobytes(), key
+            basis = mo.cohomology_frame(spec, q)
+            assert basis.tobytes() == data["basis"][i].tobytes()
+            assert basis.tobytes() == mo.frame_batch(spec, mo._values(spec, q[None]))[0].tobytes()
 
     def test_fd_fallback_matches_analytic(self, main_spec):
         stripped = adhm.strip_analytic_derivatives(main_spec)
         w = np.array([0.9, 0.4 - 0.2j, 0.7 + 0.1j])
         r_an = mo.curvature(main_spec, w)
         r_fd = mo.curvature(stripped, w)
-        assert np.abs(r_an.mean - r_fd.mean).max() < 1e-6
-        assert r_fd.norm_form == pytest.approx(r_an.norm_form, rel=1e-6)
+        assert np.abs(r_an["mean"] - r_fd["mean"]).max() < 1e-6
+        assert float(r_fd["norm_form"]) == pytest.approx(float(r_an["norm_form"]), rel=1e-6)
 
 
 class TestCurvatureOracle:
