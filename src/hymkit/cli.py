@@ -308,8 +308,10 @@ def cmd_verify(args) -> int:
 
 def cmd_flow(args) -> int:
     """Run the flow; write history.csv, the checkpoint and run.json, the run
-    record: versions, thread variables, grid, dt, path, the first step with
-    sup <= 1e-12 sup0 and the seconds of each stage."""
+    record: versions, thread variables, grid, the exit code, dt, path, the
+    first step with sup <= 1e-12 sup0 and the seconds of each stage.  After
+    a numerical abort run.json is the one output: the exit code, the error
+    and the seconds of the stages up to the abort."""
     from . import flow as fl
 
     try:
@@ -320,36 +322,44 @@ def cmd_flow(args) -> int:
     out_dir = _out_dir(args.out)
     if out_dir is None:
         return EXIT_USAGE
+    record = {**_provenance(), "resolution": cfg.resolution, "steps": cfg.steps}
     start = time.perf_counter()
+    seconds = {}
     try:
         dom = fl.build_domain(cfg.box, cfg.resolution,
                               n_barrier_nodes=cfg.n_barrier_nodes, seed=cfg.seed)
-        built = time.perf_counter()
+        seconds["build_domain"] = time.perf_counter() - start
         state = fl.run(dom, cfg.steps, dt=cfg.dt,
                        monitor_cadence=cfg.monitor_cadence)
     except (fl.PositivityError, ValueError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
+        # the stage that aborted, timed up to the abort
+        seconds["run" if seconds else "build_domain"] = \
+            time.perf_counter() - start - sum(seconds.values())
+        _write_json(out_dir / "run.json", {**record, "exit_code": EXIT_NUMERICAL,
+                                           "error": str(exc), "seconds": seconds})
         return EXIT_NUMERICAL
     ran = time.perf_counter()
     fl.write_history_csv(state, out_dir / "history.csv")
     fl.save_checkpoint(state, out_dir / "checkpoint.bin")
     sups = [row[2] for row in state.history]
     ratio = sups[-1] / sups[0] if sups[0] > 0 else 0.0
-    record = {
-        **_provenance(), "resolution": cfg.resolution, "steps": cfg.steps,
+    code = EXIT_PASS if ratio <= 0.5 else EXIT_CHECK_FAILURE
+    record.update({
+        "exit_code": code,
         "dt": dom.cfl_bound() if cfg.dt is None else cfg.dt, "cfl_bound": dom.cfl_bound(),
         "path": "block" if state.table.dst.size else "interior",
         "table_nodes": int(state.table.nodes.size),
         "converge_step": next((row[0] for row in state.history
                                if row[2] <= 1e-12 * sups[0]), None),
-        "seconds": {"build_domain": built - start, **state.seconds,
+        "seconds": {**seconds, **state.seconds,
                     "io": time.perf_counter() - ran},
-    }
+    })
     _write_json(out_dir / "run.json", record)
     print(f"flow: {cfg.steps} steps, sup |iLamF| {sups[0]:.4g} -> {sups[-1]:.4g} "
           f"(ratio {ratio:.3g})")
     print(f"history and checkpoint written to {out_dir}")
-    return EXIT_PASS if ratio <= 0.5 else EXIT_CHECK_FAILURE
+    return code
 
 
 def cmd_report(args) -> int:
@@ -370,6 +380,9 @@ def cmd_report(args) -> int:
         try:
             suite = data.get("suite", Path(path).stem)
             for c in data.get("checks", []):
+                if not isinstance(c["pass"], bool) or c["mode"] not in ("le", "ge"):
+                    raise ValueError(f"check {c['name']!r} needs a boolean 'pass' and "
+                                     f"a 'mode' of 'le' or 'ge'")
                 rows.append([suite, c["name"], format(c["value"], ".17g"),
                              format(c["bound"], ".17g"), c["mode"],
                              "pass" if c["pass"] else "fail"])

@@ -33,8 +33,15 @@ Metrics keep one of two forms through the engine (:func:`_metric`).  A
 of a diagonal matrix included), stays diagonal: h, d h and d dbar h are
 diagonal columns, h^{-1} is their reciprocal, and the derivatives of a
 constant metric are None, so the terms they enter are dropped.  Any other
-metric is dense, multiplied by matmul and inverted by LAPACK.  Only
+metric is dense, multiplied by :func:`_mm` and inverted by LAPACK.  Only
 :func:`_lmul`, :func:`_rmul` and :func:`_inv` tell the two forms apart.
+
+Stacked small products go through :func:`_mm`, a sum of outer products over
+the contraction index, where numpy's matmul would make one BLAS call per
+point: the Gram matrices, the projector's columns, the Gram-Schmidt inner
+products, the fiber columns of the derivatives and the dense metric
+products.  The pairings of the forms, outer products (k0 = k2 = 1) or at
+least 6x4 @ 4x6, keep matmul, which is faster there.
 
 One singular-point rule serves every entry point, in :func:`_values`: a
 point is singular when the smallest h-metric singular value of beta^dag or
@@ -49,7 +56,8 @@ Every bundled monad has k0 <= 1, k2 = 1 and rank 2: a 1x1 Gram matrix is
 its own eigenvalue (:func:`_sigma_min`) and :func:`_inv` takes its reciprocal,
 and i Lambda F has the closed-form 2x2 :func:`_spectral_radius`; larger
 matrices keep LAPACK.  :func:`curvature_batch` applies the rule to the whole
-batch, then works per block of ``BLOCK_POINTS`` points, bit for bit the same.
+batch, then works per block of ``BLOCK_POINTS`` points, bit for bit the same,
+and writes each block into a record allocated once for the whole batch.
 
 Every bundled monad has maps affine in w; :func:`affine_maps` builds a map
 and its derivative from one coefficient array, so the two cannot disagree.
@@ -265,6 +273,17 @@ def _metric(metric, w, order, step=None):
     return _metric_dmixed(metric, w, step)
 
 
+def _mm(x, y):
+    """x @ y over the last two axes of stacked small matrices, as the sum
+    over the contraction index i of the outer products x[..., :, i] y[..., i, :],
+    taken in index order: a few elementwise passes over the whole stack in
+    place of matmul's one BLAS call per point."""
+    out = x[..., :, 0, None] * y[..., None, 0, :]
+    for i in range(1, x.shape[-1]):
+        out += x[..., :, i, None] * y[..., None, i, :]
+    return out
+
+
 def _lmul(h, x, adj=False):
     """h @ x (h^dag @ x with ``adj``) for a metric factor h from :func:`_metric`
     or :func:`_inv`: a diagonal column (..., k, 1) scales the rows of x, a
@@ -272,14 +291,14 @@ def _lmul(h, x, adj=False):
     only code that tells the two forms apart; at k = 1 they agree."""
     if h.shape[-1] == 1:
         return (h.conj() if adj else h) * x
-    return (_ct(h) if adj else h) @ x
+    return _mm(_ct(h) if adj else h, x)
 
 
 def _rmul(x, h, adj=False):
     """x @ h (x @ h^dag with ``adj``): a diagonal column scales the columns."""
     if h.shape[-1] == 1:
         return x * np.swapaxes(h.conj() if adj else h, -1, -2)
-    return x @ (_ct(h) if adj else h)
+    return _mm(x, _ct(h) if adj else h)
 
 
 def _inv(h):
@@ -429,7 +448,7 @@ def _values(spec, w):
                "beta": np.asarray(spec.beta(w), dtype=complex)}
         h1_inv = _inv(out["h1"])
         beta_dag = _rmul(_lmul(h1_inv, _ct(out["beta"])), out["h2"])
-        bbd = out["beta"] @ beta_dag
+        bbd = _mm(out["beta"], beta_dag)
         sigma_beta = _sigma_min(bbd)
         out.update(h1_inv=h1_inv, beta_dag=beta_dag, sigma_beta=sigma_beta,
                    sigma_alpha=np.full(sigma_beta.shape, np.inf))
@@ -438,7 +457,7 @@ def _values(spec, w):
                        alpha=np.asarray(spec.alpha(w), dtype=complex))
             out["h0_inv"] = _inv(out["h0"])
             out["alpha_dag"] = _rmul(_lmul(out["h0_inv"], _ct(out["alpha"])), out["h1"])
-            ada = out["alpha_dag"] @ out["alpha"]
+            ada = _mm(out["alpha_dag"], out["alpha"])
             out["sigma_alpha"] = _sigma_min(ada)
     singular = ~(out["sigma_alpha"] > SINGULAR_TOL) | ~(out["sigma_beta"] > SINGULAR_TOL)
     if np.any(singular):
@@ -495,12 +514,15 @@ def validate_monad(spec: MonadSpec, p) -> ValidityReport:
     return _report(spec, w, values, ())
 
 
-def _projector(spec, values):
-    """h1-orthogonal projector onto ker beta ∩ ker alpha^dag, batched."""
+def _projector(spec, values, i):
+    """P e_i (..., k1, 1), column i of the h1-orthogonal projector P onto
+    ker beta ∩ ker alpha^dag, batched; the frame reads only the columns it
+    takes as seeds."""
     v = values
-    p = np.eye(spec.k1) - _rmul(v["beta_dag"], v["bbd_inv"]) @ v["beta"]
+    p = np.eye(spec.k1)[:, i, None] - _mm(_rmul(v["beta_dag"], v["bbd_inv"]),
+                                          v["beta"][..., i, None])
     if spec.k0 > 0:
-        p = p - _rmul(v["alpha"], v["ada_inv"]) @ v["alpha_dag"]
+        p = p - _mm(_rmul(v["alpha"], v["ada_inv"]), v["alpha_dag"][..., i, None])
     return p
 
 
@@ -521,18 +543,17 @@ def frame_batch(spec: MonadSpec, values: dict) -> np.ndarray:
     one, raises :class:`SingularPointError`.
     """
     h1 = values["h1"]
-    proj = _projector(spec, values)
     r = spec.rank
-    lead = proj.shape[:-2]
+    lead = values["beta"].shape[:-2]
     basis = np.zeros(lead + (spec.k1, r), dtype=complex)
     count = np.zeros(lead, dtype=int)
     for i in range(spec.k1):
-        v = proj[..., :, i, None]
+        v = _projector(spec, values, i)
         for c in range(min(i, r)):
             # a column not filled yet is zero and leaves v unchanged
             u = basis[..., c, None]
-            v = v - u * (_rmul(_ct(u), h1) @ v)
-        nrm = np.sqrt(np.real(_rmul(_ct(v), h1) @ v))
+            v = v - u * _mm(_rmul(_ct(u), h1), v)
+        nrm = np.sqrt(np.real(_mm(_rmul(_ct(v), h1), v)))
         keep = (nrm[..., 0, 0] > 1e-7) & (count < r)
         unit = v / np.where(keep[..., None, None], nrm, 1.0)
         for c in range(r):
@@ -598,23 +619,25 @@ def _fiber_forms(spec, w, basis, values):
     lead = basis.shape[:-2]
 
     def cols(m, metric=False):
-        # a stacked map (one matmul per point) or metric derivative
-        # (..., s.., p, k1) times B, folded to (..., p, s.. r) with columns
-        # (stack index, fiber index); sizes are explicit for an empty batch
+        # a stacked map or metric derivative (..., s.., p, k1) times B, folded
+        # to (..., p, s.. r) with columns (stack index, fiber index); sizes
+        # are explicit for an empty batch
         p, s = m.shape[-2], int(np.prod(m.shape[len(lead):-2]))
         if metric:
             mb = _lmul(m, basis.reshape(lead + (1,) * (m.ndim - basis.ndim) + basis.shape[-2:]))
         else:
-            mb = m.reshape(lead + (s * p, m.shape[-1])) @ basis
+            mb = _mm(m.reshape(lead + (s * p, m.shape[-1])), basis)
         return np.swapaxes(mb.reshape(lead + (s, p, r)), -3, -2).reshape(lead + (p, s * r))
 
     def unfold(f):
         # (..., n r, n r) with rows (x, a), columns (y, b) -> (..., x, y, a, b)
         return np.swapaxes(f.reshape(lead + (n, r, n, r)), -3, -2)
 
+    # the pairings are outer products (k0 = k2 = 1) or at least 6x4 @ 4x6
+    # (n = 3), where one matmul per point is faster than _mm
     # rows (k, a), columns (j, b): D_k^dag h1^{-1} D_j - G_k^dag h2 (beta beta^dag)^{-1} G_j
     g = cols(pc["grad_beta"])
-    f = -(_ct(g) @ (_lmul(pc["h2"], pc["bbd_inv"]) @ g))
+    f = _ct(g) @ -_mm(_lmul(pc["h2"], pc["bbd_inv"]), g)
     if pc["dh1"] is not None:
         d = cols(pc["dh1"], metric=True)
         f = _ct(d) @ _lmul(pc["h1_inv"], d) + f
@@ -626,7 +649,7 @@ def _fiber_forms(spec, w, basis, values):
     if spec.k0 > 0:
         a = cols(pc["grad_alpha_dag"])
         # rows (j, a), columns (k, b): A_j^dag h0 (alpha^dag alpha)^{-1} A_k
-        out = out + unfold(_ct(a) @ (_lmul(pc["h0"], pc["ada_inv"]) @ a))
+        out = out + unfold(_ct(a) @ _mm(_lmul(pc["h0"], pc["ada_inv"]), a))
     return out
 
 
@@ -675,13 +698,16 @@ def curvature_batch(spec: MonadSpec, W: np.ndarray) -> dict:
     lead = w.shape[:-1]
     w = w.reshape(-1, w.shape[-1])
     values = _values(spec, w)
-    parts = []
+    out = {}
     for lo in range(0, max(len(w), 1), BLOCK_POINTS):
         v = {key: x[lo:lo + BLOCK_POINTS] for key, x in values.items()}
         basis = frame_batch(spec, v)
-        parts.append((basis,) + _curvature_data(spec, w[lo:lo + BLOCK_POINTS], basis, v))
-    out = (np.concatenate(p).reshape(lead + p[0].shape[1:]) for p in zip(*parts))
-    return dict(zip(("basis", "form_raw", "mean", "norm_mean", "norm_form"), out))
+        block = (basis,) + _curvature_data(spec, w[lo:lo + BLOCK_POINTS], basis, v)
+        for key, x in zip(("basis", "form_raw", "mean", "norm_mean", "norm_form"), block):
+            if key not in out:   # the first block sizes the whole record
+                out[key] = np.empty((len(w),) + x.shape[1:], dtype=x.dtype)
+            out[key][lo:lo + BLOCK_POINTS] = x
+    return {key: x.reshape(lead + x.shape[1:]) for key, x in out.items()}
 
 
 def curvature_fd_check(spec: MonadSpec, p, frame, h: float = 1e-3) -> float:

@@ -184,8 +184,9 @@ class TestFlow:
         assert run_cli(["flow", str(cfg), "--out", str(out)]) == cli.EXIT_PASS
         rec = json.loads((out / "run.json").read_text())
         assert set(rec) == {"hymkit", "python", "numpy", "threads", "resolution", "steps",
-                            "dt", "cfl_bound", "path", "table_nodes", "converge_step",
-                            "seconds"}
+                            "exit_code", "dt", "cfl_bound", "path", "table_nodes",
+                            "converge_step", "seconds"}
+        assert rec["exit_code"] == cli.EXIT_PASS
         assert all(isinstance(rec[k], str) for k in ("hymkit", "python", "numpy"))
         assert set(rec["threads"]) == set(cli.THREAD_VARIABLES)
         assert all(v is None or isinstance(v, str) for v in rec["threads"].values())
@@ -217,7 +218,23 @@ class TestFlow:
 
     def test_dt_above_cfl_numerical_abort(self, tmp_path):
         cfg = self.make_config(tmp_path, dt=0.2 * (1.0 / 4.0) ** 2)
-        assert run_cli(["flow", str(cfg)]) == cli.EXIT_NUMERICAL
+        assert run_cli(["flow", str(cfg), "--out", str(tmp_path)]) == cli.EXIT_NUMERICAL
+
+    def test_run_record_of_a_numerical_abort(self, tmp_path):
+        # dt 0.0125 is above the CFL bound 1/256 of the resolution-5 box
+        cfg = self.make_config(tmp_path, dt=0.0125)
+        out = tmp_path / "out"
+        assert run_cli(["flow", str(cfg), "--out", str(out)]) == cli.EXIT_NUMERICAL
+        assert sorted(p.name for p in out.iterdir()) == ["run.json"]
+        rec = json.loads((out / "run.json").read_text())
+        assert set(rec) == {"hymkit", "python", "numpy", "threads", "resolution", "steps",
+                            "exit_code", "error", "seconds"}
+        assert set(rec["threads"]) == set(cli.THREAD_VARIABLES)
+        assert (rec["resolution"], rec["steps"], rec["exit_code"]) == \
+            (5, 60, cli.EXIT_NUMERICAL)
+        assert "above CFL bound" in rec["error"]
+        assert set(rec["seconds"]) == {"build_domain", "run"}
+        assert all(isinstance(v, float) and v >= 0 for v in rec["seconds"].values())
 
     def test_degenerate_box_numerical_abort(self, tmp_path):
         # a last interval of width 1e-300 gives zero spacing squares (a zero
@@ -329,7 +346,13 @@ class TestReport:
         {"checks": [{"value": 1.0, "bound": 2.0, "mode": "le", "pass": True}]},
         {"checks": [{"name": "a", "value": "one", "bound": 2.0, "mode": "le",
                      "pass": True}]},
-    ], ids=["top-level-list", "check-without-name", "non-numeric-value"])
+        {"checks": [{"name": "x", "value": 1.0, "bound": 2.0, "mode": "sideways",
+                     "pass": "no"}]},
+        {"checks": [{"name": "a", "value": 1.0, "bound": 2.0, "mode": "le", "pass": 1}]},
+        {"checks": [{"name": "a", "value": 1.0, "bound": 2.0, "mode": "lt",
+                     "pass": True}]},
+    ], ids=["top-level-list", "check-without-name", "non-numeric-value",
+            "string-pass-and-unknown-mode", "integer-pass", "unknown-mode"])
     def test_json_that_is_not_a_report_usage_error(self, tmp_path, capsys, doc):
         good = tmp_path / "verify_good.json"
         good.write_text(json.dumps({"suite": "good", "checks": [

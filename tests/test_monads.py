@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -163,7 +164,9 @@ class TestCohomologyFrame:
             h0 = mo._metric_value(main_spec.h0, w)
             adag = np.linalg.solve(h0, main_spec.alpha(w).conj().T @ h1)
             assert np.abs(adag @ basis).max() < 1e-10
-            proj = mo._projector(main_spec, mo._values(main_spec, w))
+            values = mo._values(main_spec, w)
+            proj = np.concatenate([mo._projector(main_spec, values, i)
+                                   for i in range(main_spec.k1)], axis=-1)
             np.testing.assert_allclose(proj @ proj, proj, atol=1e-10)
             # h1-self-adjoint projector
             lhs = h1 @ proj
@@ -961,3 +964,47 @@ class TestBlocks:
         np.testing.assert_array_equal(rep.point, first)
         np.testing.assert_array_equal([rep.sigma_min_alpha, rep.sigma_min_beta_dag],
                                       [ref.sigma_min_alpha, ref.sigma_min_beta_dag])
+
+    def test_one_copy_of_the_record(self):
+        # the whole-batch inputs (_values) and the record grow with the
+        # batch, the per-block working arrays do not: from 3 to 6 blocks the
+        # peak beyond the inputs grows by the record's growth, where a
+        # record gathered from per-block parts would add it twice
+        spec = adhm.instanton_monad(adhm.ADHMData(1, 0, 0, 1))
+        rng = np.random.default_rng(3)
+        sizes = {}
+        for blocks in (3, 6):
+            w = rng.standard_normal((blocks * mo.BLOCK_POINTS, 2)) + 1j
+            tracemalloc.start()
+            try:
+                data = mo.curvature_batch(spec, w)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            sizes[blocks] = (peak, sum(x.nbytes for x in data.values()),
+                             sum(x.nbytes for x in mo._values(spec, w).values()))
+        d_peak, d_record, d_inputs = np.subtract(sizes[6], sizes[3])
+        assert d_record == sizes[3][1] > 0   # the record is linear in the points
+        assert d_peak - d_inputs < 1.5 * d_record
+
+
+class TestContraction:
+    """_mm, the engine's stacked small products, against numpy's matmul."""
+
+    @pytest.mark.parametrize("xs,ys", [
+        ((9, 4, 1), (9, 1, 4)),                  # k = 1: an outer product
+        ((9, 1, 4), (9, 4, 1)),                  # row @ column
+        ((9, 2, 4), (9, 4, 2)),
+        ((9, 6, 4), (9, 4, 6)),
+        ((9, 2, 4), (9, 4, 18)),
+        ((3, 5, 2, 2, 4, 4), (3, 5, 1, 1, 4, 2)),  # lead axes that broadcast
+        ((0, 2, 4), (0, 4, 2)),                  # an empty batch
+    ], ids=["outer", "row-column", "2x4-4x2", "6x4-4x6", "2x4-4x18", "multi-axis",
+            "empty"])
+    def test_matches_matmul(self, rng, xs, ys):
+        x = rng.standard_normal(xs) + 1j * rng.standard_normal(xs)
+        y = rng.standard_normal(ys) + 1j * rng.standard_normal(ys)
+        got, ref = mo._mm(x, y), np.matmul(x, y)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        # relative to the sum of the magnitudes of the products
+        assert np.all(np.abs(got - ref) <= 1e-13 * (np.abs(x) @ np.abs(y)))
