@@ -80,10 +80,10 @@ def is_valid(d: ADHMData, tol: float = VALID_TOL) -> bool:
     return abs(cres) <= tol * scale and abs(rres) <= tol * scale
 
 
-def random_valid_data(rng: np.random.Generator, scale: float = 1.0) -> ADHMData:
+def random_valid_data(rng: np.random.Generator) -> ADHMData:
     """Draw valid nondegenerate data: b = e^{i phi} (-a2, a1) solves both equations."""
     a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    a *= scale / np.linalg.norm(a) * (0.5 + rng.random())
+    a *= 1.0 / np.linalg.norm(a) * (0.5 + rng.random())
     phi = rng.random() * 2 * np.pi
     b = np.exp(1j * phi) * np.array([-a[1], a[0]])
     return ADHMData(a[0], a[1], b[0], b[1])
@@ -120,9 +120,9 @@ def instanton_monad(d: ADHMData) -> mo.MonadSpec:
 
 def strip_analytic_derivatives(spec: mo.MonadSpec) -> mo.MonadSpec:
     """Variant of a monad that forces the engine onto finite differences of
-    step 1e-4."""
+    step ``monads.FD_STEP``."""
     return replace(spec, name=spec.name + "-fd", h1=mo.MetricField(value=spec.h1.value),
-                   dalpha=None, dbeta=None, fd_step=1e-4)
+                   dalpha=None, dbeta=None)
 
 
 def _projector(alpha, beta):
@@ -193,20 +193,20 @@ def curvature_density(d: ADHMData, points: np.ndarray) -> np.ndarray:
     return data["norm_form"] ** 2
 
 
-def charge(d: ADHMData, r_cut: float = 20.0) -> dict:
-    """Instanton charge (1 / 8 pi^2) * integral of |F|^2 over |p| <= r_cut.
+def charge(d: ADHMData) -> float:
+    """Instanton charge (1 / 8 pi^2) * integral of |F|^2 over |p| <= 20 s, with
+    s = :func:`curvature_scale`.
 
-    Dyadic radial panels with 12 Gauss-Legendre nodes each, tensor angular
-    rule on S^3 with 10 nodes per angle (Gauss-Legendre in the polar angle,
-    trapezoid in both phases).  Records an analytic O(r_cut^{-4}) tail
-    estimate from the charge-1 profile.
+    Dyadic radial panels from 0.25 s with 12 Gauss-Legendre nodes each, tensor
+    angular rule on S^3 with 10 nodes per angle (Gauss-Legendre in the polar
+    angle, trapezoid in both phases).  The charge-1 profile leaves out a tail
+    of 3 / 20^4 ~ 1.9e-5 beyond 20 s.
     """
     if d.degenerate:
-        return {"charge": 0.0, "tail": 0.0, "tail_ok": True}
+        return 0.0
     scale = curvature_scale(d)
-    edges = [0.0]
-    lo = min(0.25 * scale, r_cut / 2)
-    edges.append(lo)
+    r_cut = 20.0 * scale
+    edges = [0.0, 0.25 * scale]
     while edges[-1] < r_cut:
         edges.append(min(2 * edges[-1], r_cut))
     n_angular = 10
@@ -217,8 +217,6 @@ def charge(d: ADHMData, r_cut: float = 20.0) -> dict:
     phis = np.arange(n_angular) * 2 * np.pi / n_angular
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi <= lo:
-            continue
         rr = 0.5 * (hi - lo) * xs + 0.5 * (hi + lo)
         rw = 0.5 * (hi - lo) * ws
         # (x, y) = r (cos nu e^{i p1}, sin nu e^{i p2}); dV = r^3 cos nu sin nu dr dnu dp1 dp2
@@ -230,9 +228,7 @@ def charge(d: ADHMData, r_cut: float = 20.0) -> dict:
                * rw[:, None, None, None] * nu_w[None, :, None, None]
                * (2 * np.pi / n_angular) ** 2)
         total += float(np.sum(dens * wgt))
-    tail = 3.0 * (scale / r_cut) ** 4
-    return {"charge": total / (8 * np.pi**2), "tail": tail,
-            "tail_ok": bool(tail <= 0.05)}
+    return total / (8 * np.pi**2)
 
 
 def curvature_scale(d: ADHMData) -> float:

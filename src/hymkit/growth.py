@@ -30,14 +30,12 @@ from .ansatz import induced_pairing
 __all__ = [
     "Poly3",
     "KoszulSection",
-    "GrowthReport",
     "section_norm_sq",
     "cone_norm_sq",
     "ball_integral",
     "growth_degree",
     "filtration_table",
     "convexity_check",
-    "KOSZUL_RELATION",
 ]
 
 
@@ -101,9 +99,6 @@ class Poly3:
         return f"Poly3({self.terms!r})"
 
 
-KOSZUL_RELATION = "x*t2 - y*t1 + z*t3 = 0"
-
-
 def _det_seed(*parts) -> int:
     """Deterministic RNG seed from labels (independent of hash randomisation)."""
     digest = hashlib.sha256("|".join(str(p) for p in parts).encode()).digest()
@@ -149,13 +144,6 @@ class KoszulSection:
     def times(self, p: Poly3, label: str | None = None) -> "KoszulSection":
         return KoszulSection(p * self.f, p * self.g, p * self.h,
                              label=label or f"({self.label})*poly")
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    label: str
-    end: str                 # "origin" or "infinity"
-    degree: float
 
 
 def section_norm_sq(section: KoszulSection, w) -> np.ndarray:
@@ -207,29 +195,21 @@ def ball_integral(norm_sq_fn, radii, n_samples: int = 4096, seed: int = 0):
     return np.asarray(out)
 
 
-def growth_degree(section: KoszulSection, end: str, radii=None,
-                  n_samples: int = 4096, seed: int = 0) -> GrowthReport:
-    """Fitted growth degree d = slope/2 - 3 at the origin or infinity, under
-    the main-family metric."""
+def growth_degree(section: KoszulSection, end: str, n_samples: int = 4096,
+                  seed: int = 0) -> float:
+    """Fitted growth degree d = slope/2 - 3 at the origin (seven radii in
+    [0.01, 0.3]) or infinity (seven in [10, 1000]), under the main-family
+    metric."""
     if section.is_zero():
         raise ValueError("zero section has no growth degree")
     if end not in ("origin", "infinity"):
         raise ValueError("end must be 'origin' or 'infinity'")
-    if radii is None:
-        radii = np.geomspace(0.01, 0.3, 7) if end == "origin" \
-            else np.geomspace(10.0, 1000.0, 7)
-    radii = np.asarray(radii, dtype=float)
-    if len(radii) < 5:
-        raise ValueError("need at least five radii for the slope fit")
-    if end == "origin" and radii.max() > 0.3:
-        raise ValueError("origin-end radii should not exceed 0.3")
-    if end == "infinity" and radii.min() < 10.0:
-        raise ValueError("infinity-end radii should be at least 10")
-    seed_eff = _det_seed(section.label, end, seed)
+    radii = (np.geomspace(0.01, 0.3, 7) if end == "origin"
+             else np.geomspace(10.0, 1000.0, 7))
     ints = ball_integral(lambda w: section_norm_sq(section, w), radii, n_samples,
-                         seed=seed_eff)
+                         seed=_det_seed(section.label, end, seed))
     coeffs = np.polyfit(np.log(radii), np.log(ints), 1)
-    return GrowthReport(label=section.label, end=end, degree=float(0.5 * coeffs[0] - 3.0))
+    return float(0.5 * coeffs[0] - 3.0)
 
 
 def filtration_table(sections, n_samples: int = 4096, seed: int = 0) -> dict:
@@ -242,9 +222,9 @@ def filtration_table(sections, n_samples: int = 4096, seed: int = 0) -> dict:
     for s in sections:
         if s.is_zero():
             raise ValueError(f"zero section in family: {s.label!r}")
-        d0 = growth_degree(s, "origin", n_samples=n_samples, seed=seed)
-        di = growth_degree(s, "infinity", n_samples=n_samples, seed=seed)
-        rows.append({"label": s.label, "d_origin": d0.degree, "d_infinity": di.degree})
+        rows.append({"label": s.label,
+                     "d_origin": growth_degree(s, "origin", n_samples, seed),
+                     "d_infinity": growth_degree(s, "infinity", n_samples, seed)})
 
     def snap(v):
         return round(v / 0.25) * 0.25
@@ -254,20 +234,19 @@ def filtration_table(sections, n_samples: int = 4096, seed: int = 0) -> dict:
     return {"rows": rows, "filtrations_differ": m0 != mi}
 
 
-def convexity_check(section: KoszulSection, n_samples: int = 8192,
-                    seed: int = 0, radii=(0.25, 0.5, 1.0)) -> dict:
-    """Residual I(r1) I(r3) - I(r2)^2 under the cone metric, r2 = sqrt(r1 r3).
+def convexity_check(section: KoszulSection, seed: int = 0) -> dict:
+    """Residual I(r1) I(r3) - I(r2)^2 under the cone metric at the radii
+    (r1, r2, r3) = (0.25, 0.5, 1), so r2 = sqrt(r1 r3), with 8192 nodes.
 
     For |s|^2 integrated against a conical structure, log I is convex in
     log r, so the residual is nonnegative (zero for homogeneous sections) up
     to Monte Carlo error.  Replicated for an error bar.
     """
-    r1, r2, r3 = radii
     reps = []
     scales = []
     for k in range(4):
         ints = ball_integral(lambda w: cone_norm_sq(section, w),
-                             [r1, r2, r3], n_samples,
+                             [0.25, 0.5, 1.0], 8192,
                              seed=_det_seed(section.label, seed, k))
         reps.append(ints[0] * ints[2] - ints[1] ** 2)
         scales.append(ints[1] ** 2)

@@ -97,6 +97,8 @@ __all__ = [
 
 SINGULAR_TOL = 1e-8
 
+FD_STEP = 1e-4  # centred finite-difference step for a derivative a monad omits
+
 # points per curvature_batch block, whose working arrays then stay in a 2 MiB
 # L2 cache; from a sweep of 512 points to unblocked (time and peak RSS)
 BLOCK_POINTS = 1024
@@ -237,29 +239,29 @@ def _fd_jacobian(fn, w, n, step):
     return np.stack([fd_derivative(fn, w, j, "holo", step) for j in range(n)], axis=-3)
 
 
-def _holo(fn, dfn, w, step):
+def _holo(fn, dfn, w):
     """d_{w_j} fn stacked as (..., n, a, b): the analytic derivative ``dfn``
     when given, otherwise centered finite differences of ``fn``."""
     if dfn is not None:
         return np.asarray(dfn(w), dtype=complex)
-    return _fd_jacobian(fn, w, w.shape[-1], step)
+    return _fd_jacobian(fn, w, w.shape[-1], FD_STEP)
 
 
 def _metric_value(metric, w):
     return np.asarray(metric.value(w), dtype=complex)
 
 
-def _metric_dmixed(metric, w, fd_step):
+def _metric_dmixed(metric, w):
     if metric.dmixed is not None:
         return np.asarray(metric.dmixed(w), dtype=complex)
     w = np.asarray(w, dtype=complex)
     n = w.shape[-1]
-    return np.stack([np.stack([fd_mixed_second(metric.value, w, j, kk, fd_step)
+    return np.stack([np.stack([fd_mixed_second(metric.value, w, j, kk, FD_STEP)
                                for kk in range(n)], axis=-3)
                      for j in range(n)], axis=-4)
 
 
-def _metric(metric, w, order, step=None):
+def _metric(metric, w, order):
     """h (``order`` 0), d_j h (1) or d_j d_kbar h (2) at w as the engine
     carries it: a :class:`DiagPowerMetric` as diagonal columns (..., k, 1),
     (..., n, k, 1), (..., n, n, k, 1), None for a derivative that is
@@ -269,8 +271,8 @@ def _metric(metric, w, order, step=None):
         d = metric._diag(w, order)
         return None if d is None else d[..., None]
     if order < 2:
-        return _holo(metric.value, metric.dholo, w, step) if order else _metric_value(metric, w)
-    return _metric_dmixed(metric, w, step)
+        return _holo(metric.value, metric.dholo, w) if order else _metric_value(metric, w)
+    return _metric_dmixed(metric, w)
 
 
 def _mm(x, y):
@@ -318,7 +320,8 @@ class MonadSpec:
     ``alpha(w) -> (..., k1, k0)`` and ``beta(w) -> (..., k2, k1)`` must accept
     batched coordinates.  ``dalpha``/``dbeta`` give the holomorphic coordinate
     derivatives stacked along a leading axis, shape (..., n, k1, k0) resp.
-    (..., n, k2, k1); when None the engine uses centered finite differences.
+    (..., n, k2, k1); when None the engine uses centered finite differences
+    of step ``FD_STEP``, as it does for a metric without its derivatives.
     """
 
     name: str
@@ -333,7 +336,6 @@ class MonadSpec:
     h2: object
     dalpha: Optional[Callable] = None
     dbeta: Optional[Callable] = None
-    fd_step: float = 1e-5
 
     @property
     def rank(self) -> int:
@@ -481,18 +483,17 @@ def _pieces(spec, w, values):
     """
     out = dict(values)
     h1, h2 = out["h1"], out["h2"]
-    step = spec.fd_step
-    dh1 = _metric(spec.h1, w, 1, step)
-    dbar_beta_dag = _dbar_adjoint(out["beta"], _holo(spec.beta, spec.dbeta, w, step),
+    dh1 = _metric(spec.h1, w, 1)
+    dbar_beta_dag = _dbar_adjoint(out["beta"], _holo(spec.beta, spec.dbeta, w),
                                   out["beta_dag"], out["h1_inv"], h2, dh1,
-                                  _metric(spec.h2, w, 1, step))
-    out.update(dh1=dh1, ddh1=_metric(spec.h1, w, 2, step),
+                                  _metric(spec.h2, w, 1))
+    out.update(dh1=dh1, ddh1=_metric(spec.h1, w, 2),
                grad_beta=_rmul(_lmul(_inv(h2)[..., None, :, :], _ct(dbar_beta_dag)),
                                h1[..., None, :, :]))
     if spec.k0 > 0:
         out["grad_alpha_dag"] = _dbar_adjoint(
-            out["alpha"], _holo(spec.alpha, spec.dalpha, w, step), out["alpha_dag"],
-            out["h0_inv"], h1, _metric(spec.h0, w, 1, step), dh1)
+            out["alpha"], _holo(spec.alpha, spec.dalpha, w), out["alpha_dag"],
+            out["h0_inv"], h1, _metric(spec.h0, w, 1), dh1)
     return out
 
 

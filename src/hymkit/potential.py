@@ -15,7 +15,12 @@ source-adapted component (log-uniform shell radius, log-uniform transverse
 fraction t = (|x'|^2+|y'|^2)/r^2 concentrating near the z-axis where the
 weight is large) and a kernel-adapted component (log-uniform distance from p,
 uniform direction), so both singular structures carry bounded importance
-weights.  A small core |x' - p| < delta is excluded and bounded analytically.
+weights.  A small core |x' - p| < delta = 10^-3 |p| is excluded and bounded
+analytically.
+
+The shells are [2^k, 2^(k+1)] for k from floor(log2 |p|) - 7 to
+max(floor(log2 |p|), 0) + 7: seven dyadic scales below |p| and seven above
+max(|p|, 1), which keeps the log-divergent region |p| < |x'| < 1 for |p| < 1.
 """
 
 from __future__ import annotations
@@ -46,45 +51,29 @@ _OMEGA5 = np.pi**3        # area of the unit 5-sphere
 _OMEGA3 = 2.0 * np.pi**2  # area of the unit 3-sphere
 _T_MIN = 1e-6
 _MIN_SAMPLES = 8  # eval_G draws in fifths of a shell, the weak check in eighths
+_CORE_REL = 1e-3  # excluded core radius over |p|
+_REPLICAS = 4     # independent replicas of the weak-form ratio
 
 
 @dataclass(frozen=True)
 class MCParams:
-    """Stratified-shell Monte Carlo parameters for :func:`eval_G`.
-
-    The dyadic shell range [2^shell_lo, 2^shell_hi] must cover
-    [|p|/8, 8 |p|]; with the defaults it is derived from p with nine dyadic
-    scales of padding on each side.
-    """
+    """Samples per dyadic shell and seed of :func:`eval_G`."""
 
     samples_per_shell: int = 4000
-    shell_lo: int | None = None
-    shell_hi: int | None = None
-    core_delta_rel: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
-        def _is_int(v):
-            return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-        n, delta = self.samples_per_shell, self.core_delta_rel
-        for name, ok, rule in (
-                ("samples_per_shell", _is_int(n) and n >= _MIN_SAMPLES,
-                 f"an int >= {_MIN_SAMPLES}"),
-                ("core_delta_rel", isinstance(delta, (float, np.floating))
-                 and 0.0 < delta < 1.0, "a float in (0, 1)"),
-                ("seed", _is_int(self.seed) and self.seed >= 0, "an int >= 0"),
-                ("shell_lo", self.shell_lo is None or _is_int(self.shell_lo), "None or an int"),
-                ("shell_hi", self.shell_hi is None or _is_int(self.shell_hi), "None or an int")):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        for name, least in (("samples_per_shell", _MIN_SAMPLES), ("seed", 0)):
+            v = getattr(self, name)
+            is_int = isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+            if not (is_int and v >= least):
+                raise ValueError(f"{name} must be an int >= {least}, got {v!r}")
 
-    def shell_range(self, p_norm: float) -> tuple[int, int]:
-        base = int(np.floor(np.log2(max(p_norm, 1e-6))))
-        lo = self.shell_lo if self.shell_lo is not None else base - 7
-        hi = self.shell_hi if self.shell_hi is not None else base + 7
-        if 2.0**lo > p_norm / 8.0 or 2.0**hi < 8.0 * p_norm:
-            raise ValueError("shell range must cover [|p|/8, 8|p|]")
-        return lo, hi
+
+def _shell_range(p_norm: float) -> tuple[int, int]:
+    """First and last k of the dyadic shells [2^k, 2^(k+1)] sampled about |p|."""
+    base = int(np.floor(np.log2(p_norm)))
+    return base - 7, max(base, 0) + 7
 
 
 @dataclass(frozen=True)
@@ -176,13 +165,17 @@ def _radial_density(s_sq, lo, hi):
 
 
 def eval_G(p, mc: MCParams = MCParams()) -> GValue:
-    """Stratified Monte Carlo estimate of the barrier potential at p != 0."""
+    """Stratified Monte Carlo estimate of G(p) for finite |p| >= ~2.5e-49."""
     w = np.array(p, dtype=complex).reshape(3)
     p_norm = float(np.sqrt(np.sum(np.abs(w) ** 2)))
     if not 0.0 < p_norm < np.inf:
         raise ValueError(f"potential needs a finite point other than the origin, got {w}")
-    lo, hi = mc.shell_range(p_norm)
-    delta = mc.core_delta_rel * p_norm
+    delta = _CORE_REL * p_norm
+    if delta**6 < np.finfo(float).tiny:
+        # the kernel density divides by delta^6, which must stay a normal float
+        raise ValueError(f"potential point {w} too close to the origin: core radius "
+                         f"{delta:.3g}, whose sixth power is below the normal floats")
+    lo, hi = _shell_range(p_norm)
     base = mc.samples_per_shell // 5
     n = 5 * base  # component counts 2:1:2 realise the mixture weights exactly
     w_tiled = np.tile(w.view(float), n)
@@ -314,7 +307,7 @@ def _weak_check_once(c, radius, mc, seed, near):
 
     # source cloud: dyadic shells (generic + axis) plus a log-radial
     # component about the bump centre where Psi is supported
-    lo, hi = mc.shell_range(c_norm)
+    lo, hi = _shell_range(c_norm)
     half = mc.samples_per_shell // 8
     s_mid_lo, s_mid_hi = 1e-3 * radius, 4.0 * max(c_norm, 2.0 * radius)
     n_sh, n_mid = (hi - lo + 1) * 2 * half, 20 * half
@@ -357,13 +350,13 @@ def _weak_check_once(c, radius, mc, seed, near):
 
 
 def laplacian_weak_check(center, radius: float, mc: MCParams = MCParams(),
-                         seed: int = 0, replicas: int = 4) -> dict:
+                         seed: int = 0) -> dict:
     """Ratio of integral(G * Lap phi) to -4 pi^3 integral(weight * phi).
 
     phi is the smooth radial bump at ``center`` (support must avoid the
     origin).  The ratio should be 1 within Monte Carlo error; the reported
-    stderr combines the per-replica propagated errors with the replica
-    spread.
+    stderr combines the per-replica propagated errors with the spread of
+    four replicas.
     """
     c = np.array(center, dtype=complex).reshape(3)
     c_norm = float(np.sqrt(np.sum(np.abs(c) ** 2)))
@@ -372,11 +365,10 @@ def laplacian_weak_check(center, radius: float, mc: MCParams = MCParams(),
     near_grid = np.linspace(0.0, 2.0 * radius, 600, endpoint=False)
     near = (near_grid, bump_pairing(near_grid, radius))
     out = [_weak_check_once(c, radius, mc, [seed, rep, 7919], near)
-           for rep in range(replicas)]
+           for rep in range(_REPLICAS)]
     ratios = np.asarray([r for r, _ in out])
     inner = np.asarray([e for _, e in out])
-    spread = ratios.std(ddof=1) / np.sqrt(replicas) if replicas > 1 else 0.0
-    stderr = float(max(spread, inner.mean() / np.sqrt(replicas)))
+    stderr = float(max(ratios.std(ddof=1), inner.mean()) / np.sqrt(_REPLICAS))
     return {"ratio": float(ratios.mean()), "stderr": stderr,
             "replicas": ratios}
 
@@ -399,5 +391,4 @@ def barrier_envelope_check(points, mc: MCParams = MCParams()) -> dict:
         denom = abs(p[0]) + abs(p[1]) + np.sqrt(abs(p[2]))
         env = max(1.0, float(np.log(norms[i] / denom)))
         ratios[i] = gv.estimate * norms[i] / env
-    return {"sup": float(ratios.max()), "g_min": float(g_min),
-            "ratios": ratios}
+    return {"sup": float(ratios.max()), "g_min": float(g_min)}

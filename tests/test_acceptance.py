@@ -52,11 +52,11 @@ def test_criterion_01_adhm_asd():
 
 def test_criterion_02_charge():
     t0 = time.time()
-    res = adhm.charge(adhm.ADHMData(1, 0, 0, 1), r_cut=20.0)
+    res = adhm.charge(adhm.ADHMData(1, 0, 0, 1))
     elapsed = time.time() - t0
-    ok = abs(res["charge"] - 1.0) <= 0.02 and elapsed < 30.0
+    ok = abs(res - 1.0) <= 0.02 and elapsed < 30.0
     report("criterion 2 (charge)", ok,
-           f"charge {res['charge']:.4f} within 1.00 +- 0.02, "
+           f"charge {res:.4f} within 1.00 +- 0.02, "
            f"runtime {elapsed:.1f}s < 30s")
 
 
@@ -168,8 +168,8 @@ def test_criterion_05_cancellation():
 
 def test_criterion_06_decay_slopes():
     t0 = time.time()
-    generic = ansatz.decay_slope([1, 1, 0], np.geomspace(10, 1000, 25))["slope"]
-    origin = ansatz.decay_slope([1, 0, 0], np.geomspace(1e-3, 0.1, 25))["slope"]
+    generic = ansatz.decay_slope([1, 1, 0], np.geomspace(10, 1000, 25))
+    origin = ansatz.decay_slope([1, 0, 0], np.geomspace(1e-3, 0.1, 25))
     elapsed = time.time() - t0
     ok = (abs(generic + 3.0) <= 0.1 and abs(origin + 2.0) <= 0.15
           and elapsed < 10.0)
@@ -296,12 +296,12 @@ def test_criterion_10_cone():
 
 def test_criterion_11_growth():
     t3 = growth.KoszulSection.generator(3)
-    d0 = growth.growth_degree(t3, "origin").degree
-    di = growth.growth_degree(t3, "infinity").degree
+    d0 = growth.growth_degree(t3, "origin")
+    di = growth.growth_degree(t3, "infinity")
     fam = [growth.KoszulSection.generator(i) for i in (1, 2, 3)]
     tab = growth.filtration_table(fam)
     zt3 = t3.times(growth.Poly3.monomial(0, 0, 1), "z*t3")
-    shift = growth.growth_degree(zt3, "infinity").degree - di
+    shift = growth.growth_degree(zt3, "infinity") - di
     cx_t3 = growth.convexity_check(t3)
     mixed = growth.KoszulSection(
         growth.Poly3(), growth.Poly3(),

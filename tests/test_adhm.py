@@ -117,17 +117,16 @@ class TestProjectorOracle:
 
 class TestCharge:
     def test_unit_charge(self):
-        res = adhm.charge(adhm.ADHMData(1, 0, 0, 1), r_cut=20.0)
-        assert res["charge"] == pytest.approx(1.0, abs=0.02)
-        assert res["tail_ok"]
+        res = adhm.charge(adhm.ADHMData(1, 0, 0, 1))
+        assert res == pytest.approx(1.0, abs=0.02)
 
     def test_scale_invariance(self):
-        charges = [adhm.charge(adhm.ADHMData(c, 0, 0, c), r_cut=20.0 * c)["charge"]
+        charges = [adhm.charge(adhm.ADHMData(c, 0, 0, c))
                    for c in (1.0, 2.0, 4.0)]
         assert max(charges) - min(charges) <= 0.02
 
     def test_degenerate_is_flat(self):
-        assert adhm.charge(adhm.ADHMData(0, 0, 0, 0))["charge"] == 0.0
+        assert adhm.charge(adhm.ADHMData(0, 0, 0, 0)) == 0.0
 
     def test_density_matches_reference_profile(self):
         # |F|^2 for (1,0,0,1) equals 48 / (r^2 + 1)^4

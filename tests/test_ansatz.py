@@ -187,11 +187,11 @@ class TestSectionBound:
 class TestDecay:
     def test_generic_ray_cubic(self):
         d = ansatz.decay_slope([1, 1, 0], np.geomspace(10, 1000, 25))
-        assert d["slope"] == pytest.approx(-3.0, abs=0.1)
+        assert d == pytest.approx(-3.0, abs=0.1)
 
     def test_near_origin_quadratic(self):
         d = ansatz.decay_slope([1, 0, 0], np.geomspace(1e-3, 0.1, 25))
-        assert d["slope"] == pytest.approx(-2.0, abs=0.15)
+        assert d == pytest.approx(-2.0, abs=0.15)
 
     def test_profile_ratio_bounded_two_sided(self):
         ratios = ansatz.profile_ratio(np.geomspace(10, 1000, 15))

@@ -1,8 +1,8 @@
 """Every module-level import of the package is used (package re-exports in
 ``__init__.py`` and ``from __future__`` excepted), every private
-module-level name is read somewhere in the package outside its definition,
-and every ``__all__`` names only what its module defines and lists each of
-its public functions and classes."""
+module-level name and every public module-level constant is read somewhere
+in the package outside its definition, and every ``__all__`` names only what
+its module defines and lists each of its public functions and classes."""
 
 import ast
 import importlib
@@ -44,23 +44,34 @@ def _reads(node) -> Counter:
                    + [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)])
 
 
-def dead_private_names(source: str, package_reads: Counter) -> list:
-    """Private module-level functions, classes and constants of ``source``
-    that ``package_reads`` counts no read of outside their own definition."""
-    dead = []
+def unread_names(source: str, package_reads: Counter) -> list:
+    """(name, is_constant) for the module-level functions, classes and
+    constants of ``source`` that ``package_reads`` counts no read of outside
+    their own definition; dunder names such as ``__all__`` are skipped."""
+    unread = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
+            names, constant = [node.name], False
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            names, constant = [t.id for t in targets if isinstance(t, ast.Name)], True
         else:
             continue
         own = _reads(node)
-        dead += [name for name in names if name.startswith("_")
-                 and not name.startswith("__")
-                 and package_reads[name] - own[name] == 0]
-    return dead
+        unread += [(name, constant) for name in names if not name.startswith("__")
+                   and package_reads[name] - own[name] == 0]
+    return unread
+
+
+def dead_private_names(source: str, package_reads: Counter) -> list:
+    """Private module-level functions, classes and constants nothing reads."""
+    return [name for name, _ in unread_names(source, package_reads) if name.startswith("_")]
+
+
+def dead_public_constants(source: str, package_reads: Counter) -> list:
+    """Public module-level constants nothing in the package reads."""
+    return [name for name, constant in unread_names(source, package_reads)
+            if constant and not name.startswith("_")]
 
 
 def test_detects_a_dead_private_name():
@@ -72,10 +83,25 @@ def test_detects_a_dead_private_name():
     assert dead_private_names(src, _reads(ast.parse(src))) == ["_A", "_C", "_f"]
 
 
+def test_detects_a_dead_public_constant():
+    src = ("A = 1\nB: int = 2\nC = B\n_D = 3\n__all__ = []\n__version__ = '1'\n"
+           "def f():\n    return m.C\n"
+           "def g():\n    return 0\n")
+    assert dead_public_constants(src, _reads(ast.parse(src))) == ["A"]
+
+
+def _package_reads() -> Counter:
+    return sum((_reads(ast.parse(p.read_text())) for p in SRC.glob("*.py")), Counter())
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dead_private_names(path):
-    reads = sum((_reads(ast.parse(p.read_text())) for p in SRC.glob("*.py")), Counter())
-    assert dead_private_names(path.read_text(), reads) == []
+    assert dead_private_names(path.read_text(), _package_reads()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_public_constants(path):
+    assert dead_public_constants(path.read_text(), _package_reads()) == []
 
 
 PACKAGE = sorted(p for p in SRC.glob("*.py") if p.name != "__main__.py")

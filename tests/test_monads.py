@@ -641,13 +641,13 @@ def _ref_ambient_forms(spec, w):
     def dmap(fn, dfn):
         if dfn is not None:
             return np.asarray(dfn(w), dtype=complex)
-        return np.stack([fd_derivative(fn, w, j, "holo", spec.fd_step)
+        return np.stack([fd_derivative(fn, w, j, "holo", mo.FD_STEP)
                          for j in range(n)], axis=0)
 
     h0, h1, h2 = (mo._metric_value(m, w) for m in (spec.h0, spec.h1, spec.h2))
-    dh0, dh1, dh2 = (mo._holo(m.value, m.dholo, w, spec.fd_step)
+    dh0, dh1, dh2 = (mo._holo(m.value, m.dholo, w)
                      for m in (spec.h0, spec.h1, spec.h2))
-    ddh1 = mo._metric_dmixed(spec.h1, w, spec.fd_step)
+    ddh1 = mo._metric_dmixed(spec.h1, w)
     h1i = np.linalg.inv(h1)
     corr = np.einsum("kab,bc,jcd->jkad", np.swapaxes(dh1.conj(), -1, -2), h1i, dh1)
     f1 = -np.einsum("ab,jkbc->jkac", h1i, ddh1 - corr)

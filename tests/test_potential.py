@@ -1,10 +1,11 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hymkit import cli, flow
+from hymkit import cli
 from hymkit import potential as pot
 from hymkit.ansatz import curvature_weight, sample_log_uniform
 
@@ -58,11 +59,17 @@ def _ref_mixture_density(pts, r1, r2, p, delta, u_max):
     return pot._W_GEN * q_gen + pot._W_AXIS * q_axis + pot._W_KER * q_ker
 
 
+def _ref_shells(p_norm):
+    # seven dyadic scales below |p| and seven above max(|p|, 1)
+    base = int(np.floor(np.log2(p_norm)))
+    return base - 7, max(base, 0) + 7
+
+
 def _ref_eval_G(p, mc):
     w = np.asarray(p, dtype=complex).reshape(3)
     p_norm = float(np.sqrt(np.sum(np.abs(w) ** 2)))
-    lo, hi = mc.shell_range(p_norm)
-    delta = mc.core_delta_rel * p_norm
+    lo, hi = _ref_shells(p_norm)
+    delta = 1e-3 * p_norm
     shells, total, var = [], 0.0, 0.0
     for k in range(lo, hi + 1):
         r1, r2 = 2.0**k, 2.0 ** (k + 1)
@@ -111,7 +118,7 @@ def _ref_bump_pairing(d_vals, radius, n_a=64):
 def _ref_weak_check_once(c, radius, mc, n_nodes, seed):
     c_norm = float(np.sqrt(np.sum(np.abs(c) ** 2)))
     rng = np.random.default_rng(seed)
-    lo, hi = mc.shell_range(c_norm)
+    lo, hi = _ref_shells(c_norm)
     n_shell = 2 * (mc.samples_per_shell // 8)
     s_mid_lo, s_mid_hi = 1e-3 * radius, 4.0 * max(c_norm, 2.0 * radius)
     n_mid = n_ball = 10 * n_shell
@@ -286,20 +293,16 @@ class TestMCParams:
     @pytest.mark.parametrize("field,value", [
         ("samples_per_shell", 7), ("samples_per_shell", 4), ("samples_per_shell", 0),
         ("samples_per_shell", 8.0), ("samples_per_shell", True),
-        ("core_delta_rel", 0.0), ("core_delta_rel", -1.0), ("core_delta_rel", 1.0),
-        ("core_delta_rel", float("nan")), ("core_delta_rel", float("inf")),
-        ("core_delta_rel", 0), ("seed", -1), ("seed", 1.5),
-        ("shell_lo", 1.5), ("shell_hi", "3")])
+        ("seed", -1), ("seed", 1.5)])
     def test_invalid_rejected(self, field, value):
-        # samples_per_shell 4 made every shell mean NaN; core_delta_rel 0 or -1
-        # raised OverflowError from the sampler
+        # samples_per_shell 4 made every shell mean NaN
         with pytest.raises(ValueError, match=field):
             pot.MCParams(**{field: value})
 
     def test_minimum_samples_runs(self):
         mc = pot.MCParams(samples_per_shell=8, seed=2)
         assert np.isfinite(pot.eval_G([10.0, 0, 0], mc).estimate)
-        wc = pot.laplacian_weak_check([10.0, 0, 0], 1.0, mc, replicas=2)
+        wc = pot.laplacian_weak_check([10.0, 0, 0], 1.0, mc)
         assert np.isfinite(wc["ratio"]) and np.isfinite(wc["stderr"])
 
     def test_cli_samples_below_minimum_usage_error(self, tmp_path, capsys):
@@ -308,15 +311,6 @@ class TestMCParams:
         assert code == cli.EXIT_USAGE
         assert "samples_per_shell" in capsys.readouterr().err
         assert not (tmp_path / "verify_potential.json").exists()
-
-    def test_per_point_params_keep_shell_range(self):
-        # a fixed shell range that misses the point is an error, not dropped
-        mc = pot.MCParams(samples_per_shell=500, shell_lo=0, shell_hi=1)
-        with pytest.raises(ValueError, match="cover"):
-            pot.barrier_envelope_check(np.array([[10.0, 0, 0]], dtype=complex), mc)
-        dom = flow.build_domain(resolution=5, n_barrier_nodes=2)
-        with pytest.raises(ValueError, match="cover"):
-            flow.attach_barrier_potentials(dom, mc)
 
 
 class TestEvalG:
@@ -361,9 +355,28 @@ class TestEvalG:
         with pytest.raises(ValueError, match="finite"):
             pot.barrier_envelope_check(np.vstack([[2.0, 0, 0], p]))
 
-    def test_shell_range_must_cover_point(self):
-        with pytest.raises(ValueError, match="cover"):
-            pot.eval_G([10.0, 0, 0], pot.MCParams(shell_lo=0, shell_hi=1))
+    def test_small_point_keeps_the_log_region(self):
+        # G(p) grows like log(1/|p|) as p -> 0, from the shells between |p|
+        # and 1: with the shells stopping at 256 |p| the last one held 21.3
+        # of an estimate of 177.6 at |p| = 1e-3; carried past 1 it holds 0.24
+        # of 256.4
+        gv = pot.eval_G([1e-3, 0, 0], pot.MCParams(samples_per_shell=4000, seed=1))
+        assert gv.shells[-1][1] < 0.01 * gv.estimate
+        assert np.isfinite(pot.eval_G([1e-8, 0, 0]).estimate)
+
+    @pytest.mark.parametrize("tiny", [1e-55, 1e-80])
+    def test_point_near_origin_rejected(self, tiny):
+        # below |p| ~ 2.5e-49 the core radius 1e-3 |p| has a sixth power below
+        # the normal floats: unguarded, 1e-55 gave ~3700 with hundreds of
+        # divide-by-zero and overflow warnings, and 1e-80 gave NaN
+        with pytest.raises(ValueError, match="origin"):
+            pot.eval_G([tiny, 0, 0])
+
+    def test_small_point_above_cut_is_clean(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gv = pot.eval_G([1e-45, 0, 0], pot.MCParams(samples_per_shell=500))
+        assert np.isfinite(gv.estimate) and np.isfinite(gv.stderr)
 
 
 class TestWeakForm:
