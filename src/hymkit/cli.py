@@ -12,8 +12,9 @@ report input that is not a verify report, included), 3 numerical abort.  The
 growth suite's report also holds its degree table, which ``report`` writes
 to growth_table.csv.
 Fixed seed implies byte-identical JSON/CSV outputs on one platform, except
-the run records, which hold timings: ``run_<suite>.json`` next to each
-``verify_<suite>.json`` and ``run.json`` next to the flow's history.
+the run records, which hold timings and the peak resident memory
+(``peak_rss_mib``): ``run_<suite>.json`` next to each ``verify_<suite>.json``
+and ``run.json`` next to the flow's history.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import json
 import math
 import os
 import platform
+import resource
 import sys
 import time
 from dataclasses import dataclass, field
@@ -76,6 +78,12 @@ def _provenance() -> dict:
     return {"hymkit": __version__, "python": platform.python_version(),
             "numpy": np.__version__,
             "threads": {name: os.environ.get(name) for name in THREAD_VARIABLES}}
+
+
+def _peak_rss_mib() -> float:
+    """The process's peak resident set so far, in MiB (``ru_maxrss`` is in
+    KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def _out_dir(path) -> Path | None:
@@ -299,7 +307,7 @@ def cmd_verify(args) -> int:
     _write_json(cfg.out_dir / f"run_{args.suite}.json",
                 {**_provenance(), "suite": args.suite, "seed": args.seed,
                  "samples": cfg.sample_count, "exit_code": code,
-                 "seconds": cfg.seconds})
+                 "seconds": cfg.seconds, "peak_rss_mib": _peak_rss_mib()})
     return code
 
 
@@ -334,7 +342,8 @@ def cmd_flow(args) -> int:
         seconds["run" if seconds else "build_domain"] = \
             time.perf_counter() - start - sum(seconds.values())
         _write_json(out_dir / "run.json", {**record, "exit_code": EXIT_NUMERICAL,
-                                           "error": str(exc), "seconds": seconds})
+                                           "error": str(exc), "seconds": seconds,
+                                           "peak_rss_mib": _peak_rss_mib()})
         return EXIT_NUMERICAL
     ran = time.perf_counter()
     fl.write_history_csv(state, out_dir / "history.csv")
@@ -351,6 +360,7 @@ def cmd_flow(args) -> int:
                                if row[2] <= 1e-12 * sups[0]), None),
         "seconds": {**seconds, **state.seconds,
                     "io": time.perf_counter() - ran},
+        "peak_rss_mib": _peak_rss_mib(),
     })
     _write_json(out_dir / "run.json", record)
     print(f"flow: {cfg.steps} steps, sup |iLamF| {sups[0]:.4g} -> {sups[-1]:.4g} "

@@ -179,6 +179,10 @@ class FlowConfig:
             raise ValueError("barrier_constant must be a finite number >= 0, "
                              f"got {self.barrier_constant!r}")
         _grid_spacings(self.box, self.resolution)
+        most = (self.resolution - 2) ** 6  # the interior nodes
+        if self.n_barrier_nodes > most:
+            raise ValueError(f"n_barrier_nodes must be at most the {most} interior "
+                             f"nodes, got {self.n_barrier_nodes!r}")
 
     @classmethod
     def from_json(cls, path) -> "FlowConfig":
@@ -202,41 +206,79 @@ def default_box():
 
 @dataclass
 class FlowDomain:
+    """The grid box, its boundary metric H0 and the barrier check nodes.
+
+    H0 is held once, by its Hermitian components (H00, H11, H01) on every
+    node, as :class:`FlowState` holds H.  ``h0`` assembles the (..., 2, 2)
+    matrix on read as a read-only array; assigning a matrix to ``h0``
+    replaces the components (its lower off-diagonal entry is taken to be
+    conj(H01)).
+    """
+
     box: tuple
     shape: tuple
     spacings: np.ndarray          # (6,)
-    h0: np.ndarray                # (..., 2, 2) metric at every node
     interior: tuple               # slice tuple selecting interior nodes
     barrier_nodes: np.ndarray     # (m, 6) integer indices of check nodes
+    _h0: tuple = field(repr=False)  # (H00, H11, H01) at every node
     barrier_g: np.ndarray | None = None
 
     @property
     def n_nodes(self) -> int:
         return int(np.prod(self.shape))
 
-    def grid_points(self) -> np.ndarray:
-        """Complex coordinates (..., 3) of every node."""
+    @property
+    def h0(self) -> np.ndarray:
+        return _assemble(*self._h0)
+
+    @h0.setter
+    def h0(self, value) -> None:
+        self._h0 = _split(value)
+
+    def grid_points(self, slab=slice(None)) -> np.ndarray:
+        """Complex coordinates (..., 3) of every node, or of the nodes
+        ``[slab]`` along the first axis (Re x)."""
         axes = [np.linspace(lo, hi, n).reshape((n,) + (1,) * (5 - k))
                 for k, ((lo, hi), n) in enumerate(zip(self.box, self.shape))]
-        pts = np.empty(self.shape + (3,), dtype=complex)
-        for j in range(3):
-            pts[..., j] = axes[2 * j] + 1j * axes[2 * j + 1]
-        return pts
+        axes[0] = axes[0][slab]
+        return _complex_points(axes)
 
     def cfl_bound(self) -> float:
         return CFL_COEFF * float(self.spacings.min()) ** 2
 
 
+def _complex_points(axes) -> np.ndarray:
+    """Points (..., 3) with coordinate j = axes[2j] + i axes[2j+1], the six
+    real coordinate arrays broadcast together."""
+    pts = np.empty(np.broadcast_shapes(*(a.shape for a in axes)) + (3,), dtype=complex)
+    for j in range(3):
+        pts[..., j] = axes[2 * j] + 1j * axes[2 * j + 1]
+    return pts
+
+
 def build_domain(box=None, resolution: int = 7,
                  n_barrier_nodes: int = 12, seed: int = 0) -> FlowDomain:
-    """Grid the box, fill the boundary metric, and pick barrier check nodes."""
+    """Grid the box, fill the boundary metric, and pick barrier check nodes.
+
+    H0 is :func:`hymkit.ansatz.chart_gram` at every node, formed one slab of
+    the first grid axis at a time and written into its components, so the
+    only whole-grid arrays are the components themselves.
+    """
     box = tuple(tuple(map(float, iv)) for iv in (box or DEFAULT_BOX))
     spacings = _grid_spacings(box, resolution)
+    most = (resolution - 2) ** 6
+    if not 1 <= n_barrier_nodes <= most:
+        raise ValueError(f"n_barrier_nodes must be between 1 and the {most} interior "
+                         f"nodes, got {n_barrier_nodes!r}")
     shape = (resolution,) * 6
+    h0 = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=complex))
     dom = FlowDomain(box=box, shape=shape, spacings=spacings,
-                     h0=None, interior=(slice(1, resolution - 1),) * 6,
-                     barrier_nodes=None)
-    dom.h0 = chart_gram(dom.grid_points(), "x")
+                     interior=(slice(1, resolution - 1),) * 6,
+                     barrier_nodes=None, _h0=h0)
+    for i in range(resolution):
+        g = chart_gram(dom.grid_points(i), "x")
+        for f, entry in zip(h0, (g[..., 0, 0].real, g[..., 1, 1].real, g[..., 0, 1])):
+            f[i] = entry
     rng = np.random.default_rng(seed)
     idx = rng.integers(1, resolution - 1, size=(n_barrier_nodes, 6))
     idx[0] = (resolution // 2,) * 6
@@ -250,6 +292,18 @@ def _split(h: np.ndarray):
     return (np.array(h[..., 0, 0].real, dtype=float),
             np.array(h[..., 1, 1].real, dtype=float),
             np.array(h[..., 0, 1], dtype=complex))
+
+
+def _assemble(a, d, b) -> np.ndarray:
+    """The Hermitian matrix (..., 2, 2) with diagonal (a, d) and upper entry
+    b, as a read-only array: the inverse of :func:`_split`."""
+    h = np.empty(np.shape(a) + (2, 2), dtype=complex)
+    h[..., 0, 0] = a
+    h[..., 1, 1] = d
+    h[..., 0, 1] = b
+    h[..., 1, 0] = np.conj(b)
+    h.flags.writeable = False
+    return h
 
 
 class _Bracket(NamedTuple):
@@ -374,13 +428,7 @@ class FlowState:
 
     @property
     def h(self) -> np.ndarray:
-        h = np.empty(self.a.shape + (2, 2), dtype=complex)
-        h[..., 0, 0] = self.a
-        h[..., 1, 1] = self.d
-        h[..., 0, 1] = self.b
-        h[..., 1, 0] = self.b.conj()
-        h.flags.writeable = False
-        return h
+        return _assemble(self.a, self.d, self.b)
 
     @h.setter
     def h(self, value) -> None:
@@ -390,7 +438,7 @@ class FlowState:
 
 
 def initial_state(domain: FlowDomain) -> FlowState:
-    return FlowState(domain, *_split(domain.h0))
+    return FlowState(domain, *(f.copy() for f in domain._h0))
 
 
 # The symmetry planes: the axis pair of z and of y, and the factor of H01
@@ -403,16 +451,18 @@ def _symmetric(domain: FlowDomain, comps) -> bool:
 
     A turn keeps it when its plane's two spacings are equal and a, d and
     b / phase are invariant under ``np.rot90`` to 8 eps max |f|: H0's grid is
-    symmetric only to the rounding of ``linspace``.
+    symmetric only to the rounding of ``linspace``.  The turns leave the
+    first axis alone, so they are compared one slab of it at a time.
     """
     if any(domain.spacings[i] != domain.spacings[j] for (i, j), _ in _PLANES):
         return False
     for k, f in enumerate(comps):
-        tol = 8.0 * np.finfo(float).eps * np.abs(f).max()
-        for axes, phase in _PLANES:
-            turned = np.rot90(f, 1, axes)
-            if not np.abs(f - (phase * turned if k == 2 else turned)).max() <= tol:
-                return False
+        tol = 8.0 * np.finfo(float).eps * np.max([np.abs(sl).max() for sl in f])
+        for sl in f:
+            for (i, j), phase in _PLANES:
+                turned = np.rot90(sl, 1, (i - 1, j - 1))
+                if not np.abs(sl - (phase * turned if k == 2 else turned)).max() <= tol:
+                    return False
     return True
 
 
@@ -430,21 +480,24 @@ def _stencil(domain: FlowDomain, block: bool) -> _Stencil:
     y and z axes on which it is off the centre.
     """
     shape, n, inner = domain.shape, domain.shape[2], domain.interior
-    flat = np.arange(domain.n_nodes).reshape(shape)
     region = inner[:2] + (slice(n // 2, n - 1),) * 4 if block else inner
-    src, phase, filled = flat.copy(), np.ones(shape, dtype=complex), list(region)
+    # the rotation rule runs on the interior box, which the turns keep, in
+    # its own offsets: grid index i is box index i - 1
+    dst = _flat(shape, inner)
+    src, phase = dst.copy(), np.ones(dst.shape, dtype=complex)
+    box = [slice(sl.start - 1, sl.stop - 1) for sl in region]
     for axes, ph in _PLANES if block else ():
-        neg = slice(1, n // 2)
-        for k, part in ((1, (neg, region[axes[1]])), (2, (inner[axes[0]], neg))):
-            sl = list(filled)
+        neg = slice(0, n // 2 - 1)
+        for k, part in ((1, (neg, box[axes[1]])), (2, (slice(None), neg))):
+            sl = list(box)
             sl[axes[0]], sl[axes[1]] = part
             sl = tuple(sl)
             src[sl] = np.rot90(src, k, axes)[sl]
             phase[sl] = ph**k * np.rot90(phase, k, axes)[sl]
         for ax in axes:
-            filled[ax] = inner[ax]
-    dst, src, phase = (f[inner].ravel() for f in (flat, src, phase))
-    nodes = flat[region].ravel()
+            box[ax] = slice(None)
+    dst, src, phase = dst.ravel(), src.ravel(), phase.ravel()
+    nodes = _flat(shape, region).ravel()
     nbr = _nbr(shape, nodes)
     near = np.zeros(domain.n_nodes, dtype=bool)
     near[nbr] = True
@@ -452,21 +505,38 @@ def _stencil(domain: FlowDomain, block: bool) -> _Stencil:
     # the halo first, each part in C order
     order = np.argsort(~near[dst[moved]], kind="stable")
     dst, src, phase = (f[moved][order] for f in (dst, src, phase))
-    reps = flat[tuple(slice(max(sl.start, 2), n - 2) for sl in region)].ravel()
+    halo = int(near[dst].sum())
+    reps = _flat(shape, tuple(slice(max(sl.start, 2), n - 2) for sl in region)).ravel()
     off_centre = sum(2 * i != n - 1 for i in np.unravel_index(reps, shape)[2:])
     # sorted and distinct, like np.unique, which would import numpy.ma
     rep_nbr = _nbr(shape, reps)
-    support = np.flatnonzero(np.bincount(rep_nbr.ravel(), minlength=domain.n_nodes))
-    return _Stencil(nodes, nbr, dst, src, phase, int(near[dst].sum()), reps,
+    near[:] = False
+    near[rep_nbr] = True
+    support = np.flatnonzero(near)
+    return _Stencil(nodes, nbr, dst, src, phase, halo, reps,
                     2.0**off_centre if block else np.ones(reps.size), support,
                     _nbr(shape, support), np.searchsorted(support, rep_nbr))
+
+
+def _flat(shape, region) -> np.ndarray:
+    """Flat C-order indices of the nodes ``region`` (a tuple of slices), an
+    array of the region's shape."""
+    idx = np.zeros((), dtype=np.intp)
+    for sl, n, stride in zip(region, shape, _strides(shape)):
+        idx = np.add.outer(idx, stride * np.arange(n)[sl])
+    return idx
 
 
 def _nbr(shape, idx) -> np.ndarray:
     """Flat indices (2, 6, N) of the +1 and -1 axis neighbours of the flat
     indices idx."""
-    stride = np.cumprod((1,) + shape[:0:-1])[::-1]
+    stride = _strides(shape)
     return idx + np.stack([stride, -stride])[..., None]
+
+
+def _strides(shape) -> np.ndarray:
+    """Element strides (6,) of the C-ordered grid."""
+    return np.cumprod((1,) + shape[:0:-1])[::-1]
 
 
 def _flow_bracket(state: FlowState, table: _Stencil) -> _Bracket:
@@ -539,7 +609,7 @@ def mean_curvature_field(state: FlowState):
     Of a stencil table it builds only what :func:`_flow_bracket` reads.
     """
     dom = state.domain
-    nodes = np.arange(dom.n_nodes).reshape(dom.shape)[dom.interior].ravel()
+    nodes = _flat(dom.shape, dom.interior).ravel()
     br = _flow_bracket(state, _Region(nodes, _nbr(dom.shape, nodes)))
     g = -0.5 / br.det
     chi = np.empty(br.det.shape + (2, 2), dtype=complex)
@@ -593,20 +663,23 @@ def _check_positivity(state: FlowState, whole: bool = True):
     False it tests the table's nodes on the stored components, which decide
     the interior (the fill map copies a and d and turns b by a power of i),
     and scans the whole grid only when one fails, for the same first bad
-    node; the boundary is left to a whole check.
+    node; the boundary is left to a whole check.  The whole check scans one
+    slab of the first grid axis at a time, in C order, so it names the
+    first bad node.
     """
     if not whole:
         a, d, b = (f.reshape(-1)[state.table.nodes] for f in state._comps())
         if ((a > 0) & (a * d - (b.real**2 + b.imag**2) > 0)).all():
             return
-    a = state.a
-    det = a * state.d - (state.b.real**2 + state.b.imag**2)
-    bad = ~(a > 0) | ~(det > 0)
-    if bad.any():
-        node = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        raise PositivityError(
-            f"positivity lost at node {node} (step {state.step_count}, "
-            f"H00 {a[node]:.3e}, det {det[node]:.3e})", node=node)
+    for i, (a, d, b) in enumerate(zip(state.a, state.d, state.b)):
+        det = a * d - (b.real**2 + b.imag**2)
+        bad = ~(a > 0) | ~(det > 0)
+        if bad.any():
+            at = int(np.argmax(bad))
+            node = np.unravel_index(i * bad.size + at, state.domain.shape)
+            raise PositivityError(
+                f"positivity lost at node {node} (step {state.step_count}, "
+                f"H00 {a.flat[at]:.3e}, det {det.flat[at]:.3e})", node=node)
 
 
 def run(domain: FlowDomain, n_steps: int, dt: float | None = None,
@@ -706,22 +779,22 @@ def barrier_check(state: FlowState, c_barrier: float,
 
     The matrix inequality is tested through the eigenvalues of
     H0^{-1/2} H H0^{-1/2}; ``g_values`` defaults to the potentials cached on
-    the domain by :func:`attach_barrier_potentials`.
+    the domain by :func:`attach_barrier_potentials`.  H and H0 are
+    assembled at those nodes only.
     """
     dom = state.domain
     if g_values is None:
         g_values = dom.barrier_g
     if g_values is None:
         raise ValueError("no barrier potentials: call attach_barrier_potentials")
-    h = state.h
+    comps = (state.a, state.d, state.b)
     results = []
     worst = np.inf
     for (idx, g) in zip(dom.barrier_nodes, g_values):
         node = tuple(int(i) for i in idx)
-        h0 = dom.h0[node]
-        evals0, evecs0 = np.linalg.eigh(h0)
+        evals0, evecs0 = np.linalg.eigh(_assemble(*(f[node] for f in dom._h0)))
         inv_sqrt = evecs0 @ np.diag(evals0**-0.5) @ evecs0.conj().T
-        m = inv_sqrt @ h[node] @ inv_sqrt
+        m = inv_sqrt @ _assemble(*(f[node] for f in comps)) @ inv_sqrt
         ev = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
         lo_band, hi_band = np.exp(-c_barrier * g), np.exp(c_barrier * g)
         ok = bool(ev.min() >= lo_band - 1e-12 and ev.max() <= hi_band + 1e-12)
@@ -734,15 +807,20 @@ def barrier_check(state: FlowState, c_barrier: float,
 
 
 def attach_barrier_potentials(domain: FlowDomain, mc=None) -> np.ndarray:
-    """Evaluate the barrier potential at the domain's check nodes and cache it."""
+    """Evaluate the barrier potential at the domain's check nodes and cache it.
+
+    The nodes' coordinates are formed as :meth:`FlowDomain.grid_points`
+    forms them, at those nodes only.
+    """
     from .potential import MCParams, eval_G
 
     mc = mc or MCParams()
-    pts = domain.grid_points()
+    nodes = domain.barrier_nodes
+    axes = [np.linspace(lo, hi, n)[nodes[:, k]]
+            for k, ((lo, hi), n) in enumerate(zip(domain.box, domain.shape))]
     gs = []
-    for i, idx in enumerate(domain.barrier_nodes):
-        node = tuple(int(v) for v in idx)
-        gv = eval_G(pts[node], replace(mc, seed=mc.seed + 31 * i))
+    for i, p in enumerate(_complex_points(axes)):
+        gv = eval_G(p, replace(mc, seed=mc.seed + 31 * i))
         gs.append(gv.estimate)
     domain.barrier_g = np.asarray(gs)
     return domain.barrier_g
@@ -756,14 +834,17 @@ def save_checkpoint(state: FlowState, path) -> None:
     """Flat little-endian float64 array, node-major, 8 reals per node.
 
     Layout per node: [H00.re, H11.re, H01.re, H01.im, 0, 0, 0, 0]; a JSON
-    sidecar (same path + '.json') describes the grid.
+    sidecar (same path + '.json') describes the grid.  The array is written
+    one slab of the first grid axis at a time.
     """
     path = Path(path)
-    out = np.zeros((state.a.size, 8), dtype="<f8")
-    out[:, 0] = state.a.reshape(-1)
-    out[:, 1] = state.d.reshape(-1)
-    out[:, 2:4] = state.b.reshape(-1, 1).view(float)  # (re, im) pairs
-    out.tofile(path)
+    out = np.zeros((state.a[0].size, 8), dtype="<f8")
+    with open(path, "wb") as fh:
+        for a, d, b in zip(state.a, state.d, state.b):
+            out[:, 0] = a.reshape(-1)
+            out[:, 1] = d.reshape(-1)
+            out[:, 2:4] = b.reshape(-1, 1).view(float)  # (re, im) pairs
+            out.tofile(fh)
     sidecar = {
         "box": [list(iv) for iv in state.domain.box],
         "shape": list(state.domain.shape),

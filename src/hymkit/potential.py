@@ -300,7 +300,8 @@ def _weak_check_once(c, radius, mc, seed, near):
     cloud.  The denominator -4 pi^3 integral(weight * phi) uses independent
     uniform nodes on the support ball, so the ratio tests the importance
     sampler against plain volume sampling as well as the Laplacian constant.
-    ``near`` is (grid, Psi on it) on [0, 2 radius), shared by the replicas.
+    ``near`` is (grid, Psi on it) on [0, radius], shared by the replicas;
+    Psi is 0 beyond it.
     """
     c_norm = float(np.sqrt(np.sum(np.abs(c) ** 2)))
     rng = np.random.default_rng(seed)
@@ -329,11 +330,7 @@ def _weak_check_once(c, radius, mc, seed, near):
         q += _shell_density((r_sq >= 4.0**k) & (r_sq <= 4.0 ** (k + 1)), r_sq, sigma,
                             half / n_cloud, half / n_cloud)
 
-    # Psi interpolated from a dense distance grid
-    s_c = np.sqrt(s_sq)
-    far = np.geomspace(2.0 * radius, max(float(s_c.max()), 2.1 * radius), 200)
-    psi = np.interp(s_c, np.concatenate([near[0], far]),
-                    np.concatenate([near[1], bump_pairing(far, radius)]))
+    psi = np.interp(np.sqrt(s_sq), *near, right=0.0)
     num_w = _weight(sigma, z_sq) * psi / q
     num = float(num_w.mean())
     num_err = float(num_w.std() / np.sqrt(n_cloud))
@@ -357,13 +354,23 @@ def laplacian_weak_check(center, radius: float, mc: MCParams = MCParams(),
     origin).  The ratio should be 1 within Monte Carlo error; the reported
     stderr combines the per-replica propagated errors with the spread of
     four replicas.
+
+    The pairing Psi(d) is quadratured on [0, radius) and is 0 for
+    d >= radius: the kernel K = |x - x'|^-4 is then harmonic in x on the
+    support ball, so by Green's identity integral(K Lap phi) =
+    integral(phi Lap K) = 0.  A quadrature there leaves about
+    6e-9 (radius/d)^4, against a denominator of order radius^6.
     """
     c = np.array(center, dtype=complex).reshape(3)
     c_norm = float(np.sqrt(np.sum(np.abs(c) ** 2)))
-    if not radius < c_norm < np.inf:
+    if not 0.0 < radius < c_norm < np.inf:
         raise ValueError("bump centre must be finite and its support avoid the origin")
-    near_grid = np.linspace(0.0, 2.0 * radius, 600, endpoint=False)
-    near = (near_grid, bump_pairing(near_grid, radius))
+    if min(radius, 1.0) ** 6 < np.finfo(float).tiny:
+        # the ball density divides by radius^6, which must stay a normal float
+        raise ValueError(f"bump radius {radius:.3g} has a sixth power below the "
+                         "normal floats")
+    grid = np.linspace(0.0, radius, 301)  # spacing radius / 300
+    near = (grid, np.append(bump_pairing(grid[:-1], radius), 0.0))
     out = [_weak_check_once(c, radius, mc, [seed, rep, 7919], near)
            for rep in range(_REPLICAS)]
     ratios = np.asarray([r for r, _ in out])

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,9 @@ _INTERVAL = st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2)
 INVALID_FLOW_FIELDS = {
     "steps": st.one_of(st.integers(max_value=0), _NOT_INT),
     "monitor_cadence": st.one_of(st.integers(max_value=0), _NOT_INT),
-    "n_barrier_nodes": st.one_of(st.integers(max_value=0), _NOT_INT),
+    # the configs have resolution 5, so 3^6 = 729 interior nodes
+    "n_barrier_nodes": st.one_of(st.integers(max_value=0), st.integers(min_value=730),
+                                 _NOT_INT),
     "seed": st.one_of(st.integers(max_value=-1), _NOT_INT),
     "resolution": st.one_of(st.integers(max_value=4), st.integers(min_value=12), _NOT_INT),
     "dt": st.one_of(st.floats(max_value=0.0), _NOT_REAL),
@@ -116,8 +119,9 @@ class TestVerify:
                         "--out", str(tmp_path)]) == cli.EXIT_PASS
         rec = json.loads((tmp_path / "run_cone.json").read_text())
         assert set(rec) == {"hymkit", "python", "numpy", "threads", "suite", "seed",
-                            "samples", "exit_code", "seconds"}
+                            "samples", "exit_code", "seconds", "peak_rss_mib"}
         assert all(isinstance(rec[k], str) for k in ("hymkit", "python", "numpy"))
+        assert isinstance(rec["peak_rss_mib"], float) and rec["peak_rss_mib"] > 0
         assert set(rec["threads"]) == set(cli.THREAD_VARIABLES)
         assert all(v is None or isinstance(v, str) for v in rec["threads"].values())
         assert (rec["suite"], rec["seed"], rec["samples"], rec["exit_code"]) == \
@@ -139,6 +143,7 @@ class TestVerify:
         assert not (tmp_path / "verify_cone.json").exists()
         rec = json.loads((tmp_path / "run_cone.json").read_text())
         assert rec["exit_code"] == cli.EXIT_NUMERICAL and list(rec["seconds"]) == ["first"]
+        assert isinstance(rec["peak_rss_mib"], float) and rec["peak_rss_mib"] > 0
 
     def test_out_naming_a_file_usage_error(self, tmp_path, monkeypatch, capsys):
         # refused before the suite runs
@@ -185,8 +190,9 @@ class TestFlow:
         rec = json.loads((out / "run.json").read_text())
         assert set(rec) == {"hymkit", "python", "numpy", "threads", "resolution", "steps",
                             "exit_code", "dt", "cfl_bound", "path", "table_nodes",
-                            "converge_step", "seconds"}
+                            "converge_step", "seconds", "peak_rss_mib"}
         assert rec["exit_code"] == cli.EXIT_PASS
+        assert isinstance(rec["peak_rss_mib"], float) and rec["peak_rss_mib"] > 0
         assert all(isinstance(rec[k], str) for k in ("hymkit", "python", "numpy"))
         assert set(rec["threads"]) == set(cli.THREAD_VARIABLES)
         assert all(v is None or isinstance(v, str) for v in rec["threads"].values())
@@ -228,7 +234,8 @@ class TestFlow:
         assert sorted(p.name for p in out.iterdir()) == ["run.json"]
         rec = json.loads((out / "run.json").read_text())
         assert set(rec) == {"hymkit", "python", "numpy", "threads", "resolution", "steps",
-                            "exit_code", "error", "seconds"}
+                            "exit_code", "error", "seconds", "peak_rss_mib"}
+        assert isinstance(rec["peak_rss_mib"], float) and rec["peak_rss_mib"] > 0
         assert set(rec["threads"]) == set(cli.THREAD_VARIABLES)
         assert (rec["resolution"], rec["steps"], rec["exit_code"]) == \
             (5, 60, cli.EXIT_NUMERICAL)
@@ -243,9 +250,25 @@ class TestFlow:
         cfg = self.make_config(tmp_path, box=box, steps=20)
         assert run_cli(["flow", str(cfg)]) == cli.EXIT_USAGE
 
+    def test_huge_barrier_node_count_usage_error(self, tmp_path, capsys):
+        # 1e10 barrier nodes passed the config and asked numpy for 447 GiB
+        # of indices: exit 1 with a MemoryError traceback
+        cfg = self.make_config(tmp_path, n_barrier_nodes=10_000_000_000)
+        tracemalloc.start()
+        try:
+            code = run_cli(["flow", str(cfg), "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "n_barrier_nodes" in err and "Traceback" not in err
+        assert peak < 2**20
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("overrides", [
         {"steps": "ten"}, {"steps": 0}, {"steps": 2.5}, {"monitor_cadence": 0},
-        {"n_barrier_nodes": 0}, {"resolution": True}, {"resolution": 4},
+        {"n_barrier_nodes": 0}, {"n_barrier_nodes": 730}, {"resolution": True}, {"resolution": 4},
         {"resolution": 100}, {"dt": -0.001}, {"dt": 0}, {"dt": "0.001"},
         {"seed": -1}, {"barrier_constant": "2"}, {"box": [[0.5, 2.0]] + [[-0.5, 0.5]] * 5},
     ], ids=lambda o: "-".join(f"{k}={v!r}" for k, v in o.items())[:40])

@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hymkit import flow, monads as mo
-from hymkit.ansatz import ansatz_monad
+from hymkit.ansatz import ansatz_monad, chart_gram
 
 
 def matrix_bracket(h, spacings):
@@ -143,6 +144,35 @@ class TestBuildDomain:
         mesh = np.meshgrid(*axes, indexing="ij")
         ref = np.stack([mesh[2 * j] + 1j * mesh[2 * j + 1] for j in range(3)], axis=-1)
         assert np.array_equal(dom.grid_points().view(np.uint64), ref.view(np.uint64))
+        for i in range(resolution):
+            assert np.array_equal(dom.grid_points(i).view(np.uint64), ref[i].view(np.uint64))
+
+    @pytest.mark.parametrize("resolution", [5, 6, 7, 8])
+    def test_slab_h0_bit_identical_to_whole_grid_gram(self, resolution):
+        dom = flow.build_domain(resolution=resolution, n_barrier_nodes=1)
+        ref = chart_gram(dom.grid_points(), "x")
+        assert np.array_equal(dom.h0.view(np.uint64), ref.view(np.uint64))
+
+    def test_h0_held_once(self):
+        dom = flow.build_domain(resolution=5, n_barrier_nodes=1)
+        h0 = dom.h0
+        assert not h0.flags.writeable
+        state = flow.initial_state(dom)
+        for f, g in zip((state.a, state.d, state.b), dom._h0):
+            assert np.array_equal(f, g) and not np.shares_memory(f, g)
+        flow.step(state)
+        assert np.array_equal(dom.h0, h0)
+        dom.h0 = 2.0 * h0
+        assert np.array_equal(dom.h0, 2.0 * h0) and dom._h0[0].flags.c_contiguous
+
+    def test_barrier_node_count_bounded_by_interior(self):
+        # resolution 5 has 3^6 = 729 interior nodes; 1e10 asked numpy for 447 GiB
+        assert len(flow.build_domain(resolution=5, n_barrier_nodes=729).barrier_nodes) == 729
+        for n in (730, 10_000_000_000, 0):
+            with pytest.raises(ValueError, match="n_barrier_nodes"):
+                flow.build_domain(resolution=5, n_barrier_nodes=n)
+            with pytest.raises(ValueError, match="n_barrier_nodes"):
+                flow.FlowConfig(resolution=5, n_barrier_nodes=n)
 
     def test_h0_positive_definite_everywhere(self, domain):
         h = domain.h0
@@ -476,7 +506,55 @@ class TestSymmetry:
         assert flow._sup_norm(state.last_bracket) == flow._sup_norm(ref_br)
 
 
+def ref_stencil(domain, block):
+    """The stencil table built on whole-grid index and phase arrays."""
+    shape, n, inner = domain.shape, domain.shape[2], domain.interior
+    flat = np.arange(domain.n_nodes).reshape(shape)
+    region = inner[:2] + (slice(n // 2, n - 1),) * 4 if block else inner
+    src, phase, filled = flat.copy(), np.ones(shape, dtype=complex), list(region)
+    for axes, ph in flow._PLANES if block else ():
+        neg = slice(1, n // 2)
+        for k, part in ((1, (neg, region[axes[1]])), (2, (inner[axes[0]], neg))):
+            sl = list(filled)
+            sl[axes[0]], sl[axes[1]] = part
+            sl = tuple(sl)
+            src[sl] = np.rot90(src, k, axes)[sl]
+            phase[sl] = ph**k * np.rot90(phase, k, axes)[sl]
+        for ax in axes:
+            filled[ax] = inner[ax]
+    dst, src, phase = (f[inner].ravel() for f in (flat, src, phase))
+    nodes = flat[region].ravel()
+    nbr = flow._nbr(shape, nodes)
+    near = np.zeros(domain.n_nodes, dtype=bool)
+    near[nbr] = True
+    moved = src != dst
+    order = np.argsort(~near[dst[moved]], kind="stable")
+    dst, src, phase = (f[moved][order] for f in (dst, src, phase))
+    reps = flat[tuple(slice(max(sl.start, 2), n - 2) for sl in region)].ravel()
+    off_centre = sum(2 * i != n - 1 for i in np.unravel_index(reps, shape)[2:])
+    rep_nbr = flow._nbr(shape, reps)
+    support = np.flatnonzero(np.bincount(rep_nbr.ravel(), minlength=domain.n_nodes))
+    return flow._Stencil(nodes, nbr, dst, src, phase, int(near[dst].sum()), reps,
+                         2.0**off_centre if block else np.ones(reps.size), support,
+                         flow._nbr(shape, support), np.searchsorted(support, rep_nbr))
+
+
 class TestHalo:
+    @pytest.mark.parametrize("block", [True, False])
+    @pytest.mark.parametrize("resolution", [5, 6, 7, 8])
+    def test_stencil_bit_identical_to_whole_grid_reference(self, resolution, block):
+        # the rotation rule runs on the interior box only; every index, phase
+        # (signed zeros included) and weight stays the same
+        dom = flow.build_domain(resolution=resolution, n_barrier_nodes=1)
+        got, ref = flow._stencil(dom, block), ref_stencil(dom, block)
+        for name, f, g in zip(flow._Stencil._fields, got, ref):
+            if isinstance(g, np.ndarray):
+                assert f.dtype == g.dtype and f.shape == g.shape, name
+                assert np.array_equal(np.ascontiguousarray(f).view(np.uint8),
+                                      np.ascontiguousarray(g).view(np.uint8)), name
+            else:
+                assert f == g, name
+
     @pytest.mark.parametrize("resolution,halo", [(5, 288), (6, 512), (7, 2700), (8, 3888)])
     def test_stencil_reads_block_boundary_and_halo_only(self, resolution, halo):
         dom = flow.build_domain(resolution=resolution, n_barrier_nodes=1)
@@ -600,12 +678,24 @@ class TestRun:
             nodes.append(exc.value.node)
         assert nodes[0] == nodes[1]
 
+    def test_whole_positivity_check_names_the_first_bad_node(self):
+        # the check scans one slab at a time; the node it names is the first
+        # in C order, in whichever slab it lies
+        dom = flow.build_domain(resolution=5, n_barrier_nodes=1)
+        state = flow.initial_state(dom)
+        for node in ((3, 0, 0, 0, 0, 0), (2, 1, 3, 0, 4, 2), (2, 1, 3, 0, 4, 3)):
+            state._a[node] = -1.0
+        with pytest.raises(flow.PositivityError, match="H00 -1.000e") as exc:
+            flow._check_positivity(state)
+        assert exc.value.node == (2, 1, 3, 0, 4, 2)
+
     def test_final_positivity_check_covers_the_boundary(self):
         # a corner is no node's stencil neighbour: only the final whole-grid
         # check of run sees it
         dom = flow.build_domain(resolution=5, n_barrier_nodes=1)
-        dom.h0 = dom.h0.copy()
-        dom.h0[(0,) * 6] = -np.eye(2)
+        h0 = dom.h0.copy()
+        h0[(0,) * 6] = -np.eye(2)
+        dom.h0 = h0
         with pytest.raises(flow.PositivityError, match="step 50") as exc:
             flow.run(dom, 50)
         assert exc.value.node == (0,) * 6
@@ -692,6 +782,32 @@ class TestBarrier:
         failing = [r for r in res["nodes"] if not r["pass"]]
         assert failing
 
+    def test_matches_whole_grid_reference(self):
+        # H and H0 assembled at the barrier nodes only give the eigenvalues
+        # that the whole assembled grids give, bit for bit
+        dom = flow.build_domain(resolution=6, n_barrier_nodes=12, seed=3)
+        state = flow.run(dom, 30)
+        g = np.linspace(0.5, 3.0, 12)
+        h, h0 = state.h, dom.h0
+        nodes = []
+        for idx, gv in zip(dom.barrier_nodes, g):
+            node = tuple(int(i) for i in idx)
+            evals0, evecs0 = np.linalg.eigh(h0[node])
+            inv_sqrt = evecs0 @ np.diag(evals0**-0.5) @ evecs0.conj().T
+            m = inv_sqrt @ h[node] @ inv_sqrt
+            nodes.append(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).tolist())
+        assert [r["eigs"] for r in flow.barrier_check(state, 0.01, g)["nodes"]] == nodes
+
+    def test_potentials_at_the_grid_points(self):
+        from dataclasses import replace
+        from hymkit.potential import MCParams, eval_G
+        dom = flow.build_domain(resolution=6, n_barrier_nodes=3, seed=5)
+        mc = MCParams(samples_per_shell=40, seed=2)
+        pts = dom.grid_points()
+        ref = [eval_G(pts[tuple(idx)], replace(mc, seed=mc.seed + 31 * i)).estimate
+               for i, idx in enumerate(dom.barrier_nodes)]
+        assert flow.attach_barrier_potentials(dom, mc).tolist() == ref
+
     def test_missing_potentials_raise(self, domain):
         state = flow.initial_state(domain)
         with pytest.raises(ValueError, match="barrier"):
@@ -710,6 +826,11 @@ class TestIO:
         assert sidecar["step"] == 1
         raw = np.fromfile(path, dtype="<f8")
         assert raw.size == domain.n_nodes * 8
+        # written slab by slab, the bytes of the whole-grid layout
+        ref = np.zeros((domain.n_nodes, 8), dtype="<f8")
+        ref[:, 0], ref[:, 1] = state.a.reshape(-1), state.d.reshape(-1)
+        ref[:, 2:4] = state.b.reshape(-1, 1).view(float)
+        assert path.read_bytes() == ref.tobytes()
 
     def test_history_csv_format(self, tmp_path):
         dom = flow.build_domain(resolution=5, n_barrier_nodes=4)
@@ -735,3 +856,23 @@ class TestIO:
         path = Path(__file__).parents[1] / "scripts" / "flow_default.json"
         assert flow.FlowConfig.from_json(path) == flow.FlowConfig()
         assert flow.FlowConfig().box == flow.default_box() == flow.DEFAULT_BOX
+
+
+class TestMemory:
+    def test_peak_per_node(self, tmp_path):
+        # build, initial state, steps and checkpoint at resolution 7 (117,649
+        # nodes): about 95 bytes per node at the peak, the components of H0
+        # and of the state (64) included.  Building H0 over the whole grid,
+        # holding it twice and writing the checkpoint through a padded
+        # whole-grid copy peaked at about 193.
+        tracemalloc.start()
+        try:
+            dom = flow.build_domain(resolution=7)
+            state = flow.initial_state(dom)
+            for _ in range(3):
+                flow.step(state)
+            flow.save_checkpoint(state, tmp_path / "state.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / dom.n_nodes < 125

@@ -167,10 +167,12 @@ def _ref_weak_check_once(c, radius, mc, n_nodes, seed):
                          1.0 / (pot._OMEGA5 * np.log(s_mid_hi / s_mid_lo) * s_c**6), 0.0)
     q += (n_mid / n_cloud) * q_mid
     q += (n_ball / n_cloud) * np.where(s_c <= radius, 6.0 / (np.pi**3 * radius**6), 0.0)
-    grid = np.concatenate([np.linspace(0.0, 2.0 * radius, 600, endpoint=False),
-                           np.geomspace(2.0 * radius, max(float(s_c.max()), 2.1 * radius),
-                                        200)])
-    num_w = curvature_weight(cloud) * np.interp(s_c, grid, _ref_bump_pairing(grid, radius)) / q
+    # Psi is 0 off the bump's support (Green's identity)
+    grid = np.linspace(0.0, radius, 300, endpoint=False)
+    psi = np.where(s_c < radius, np.interp(s_c, np.append(grid, radius),
+                                           np.append(_ref_bump_pairing(grid, radius), 0.0)),
+                   0.0)
+    num_w = curvature_weight(cloud) * psi / q
     num, num_err = float(num_w.mean()), float(num_w.std() / np.sqrt(n_cloud))
     dirs = _ref_unit_vectors(rng, n_nodes, 6)
     rad = radius * rng.random(n_nodes) ** (1.0 / 6.0)
@@ -388,6 +390,19 @@ class TestWeakForm:
                                           pot.MCParams(samples_per_shell=2000),
                                           seed=3 + i)
             assert abs(wc["ratio"] - 1.0) <= max(0.1, 2.0 * wc["stderr"])
+
+    @pytest.mark.parametrize("radius", [1e-3, 1e-6])
+    def test_ratio_at_small_radii(self, radius):
+        # a quadrature of Psi beyond the support gave -0.26 at 1e-3 and
+        # -1.3e6 at 1e-6
+        wc = pot.laplacian_weak_check([10.0, 0, 0], radius,
+                                      pot.MCParams(samples_per_shell=2000), seed=3)
+        assert abs(wc["ratio"] - 1.0) <= max(0.1, 2.0 * wc["stderr"])
+
+    def test_radius_with_subnormal_sixth_power_rejected(self):
+        # used to raise ZeroDivisionError
+        with pytest.raises(ValueError, match="sixth power"):
+            pot.laplacian_weak_check([10.0, 0, 0], 1e-60)
 
     def test_support_through_origin_rejected(self):
         with pytest.raises(ValueError):
