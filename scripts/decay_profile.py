@@ -26,7 +26,7 @@ def main(argv):
     for name, ray in RAYS.items():
         rs = np.geomspace(0.01, 1000.0, 60)
         pts = rs[:, None] * ray[None, :].astype(complex)
-        data = mo.curvature_batch(spec, pts)
+        data = mo.curvature_batch(spec, pts, fields=("norm_form", "norm_mean"))
         weight = ansatz.curvature_weight(pts)
         for r, nf, nm, wv in zip(rs, data["norm_form"], data["norm_mean"], weight):
             rows.append([name, f"{r:.6g}", f"{nf:.10g}", f"{nm:.10g}", f"{wv:.10g}"])

@@ -189,7 +189,8 @@ def asd_defect_fd(a1, a2, b1, b2, p, h: float = 1e-4) -> float:
 def curvature_density(d: ADHMData, points: np.ndarray) -> np.ndarray:
     """|F|^2 at an array of points (..., 2), via the batched curvature engine."""
     spec = instanton_monad(d)
-    data = mo.curvature_batch(spec, np.asarray(points, dtype=complex))
+    data = mo.curvature_batch(spec, np.asarray(points, dtype=complex),
+                              fields=("norm_form",))
     return data["norm_form"] ** 2
 
 

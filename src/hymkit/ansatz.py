@@ -235,7 +235,7 @@ def weight_ratio_sup(n_points: int = 10_000, seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     pts = sample_log_uniform(rng, n_points, 1e-2, 1e3)
     spec = ansatz_monad()
-    data = mo.curvature_batch(spec, pts)
+    data = mo.curvature_batch(spec, pts, fields=("norm_mean",))
     ell = curvature_weight(pts)
     return float(np.max(data["norm_mean"] / ell))
 
@@ -362,7 +362,7 @@ def decay_slope(ray, r_values) -> float:
     ray = ray / np.sqrt(np.sum(np.abs(ray) ** 2))
     rs = np.asarray(r_values, dtype=float)
     pts = rs[:, None] * ray[None, :]
-    data = mo.curvature_batch(ansatz_monad(), pts)
+    data = mo.curvature_batch(ansatz_monad(), pts, fields=("norm_form",))
     return float(np.polyfit(np.log(rs), np.log(data["norm_form"]), 1)[0])
 
 
@@ -371,7 +371,7 @@ def profile_ratio(r_values) -> np.ndarray:
     rs = np.asarray(r_values, dtype=float)
     ray = np.array([1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
     pts = rs[:, None] * ray[None, :]
-    data = mo.curvature_batch(ansatz_monad(), pts)
+    data = mo.curvature_batch(ansatz_monad(), pts, fields=("norm_form",))
     sig = np.abs(pts[:, 0]) ** 2 + np.abs(pts[:, 1]) ** 2
     prof = rs / sig**2
     return data["norm_form"] / prof
@@ -457,4 +457,4 @@ def fueter_map(zeta: complex, root: complex | None = None) -> adhm_mod.FramedMod
 def cone_hym_residual(points) -> np.ndarray:
     """|i Lambda F| of the conical kernel monad at an array of points."""
     pts = np.asarray(points, dtype=complex)
-    return mo.curvature_batch(cone_monad(), pts)["norm_mean"]
+    return mo.curvature_batch(cone_monad(), pts, fields=("norm_mean",))["norm_mean"]

@@ -120,12 +120,12 @@ def suite_adhm(cfg: RunConfig, asd_analytic=1e-9, asd_fd=1e-6, charge=0.02) -> t
         spec = adhm.instanton_monad(d)
         pts = rng.standard_normal((n_pts, 4)) * 1.5
         pts = pts[:, :2] + 1j * pts[:, 2:]
-        data = mo.curvature_batch(spec, pts)
+        data = mo.curvature_batch(spec, pts, fields=("norm_mean",))
         worst_an = max(worst_an, float(data["norm_mean"].max()))
     checks.append(cfg.check("asd_residual_analytic", worst_an, asd_analytic))
     spec_fd = adhm.strip_analytic_derivatives(adhm.instanton_monad(datasets[0]))
     pts = rng.standard_normal((10, 4))
-    data = mo.curvature_batch(spec_fd, pts[:, :2] + 1j * pts[:, 2:])
+    data = mo.curvature_batch(spec_fd, pts[:, :2] + 1j * pts[:, 2:], fields=("norm_mean",))
     worst_fd = float(data["norm_mean"].max())
     checks.append(cfg.check("asd_residual_fd", worst_fd, asd_fd))
     q = adhm.charge(adhm.ADHMData(1, 0, 0, 1))
@@ -138,6 +138,13 @@ def suite_adhm(cfg: RunConfig, asd_analytic=1e-9, asd_fd=1e-6, charge=0.02) -> t
 # weight_ratio_sup is a sup over the sample; at one point it reads 1.01-1.99
 # against the regression-locked 2.0, from 100 points on at least 1.9997
 ANSATZ_MIN_SAMPLES = 100
+
+# --samples is bounded so that a suite's arrays stay within the budget: the
+# bytes per sample are each suite's tracemalloc peak growth per sample (per
+# shell for potential) between 1e5 and 4e5 samples (growth 4e4 and 1.6e5,
+# potential 2e4 and 6e4), rounded up
+SAMPLE_BUDGET_BYTES = 1 << 30
+SAMPLE_BYTES = {"adhm": 80, "ansatz": 160, "cone": 160, "growth": 272, "potential": 2048}
 
 
 def suite_ansatz(cfg: RunConfig, weight_ratio=2.6, slope_generic=0.1, slope_origin=0.15,
@@ -268,8 +275,10 @@ def cmd_verify(args) -> int:
                   f"{', '.join(known)}, each set to a finite number", file=sys.stderr)
             return EXIT_USAGE
     least = ANSATZ_MIN_SAMPLES if args.suite == "ansatz" else 1
-    if args.samples is not None and args.samples < least:
-        print(f"--samples for the {args.suite} suite must be at least {least}, "
+    most = SAMPLE_BUDGET_BYTES // SAMPLE_BYTES[args.suite]
+    if args.samples is not None and not least <= args.samples <= most:
+        rule = f"at least {least}" if args.samples < least else f"at most {most}"
+        print(f"--samples for the {args.suite} suite must be {rule}, "
               f"got {args.samples}", file=sys.stderr)
         return EXIT_USAGE
     if args.seed < 0:

@@ -43,21 +43,24 @@ products, the fiber columns of the derivatives and the dense metric
 products.  The pairings of the forms, outer products (k0 = k2 = 1) or at
 least 6x4 @ 4x6, keep matmul, which is faster there.
 
-One singular-point rule serves every entry point, in :func:`_values`: a
+One singular-point rule serves every entry point, in :func:`_rule`: a
 point is singular when the smallest h-metric singular value of beta^dag or
 alpha, the square root of the smallest eigenvalue of beta beta^dag or
 alpha^dag alpha, is not above ``SINGULAR_TOL`` = 1e-8, or when either Gram
-matrix is not finite.  It is checked before either is inverted and raises
-one :class:`SingularPointError` that counts the singular points and carries
-the :class:`ValidityReport` of the first; :func:`validate_monad` reports the
-same numbers without raising.
+matrix is not finite.  :func:`_values` checks it before either is inverted
+and raises one :class:`SingularPointError` that counts the singular points
+and carries the :class:`ValidityReport` of the first; :func:`validate_monad`
+reports the same numbers without raising.
 
 Every bundled monad has k0 <= 1, k2 = 1 and rank 2: a 1x1 Gram matrix is
 its own eigenvalue (:func:`_sigma_min`) and :func:`_inv` takes its reciprocal,
 and i Lambda F has the closed-form 2x2 :func:`_spectral_radius`; larger
-matrices keep LAPACK.  :func:`curvature_batch` applies the rule to the whole
-batch, then works per block of ``BLOCK_POINTS`` points, bit for bit the same,
-and writes each block into a record allocated once for the whole batch.
+matrices keep LAPACK.  :func:`curvature_batch` works one block of
+``BLOCK_POINTS`` points at a time, bit for bit the same as one block, and
+writes each block into a record allocated once for the whole batch.  It
+holds the record's selected fields (``fields``, every key by default) for
+the whole batch and one block's working arrays, :func:`_values` included;
+the singular-point rule still covers the whole batch.
 
 Every bundled monad has maps affine in w; :func:`affine_maps` builds a map
 and its derivative from one coefficient array, so the two cannot disagree.
@@ -99,9 +102,13 @@ SINGULAR_TOL = 1e-8
 
 FD_STEP = 1e-4  # centred finite-difference step for a derivative a monad omits
 
-# points per curvature_batch block, whose working arrays then stay in a 2 MiB
-# L2 cache; from a sweep of 512 points to unblocked (time and peak RSS)
+# points per curvature_batch block; one block's working arrays peak at
+# 5.1 MiB for the ansatz monad (n = 3) and 1.9 MiB for the instanton (n = 2)
+# by tracemalloc.  512 points were no faster and 256 about 1.6x slower.
 BLOCK_POINTS = 1024
+
+# the keys of the curvature_batch record
+FIELDS = ("basis", "form_raw", "mean", "norm_mean", "norm_form")
 
 
 # ---------------------------------------------------------------------------
@@ -438,20 +445,38 @@ def _report(spec, w, v, i):
                           beta_surjective=s_b > SINGULAR_TOL)
 
 
-def _values(spec, w):
+def _values(spec, w, rest=()):
     """The metrics, maps and adjoints at w, each evaluated once, the smallest
     h-metric singular values of alpha and beta^dag, and the inverses of h0,
-    h1, (beta beta^dag) and (alpha^dag alpha); raises the module's
-    :class:`SingularPointError` if any point is singular."""
+    h1, (beta beta^dag) and (alpha^dag alpha).  If any point of w is
+    singular it raises the module's :class:`SingularPointError` with the
+    report of the first, counting also the singular points of the point
+    arrays in ``rest`` (the rest of a batch, tested by the rule alone)."""
+    out, singular = _rule(spec, w)
+    if np.any(singular):
+        count = sum(np.count_nonzero(_rule(spec, x)[1]) for x in rest)
+        rep = _report(spec, w, out, tuple(np.argwhere(singular)[0]))
+        raise SingularPointError(f"{spec.name}: {np.count_nonzero(singular) + count} "
+                                 f"singular point(s), the first: {rep}", report=rep)
+    out["bbd_inv"] = _inv(out.pop("bbd"))
+    if spec.k0 > 0:
+        out["ada_inv"] = _inv(out.pop("ada"))
+    return out
+
+
+def _rule(spec, w):
+    """The :func:`_values` at w with the Gram matrices ``bbd`` (beta
+    beta^dag) and ``ada`` (alpha^dag alpha) in place of their inverses, and
+    the mask of singular points."""
     # a metric entry that is 0 or infinite at a singular point gives an
-    # infinite or NaN Gram matrix: the rule below, not a warning, reports it
+    # infinite or NaN Gram matrix: the rule, not a warning, reports it
     with np.errstate(divide="ignore", invalid="ignore"):
         out = {"h1": _metric(spec.h1, w, 0), "h2": _metric(spec.h2, w, 0),
                "beta": np.asarray(spec.beta(w), dtype=complex)}
         h1_inv = _inv(out["h1"])
         beta_dag = _rmul(_lmul(h1_inv, _ct(out["beta"])), out["h2"])
-        bbd = _mm(out["beta"], beta_dag)
-        sigma_beta = _sigma_min(bbd)
+        out["bbd"] = _mm(out["beta"], beta_dag)
+        sigma_beta = _sigma_min(out["bbd"])
         out.update(h1_inv=h1_inv, beta_dag=beta_dag, sigma_beta=sigma_beta,
                    sigma_alpha=np.full(sigma_beta.shape, np.inf))
         if spec.k0 > 0:
@@ -459,17 +484,10 @@ def _values(spec, w):
                        alpha=np.asarray(spec.alpha(w), dtype=complex))
             out["h0_inv"] = _inv(out["h0"])
             out["alpha_dag"] = _rmul(_lmul(out["h0_inv"], _ct(out["alpha"])), out["h1"])
-            ada = _mm(out["alpha_dag"], out["alpha"])
-            out["sigma_alpha"] = _sigma_min(ada)
+            out["ada"] = _mm(out["alpha_dag"], out["alpha"])
+            out["sigma_alpha"] = _sigma_min(out["ada"])
     singular = ~(out["sigma_alpha"] > SINGULAR_TOL) | ~(out["sigma_beta"] > SINGULAR_TOL)
-    if np.any(singular):
-        rep = _report(spec, w, out, tuple(np.argwhere(singular)[0]))
-        raise SingularPointError(f"{spec.name}: {np.count_nonzero(singular)} singular "
-                                 f"point(s), the first: {rep}", report=rep)
-    out["bbd_inv"] = _inv(bbd)
-    if spec.k0 > 0:
-        out["ada_inv"] = _inv(ada)
-    return out
+    return out, singular
 
 
 def _pieces(spec, w, values):
@@ -508,11 +526,7 @@ def validate_monad(spec: MonadSpec, p) -> ValidityReport:
     h-metrics, so basis-independent); it does not raise at a singular point.
     """
     w = spec.point(p)
-    try:
-        values = _values(spec, w)
-    except SingularPointError as err:
-        return err.report
-    return _report(spec, w, values, ())
+    return _report(spec, w, _rule(spec, w)[0], ())
 
 
 def _projector(spec, values, i):
@@ -685,29 +699,39 @@ def curvature(spec: MonadSpec, p) -> dict:
     return curvature_batch(spec, spec.point(p))
 
 
-def curvature_batch(spec: MonadSpec, W: np.ndarray) -> dict:
+def curvature_batch(spec: MonadSpec, W: np.ndarray, fields=FIELDS) -> dict:
     """Curvature data at regular points W (..., n), the engine's one record.
 
-    Returns ``basis`` (..., k1, r), the :func:`frame_batch` bases; the raw
-    form coefficients ``form_raw`` (..., n, n, r, r) in those bases, with
-    i F = i sum raw[j,k] dw_j ^ dwbar_k; ``mean`` (..., r, r), the Hermitian
-    i Lambda F; ``norm_mean``, its spectral norm; and ``norm_form``, |F|.
-    The singular-point rule sees the whole batch; the frames and forms are
-    built over blocks of ``BLOCK_POINTS`` points of the flattened batch.
+    The record's keys: ``basis`` (..., k1, r), the :func:`frame_batch`
+    bases; the raw form coefficients ``form_raw`` (..., n, n, r, r) in those
+    bases, with i F = i sum raw[j,k] dw_j ^ dwbar_k; ``mean`` (..., r, r),
+    the Hermitian i Lambda F; ``norm_mean``, its spectral norm; and
+    ``norm_form``, |F|.  Only the keys named in ``fields`` are kept.
+
+    The batch is flattened and worked one block of ``BLOCK_POINTS`` points
+    at a time, from the inputs (:func:`_values`) to the record, so the call
+    holds the selected fields for the whole batch plus one block's working
+    arrays.  The singular-point rule still sees the whole batch: a block
+    with a singular point raises one :class:`SingularPointError` that
+    counts the singular points of every block and reports the first.
     """
+    if isinstance(fields, str) or not fields or not set(fields) <= set(FIELDS):
+        raise ValueError(f"fields must be a non-empty collection of {FIELDS}, got {fields!r}")
     w = np.asarray(W, dtype=complex)
     lead = w.shape[:-1]
     w = w.reshape(-1, w.shape[-1])
-    values = _values(spec, w)
     out = {}
     for lo in range(0, max(len(w), 1), BLOCK_POINTS):
-        v = {key: x[lo:lo + BLOCK_POINTS] for key, x in values.items()}
+        wb = w[lo:lo + BLOCK_POINTS]
+        v = _values(spec, wb, rest=(w[k:k + BLOCK_POINTS] for k in
+                                    range(lo + BLOCK_POINTS, len(w), BLOCK_POINTS)))
         basis = frame_batch(spec, v)
-        block = (basis,) + _curvature_data(spec, w[lo:lo + BLOCK_POINTS], basis, v)
-        for key, x in zip(("basis", "form_raw", "mean", "norm_mean", "norm_form"), block):
-            if key not in out:   # the first block sizes the whole record
-                out[key] = np.empty((len(w),) + x.shape[1:], dtype=x.dtype)
-            out[key][lo:lo + BLOCK_POINTS] = x
+        block = (basis,) + _curvature_data(spec, wb, basis, v)
+        for key, x in zip(FIELDS, block):
+            if key in fields:
+                if key not in out:   # the first block sizes the whole record
+                    out[key] = np.empty((len(w),) + x.shape[1:], dtype=x.dtype)
+                out[key][lo:lo + BLOCK_POINTS] = x
     return {key: x.reshape(lead + x.shape[1:]) for key, x in out.items()}
 
 

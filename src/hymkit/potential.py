@@ -53,6 +53,11 @@ _T_MIN = 1e-6
 _MIN_SAMPLES = 8  # eval_G draws in fifths of a shell, the weak check in eighths
 _CORE_REL = 1e-3  # excluded core radius over |p|
 _REPLICAS = 4     # independent replicas of the weak-form ratio
+# least bump radius over eps |centre|: the cloud's points c + s u round to c
+# once s nears eps |c|.  At centre (10, 0, 0), 2000 samples per shell, seed
+# 3, the ratio reads 1.76 at 0.45 eps |c|, 0.937 +- 0.022 at 1.35 and
+# 1.00 +- 0.02 from 2.25 on
+_RADIUS_RESOLVED = 8.0
 
 
 @dataclass(frozen=True)
@@ -360,6 +365,9 @@ def laplacian_weak_check(center, radius: float, mc: MCParams = MCParams(),
     support ball, so by Green's identity integral(K Lap phi) =
     integral(phi Lap K) = 0.  A quadrature there leaves about
     6e-9 (radius/d)^4, against a denominator of order radius^6.
+
+    A radius below 8 eps |centre|, which the centre's floats cannot
+    resolve, raises ValueError.
     """
     c = np.array(center, dtype=complex).reshape(3)
     c_norm = float(np.sqrt(np.sum(np.abs(c) ** 2)))
@@ -369,6 +377,11 @@ def laplacian_weak_check(center, radius: float, mc: MCParams = MCParams(),
         # the ball density divides by radius^6, which must stay a normal float
         raise ValueError(f"bump radius {radius:.3g} has a sixth power below the "
                          "normal floats")
+    least = _RADIUS_RESOLVED * np.finfo(float).eps * c_norm
+    if radius < least:
+        raise ValueError(f"bump radius {radius:.3g} is below {least:.3g}, "
+                         f"{_RADIUS_RESOLVED:g} eps |centre|: the centre's floats "
+                         "cannot resolve it")
     grid = np.linspace(0.0, radius, 301)  # spacing radius / 300
     near = (grid, np.append(bump_pairing(grid[:-1], radius), 0.0))
     out = [_weak_check_once(c, radius, mc, [seed, rep, 7919], near)

@@ -71,6 +71,26 @@ class TestVerify:
                         "--out", str(tmp_path)]) == code
         assert (tmp_path / "verify_ansatz.json").exists() == (code == cli.EXIT_PASS)
 
+    @pytest.mark.parametrize("suite", sorted(cli.SUITES))
+    def test_samples_beyond_the_budget_usage_error(self, tmp_path, capsys, suite):
+        # 10^12 samples used to end in numpy's _ArrayMemoryError traceback;
+        # the bound is checked before any sampling, so nothing is allocated
+        most = cli.SAMPLE_BUDGET_BYTES // cli.SAMPLE_BYTES[suite]
+        assert most >= 100_000   # above every default and every tested value
+        for samples in (most + 1, 10**12):
+            tracemalloc.start()
+            try:
+                code = run_cli(["verify", suite, "--samples", str(samples),
+                                "--out", str(tmp_path)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == cli.EXIT_USAGE
+            err = capsys.readouterr().err
+            assert f"at most {most}, got {samples}" in err and "Traceback" not in err
+            assert peak < 2**20
+        assert not any(tmp_path.iterdir())
+
     def test_cone_suite_passes(self, tmp_path, capsys):
         code = run_cli(["verify", "cone", "--seed", "3",
                         "--out", str(tmp_path)])

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from hymkit import adhm, monads as mo
 from hymkit.ansatz import (ansatz_monad, chart_frame, cone_monad,
-                           flat_metric_cone_monad, twisted_monad)
+                           flat_metric_cone_monad, twisted_monad, weight_ratio_sup)
 from hymkit.geometry import fd_derivative, fd_mixed_second
 
 
@@ -966,26 +966,63 @@ class TestBlocks:
                                       [ref.sigma_min_alpha, ref.sigma_min_beta_dag])
 
     def test_one_copy_of_the_record(self):
-        # the whole-batch inputs (_values) and the record grow with the
-        # batch, the per-block working arrays do not: from 3 to 6 blocks the
-        # peak beyond the inputs grows by the record's growth, where a
-        # record gathered from per-block parts would add it twice
+        # the selected fields grow with the batch, one block's working arrays
+        # (its _values included) do not: from 3 to 12 blocks the peak grows
+        # by the selected fields' growth, where a record gathered from
+        # per-block parts, or inputs held for the whole batch, would add more
         spec = adhm.instanton_monad(adhm.ADHMData(1, 0, 0, 1))
         rng = np.random.default_rng(3)
-        sizes = {}
-        for blocks in (3, 6):
-            w = rng.standard_normal((blocks * mo.BLOCK_POINTS, 2)) + 1j
+        for fields in (mo.FIELDS, ("norm_form",)):
+            sizes = {}
+            for blocks in (3, 12):
+                w = rng.standard_normal((blocks * mo.BLOCK_POINTS, 2)) + 1j
+                tracemalloc.start()
+                try:
+                    data = mo.curvature_batch(spec, w, fields=fields)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                sizes[blocks] = (peak, sum(x.nbytes for x in data.values()))
+            d_peak, d_record = np.subtract(sizes[12], sizes[3])
+            assert d_record == 3 * sizes[3][1] > 0   # the record is linear in the points
+            assert d_peak < 1.5 * d_record, fields
+
+    @pytest.mark.parametrize("make,shift", [
+        (lambda: adhm.instanton_monad(adhm.ADHMData(1, 0.5j, -0.5j, 1)), 0.0),
+        (ansatz_monad, 0.0), (cone_monad, 0.0), (flat_metric_cone_monad, 0.0),
+        (lambda: twisted_monad(400), 400.0)],
+        ids=["instanton", "ansatz", "cone", "flat-cone", "twisted"])
+    def test_selected_fields_are_the_full_record(self, rng, make, shift):
+        spec = make()
+        for size in (1, mo.BLOCK_POINTS - 1, 3 * mo.BLOCK_POINTS + 5):
+            w = rng.standard_normal((size, spec.n)) + 1j * rng.standard_normal((size, spec.n))
+            w[:, -1] += shift
+            full = mo.curvature_batch(spec, w)
+            assert tuple(full) == mo.FIELDS
+            for key in mo.FIELDS:
+                got = mo.curvature_batch(spec, w, fields=(key,))
+                assert list(got) == [key] and np.array_equal(got[key], full[key])
+        got = mo.curvature_batch(spec, w, fields=("norm_form", "basis"))
+        assert list(got) == ["basis", "norm_form"]
+
+    @pytest.mark.parametrize("fields", [(), ("norm", ), "norm_mean", ("mean", "raw")])
+    def test_unknown_or_empty_selection_rejected(self, main_spec, fields):
+        with pytest.raises(ValueError, match="fields"):
+            mo.curvature_batch(main_spec, [0.3, 1.0, -0.2j], fields=fields)
+
+    def test_largest_engine_runs_hold_one_number_per_point(self):
+        # adhm.charge (96,000 nodes) and weight_ratio_sup (10^4 points) read
+        # one field; tracemalloc peaks 12.7 and 17.2 MiB with the whole
+        # record and whole-batch inputs, 3.4 and 6.4 MiB with one field
+        for run, bound in ((lambda: adhm.charge(adhm.ADHMData(1, 0, 0, 1)), 5),
+                           (lambda: weight_ratio_sup(10_000), 9)):
             tracemalloc.start()
             try:
-                data = mo.curvature_batch(spec, w)
+                run()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            sizes[blocks] = (peak, sum(x.nbytes for x in data.values()),
-                             sum(x.nbytes for x in mo._values(spec, w).values()))
-        d_peak, d_record, d_inputs = np.subtract(sizes[6], sizes[3])
-        assert d_record == sizes[3][1] > 0   # the record is linear in the points
-        assert d_peak - d_inputs < 1.5 * d_record
+            assert peak < bound * 2**20
 
 
 class TestContraction:

@@ -391,10 +391,10 @@ class TestWeakForm:
                                           seed=3 + i)
             assert abs(wc["ratio"] - 1.0) <= max(0.1, 2.0 * wc["stderr"])
 
-    @pytest.mark.parametrize("radius", [1e-3, 1e-6])
+    @pytest.mark.parametrize("radius", [1e-3, 1e-6, 1e-13])
     def test_ratio_at_small_radii(self, radius):
         # a quadrature of Psi beyond the support gave -0.26 at 1e-3 and
-        # -1.3e6 at 1e-6
+        # -1.3e6 at 1e-6; 1e-13 is 45 eps |centre|
         wc = pot.laplacian_weak_check([10.0, 0, 0], radius,
                                       pot.MCParams(samples_per_shell=2000), seed=3)
         assert abs(wc["ratio"] - 1.0) <= max(0.1, 2.0 * wc["stderr"])
@@ -403,6 +403,12 @@ class TestWeakForm:
         # used to raise ZeroDivisionError
         with pytest.raises(ValueError, match="sixth power"):
             pot.laplacian_weak_check([10.0, 0, 0], 1e-60)
+
+    def test_radius_the_centre_cannot_resolve_rejected(self):
+        # the cloud's points rounded to the centre: the ratio read 1.78
+        with pytest.raises(ValueError, match="cannot resolve"):
+            pot.laplacian_weak_check([10.0, 0, 0], 1e-20,
+                                     pot.MCParams(samples_per_shell=2000), seed=3)
 
     def test_support_through_origin_rejected(self):
         with pytest.raises(ValueError):
