@@ -31,8 +31,6 @@ __all__ = [
     "charge",
     "curvature_scale",
     "framed_moduli_point",
-    "projector_curvature_fd",
-    "asd_defect_fd",
 ]
 
 VALID_TOL = 1e-12
@@ -123,67 +121,6 @@ def strip_analytic_derivatives(spec: mo.MonadSpec) -> mo.MonadSpec:
     step ``monads.FD_STEP``."""
     return replace(spec, name=spec.name + "-fd", h1=mo.MetricField(value=spec.h1.value),
                    dalpha=None, dbeta=None)
-
-
-def _projector(alpha, beta):
-    """w -> I - K^dag (K K^dag)^{-1} K with K = [beta; alpha^dag] (batched).
-
-    The orthogonal projector onto ker beta ∩ ker alpha^dag, exact wherever
-    the two constraints are independent at w; no ADHM equation is assumed.
-    """
-    def proj(w):
-        w = np.asarray(w, dtype=complex)
-        k = np.concatenate([beta(w), np.swapaxes(alpha(w).conj(), -1, -2)], axis=-2)
-        kd = np.swapaxes(k.conj(), -1, -2)
-        return np.eye(4) - kd @ np.linalg.solve(k @ kd, k)
-
-    return proj
-
-
-def _projector_curvature(proj, p, h):
-    """P [d_mu P, d_nu P] P for mu < nu by centred differences of step h.
-
-    Real coordinate order (u1, v1, u2, v2) with w_j = u_j + i v_j.
-    """
-    w = np.asarray(p, dtype=complex)
-    steps = [np.array([h, 0]), np.array([1j * h, 0]),
-             np.array([0, h]), np.array([0, 1j * h])]
-    dp = [(proj(w + s) - proj(w - s)) / (2 * h) for s in steps]
-    p0 = proj(w)
-    return {(m, n): p0 @ (dp[m] @ dp[n] - dp[n] @ dp[m]) @ p0
-            for m in range(4) for n in range(m + 1, 4)}
-
-
-def projector_curvature_fd(d: ADHMData, p, h: float = 1e-4):
-    """Full curvature of the projection connection by finite differences.
-
-    For trivial ambient metrics the induced connection is s -> P d s, whose
-    curvature two-form is F(X, Y) = P [d_X P, d_Y P] P.  Returns the six
-    independent real components F_{mu nu} restricted to an orthonormal fiber
-    basis, an oracle for both the (1,1) machinery and anti-self-duality that
-    never touches the complex conventions.  Real coordinate order:
-    (u1, v1, u2, v2) with w_j = u_j + i v_j.
-    """
-    spec = instanton_monad(d)
-    bmat = mo.cohomology_frame(spec, p)
-    comps = _projector_curvature(_projector(spec.alpha, spec.beta), p, h)
-    return {key: bmat.conj().T @ f @ bmat for key, f in comps.items()}
-
-
-def asd_defect_fd(a1, a2, b1, b2, p, h: float = 1e-4) -> float:
-    """Anti-self-duality defect of the projection connection for raw data.
-
-    Works for arbitrary quadruples (no ADHM equations assumed): the curvature
-    comes from finite differences of the orthogonal projector onto the
-    common kernel of the constraints, and the defect sums the three
-    anti-self-duality relations in real components.  Valid data give
-    FD-level residuals; data violating the equations give order-one defects.
-    """
-    alpha, beta, _, _ = _maps(a1, a2, b1, b2)
-    comps = _projector_curvature(_projector(alpha, beta), p, h)
-    return float(np.linalg.norm(comps[(0, 1)] + comps[(2, 3)])
-                 + np.linalg.norm(comps[(0, 2)] - comps[(1, 3)])
-                 + np.linalg.norm(comps[(0, 3)] + comps[(1, 2)]))
 
 
 def curvature_density(d: ADHMData, points: np.ndarray) -> np.ndarray:

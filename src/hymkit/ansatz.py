@@ -33,12 +33,8 @@ __all__ = [
     "flat_metric_cone_monad",
     "twisted_monad",
     "curvature_weight",
-    "mean_curvature_ratio_grad",
     "cancellation",
-    "section_component_bound",
     "decay_slope",
-    "profile_ratio",
-    "asymptotic_frame",
     "chart_frame",
     "chart_gram",
     "induced_pairing",
@@ -285,77 +281,6 @@ def chart_gram(w, chart: str) -> np.ndarray:
     return g
 
 
-def mean_curvature_ratio_grad(p) -> float:
-    """|grad(i Lambda F)| / (|w|^{-1} (|x|+|y|+|z|^{1/2})^{-3}) at p, |x| >= 1.
-
-    The endomorphism i Lambda F is expressed in the dominant chart frame; its
-    covariant derivative is d M + [G^{-1} dG, M] with G the frame Gram, by
-    centered differences with step proportional to the local regularity
-    scale.  The reported norm sums the Gram-metric operator norms over the
-    six real directions.
-    """
-    spec = ansatz_monad()
-    w = coords(p, 3)
-    if abs(w[0]) < 1.0 and abs(w[1]) < 1.0:
-        raise ValueError("gradient weight is calibrated for max(|x|,|y|) >= 1")
-    chart = "x" if abs(w[0]) >= abs(w[1]) else "y"
-    frame = chart_frame(chart)
-    reg_scale = abs(w[0]) + abs(w[1]) + np.sqrt(abs(w[2]))
-    h = 1e-2 * max(1.0, 0.2 * reg_scale)
-
-    def mean_in_frame(q):
-        rep = mo.curvature(spec, q)
-        # B^dag h1 alpha = (h0 alpha^dag B)^dag = 0, so no projection off Im alpha
-        t = rep["basis"].conj().T @ spec.h1.value(q) @ frame(q)
-        return np.linalg.inv(t) @ rep["mean"] @ t
-
-    g0 = chart_gram(w, chart)
-    g0_inv = np.linalg.inv(g0)
-    m0 = mean_in_frame(w)
-    total = 0.0
-    evals, evecs = np.linalg.eigh(g0)
-    g_half = evecs @ np.diag(np.sqrt(evals)) @ evecs.conj().T
-    g_half_inv = evecs @ np.diag(evals ** -0.5) @ evecs.conj().T
-    for j in range(3):
-        for real_dir in (1.0, 1j):
-            delta = np.zeros(3, dtype=complex)
-            delta[j] = real_dir * h
-            dm = (mean_in_frame(w + delta) - mean_in_frame(w - delta)) / (2 * h)
-            dg = (chart_gram(w + delta, chart) - chart_gram(w - delta, chart)) / (2 * h)
-            conn = g0_inv @ dg
-            # connection form along a real direction: A_j dw_j + A_j^dag dwbar_j
-            cov = dm + conn @ m0 - m0 @ conn
-            cov_std = g_half @ cov @ g_half_inv
-            total += np.linalg.norm(cov_std, 2) ** 2
-    grad_norm = float(np.sqrt(total))
-    r = float(np.sqrt(np.sum(np.abs(w) ** 2)))
-    weight = (1.0 / r) * (abs(w[0]) + abs(w[1]) + np.sqrt(abs(w[2]))) ** -3.0
-    return grad_norm / weight
-
-
-def section_component_bound(p, samples: int = 64, seed: int = 0) -> float:
-    """sup over random unit-norm fiber elements of the first-block ratio.
-
-    Ratio: (|s_1| + |s_2|) / min(sqrt(|w|+1), (|w|+1)/(|x|+|y|)) for s of unit
-    h-norm in the cohomology fiber.
-    """
-    spec = ansatz_monad()
-    w = spec.point(p)
-    basis = mo.cohomology_frame(spec, w)
-    rank = basis.shape[1]
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal((samples, rank)) + 1j * rng.standard_normal((samples, rank))
-    c /= np.linalg.norm(c, axis=1, keepdims=True)
-    s = c @ basis.T  # (samples, k1)
-    num = np.abs(s[:, 0]) + np.abs(s[:, 1])
-    r = np.sqrt(np.sum(np.abs(w) ** 2))
-    sig1 = abs(w[0]) + abs(w[1])
-    cap = np.sqrt(r + 1.0)
-    if sig1 > 0:
-        cap = min(cap, (r + 1.0) / sig1)
-    return float(num.max() / cap)
-
-
 def decay_slope(ray, r_values) -> float:
     """Least-squares slope of log |F| against log r along a ray direction."""
     ray = np.asarray(ray, dtype=complex)
@@ -364,35 +289,6 @@ def decay_slope(ray, r_values) -> float:
     pts = rs[:, None] * ray[None, :]
     data = mo.curvature_batch(ansatz_monad(), pts, fields=("norm_form",))
     return float(np.polyfit(np.log(rs), np.log(data["norm_form"]), 1)[0])
-
-
-def profile_ratio(r_values) -> np.ndarray:
-    """|F| along (t, t, 0)/sqrt(2)... divided by |w| / (|x|^2+|y|^2)^2."""
-    rs = np.asarray(r_values, dtype=float)
-    ray = np.array([1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
-    pts = rs[:, None] * ray[None, :]
-    data = mo.curvature_batch(ansatz_monad(), pts, fields=("norm_form",))
-    sig = np.abs(pts[:, 0]) ** 2 + np.abs(pts[:, 1]) ** 2
-    prof = rs / sig**2
-    return data["norm_form"] / prof
-
-
-def asymptotic_frame(p, chart: str) -> dict:
-    """Holomorphic chart frame with its Gram matrix and identity deviation.
-
-    Returns the two sections, the induced Gram H0, the spectral deviation
-    |H0 - I|, and the reference bound |w| / |chart coord|^2.
-    """
-    w = coords(p, 3)
-    cc = w[0] if chart == "x" else w[1]
-    if abs(cc) == 0:
-        raise ValueError(f"chart coordinate {chart} vanishes at this point")
-    s = chart_frame(chart)(w)
-    g = chart_gram(w, chart)
-    dev = float(np.linalg.norm(g - np.eye(2), 2))
-    r = float(np.sqrt(np.sum(np.abs(w) ** 2)))
-    return {"sections": s, "gram": g, "deviation": dev,
-            "reference": r / abs(cc) ** 2}
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    hymkit verify <suite> [--seed N] [--samples N] [--out DIR] [--tol k=v]
+    hymkit verify <suite> [--seed N] [--samples N] [--out DIR]
     hymkit flow <config.json> [--out DIR]
     hymkit report <file...> [--out DIR]
 
@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import json
-import math
 import os
 import platform
 import resource
@@ -106,7 +104,7 @@ def _write_json(path, obj) -> None:
 # suites
 
 
-def suite_adhm(cfg: RunConfig, asd_analytic=1e-9, asd_fd=1e-6, charge=0.02) -> tuple:
+def suite_adhm(cfg: RunConfig) -> tuple:
     from . import adhm
     from . import monads as mo
 
@@ -122,14 +120,14 @@ def suite_adhm(cfg: RunConfig, asd_analytic=1e-9, asd_fd=1e-6, charge=0.02) -> t
         pts = pts[:, :2] + 1j * pts[:, 2:]
         data = mo.curvature_batch(spec, pts, fields=("norm_mean",))
         worst_an = max(worst_an, float(data["norm_mean"].max()))
-    checks.append(cfg.check("asd_residual_analytic", worst_an, asd_analytic))
+    checks.append(cfg.check("asd_residual_analytic", worst_an, 1e-9))
     spec_fd = adhm.strip_analytic_derivatives(adhm.instanton_monad(datasets[0]))
     pts = rng.standard_normal((10, 4))
     data = mo.curvature_batch(spec_fd, pts[:, :2] + 1j * pts[:, 2:], fields=("norm_mean",))
     worst_fd = float(data["norm_mean"].max())
-    checks.append(cfg.check("asd_residual_fd", worst_fd, asd_fd))
+    checks.append(cfg.check("asd_residual_fd", worst_fd, 1e-6))
     q = adhm.charge(adhm.ADHMData(1, 0, 0, 1))
-    checks.append(cfg.check("charge_error", abs(q - 1.0), charge))
+    checks.append(cfg.check("charge_error", abs(q - 1.0), 0.02))
     nf = adhm.framed_moduli_point(adhm.ADHMData(2, 0, 0, 2))
     checks.append(cfg.check("moduli_label_error", abs(nf.z2_label - 2.0), 1e-12))
     return checks, {}
@@ -147,8 +145,7 @@ SAMPLE_BUDGET_BYTES = 1 << 30
 SAMPLE_BYTES = {"adhm": 80, "ansatz": 160, "cone": 160, "growth": 272, "potential": 2048}
 
 
-def suite_ansatz(cfg: RunConfig, weight_ratio=2.6, slope_generic=0.1, slope_origin=0.15,
-                 bubbling_factor=2.0) -> tuple:
+def suite_ansatz(cfg: RunConfig) -> tuple:
     from . import ansatz
 
     checks = []
@@ -157,23 +154,23 @@ def suite_ansatz(cfg: RunConfig, weight_ratio=2.6, slope_generic=0.1, slope_orig
     checks.append(cfg.check("cancellation_spot_rhs", abs(rhs - 0.5), 1e-12))
     n_pts = cfg.n_samples(10_000)
     sup = ansatz.weight_ratio_sup(n_pts, seed=cfg.seed)
-    checks.append(cfg.check("weight_ratio_sup", sup, weight_ratio))
+    checks.append(cfg.check("weight_ratio_sup", sup, 2.6))
     d1 = ansatz.decay_slope([1, 1, 0], np.geomspace(10, 1000, 25))
-    checks.append(cfg.check("generic_decay_slope_error", abs(d1 + 3.0), slope_generic))
+    checks.append(cfg.check("generic_decay_slope_error", abs(d1 + 3.0), 0.1))
     d2 = ansatz.decay_slope([1, 0, 0], np.geomspace(1e-3, 0.1, 25))
-    checks.append(cfg.check("origin_decay_slope_error", abs(d2 + 2.0), slope_origin))
+    checks.append(cfg.check("origin_decay_slope_error", abs(d2 + 2.0), 0.15))
     sups = {}
     for zeta in (100.0, 400.0, 1600.0):
         sups[zeta] = ansatz.instanton_comparison(zeta, seed=cfg.seed)["scaled_sup"]
     spread = max(sups.values()) / min(sups.values())
-    checks.append(cfg.check("bubbling_scaled_spread", spread, bubbling_factor))
+    checks.append(cfg.check("bubbling_scaled_spread", spread, 2.0))
     lbl = ansatz.fueter_map(4.0, root=2.0).z2_label
     lbl2 = ansatz.fueter_map(4.0, root=-2.0).z2_label
     checks.append(cfg.check("fueter_root_gap", abs(lbl - lbl2), 1e-9))
     return checks, {}
 
 
-def suite_potential(cfg: RunConfig, laplacian_ratio=0.1, envelope=175.0) -> tuple:
+def suite_potential(cfg: RunConfig) -> tuple:
     from . import potential as pot
     from .ansatz import sample_log_uniform
 
@@ -183,7 +180,7 @@ def suite_potential(cfg: RunConfig, laplacian_ratio=0.1, envelope=175.0) -> tupl
                                        ([0, 0, 50.0], 2.0),
                                        ([5.0, 3.0, -4.0], 1.0))):
         wc = pot.laplacian_weak_check(center, rad, mc, seed=cfg.seed + i)
-        tol = max(laplacian_ratio, 2.0 * wc["stderr"])
+        tol = max(0.1, 2.0 * wc["stderr"])
         checks.append(cfg.check(f"laplacian_ratio_dev_{i}", abs(wc["ratio"] - 1.0), tol))
     rng = np.random.default_rng(cfg.seed)
     pts = [sample_log_uniform(rng, 200, 1.0, 1000.0)]
@@ -202,25 +199,25 @@ def suite_potential(cfg: RunConfig, laplacian_ratio=0.1, envelope=175.0) -> tupl
     env = pot.barrier_envelope_check(np.vstack(pts),
                                      pot.MCParams(samples_per_shell=6000,
                                                   seed=cfg.seed))
-    checks.append(cfg.check("envelope_sup", env["sup"], envelope))
+    checks.append(cfg.check("envelope_sup", env["sup"], 175.0))
     checks.append(cfg.check("g_min", env["g_min"], 0.0, mode="ge"))
     return checks, {}
 
 
-def suite_cone(cfg: RunConfig, cone_residual=1e-8) -> tuple:
+def suite_cone(cfg: RunConfig) -> tuple:
     from . import ansatz
     from . import monads as mo
 
     rng = np.random.default_rng(cfg.seed)
     pts = ansatz.sample_log_uniform(rng, cfg.n_samples(50), 0.3, 3.0)
     res = ansatz.cone_hym_residual(pts)
-    checks = [cfg.check("cone_hym_residual", float(res.max()), cone_residual)]
+    checks = [cfg.check("cone_hym_residual", float(res.max()), 1e-8)]
     rep = mo.curvature(ansatz.flat_metric_cone_monad(), [0, 0, 1.0])
     checks.append(cfg.check("flat_metric_control", rep["norm_mean"], 0.01, mode="ge"))
     return checks, {}
 
 
-def suite_growth(cfg: RunConfig, degree=0.05, degree_shift=0.07) -> tuple:
+def suite_growth(cfg: RunConfig) -> tuple:
     from . import growth
 
     checks = []
@@ -228,13 +225,13 @@ def suite_growth(cfg: RunConfig, degree=0.05, degree_shift=0.07) -> tuple:
     n = cfg.n_samples(4096)
     tab = growth.filtration_table([t1, t2, t3], n_samples=n, seed=cfg.seed)
     d0, di = tab["rows"][2]["d_origin"], tab["rows"][2]["d_infinity"]  # t3's degrees
-    checks.append(cfg.check("t3_origin_degree_error", abs(d0 - 1.0), degree))
-    checks.append(cfg.check("t3_infinity_degree_error", abs(di), degree))
+    checks.append(cfg.check("t3_origin_degree_error", abs(d0 - 1.0), 0.05))
+    checks.append(cfg.check("t3_infinity_degree_error", abs(di), 0.05))
     checks.append(cfg.check("filtrations_differ", 1.0 if tab["filtrations_differ"]
                             else 0.0, 1.0, mode="ge"))
     zt3 = t3.times(growth.Poly3.monomial(0, 0, 1), "z*t3")
     diz = growth.growth_degree(zt3, "infinity", n_samples=n, seed=cfg.seed)
-    checks.append(cfg.check("degree_shift_error", abs(diz - di - 1.0), degree_shift))
+    checks.append(cfg.check("degree_shift_error", abs(diz - di - 1.0), 0.07))
     cx = growth.convexity_check(t3, seed=cfg.seed)
     checks.append(cfg.check("t3_convexity_residual", cx["residual"],
                             -2.0 * cx["stderr"], mode="ge"))
@@ -242,8 +239,7 @@ def suite_growth(cfg: RunConfig, degree=0.05, degree_shift=0.07) -> tuple:
                                      for r in tab["rows"]]}
 
 
-# each suite returns its checks and the tables its report also holds; its
-# keyword parameters are the tolerances --tol may set
+# each suite returns its checks and the tables its report also holds
 SUITES = {
     "adhm": suite_adhm,
     "ansatz": suite_ansatz,
@@ -262,18 +258,6 @@ def cmd_verify(args) -> int:
         print(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}",
               file=sys.stderr)
         return EXIT_USAGE
-    known = list(inspect.signature(SUITES[args.suite]).parameters)[1:]
-    tols = {}
-    for spec in args.tol or []:
-        name, _, val = spec.partition("=")
-        try:
-            tols[name] = float(val)
-        except ValueError:
-            tols[name] = math.nan
-        if name not in known or not math.isfinite(tols[name]):
-            print(f"bad --tol {spec!r}: the {args.suite} suite reads "
-                  f"{', '.join(known)}, each set to a finite number", file=sys.stderr)
-            return EXIT_USAGE
     least = ANSATZ_MIN_SAMPLES if args.suite == "ansatz" else 1
     most = SAMPLE_BUDGET_BYTES // SAMPLE_BYTES[args.suite]
     if args.samples is not None and not least <= args.samples <= most:
@@ -296,7 +280,7 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     cfg = RunConfig(seed=args.seed, samples=args.samples, out_dir=out_dir)
     try:
-        checks, tables = SUITES[args.suite](cfg, **tols)
+        checks, tables = SUITES[args.suite](cfg)
     except (ValueError, RuntimeError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         checks, code = None, EXIT_NUMERICAL
@@ -432,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--samples", type=int, default=None)
     pv.add_argument("--out", default=".")
-    pv.add_argument("--tol", action="append", metavar="NAME=VALUE")
     pv.set_defaults(func=cmd_verify)
     pf = sub.add_parser("flow", help="run the Dirichlet heat flow")
     pf.add_argument("config")

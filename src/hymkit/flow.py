@@ -95,7 +95,6 @@ __all__ = [
     "attach_barrier_potentials",
     "energy",
     "save_checkpoint",
-    "load_checkpoint",
     "write_history_csv",
     "PositivityError",
 ]
@@ -264,7 +263,7 @@ def build_domain(box=None, resolution: int = 7,
     the first grid axis at a time and written into its components, so the
     only whole-grid arrays are the components themselves.
     """
-    box = tuple(tuple(map(float, iv)) for iv in (box or DEFAULT_BOX))
+    box = tuple(tuple(map(float, iv)) for iv in (DEFAULT_BOX if box is None else box))
     spacings = _grid_spacings(box, resolution)
     most = (resolution - 2) ** 6
     if not 1 <= n_barrier_nodes <= most:
@@ -856,20 +855,6 @@ def save_checkpoint(state: FlowState, path) -> None:
     }
     with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
         json.dump(sidecar, fh, indent=1, sort_keys=True)
-
-
-def load_checkpoint(path) -> tuple[np.ndarray, dict]:
-    path = Path(path)
-    with open(path.with_suffix(path.suffix + ".json")) as fh:
-        sidecar = json.load(fh)
-    raw = np.fromfile(path, dtype="<f8").reshape(-1, 8)
-    shape = tuple(sidecar["shape"])
-    h = np.empty((raw.shape[0], 2, 2), dtype=complex)
-    h[:, 0, 0] = raw[:, 0]
-    h[:, 1, 1] = raw[:, 1]
-    h[:, 0, 1] = raw[:, 2] + 1j * raw[:, 3]
-    h[:, 1, 0] = raw[:, 2] - 1j * raw[:, 3]
-    return h.reshape(shape + (2, 2)), sidecar
 
 
 def write_history_csv(state: FlowState, path) -> None:

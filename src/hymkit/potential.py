@@ -15,8 +15,7 @@ source-adapted component (log-uniform shell radius, log-uniform transverse
 fraction t = (|x'|^2+|y'|^2)/r^2 concentrating near the z-axis where the
 weight is large) and a kernel-adapted component (log-uniform distance from p,
 uniform direction), so both singular structures carry bounded importance
-weights.  A small core |x' - p| < delta = 10^-3 |p| is excluded and bounded
-analytically.
+weights.  The core |x' - p| < delta = 10^-3 |p| is excluded.
 
 The shells are [2^k, 2^(k+1)] for k from floor(log2 |p|) - 7 to
 max(floor(log2 |p|), 0) + 7: seven dyadic scales below |p| and seven above
@@ -86,8 +85,6 @@ class GValue:
     estimate: float
     stderr: float
     shells: tuple           # (k, contribution, stderr) per dyadic shell
-    core_bound: float       # analytic bound on the excluded core
-    tail_estimate: float    # geometric extrapolation beyond the outer shell
 
 
 # mixture weights: generic shell coverage / axis-adapted / kernel-adapted
@@ -170,7 +167,11 @@ def _radial_density(s_sq, lo, hi):
 
 
 def eval_G(p, mc: MCParams = MCParams()) -> GValue:
-    """Stratified Monte Carlo estimate of G(p) for finite |p| >= ~2.5e-49."""
+    """Stratified Monte Carlo estimate of G(p) for finite |p| >= ~2.5e-49.
+
+    The core |x' - p| < 1e-3 |p| is excluded, and so is the region beyond
+    the outer shell.
+    """
     w = np.array(p, dtype=complex).reshape(3)
     p_norm = float(np.sqrt(np.sum(np.abs(w) ** 2)))
     if not 0.0 < p_norm < np.inf:
@@ -202,16 +203,9 @@ def eval_G(p, mc: MCParams = MCParams()) -> GValue:
         wgt = np.zeros(n)
         wgt[idx] = _weight(sigma[idx], z_sq[idx]) / (s_sq[idx] ** 2 * q[idx])
         shells.append((k, float(wgt.mean()), float(np.sqrt(wgt.var() / n))))
-    # excluded core: integral <= sup_core(weight) * Omega5 * delta^2 / 2
-    probe = np.concatenate([w[None, :] + 0.9 * delta * e[None, :]
-                            for e in np.vstack([np.eye(3), 1j * np.eye(3)])])
-    sup_core = float(np.max(curvature_weight(np.vstack([w[None, :], probe])))) * 1.5
-    core_bound = 0.5 * _OMEGA5 * delta**2 * sup_core
-    tail = 2.0 * max(shells[-1][1], 0.0)
     return GValue(estimate=sum(c for _, c, _ in shells),
                   stderr=float(np.sqrt(sum(e * e for _, _, e in shells))),
-                  shells=tuple(shells), core_bound=core_bound,
-                  tail_estimate=tail)
+                  shells=tuple(shells))
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +383,7 @@ def laplacian_weak_check(center, radius: float, mc: MCParams = MCParams(),
     ratios = np.asarray([r for r, _ in out])
     inner = np.asarray([e for _, e in out])
     stderr = float(max(ratios.std(ddof=1), inner.mean()) / np.sqrt(_REPLICAS))
-    return {"ratio": float(ratios.mean()), "stderr": stderr,
-            "replicas": ratios}
+    return {"ratio": float(ratios.mean()), "stderr": stderr}
 
 
 def barrier_envelope_check(points, mc: MCParams = MCParams()) -> dict:

@@ -56,6 +56,77 @@ def chern_f1(pc):
     return -h1_inv @ (ddh1 - corr)
 
 
+# ---------------------------------------------------------------------------
+# oracles: a covariant derivative of i Lambda F by finite differences, and
+# the first-block size of unit fiber elements
+
+
+def mean_curvature_ratio_grad(p) -> float:
+    """|grad(i Lambda F)| / (|w|^{-1} (|x|+|y|+|z|^{1/2})^{-3}) at p, |x| >= 1.
+
+    The endomorphism i Lambda F is expressed in the dominant chart frame; its
+    covariant derivative is d M + [G^{-1} dG, M] with G the frame Gram, by
+    centered differences with step proportional to the local regularity
+    scale.  The norm sums the Gram-metric operator norms over the six real
+    directions.
+    """
+    w = coords(p, 3)
+    assert abs(w[0]) >= 1.0 or abs(w[1]) >= 1.0, "weight calibrated for max(|x|,|y|) >= 1"
+    chart = "x" if abs(w[0]) >= abs(w[1]) else "y"
+    frame = ansatz.chart_frame(chart)
+    reg_scale = abs(w[0]) + abs(w[1]) + np.sqrt(abs(w[2]))
+    h = 1e-2 * max(1.0, 0.2 * reg_scale)
+
+    def mean_in_frame(q):
+        rep = mo.curvature(SPEC, q)
+        # B^dag h1 alpha = (h0 alpha^dag B)^dag = 0, so no projection off Im alpha
+        t = rep["basis"].conj().T @ SPEC.h1.value(q) @ frame(q)
+        return np.linalg.inv(t) @ rep["mean"] @ t
+
+    g0 = ansatz.chart_gram(w, chart)
+    g0_inv = np.linalg.inv(g0)
+    m0 = mean_in_frame(w)
+    total = 0.0
+    evals, evecs = np.linalg.eigh(g0)
+    g_half = evecs @ np.diag(np.sqrt(evals)) @ evecs.conj().T
+    g_half_inv = evecs @ np.diag(evals ** -0.5) @ evecs.conj().T
+    for j in range(3):
+        for real_dir in (1.0, 1j):
+            delta = np.zeros(3, dtype=complex)
+            delta[j] = real_dir * h
+            dm = (mean_in_frame(w + delta) - mean_in_frame(w - delta)) / (2 * h)
+            dg = (ansatz.chart_gram(w + delta, chart)
+                  - ansatz.chart_gram(w - delta, chart)) / (2 * h)
+            conn = g0_inv @ dg
+            # connection form along a real direction: A_j dw_j + A_j^dag dwbar_j
+            cov = dm + conn @ m0 - m0 @ conn
+            cov_std = g_half @ cov @ g_half_inv
+            total += np.linalg.norm(cov_std, 2) ** 2
+    grad_norm = float(np.sqrt(total))
+    r = float(np.sqrt(np.sum(np.abs(w) ** 2)))
+    weight = (1.0 / r) * (abs(w[0]) + abs(w[1]) + np.sqrt(abs(w[2]))) ** -3.0
+    return grad_norm / weight
+
+
+def section_component_bound(p, samples: int = 64, seed: int = 0) -> float:
+    """sup over random unit-norm fiber elements s of
+    (|s_1| + |s_2|) / min(sqrt(|w|+1), (|w|+1)/(|x|+|y|))."""
+    w = SPEC.point(p)
+    basis = mo.cohomology_frame(SPEC, w)
+    rank = basis.shape[1]
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((samples, rank)) + 1j * rng.standard_normal((samples, rank))
+    c /= np.linalg.norm(c, axis=1, keepdims=True)
+    s = c @ basis.T  # (samples, k1)
+    num = np.abs(s[:, 0]) + np.abs(s[:, 1])
+    r = np.sqrt(np.sum(np.abs(w) ** 2))
+    sig1 = abs(w[0]) + abs(w[1])
+    cap = np.sqrt(r + 1.0)
+    if sig1 > 0:
+        cap = min(cap, (r + 1.0) / sig1)
+    return float(num.max() / cap)
+
+
 class TestClosedForms:
     def test_scalars_at_unit_x(self):
         ing = closed_form_ingredients([1.0, 0, 0])
@@ -131,7 +202,7 @@ class TestWeight:
             w = w / np.sqrt(np.sum(np.abs(w) ** 2)) * r
             if abs(w[0]) < 1.0:
                 continue
-            vals.append(ansatz.mean_curvature_ratio_grad(w))
+            vals.append(mean_curvature_ratio_grad(w))
         assert max(vals) <= 40.0  # locked: measured max ~ 23
 
 
@@ -173,13 +244,13 @@ class TestSectionBound:
             w = p[:3] + 1j * p[3:]
             r = np.exp(rng.uniform(np.log(0.5), np.log(100.0)))
             w = w / np.sqrt(np.sum(np.abs(w) ** 2)) * r
-            sups.append(ansatz.section_component_bound(w, samples=64, seed=i))
+            sups.append(section_component_bound(w, samples=64, seed=i))
         assert max(sups) <= 2.5  # locked: measured sup ~ 1.96
 
     def test_saturates_along_x_ray(self):
         # along (t,0,0) the sup ratio rises toward (but never exceeds) one:
         # |s_1|^2 -> t/(1+t) at unit norm while the cap tends to (t+1)/t
-        vals = [ansatz.section_component_bound([t, 0, 0], samples=256, seed=0)
+        vals = [section_component_bound([t, 0, 0], samples=256, seed=0)
                 for t in (1.0, 10.0, 100.0)]
         assert vals[0] <= vals[1] <= vals[2] <= 1.0
 
@@ -194,21 +265,31 @@ class TestDecay:
         assert d == pytest.approx(-2.0, abs=0.15)
 
     def test_profile_ratio_bounded_two_sided(self):
-        ratios = ansatz.profile_ratio(np.geomspace(10, 1000, 15))
+        # |F| along (t, t, 0)/sqrt(2) over the profile |w| / (|x|^2+|y|^2)^2
+        rs = np.geomspace(10, 1000, 15)
+        pts = rs[:, None] * np.array([1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+        norm = mo.curvature_batch(SPEC, pts, fields=("norm_form",))["norm_form"]
+        sig = np.abs(pts[:, 0]) ** 2 + np.abs(pts[:, 1]) ** 2
+        ratios = norm / (rs / sig**2)
         assert ratios.min() > 3.0
         assert ratios.max() < 4.5  # locked: measured range [3.6, 3.8]
 
 
 class TestAsymptoticFrame:
+    """The chart frame's Gram matrix deviates from the identity by at most
+    a constant times |w| / |chart coordinate|^2."""
+
     def test_y_chart_reference_point(self):
-        af = ansatz.asymptotic_frame([0, 10.0, 0], "y")
-        np.testing.assert_allclose(af["gram"], np.diag([0.90868, 1.0]), atol=1e-4)
-        assert af["deviation"] == pytest.approx(0.0913, abs=2e-3)
-        assert af["deviation"] <= 1.0 * af["reference"]
+        w = np.array([0, 10.0, 0], dtype=complex)
+        g = ansatz.chart_gram(w, "y")
+        np.testing.assert_allclose(g, np.diag([0.90868, 1.0]), atol=1e-4)
+        deviation = np.linalg.norm(g - np.eye(2), 2)
+        assert deviation == pytest.approx(0.0913, abs=2e-3)
+        assert deviation <= 1.0 * np.linalg.norm(w) / abs(w[1]) ** 2
 
     def test_x_chart_symmetric(self):
-        af = ansatz.asymptotic_frame([10.0, 0, 0], "x")
-        assert af["deviation"] == pytest.approx(0.0913, abs=2e-3)
+        g = ansatz.chart_gram(np.array([10.0, 0, 0], dtype=complex), "x")
+        assert np.linalg.norm(g - np.eye(2), 2) == pytest.approx(0.0913, abs=2e-3)
 
     def test_frame_in_kernel(self, rng):
         for chart in ("x", "y"):
@@ -232,13 +313,9 @@ class TestAsymptoticFrame:
             cc = abs(w[0]) if chart == "x" else abs(w[1])
             if cc < 2.0 * np.sqrt(r):
                 continue
-            af = ansatz.asymptotic_frame(w, chart)
-            consts.append(af["deviation"] / af["reference"])
+            deviation = np.linalg.norm(ansatz.chart_gram(w, chart) - np.eye(2), 2)
+            consts.append(deviation / (np.linalg.norm(w) / cc**2))
         assert max(consts) <= 1.2  # locked: measured max ~ 0.99
-
-    def test_zero_chart_coordinate_rejected(self):
-        with pytest.raises(ValueError):
-            ansatz.asymptotic_frame([0.0, 1.0, 0], "x")
 
 
 class TestInducedPairing:

@@ -18,6 +18,13 @@ def run_cli(args):
     return cli.main(args)
 
 
+def refused(args):
+    """The exit status of arguments that argparse refuses."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    return exc.value.code
+
+
 _NOT_INT = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
                      st.booleans(), st.none(), st.lists(st.integers(), max_size=2))
 _NOT_REAL = st.one_of(st.text(max_size=4), st.booleans(),
@@ -49,11 +56,13 @@ class TestVerify:
     def test_unknown_suite_usage_error(self, capsys):
         assert run_cli(["verify", "bogus"]) == cli.EXIT_USAGE
 
+    # verify takes no --tol: every bound is fixed in its suite, and argparse
+    # refuses the flag with exit 2 before anything runs
     def test_bad_tolerance_flag(self):
-        assert run_cli(["verify", "cone", "--tol", "oops"]) == cli.EXIT_USAGE
+        assert refused(["verify", "cone", "--tol", "oops"]) == cli.EXIT_USAGE
 
     def test_non_numeric_tolerance_usage_error(self):
-        assert run_cli(["verify", "cone", "--tol", "cone_residual=abc"]) == cli.EXIT_USAGE
+        assert refused(["verify", "cone", "--tol", "cone_residual=abc"]) == cli.EXIT_USAGE
 
     @pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--samples", "-3"),
                                             ("--seed", "-1")])
@@ -102,32 +111,40 @@ class TestVerify:
         assert "cone_hym_residual" in names
 
     @pytest.mark.parametrize("spec", ["cone_residul=1e-30",          # misspelt
-                                      "flat_metric_control=1e9",     # a check, not a --tol
+                                      "flat_metric_control=1e9",     # a check's name
                                       "degree=0.1",                  # the growth suite's
                                       "cone_residual=inf", "cone_residual=nan",
-                                      "cone_residual=-inf"])
+                                      "cone_residual=-inf",
+                                      # once a tolerance of the cone suite, it let a
+                                      # run loosen the locked bound and pass
+                                      "cone_residual=1"])
     def test_tolerance_the_suite_does_not_read_usage_error(self, tmp_path, monkeypatch,
-                                                           spec):
+                                                           capsys, spec):
         from hymkit import ansatz
 
         def no_sampling(*args):
-            raise AssertionError("sampled before the --tol check")
+            raise AssertionError("sampled before the arguments were refused")
         monkeypatch.setattr(ansatz, "sample_log_uniform", no_sampling)
-        assert run_cli(["verify", "cone", "--out", str(tmp_path),
+        assert refused(["verify", "cone", "--out", str(tmp_path),
                         "--tol", spec]) == cli.EXIT_USAGE
-        assert not (tmp_path / "verify_cone.json").exists()
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --tol" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("suite", sorted(cli.SUITES))
     def test_every_suite_rejects_a_tolerance_it_does_not_read(self, tmp_path, suite):
-        # each suite reads its --tol names up front, before any sampling
-        assert run_cli(["verify", suite, "--out", str(tmp_path),
+        assert refused(["verify", suite, "--out", str(tmp_path),
                         "--tol", "no_such_tolerance=1"]) == cli.EXIT_USAGE
         assert list(tmp_path.iterdir()) == []
 
-    def test_tolerance_override_can_fail(self, tmp_path):
-        code = run_cli(["verify", "cone", "--out", str(tmp_path),
-                        "--tol", "cone_residual=1e-30"])
-        assert code == cli.EXIT_CHECK_FAILURE
+    def test_failing_check_exits_one(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(cli.SUITES, "cone",
+                            lambda cfg: ([cfg.check("too_large", 2.0, 1.0)], {}))
+        assert run_cli(["verify", "cone", "--out", str(tmp_path)]) == cli.EXIT_CHECK_FAILURE
+        report = json.loads((tmp_path / "verify_cone.json").read_text())
+        assert report["pass"] is False and report["checks"][0]["pass"] is False
+        rec = json.loads((tmp_path / "run_cone.json").read_text())
+        assert rec["exit_code"] == cli.EXIT_CHECK_FAILURE
 
     def test_growth_suite_passes(self, tmp_path):
         code = run_cli(["verify", "growth", "--seed", "0",

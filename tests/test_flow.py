@@ -137,6 +137,17 @@ class TestBuildDomain:
         with pytest.raises(ValueError, match="spacing"):
             flow.build_domain(box, resolution=5)
 
+    def test_box_taken_as_given(self):
+        # an empty box used to run the default one, and an array box to raise
+        # numpy's "truth value of an array is ambiguous"
+        with pytest.raises(ValueError, match="box must have six real intervals"):
+            flow.build_domain(box=(), resolution=5)
+        dom = flow.build_domain(np.array(flow.DEFAULT_BOX), resolution=5)
+        ref = flow.build_domain(flow.DEFAULT_BOX, resolution=5)
+        assert dom.box == ref.box and np.array_equal(dom.spacings, ref.spacings)
+        assert np.array_equal(dom.h0, ref.h0)
+        assert np.array_equal(dom.barrier_nodes, ref.barrier_nodes)
+
     @pytest.mark.parametrize("resolution", [5, 6, 7, 8, 9])
     def test_grid_points_bit_identical_to_meshgrid(self, resolution):
         dom = flow.build_domain(resolution=resolution, n_barrier_nodes=1)
@@ -814,13 +825,27 @@ class TestBarrier:
             flow.barrier_check(state, 1.0)
 
 
+def load_checkpoint(path):
+    """The (..., 2, 2) metric and the sidecar of a checkpoint, read back
+    by the layout :func:`flow.save_checkpoint` documents."""
+    with open(f"{path}.json") as fh:
+        sidecar = json.load(fh)
+    raw = np.fromfile(path, dtype="<f8").reshape(-1, 8)
+    h = np.empty((raw.shape[0], 2, 2), dtype=complex)
+    h[:, 0, 0] = raw[:, 0]
+    h[:, 1, 1] = raw[:, 1]
+    h[:, 0, 1] = raw[:, 2] + 1j * raw[:, 3]
+    h[:, 1, 0] = raw[:, 2] - 1j * raw[:, 3]
+    return h.reshape(tuple(sidecar["shape"]) + (2, 2)), sidecar
+
+
 class TestIO:
     def test_checkpoint_roundtrip(self, tmp_path, domain):
         state = flow.initial_state(domain)
         flow.step(state)
         path = tmp_path / "state.bin"
         flow.save_checkpoint(state, path)
-        h, sidecar = flow.load_checkpoint(path)
+        h, sidecar = load_checkpoint(path)
         np.testing.assert_allclose(h, state.h, atol=1e-15)
         assert sidecar["shape"] == list(domain.shape)
         assert sidecar["step"] == 1

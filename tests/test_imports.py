@@ -1,8 +1,11 @@
 """Every module-level import of the package is used (package re-exports in
 ``__init__.py`` and ``from __future__`` excepted), every private
 module-level name and every public module-level constant is read somewhere
-in the package outside its definition, and every ``__all__`` names only what
-its module defines and lists each of its public functions and classes."""
+in the package outside its definition, every ``__all__`` names only what
+its module defines and lists each of its public functions and classes, and
+every function or class in an ``__all__`` has a reader in a program (the
+package, ``scripts/`` or the benchmark) unless ``TEST_ONLY`` names what
+needs it."""
 
 import ast
 import importlib
@@ -139,3 +142,57 @@ def test_all_resolves_and_lists_every_public_definition(path):
     assert sorted(set(names)) == sorted(names), "a name is listed twice"
     assert [n for n in names if not hasattr(module, n)] == []
     assert [n for n in public_definitions(source) if n not in names] == []
+
+
+ROOT = SRC.parents[1]
+PROGRAM_FILES = (sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+                 + sorted(p for p in (ROOT / "perfbench").glob("*.py")
+                          if not p.name.startswith("test_")))
+
+# exported names that no program reads by name, each with what needs it
+TEST_ONLY = {
+    "cohomology_frame": "perfbench/tracing.py TARGETS, by its name as a string",
+    "mean_curvature_field": "perfbench/tracing.py TARGETS, by its name as a string",
+    "curvature_fd_check": "test_acceptance.py, criterion 3",
+    "barrier_check": "test_acceptance.py, criterion 9",
+    "attach_barrier_potentials": "test_acceptance.py, criterion 9",
+    "lambda_contract": "test_geometry.py",
+    "chart_frame": "test_ansatz.py and test_flow.py",
+    "validate_monad": "test_monads.py and test_adhm.py",
+}
+
+
+def readerless_exports(source: str, program_reads: Counter) -> list:
+    """Functions and classes in the ``__all__`` of ``source`` that
+    ``program_reads`` counts no read of outside their own definition."""
+    exported = set(declared_all(source) or ())
+    return [name for name, constant in unread_names(source, program_reads)
+            if not constant and name in exported]
+
+
+def test_detects_a_readerless_export():
+    src = ("__all__ = ['f', 'g', 'K', 'C']\nC = 1\n"
+           "def f():\n    return f()\n"
+           "def g():\n    return 0\n"
+           "def h():\n    return 0\n"
+           "class K:\n    pass\n")
+    reads = _reads(ast.parse(src)) + _reads(ast.parse("m.g()\nh()\n"))
+    assert readerless_exports(src, reads) == ["f", "K"]
+
+
+def _program_reads() -> Counter:
+    return sum((_reads(ast.parse(p.read_text())) for p in PROGRAM_FILES), Counter())
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if declared_all(p.read_text())],
+                         ids=lambda p: p.name)
+def test_every_export_has_a_program_reader(path):
+    unread = readerless_exports(path.read_text(), _program_reads())
+    assert [name for name in unread if name not in TEST_ONLY] == []
+
+
+def test_test_only_names_have_no_program_reader():
+    # an entry whose name gained a program reader, or left the package, goes
+    unread = {name for p in PACKAGE
+              for name in readerless_exports(p.read_text(), _program_reads())}
+    assert sorted(set(TEST_ONLY) - unread) == []

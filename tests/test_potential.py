@@ -87,12 +87,7 @@ def _ref_eval_G(p, mc):
         shells.append((k, float(wgt.mean()), float(np.sqrt(wgt.var() / n))))
         total += shells[-1][1]
         var += float(wgt.var() / n)
-    probe = np.concatenate([w[None, :] + 0.9 * delta * e[None, :]
-                            for e in np.vstack([np.eye(3), 1j * np.eye(3)])])
-    sup_core = float(np.max(curvature_weight(np.vstack([w[None, :], probe])))) * 1.5
-    return pot.GValue(estimate=total, stderr=float(np.sqrt(var)), shells=tuple(shells),
-                      core_bound=0.5 * pot._OMEGA5 * delta**2 * sup_core,
-                      tail_estimate=2.0 * max(shells[-1][1], 0.0))
+    return pot.GValue(estimate=total, stderr=float(np.sqrt(var)), shells=tuple(shells))
 
 
 def _ref_sphere_kernel_mean(a_vals, d_vals, n_theta=96):
@@ -192,7 +187,7 @@ def _ref_laplacian_weak_check(center, radius, mc, seed, n_nodes=4096, replicas=4
     ratios = np.asarray([r for r, _ in out])
     inner = np.asarray([e for _, e in out])
     stderr = max(ratios.std(ddof=1) / np.sqrt(replicas), inner.mean() / np.sqrt(replicas))
-    return {"ratio": float(ratios.mean()), "stderr": float(stderr), "replicas": ratios}
+    return {"ratio": float(ratios.mean()), "stderr": float(stderr)}
 
 
 # the weak-form checks of the potential suite: (center, radius)
@@ -274,7 +269,7 @@ class TestMatchesReference:
     def test_eval_G(self, p, samples):
         mc = pot.MCParams(samples_per_shell=samples, seed=17)
         got, ref = pot.eval_G(p, mc), _ref_eval_G(p, mc)
-        for field in ("estimate", "stderr", "core_bound", "tail_estimate"):
+        for field in ("estimate", "stderr"):
             assert getattr(got, field) == pytest.approx(getattr(ref, field), rel=1e-12)
         assert [k for k, _, _ in got.shells] == [k for k, _, _ in ref.shells]
         np.testing.assert_allclose(np.array(got.shells), np.array(ref.shells),
@@ -286,9 +281,9 @@ class TestMatchesReference:
         mc = pot.MCParams(samples_per_shell=2000)
         got = pot.laplacian_weak_check(center, rad, mc, seed=i)
         ref = _ref_laplacian_weak_check(center, rad, mc, seed=i)
+        assert set(got) == {"ratio", "stderr"}
         assert got["ratio"] == pytest.approx(ref["ratio"], rel=1e-12)
         assert got["stderr"] == pytest.approx(ref["stderr"], rel=1e-12)
-        np.testing.assert_allclose(got["replicas"], ref["replicas"], rtol=1e-12, atol=0)
 
 
 class TestMCParams:
@@ -325,7 +320,6 @@ class TestEvalG:
     def test_shell_contributions_positive(self):
         gv = pot.eval_G([10.0, 0, 0], pot.MCParams(seed=3))
         assert all(c >= 0.0 for _, c, _ in gv.shells)
-        assert gv.core_bound >= 0.0
         assert gv.estimate > 0.0
 
     def test_stderr_scaling(self):
