@@ -238,16 +238,23 @@ def weight_ratio_sup(n_points: int = 10_000, seed: int = 0) -> float:
 
 def _chart_sections(chart: str):
     """w (..., 3) -> the chart frame's two sections, as 4-tuples of components:
-    x-chart (0,0,1,0), (0, -z/x, 0, 1); y-chart (0,0,1,0), (z/y, 0, 0, 1)."""
+    x-chart (0,0,1,0), (0, -z/x, 0, 1); y-chart (0,0,1,0), (z/y, 0, 0, 1).
+    A point whose chart coordinate is 0 raises ValueError."""
     if chart not in ("x", "y"):
         raise ValueError("chart must be 'x' or 'y'")
-    return lambda w: ((0, 0, 1, 0), (0, -w[..., 2] / w[..., 0], 0, 1) if chart == "x"
-                      else (w[..., 2] / w[..., 1], 0, 0, 1))
+
+    def sections(w):
+        if np.any(w[..., "xy".index(chart)] == 0):
+            raise ValueError(f"the {chart} chart frame needs {chart} != 0")
+        return ((0, 0, 1, 0), (0, -w[..., 2] / w[..., 0], 0, 1) if chart == "x"
+                else (w[..., 2] / w[..., 1], 0, 0, 1))
+
+    return sections
 
 
 def chart_frame(chart: str):
-    """Holomorphic ker-beta frame valid where the chart coordinate is nonzero:
-    q (..., 3) -> the chart's sections as the columns of a (..., 4, 2) matrix."""
+    """Holomorphic ker-beta frame q (..., 3) -> the chart's sections as the
+    columns of a (..., 4, 2) matrix; chart coordinate 0 raises ValueError."""
     sections = _chart_sections(chart)
 
     def frame(q):
@@ -264,7 +271,8 @@ def chart_frame(chart: str):
 def chart_gram(w, chart: str) -> np.ndarray:
     """Gram matrix (..., 2, 2) of the chart frame at w (..., 3) under
     :func:`induced_pairing`, with a real diagonal; q, |x|^2 + |y|^2 and
-    alpha^dag h1 s for each section s are formed once."""
+    alpha^dag h1 s for each section s are formed once; chart coordinate 0
+    raises ValueError."""
     w = np.asarray(w, dtype=complex)
     sections = _chart_sections(chart)(w)
     pair, alpha, alpha_sq = _h1_pairing(w)

@@ -139,10 +139,10 @@ ANSATZ_MIN_SAMPLES = 100
 
 # --samples is bounded so that a suite's arrays stay within the budget: the
 # bytes per sample are each suite's tracemalloc peak growth per sample (per
-# shell for potential) between 1e5 and 4e5 samples (growth 4e4 and 1.6e5,
-# potential 2e4 and 6e4), rounded up
+# weak-check ball node for potential) between 1e5 and 4e5 samples (growth
+# 4e4 and 1.6e5, potential 2e4 and 6e4), rounded up
 SAMPLE_BUDGET_BYTES = 1 << 30
-SAMPLE_BYTES = {"adhm": 80, "ansatz": 160, "cone": 160, "growth": 272, "potential": 2048}
+SAMPLE_BYTES = {"adhm": 80, "ansatz": 160, "cone": 160, "growth": 272, "potential": 192}
 
 
 def suite_ansatz(cfg: RunConfig) -> tuple:

@@ -20,6 +20,10 @@ weights.  The core |x' - p| < delta = 10^-3 |p| is excluded.
 The shells are [2^k, 2^(k+1)] for k from floor(log2 |p|) - 7 to
 max(floor(log2 |p|), 0) + 7: seven dyadic scales below |p| and seven above
 max(|p|, 1), which keeps the log-divergent region |p| < |x'| < 1 for |p| < 1.
+
+The weak-form check of Lap G = -4 pi^3 weight against a radial bump takes
+both of its sides on the bump's support ball, on the stratified ball nodes
+of the growth degrees (:func:`hymkit.growth._ball_nodes`).
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from functools import cache
 import numpy as np
 
 from .ansatz import _weight, curvature_weight
+from .growth import _ball_nodes
 
 __all__ = [
     "MCParams",
@@ -49,19 +54,20 @@ LAPLACIAN_CONSTANT = -4.0 * np.pi**3
 _OMEGA5 = np.pi**3        # area of the unit 5-sphere
 _OMEGA3 = 2.0 * np.pi**2  # area of the unit 3-sphere
 _T_MIN = 1e-6
-_MIN_SAMPLES = 8  # eval_G draws in fifths of a shell, the weak check in eighths
+_MIN_SAMPLES = 8  # eval_G draws in fifths of a shell
 _CORE_REL = 1e-3  # excluded core radius over |p|
 _REPLICAS = 4     # independent replicas of the weak-form ratio
-# least bump radius over eps |centre|: the cloud's points c + s u round to c
-# once s nears eps |c|.  At centre (10, 0, 0), 2000 samples per shell, seed
-# 3, the ratio reads 1.76 at 0.45 eps |c|, 0.937 +- 0.022 at 1.35 and
-# 1.00 +- 0.02 from 2.25 on
+# least bump radius over eps |centre|: below it the nodes c + radius u round
+# to a few floats about c.  Reading Psi at radius |u| keeps the ratio at
+# 1.00003 even at 0.1 eps |c| (centre (10, 0, 0), seed 3; |x' - c| of the
+# rounded points read 1.76 at 0.45), but the guard keeps to resolved bumps
 _RADIUS_RESOLVED = 8.0
 
 
 @dataclass(frozen=True)
 class MCParams:
-    """Samples per dyadic shell and seed of :func:`eval_G`."""
+    """Samples per dyadic shell and seed of :func:`eval_G`; the weak check
+    reads ``samples_per_shell`` as ball nodes per replica and ignores ``seed``."""
 
     samples_per_shell: int = 4000
     seed: int = 0
@@ -128,14 +134,6 @@ def _shell_points(rng, v, n_gen, r1, r2):
     va[:, 4], va[:, 5] = z.real, z.imag
 
 
-def _ball_points(rng, n, centre, radius):
-    """Uniform points of the ball |x - centre| < radius and their distances."""
-    g = rng.standard_normal((n, 6))
-    d6 = g / np.linalg.norm(g, axis=1, keepdims=True)
-    rad = radius * rng.random(n) ** (1.0 / 6.0)
-    return centre[None, :] + rad[:, None] * (d6[:, :3] + 1j * d6[:, 3:]), rad
-
-
 def _sq_moduli(v, centre):
     """|x'|^2, sigma = |x|^2 + |y|^2, |z|^2 and |x' - centre|^2 from the real
     view v of the points; ``centre`` is its real view tiled to v.size."""
@@ -147,12 +145,12 @@ def _sq_moduli(v, centre):
     return r_sq, sigma, sq[:, 4] + sq[:, 5], u.reshape(v.shape) @ _ONES6
 
 
-def _shell_density(in_shell, r_sq, sigma, w_gen, w_axis):
-    """w_gen q_gen + w_axis q_axis for one dyadic shell, w.r.t. Lebesgue dV."""
+def _shell_density(in_shell, r_sq, sigma):
+    """_W_GEN q_gen + _W_AXIS q_axis for one dyadic shell, w.r.t. Lebesgue dV."""
     t = sigma / r_sq
     log_r_span = np.log(2.0)
-    c_gen = w_gen / (_OMEGA5 * log_r_span)
-    c_axis = w_axis * 2.0 / (log_r_span * -np.log(_T_MIN) * _OMEGA3 * 2 * np.pi)
+    c_gen = _W_GEN / (_OMEGA5 * log_r_span)
+    c_axis = _W_AXIS * 2.0 / (log_r_span * -np.log(_T_MIN) * _OMEGA3 * 2 * np.pi)
     q = np.where(t >= _T_MIN, c_axis / (t * t), 0.0)
     q += c_gen
     q /= r_sq * r_sq * r_sq
@@ -197,7 +195,7 @@ def eval_G(p, mc: MCParams = MCParams()) -> GValue:
                        w.view(float))
         r_sq, sigma, z_sq, s_sq = _sq_moduli(v, w_tiled)
         in_shell = (r_sq >= r1 * r1) & (r_sq <= r2 * r2)
-        q = _shell_density(in_shell, r_sq, sigma, _W_GEN, _W_AXIS)
+        q = _shell_density(in_shell, r_sq, sigma)
         q += _W_KER * _radial_density(s_sq, delta, u_max)
         idx = np.flatnonzero(in_shell & (s_sq >= delta * delta))
         wgt = np.zeros(n)
@@ -290,75 +288,24 @@ def bump_pairing(d_vals, radius: float) -> np.ndarray:
     return np.einsum("a,ad->d", w * lap * _OMEGA5 * a**5, mean_k)
 
 
-def _weak_check_once(c, radius, mc, seed, near):
-    """One replica of the weak-form ratio.
-
-    The numerator integral(G * Lap phi) is rewritten by Fubini as
-    integral(weight(x') * Psi(|x' - c|) dx') with Psi the exactly-quadratured
-    bump pairing, and estimated with the module's stratified importance
-    cloud.  The denominator -4 pi^3 integral(weight * phi) uses independent
-    uniform nodes on the support ball, so the ratio tests the importance
-    sampler against plain volume sampling as well as the Laplacian constant.
-    ``near`` is (grid, Psi on it) on [0, radius], shared by the replicas;
-    Psi is 0 beyond it.
-    """
-    c_norm = float(np.sqrt(np.sum(np.abs(c) ** 2)))
-    rng = np.random.default_rng(seed)
-
-    # source cloud: dyadic shells (generic + axis) plus a log-radial
-    # component about the bump centre where Psi is supported
-    lo, hi = _shell_range(c_norm)
-    half = mc.samples_per_shell // 8
-    s_mid_lo, s_mid_hi = 1e-3 * radius, 4.0 * max(c_norm, 2.0 * radius)
-    n_sh, n_mid = (hi - lo + 1) * 2 * half, 20 * half
-    cloud = np.empty((n_sh + 2 * n_mid, 3), dtype=complex)
-    v = cloud.view(float)
-    for i, k in enumerate(range(lo, hi + 1)):
-        _shell_points(rng, v[2 * half * i:2 * half * (i + 1)], half, 2.0**k, 2.0 ** (k + 1))
-    _sphere_points(rng, v[n_sh:n_sh + n_mid],
-                   _log_uniform(rng, s_mid_lo, s_mid_hi, n_mid), c.view(float))
-    cloud[n_sh + n_mid:] = _ball_points(rng, n_mid, c, radius)[0]
-    n_cloud = len(cloud)
-
-    r_sq, sigma, z_sq, s_sq = _sq_moduli(v, np.tile(c.view(float), n_cloud))
-    # the ball component has as many points as the log-radial one
-    q = (n_mid / n_cloud) * (_radial_density(s_sq, s_mid_lo, s_mid_hi)
-                             + np.where(s_sq <= radius * radius,
-                                        6.0 / (np.pi**3 * radius**6), 0.0))
-    for k in range(lo, hi + 1):
-        q += _shell_density((r_sq >= 4.0**k) & (r_sq <= 4.0 ** (k + 1)), r_sq, sigma,
-                            half / n_cloud, half / n_cloud)
-
-    psi = np.interp(np.sqrt(s_sq), *near, right=0.0)
-    num_w = _weight(sigma, z_sq) * psi / q
-    num = float(num_w.mean())
-    num_err = float(num_w.std() / np.sqrt(n_cloud))
-
-    # denominator: plain volume Monte Carlo on the support ball
-    nodes, rad = _ball_points(rng, 4096, c, radius)
-    vol = np.pi**3 * radius**6 / 6.0
-    den_samples = curvature_weight(nodes) * bump(rad / radius)
-    den = LAPLACIAN_CONSTANT * vol * float(den_samples.mean())
-    den_err = abs(LAPLACIAN_CONSTANT) * vol * float(den_samples.std() / np.sqrt(len(nodes)))
-    ratio = num / den
-    err = abs(ratio) * np.sqrt((num_err / num) ** 2 + (den_err / den) ** 2)
-    return ratio, float(err)
-
-
 def laplacian_weak_check(center, radius: float, mc: MCParams = MCParams(),
                          seed: int = 0) -> dict:
     """Ratio of integral(G * Lap phi) to -4 pi^3 integral(weight * phi).
 
     phi is the smooth radial bump at ``center`` (support must avoid the
-    origin).  The ratio should be 1 within Monte Carlo error; the reported
-    stderr combines the per-replica propagated errors with the spread of
-    four replicas.
-
-    The pairing Psi(d) is quadratured on [0, radius) and is 0 for
+    origin).  By Fubini the numerator is integral(weight(x') Psi(|x' - c|))
+    with Psi the bump pairing, quadratured on [0, radius) and 0 for
     d >= radius: the kernel K = |x - x'|^-4 is then harmonic in x on the
     support ball, so by Green's identity integral(K Lap phi) =
     integral(phi Lap K) = 0.  A quadrature there leaves about
     6e-9 (radius/d)^4, against a denominator of order radius^6.
+
+    So both integrals are over the support ball.  Each of four replicas
+    takes them on the same ``mc.samples_per_shell`` stratified ball nodes u
+    (:func:`hymkit.growth._ball_nodes`, drawn from ``[seed, replica, 7919]``;
+    ``mc.seed`` is not read) at c + radius u, with Psi and phi read at
+    radius |u|.  The ratio is 1 up to the linear interpolation of Psi (below
+    1e-3); stderr is the standard error of the four replicas' mean.
 
     A radius below 8 eps |centre|, which the centre's floats cannot
     resolve, raises ValueError.
@@ -368,7 +315,8 @@ def laplacian_weak_check(center, radius: float, mc: MCParams = MCParams(),
     if not 0.0 < radius < c_norm < np.inf:
         raise ValueError("bump centre must be finite and its support avoid the origin")
     if min(radius, 1.0) ** 6 < np.finfo(float).tiny:
-        # the ball density divides by radius^6, which must stay a normal float
+        # the pairing's radial quadrature weights a^5 da on [0, radius], of
+        # order radius^6, which must stay a normal float
         raise ValueError(f"bump radius {radius:.3g} has a sixth power below the "
                          "normal floats")
     least = _RADIUS_RESOLVED * np.finfo(float).eps * c_norm
@@ -377,13 +325,17 @@ def laplacian_weak_check(center, radius: float, mc: MCParams = MCParams(),
                          f"{_RADIUS_RESOLVED:g} eps |centre|: the centre's floats "
                          "cannot resolve it")
     grid = np.linspace(0.0, radius, 301)  # spacing radius / 300
-    near = (grid, np.append(bump_pairing(grid[:-1], radius), 0.0))
-    out = [_weak_check_once(c, radius, mc, [seed, rep, 7919], near)
-           for rep in range(_REPLICAS)]
-    ratios = np.asarray([r for r, _ in out])
-    inner = np.asarray([e for _, e in out])
-    stderr = float(max(ratios.std(ddof=1), inner.mean()) / np.sqrt(_REPLICAS))
-    return {"ratio": float(ratios.mean()), "stderr": stderr}
+    psi = np.append(bump_pairing(grid[:-1], radius), 0.0)
+    ratios = []
+    for rep in range(_REPLICAS):
+        unit, wts = _ball_nodes(np.random.default_rng([seed, rep, 7919]),
+                                mc.samples_per_shell)
+        s = np.linalg.norm(unit, axis=1)
+        wtd = wts * curvature_weight(c + radius * (unit[:, :3] + 1j * unit[:, 3:]))
+        ratios.append((wtd @ np.interp(radius * s, grid, psi))
+                      / (LAPLACIAN_CONSTANT * (wtd @ bump(s))))
+    return {"ratio": float(np.mean(ratios)),
+            "stderr": float(np.std(ratios, ddof=1) / np.sqrt(_REPLICAS))}
 
 
 def barrier_envelope_check(points, mc: MCParams = MCParams()) -> dict:

@@ -227,7 +227,7 @@ def test_criterion_08_potential():
               and env_a["g_min"] > 0.0)
     ok = ratio_ok and env_ok and elapsed < 60.0
     report("criterion 8 (potential)", ok,
-           f"weak-form deviations {np.round(devs, 4).tolist()} within "
+           f"weak-form deviations {', '.join(f'{d:.1e}' for d in devs)} within "
            f"max(0.1, 2 stderr); envelope sup {env_a['sup']:.1f} "
            f"(mc reseed {env_b['sup']:.1f}, within 15%); G > 0; "
            f"runtime {elapsed:.0f}s < 60s")

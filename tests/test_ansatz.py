@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -370,6 +372,19 @@ class TestInducedPairing:
         stack = np.stack([frame(p) for p in w.reshape(-1, 3)]).reshape(5, 8, 4, 2)
         assert np.array_equal(frame(w), stack)
         assert frame(w[0, 0]).shape == (4, 2)
+
+    @pytest.mark.parametrize("chart,point", [("x", [0, 1, 0]), ("y", [1, 0, 1])])
+    def test_chart_coordinate_zero_rejected(self, chart, point):
+        # the sections divide by the chart coordinate: at 0 both functions
+        # returned NaN entries with RuntimeWarnings
+        batch = np.array([[2.0, 3.0, 1.0], point], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for w in (point, batch):
+                with pytest.raises(ValueError, match=f"{chart} != 0"):
+                    ansatz.chart_gram(w, chart)
+                with pytest.raises(ValueError, match=f"{chart} != 0"):
+                    ansatz.chart_frame(chart)(w)
 
     def test_unknown_chart_rejected(self):
         with pytest.raises(ValueError):

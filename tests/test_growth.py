@@ -56,6 +56,52 @@ class TestKoszulSections:
         assert np.abs(n1 - n2).max() <= 1e-12 * max(1.0, np.abs(n1).max())
 
 
+# the eight radial strata of growth._ball_nodes: [0, 2^-7], [2^-7, 2^-6], ...,
+# [1/2, 1]
+BALL_EDGES = np.array([0.0] + [2.0**-k for k in range(7, -1, -1)])
+
+
+class TestBallNodes:
+    """The stratified unit-ball nodes shared by the growth integrals and the
+    potential's weak-form check."""
+
+    @pytest.mark.parametrize("n", [8, 64, 4096])
+    def test_nodes_and_weights(self, n):
+        unit, wts = growth._ball_nodes(np.random.default_rng(n), n)
+        norms = np.linalg.norm(unit, axis=1)
+        assert unit.shape == (len(wts), 6)
+        assert wts.sum() == pytest.approx(1.0, abs=1e-12)
+        assert norms.max() <= 1.0
+        per_stratum, _ = np.histogram(norms, BALL_EDGES)
+        assert per_stratum.sum() == len(unit)
+        assert per_stratum.min() >= 8
+
+    @staticmethod
+    def _rel_stderr(n):
+        # |w|^2 = r^2 t^(1/3) with t = |u|^6 uniform on each stratum [a, b];
+        # the stratified estimate of the mean of t^(1/3) (exactly 3/4) has
+        # variance sum over strata of share^2 var(t^(1/3)) / count
+        a, b = BALL_EDGES[:-1] ** 6, BALL_EDGES[1:] ** 6
+        share = b - a
+        count = np.maximum((share * n).astype(int), 8)
+        m1 = 0.75 * (b ** (4 / 3) - a ** (4 / 3)) / share
+        m2 = 0.6 * (b ** (5 / 3) - a ** (5 / 3)) / share
+        return np.sqrt(np.sum(share**2 * (m2 - m1**2) / count)) / 0.75
+
+    @pytest.mark.parametrize("n", [8, 64, 4096])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ball_integral_of_squared_modulus(self, n, seed):
+        # integral over B(r) of |w|^2 = pi^3 r^8 / 8 in R^6; the relative
+        # error is the same at every radius (common scaled nodes), and
+        # measured within 1.93 standard errors over 20 seeds at each n
+        radii = np.array([0.5, 3.0])
+        got = growth.ball_integral(lambda w: np.sum(np.abs(w) ** 2, axis=-1),
+                                   radii, n, seed=seed)
+        rel = got / (np.pi**3 * radii**8 / 8.0) - 1.0
+        assert np.abs(rel).max() <= 4.0 * self._rel_stderr(n)
+        assert rel[0] == pytest.approx(rel[1], abs=1e-12)
+
+
 class TestSectionNorm:
     def test_t3_closed_form(self):
         # |t3|^2 = Q / (Q + 1) with Q = (|x|^2 + |y|^2)(1 + |w|^2)^{-1/2}

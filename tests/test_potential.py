@@ -11,8 +11,9 @@ from hymkit.ansatz import curvature_weight, sample_log_uniform
 
 # ---------------------------------------------------------------------------
 # references: the original complex-array sampler, its mixture density, the
-# estimator built on them, and the broadcast two-centre quadrature; the module's
-# kernels must reproduce their values (same RNG streams, same points)
+# estimator built on them, the broadcast two-centre quadrature and the ball
+# weak check; the module's kernels must reproduce their values (same RNG
+# streams, same points)
 
 
 def _ref_unit_vectors(rng, n, real_dim):
@@ -110,84 +111,46 @@ def _ref_bump_pairing(d_vals, radius, n_a=64):
     return np.einsum("a,ad->d", w * lap * pot._OMEGA5 * a**5, mean_k)
 
 
-def _ref_weak_check_once(c, radius, mc, n_nodes, seed):
-    c_norm = float(np.sqrt(np.sum(np.abs(c) ** 2)))
-    rng = np.random.default_rng(seed)
-    lo, hi = _ref_shells(c_norm)
-    n_shell = 2 * (mc.samples_per_shell // 8)
-    s_mid_lo, s_mid_hi = 1e-3 * radius, 4.0 * max(c_norm, 2.0 * radius)
-    n_mid = n_ball = 10 * n_shell
-    half = n_shell // 2
-    clouds, comps = [], []
-    for k in range(lo, hi + 1):
-        r1, r2 = 2.0**k, 2.0 ** (k + 1)
-        r = np.exp(rng.uniform(np.log(r1), np.log(r2), half))
-        d6 = _ref_unit_vectors(rng, half, 6)
-        clouds.append(r[:, None] * (d6[:, :3] + 1j * d6[:, 3:]))
-        r = np.exp(rng.uniform(np.log(r1), np.log(r2), half))
-        t = np.exp(rng.uniform(np.log(pot._T_MIN), 0.0, half))
-        dir4 = _ref_unit_vectors(rng, half, 4)
-        phase = rng.uniform(0.0, 2 * np.pi, half)
-        rho_t, zmod = r * np.sqrt(t), r * np.sqrt(1.0 - t)
-        pa = np.empty((half, 3), dtype=complex)
-        pa[:, 0] = rho_t * (dir4[:, 0] + 1j * dir4[:, 2])
-        pa[:, 1] = rho_t * (dir4[:, 1] + 1j * dir4[:, 3])
-        pa[:, 2] = zmod * np.exp(1j * phase)
-        clouds.append(pa)
-        comps.append((k, 2 * half))
-    s = np.exp(rng.uniform(np.log(s_mid_lo), np.log(s_mid_hi), n_mid))
-    d6 = _ref_unit_vectors(rng, n_mid, 6)
-    clouds.append(c[None, :] + s[:, None] * (d6[:, :3] + 1j * d6[:, 3:]))
-    d6 = _ref_unit_vectors(rng, n_ball, 6)
-    rb = radius * rng.random(n_ball) ** (1.0 / 6.0)
-    clouds.append(c[None, :] + rb[:, None] * (d6[:, :3] + 1j * d6[:, 3:]))
-    cloud = np.concatenate(clouds, axis=0)
-    n_cloud = len(cloud)
-    r_cl = np.sqrt(np.sum(np.abs(cloud) ** 2, axis=-1))
-    t_cl = (np.abs(cloud[:, 0]) ** 2 + np.abs(cloud[:, 1]) ** 2) / r_cl**2
-    q = np.zeros(n_cloud)
-    log2span = np.log(2.0)
-    for k, cnt in comps:
-        r1, r2 = 2.0**k, 2.0 ** (k + 1)
-        sel = (r_cl >= r1) & (r_cl <= r2)
-        q_gen = np.where(sel, 1.0 / (pot._OMEGA5 * log2span * r_cl**6), 0.0)
-        with np.errstate(divide="ignore"):
-            q_axis = np.where(sel & (t_cl >= pot._T_MIN),
-                              2.0 / (log2span * (-np.log(pot._T_MIN)) * pot._OMEGA3
-                                     * 2 * np.pi * r_cl**6 * t_cl**2), 0.0)
-        q += cnt / n_cloud * 0.5 * (q_gen + q_axis)
-    s_c = np.sqrt(np.sum(np.abs(cloud - c[None, :]) ** 2, axis=-1))
-    with np.errstate(divide="ignore"):
-        q_mid = np.where((s_c >= s_mid_lo) & (s_c <= s_mid_hi),
-                         1.0 / (pot._OMEGA5 * np.log(s_mid_hi / s_mid_lo) * s_c**6), 0.0)
-    q += (n_mid / n_cloud) * q_mid
-    q += (n_ball / n_cloud) * np.where(s_c <= radius, 6.0 / (np.pi**3 * radius**6), 0.0)
-    # Psi is 0 off the bump's support (Green's identity)
-    grid = np.linspace(0.0, radius, 300, endpoint=False)
-    psi = np.where(s_c < radius, np.interp(s_c, np.append(grid, radius),
-                                           np.append(_ref_bump_pairing(grid, radius), 0.0)),
-                   0.0)
-    num_w = curvature_weight(cloud) * psi / q
-    num, num_err = float(num_w.mean()), float(num_w.std() / np.sqrt(n_cloud))
-    dirs = _ref_unit_vectors(rng, n_nodes, 6)
-    rad = radius * rng.random(n_nodes) ** (1.0 / 6.0)
-    nodes = c[None, :] + rad[:, None] * (dirs[:, :3] + 1j * dirs[:, 3:])
-    vol = np.pi**3 * radius**6 / 6.0
-    den_samples = curvature_weight(nodes) * pot.bump(rad / radius)
-    den = pot.LAPLACIAN_CONSTANT * vol * float(den_samples.mean())
-    den_err = abs(pot.LAPLACIAN_CONSTANT) * vol * float(den_samples.std() / np.sqrt(n_nodes))
-    ratio = num / den
-    return ratio, float(abs(ratio) * np.sqrt((num_err / num) ** 2 + (den_err / den) ** 2))
+def _ref_ball_nodes(rng, n):
+    # the unit ball of R^6 cut at radii 2^-7, ..., 1/2, 1; a stratum holds
+    # max(floor(n * share), 8) nodes, share = its fraction of the volume,
+    # each with weight share / count: a uniform direction, then
+    # |u|^6 uniform over the stratum
+    edges = [0.0] + [2.0**-k for k in range(7, -1, -1)]
+    nodes, weights = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        share = hi**6 - lo**6
+        count = max(int(share * n), 8)
+        dirs = _ref_unit_vectors(rng, count, 6)
+        rad = (lo**6 + rng.random(count) * share) ** (1.0 / 6.0)
+        nodes.append(rad[:, None] * dirs)
+        weights.append(np.full(count, share / count))
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _ref_laplacian_weak_check(center, radius, mc, seed, n_nodes=4096, replicas=4):
+def _ref_ball_check_once(c, radius, n, seed, grid, psi_grid):
+    # both integrals over the support ball, on the same nodes: the ratio of
+    # sum(weight * Psi) to -4 pi^3 sum(weight * phi)
+    unit, wts = _ref_ball_nodes(np.random.default_rng(seed), n)
+    s = np.linalg.norm(unit, axis=1)
+    x = c[None, :] + radius * (unit[:, :3] + 1j * unit[:, 3:])
+    f = wts * curvature_weight(x)
+    phi = np.zeros(len(s))
+    phi[s < 1.0] = np.exp(-1.0 / (1.0 - s[s < 1.0] ** 2))
+    return float((f @ np.interp(radius * s, grid, psi_grid))
+                 / (-4.0 * np.pi**3 * (f @ phi)))
+
+
+def _ref_laplacian_weak_check(center, radius, mc, seed, replicas=4):
+    # Psi on 301 equispaced nodes of [0, radius], 0 at the support's edge
     c = np.asarray(center, dtype=complex).reshape(3)
-    out = [_ref_weak_check_once(c, radius, mc, n_nodes, [seed, rep, 7919])
-           for rep in range(replicas)]
-    ratios = np.asarray([r for r, _ in out])
-    inner = np.asarray([e for _, e in out])
-    stderr = max(ratios.std(ddof=1) / np.sqrt(replicas), inner.mean() / np.sqrt(replicas))
-    return {"ratio": float(ratios.mean()), "stderr": float(stderr)}
+    grid = np.linspace(0.0, radius, 301)
+    psi_grid = np.append(_ref_bump_pairing(grid[:-1], radius), 0.0)
+    ratios = np.asarray([_ref_ball_check_once(c, radius, mc.samples_per_shell,
+                                              [seed, rep, 7919], grid, psi_grid)
+                         for rep in range(replicas)])
+    return {"ratio": float(ratios.mean()),
+            "stderr": float(ratios.std(ddof=1) / np.sqrt(replicas))}
 
 
 # the weak-form checks of the potential suite: (center, radius)
@@ -392,6 +355,24 @@ class TestWeakForm:
         wc = pot.laplacian_weak_check([10.0, 0, 0], radius,
                                       pot.MCParams(samples_per_shell=2000), seed=3)
         assert abs(wc["ratio"] - 1.0) <= max(0.1, 2.0 * wc["stderr"])
+
+    # both sides of the weak form are taken on the same ball nodes, so the
+    # ratio is off 1 only by the interpolation of Psi: at most 6.8e-5 at 2000
+    # nodes and 3.3e-4 at 8, while a 1% error in the constant reads 0.99
+    # (the shell-cloud sampler read 1.030 +- 0.022 at the first centre)
+    @pytest.mark.parametrize("samples", [8, 2000])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ratio_within_interpolation_error(self, seed, samples):
+        center, rad = SUITE_CENTRES[seed % 3]
+        wc = pot.laplacian_weak_check(center, rad,
+                                      pot.MCParams(samples_per_shell=samples), seed=seed)
+        assert abs(wc["ratio"] - 1.0) <= 1e-3
+
+    @pytest.mark.parametrize("radius", [1e-3, 1e-6, 1e-13])
+    def test_ratio_within_interpolation_error_at_small_radii(self, radius):
+        wc = pot.laplacian_weak_check([10.0, 0, 0], radius,
+                                      pot.MCParams(samples_per_shell=2000), seed=3)
+        assert abs(wc["ratio"] - 1.0) <= 1e-3
 
     def test_radius_with_subnormal_sixth_power_rejected(self):
         # used to raise ZeroDivisionError
