@@ -117,10 +117,10 @@ def instanton_monad(d: ADHMData) -> mo.MonadSpec:
 
 
 def strip_analytic_derivatives(spec: mo.MonadSpec) -> mo.MonadSpec:
-    """Variant of a monad that forces the engine onto finite differences of
-    step ``monads.FD_STEP``."""
-    return replace(spec, name=spec.name + "-fd", h1=mo.MetricField(value=spec.h1.value),
-                   dalpha=None, dbeta=None)
+    """Variant of a monad without its map derivatives, which the engine then
+    takes by finite differences of step ``monads.FD_STEP``; the metric
+    derivatives stay analytic."""
+    return replace(spec, name=spec.name + "-fd", dalpha=None, dbeta=None)
 
 
 def curvature_density(d: ADHMData, points: np.ndarray) -> np.ndarray:

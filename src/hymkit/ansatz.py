@@ -226,6 +226,28 @@ def sample_log_uniform(rng: np.random.Generator, n: int, r_min: float,
     return pts[:, :3] + 1j * pts[:, 3:]
 
 
+def _ball_nodes(rng: np.random.Generator, n: int):
+    """Unit-ball nodes stratified over eight dyadic radial shells, those of
+    the growth integrals and of the potential's weak-form check.
+
+    Per-stratum counts are proportional to shell volume; returns nodes and
+    the constant overall density 1/vol(B_1) absorbed into equal weights.
+    """
+    edges = np.concatenate([[0.0], 0.5 ** np.arange(7, 0, -1), [1.0]])
+    vols = edges[1:] ** 6 - edges[:-1] ** 6
+    counts = np.maximum((vols * n).astype(int), 8)
+    pts = []
+    wts = []
+    for (lo, hi), cnt in zip(zip(edges[:-1], edges[1:]), counts):
+        d = rng.standard_normal((cnt, 6))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        u = rng.random(cnt)
+        rad = (lo**6 + u * (hi**6 - lo**6)) ** (1.0 / 6.0)
+        pts.append(rad[:, None] * d)
+        wts.append(np.full(cnt, (hi**6 - lo**6) / cnt))
+    return np.concatenate(pts), np.concatenate(wts)
+
+
 def weight_ratio_sup(n_points: int = 10_000, seed: int = 0) -> float:
     """sup of |i Lambda F| / weight over radii log-uniform in [1e-2, 1e3]."""
     rng = np.random.default_rng(seed)

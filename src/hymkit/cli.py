@@ -180,7 +180,7 @@ def suite_potential(cfg: RunConfig) -> tuple:
                                        ([0, 0, 50.0], 2.0),
                                        ([5.0, 3.0, -4.0], 1.0))):
         wc = pot.laplacian_weak_check(center, rad, mc, seed=cfg.seed + i)
-        tol = max(0.1, 2.0 * wc["stderr"])
+        tol = max(1e-3, 2.0 * wc["stderr"])
         checks.append(cfg.check(f"laplacian_ratio_dev_{i}", abs(wc["ratio"] - 1.0), tol))
     rng = np.random.default_rng(cfg.seed)
     pts = [sample_log_uniform(rng, 200, 1.0, 1000.0)]

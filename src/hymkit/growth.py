@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ansatz import induced_pairing
+from .ansatz import _ball_nodes, induced_pairing
 
 __all__ = [
     "Poly3",
@@ -159,27 +159,6 @@ def cone_norm_sq(section: KoszulSection, w) -> np.ndarray:
     kv = section.kernel_vector(w)
     r = np.sqrt(np.sum(np.abs(w) ** 2, axis=-1))
     return np.sum(np.abs(kv) ** 2, axis=-1) / r
-
-
-def _ball_nodes(rng: np.random.Generator, n: int):
-    """Unit-ball nodes stratified over eight dyadic radial shells.
-
-    Per-stratum counts are proportional to shell volume; returns nodes and
-    the constant overall density 1/vol(B_1) absorbed into equal weights.
-    """
-    edges = np.concatenate([[0.0], 0.5 ** np.arange(7, 0, -1), [1.0]])
-    vols = edges[1:] ** 6 - edges[:-1] ** 6
-    counts = np.maximum((vols * n).astype(int), 8)
-    pts = []
-    wts = []
-    for (lo, hi), cnt in zip(zip(edges[:-1], edges[1:]), counts):
-        d = rng.standard_normal((cnt, 6))
-        d /= np.linalg.norm(d, axis=1, keepdims=True)
-        u = rng.random(cnt)
-        rad = (lo**6 + u * (hi**6 - lo**6)) ** (1.0 / 6.0)
-        pts.append(rad[:, None] * d)
-        wts.append(np.full(cnt, (hi**6 - lo**6) / cnt))
-    return np.concatenate(pts), np.concatenate(wts)
 
 
 def ball_integral(norm_sq_fn, radii, n_samples: int = 4096, seed: int = 0):

@@ -28,20 +28,20 @@ Every ingredient is multiplied by B before the forms are paired
 (:func:`_fiber_forms`), so no (n, n, k1, k1) ambient form exists, and the
 metrics and maps at a point are evaluated once for both (:func:`_values`).
 
-Metrics keep one of two forms through the engine (:func:`_metric`).  A
-:class:`DiagPowerMetric`, which every bundled metric is (:func:`constant_metric`
-of a diagonal matrix included), stays diagonal: h, d h and d dbar h are
-diagonal columns, h^{-1} is their reciprocal, and the derivatives of a
-constant metric are None, so the terms they enter are dropped.  Any other
-metric is dense, multiplied by :func:`_mm` and inverted by LAPACK.  Only
-:func:`_lmul`, :func:`_rmul` and :func:`_inv` tell the two forms apart.
+Metrics have one form: every metric is a :class:`DiagPowerMetric`
+(:func:`constant_metric` of a real diagonal matrix included), and
+:class:`MonadSpec` takes no other.  It stays diagonal through the engine
+(:func:`_metric`): h, d h and d dbar h are diagonal columns, h^{-1} is
+their reciprocal, and the derivatives of a constant metric are None, so
+the terms they enter are dropped.  :func:`_lmul`, :func:`_rmul` and
+:func:`_inv` take a diagonal column or a Gram matrix.
 
 Stacked small products go through :func:`_mm`, a sum of outer products over
 the contraction index, where numpy's matmul would make one BLAS call per
 point: the Gram matrices, the projector's columns, the Gram-Schmidt inner
-products, the fiber columns of the derivatives and the dense metric
-products.  The pairings of the forms, outer products (k0 = k2 = 1) or at
-least 6x4 @ 4x6, keep matmul, which is faster there.
+products and the fiber columns of the derivatives.  The pairings of the
+forms, outer products (k0 = k2 = 1) or at least 6x4 @ 4x6, keep matmul,
+which is faster there.
 
 One singular-point rule serves every entry point, in :func:`_rule`: a
 point is singular when the smallest h-metric singular value of beta^dag or
@@ -78,10 +78,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import coords, fd_derivative, fd_mixed_second
+from .geometry import coords, fd_derivative
 
 __all__ = [
-    "MetricField",
     "DiagPowerMetric",
     "constant_metric",
     "MonadSpec",
@@ -211,29 +210,15 @@ def _diag_matrix(d, shape) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class MetricField:
-    """Callable metric with optional analytic derivatives.
-
-    ``value(w) -> (..., k, k)`` is required.  ``dholo(w) -> (..., n, k, k)``
-    and ``dmixed(w) -> (..., n, n, k, k)`` fall back to finite differences in
-    the engine when absent.
-    """
-
-    value: Callable
-    dholo: Optional[Callable] = None
-    dmixed: Optional[Callable] = None
-
-
-def constant_metric(m: np.ndarray):
-    """The constant metric m: for a diagonal m a :class:`DiagPowerMetric`
-    with every exponent 0, otherwise a dense :class:`MetricField`."""
+def constant_metric(m: np.ndarray) -> DiagPowerMetric:
+    """The constant metric m, a real diagonal matrix, as a
+    :class:`DiagPowerMetric` with every exponent 0; any other m raises
+    ValueError."""
     m = np.asarray(m, dtype=complex)
     d = np.diagonal(m)
-    if np.array_equal(m, np.diag(d)) and not np.any(d.imag):
-        return DiagPowerMetric(consts=tuple(d.real), pow_rho=(0.0,) * len(d))
-    # finite differences of a constant are exactly 0
-    return MetricField(value=lambda w: np.broadcast_to(m, np.shape(w)[:-1] + m.shape).copy())
+    if not np.array_equal(m, np.diag(d)) or np.any(d.imag):
+        raise ValueError("a constant metric must be a real diagonal matrix")
+    return DiagPowerMetric(consts=tuple(d.real), pow_rho=(0.0,) * len(d))
 
 
 def _ct(x):
@@ -254,32 +239,12 @@ def _holo(fn, dfn, w):
     return _fd_jacobian(fn, w, w.shape[-1], FD_STEP)
 
 
-def _metric_value(metric, w):
-    return np.asarray(metric.value(w), dtype=complex)
-
-
-def _metric_dmixed(metric, w):
-    if metric.dmixed is not None:
-        return np.asarray(metric.dmixed(w), dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    n = w.shape[-1]
-    return np.stack([np.stack([fd_mixed_second(metric.value, w, j, kk, FD_STEP)
-                               for kk in range(n)], axis=-3)
-                     for j in range(n)], axis=-4)
-
-
 def _metric(metric, w, order):
     """h (``order`` 0), d_j h (1) or d_j d_kbar h (2) at w as the engine
-    carries it: a :class:`DiagPowerMetric` as diagonal columns (..., k, 1),
-    (..., n, k, 1), (..., n, n, k, 1), None for a derivative that is
-    identically zero; any other metric as dense matrices, its missing
-    derivatives by finite differences."""
-    if isinstance(metric, DiagPowerMetric):
-        d = metric._diag(w, order)
-        return None if d is None else d[..., None]
-    if order < 2:
-        return _holo(metric.value, metric.dholo, w) if order else _metric_value(metric, w)
-    return _metric_dmixed(metric, w)
+    carries it: diagonal columns (..., k, 1), (..., n, k, 1),
+    (..., n, n, k, 1), or None for a derivative that is identically zero."""
+    d = metric._diag(w, order)
+    return None if d is None else d[..., None]
 
 
 def _mm(x, y):
@@ -294,25 +259,25 @@ def _mm(x, y):
 
 
 def _lmul(h, x, adj=False):
-    """h @ x (h^dag @ x with ``adj``) for a metric factor h from :func:`_metric`
-    or :func:`_inv`: a diagonal column (..., k, 1) scales the rows of x, a
-    dense (..., k, k) multiplies.  With :func:`_rmul` and :func:`_inv` the
-    only code that tells the two forms apart; at k = 1 they agree."""
+    """h @ x (h^dag @ x with ``adj``) for h a diagonal column (..., k, 1)
+    from :func:`_metric` or :func:`_inv`, which scales the rows of x, or a
+    Gram matrix (..., k, k), which multiplies; at k = 1 they agree."""
     if h.shape[-1] == 1:
         return (h.conj() if adj else h) * x
     return _mm(_ct(h) if adj else h, x)
 
 
 def _rmul(x, h, adj=False):
-    """x @ h (x @ h^dag with ``adj``): a diagonal column scales the columns."""
+    """x @ h (x @ h^dag with ``adj``) for h a diagonal column, which scales
+    the columns of x, or a Gram matrix, which multiplies."""
     if h.shape[-1] == 1:
         return x * np.swapaxes(h.conj() if adj else h, -1, -2)
     return _mm(x, _ct(h) if adj else h)
 
 
 def _inv(h):
-    """h^{-1}: the reciprocal of a diagonal column or of a 1x1 matrix (the
-    Gram matrices of the bundled monads), else the LAPACK inverse."""
+    """h^{-1}: the reciprocal of a diagonal column or of a 1x1 Gram matrix
+    (those of the bundled monads), else the LAPACK inverse of a Gram matrix."""
     return 1.0 / h if h.shape[-1] == 1 else np.linalg.inv(h)
 
 
@@ -328,7 +293,8 @@ class MonadSpec:
     batched coordinates.  ``dalpha``/``dbeta`` give the holomorphic coordinate
     derivatives stacked along a leading axis, shape (..., n, k1, k0) resp.
     (..., n, k2, k1); when None the engine uses centered finite differences
-    of step ``FD_STEP``, as it does for a metric without its derivatives.
+    of step ``FD_STEP``.  ``h0``, ``h1`` and ``h2`` must be
+    :class:`DiagPowerMetric`; any other metric raises TypeError.
     """
 
     name: str
@@ -338,11 +304,18 @@ class MonadSpec:
     k2: int
     alpha: Callable
     beta: Callable
-    h0: object
-    h1: object
-    h2: object
+    h0: DiagPowerMetric
+    h1: DiagPowerMetric
+    h2: DiagPowerMetric
     dalpha: Optional[Callable] = None
     dbeta: Optional[Callable] = None
+
+    def __post_init__(self):
+        for key in ("h0", "h1", "h2"):
+            m = getattr(self, key)
+            if not isinstance(m, DiagPowerMetric):
+                raise TypeError(f"{self.name}: {key} must be a DiagPowerMetric, "
+                                f"not {type(m).__name__}")
 
     @property
     def rank(self) -> int:
@@ -596,14 +569,14 @@ def induced_metric(spec: MonadSpec, p, sections) -> np.ndarray:
         s = np.stack([np.asarray(v, dtype=complex) for v in sections], axis=-1)
     else:
         s = np.asarray(sections, dtype=complex)
-    h1 = _metric_value(spec.h1, w)
+    h1 = spec.h1.value(w)
     b = np.asarray(spec.beta(w), dtype=complex)
     res = np.abs(b @ s)
     scale = max(float(np.abs(s).max()) * max(float(np.abs(b).max()), 1.0), 1e-30)
     if res.max() > 1e-10 * scale:
         raise ValueError(f"section not in ker beta: residual {res.max():.3e}")
     if spec.k0 > 0:
-        h0 = _metric_value(spec.h0, w)
+        h0 = spec.h0.value(w)
         a = np.asarray(spec.alpha(w), dtype=complex)
         ad = np.linalg.solve(h0, _ct(a) @ h1)      # alpha^dag
         s = s - a @ np.linalg.solve(ad @ a, ad @ s)

@@ -23,7 +23,7 @@ max(|p|, 1), which keeps the log-divergent region |p| < |x'| < 1 for |p| < 1.
 
 The weak-form check of Lap G = -4 pi^3 weight against a radial bump takes
 both of its sides on the bump's support ball, on the stratified ball nodes
-of the growth degrees (:func:`hymkit.growth._ball_nodes`).
+of the growth degrees (:func:`hymkit.ansatz._ball_nodes`).
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from functools import cache
 
 import numpy as np
 
-from .ansatz import _weight, curvature_weight
-from .growth import _ball_nodes
+from .ansatz import _ball_nodes, _weight, curvature_weight
 
 __all__ = [
     "MCParams",
@@ -302,7 +301,7 @@ def laplacian_weak_check(center, radius: float, mc: MCParams = MCParams(),
 
     So both integrals are over the support ball.  Each of four replicas
     takes them on the same ``mc.samples_per_shell`` stratified ball nodes u
-    (:func:`hymkit.growth._ball_nodes`, drawn from ``[seed, replica, 7919]``;
+    (:func:`hymkit.ansatz._ball_nodes`, drawn from ``[seed, replica, 7919]``;
     ``mc.seed`` is not read) at c + radius u, with Psi and phi read at
     radius |u|.  The ratio is 1 up to the linear interpolation of Psi (below
     1e-3); stderr is the standard error of the four replicas' mean.

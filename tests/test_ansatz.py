@@ -414,7 +414,7 @@ class TestSymmetry:
 class TestTwisted:
     def test_metric_at_base_point(self):
         tw = ansatz.twisted_monad(100.0)
-        h = mo._metric_value(tw.h1, np.array([0, 0, 100.0], dtype=complex))
+        h = tw.h1.value(np.array([0, 0, 100.0], dtype=complex))
         expected = np.sqrt(100.0**2 + 1.0)
         np.testing.assert_allclose(
             np.diag(h).real, [1, 1, expected / 100.0, expected / 100.0],

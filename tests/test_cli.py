@@ -425,6 +425,21 @@ class TestReport:
         assert list(out.glob("*.csv")) == []
 
 
+def test_potential_weak_checks_catch_a_one_percent_constant(monkeypatch):
+    # a Laplacian constant 1.01 times too large moves each weak-form ratio by
+    # about 1e-2: the suite's bound max(1e-3, 2 stderr) fails all three
+    # checks, which a bound of 0.1 would pass; the envelope is stubbed out
+    from hymkit import potential as pot
+    monkeypatch.setattr(pot, "LAPLACIAN_CONSTANT", 1.01 * pot.LAPLACIAN_CONSTANT)
+    monkeypatch.setattr(pot, "barrier_envelope_check",
+                        lambda points, mc: {"sup": 0.0, "g_min": 1.0})
+    checks, _ = cli.suite_potential(cli.RunConfig(seed=0))
+    weak = [c for c in checks if c["name"].startswith("laplacian_ratio_dev_")]
+    assert len(weak) == 3
+    assert not any(c["pass"] for c in weak)
+    assert all(0.005 < c["value"] <= 0.1 for c in weak)
+
+
 def test_module_entry_point():
     out = subprocess.run([sys.executable, "-m", "hymkit", "verify", "bogus"],
                          capture_output=True, text=True)

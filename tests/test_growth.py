@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hymkit import growth
-from hymkit.ansatz import ansatz_monad
+from hymkit.ansatz import _ball_nodes, ansatz_monad
 
 T1, T2, T3 = (growth.KoszulSection.generator(i) for i in (1, 2, 3))
 
@@ -56,7 +56,7 @@ class TestKoszulSections:
         assert np.abs(n1 - n2).max() <= 1e-12 * max(1.0, np.abs(n1).max())
 
 
-# the eight radial strata of growth._ball_nodes: [0, 2^-7], [2^-7, 2^-6], ...,
+# the eight radial strata of ansatz._ball_nodes: [0, 2^-7], [2^-7, 2^-6], ...,
 # [1/2, 1]
 BALL_EDGES = np.array([0.0] + [2.0**-k for k in range(7, -1, -1)])
 
@@ -67,7 +67,7 @@ class TestBallNodes:
 
     @pytest.mark.parametrize("n", [8, 64, 4096])
     def test_nodes_and_weights(self, n):
-        unit, wts = growth._ball_nodes(np.random.default_rng(n), n)
+        unit, wts = _ball_nodes(np.random.default_rng(n), n)
         norms = np.linalg.norm(unit, axis=1)
         assert unit.shape == (len(wts), 6)
         assert wts.sum() == pytest.approx(1.0, abs=1e-12)

@@ -5,10 +5,14 @@ in the package outside its definition, every ``__all__`` names only what
 its module defines and lists each of its public functions and classes, and
 every function or class in an ``__all__`` has a reader in a program (the
 package, ``scripts/`` or the benchmark) unless ``TEST_ONLY`` names what
-needs it."""
+needs it.  Importing ``hymkit.potential`` loads neither ``hymkit.growth``
+nor ``hashlib``."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -152,6 +156,8 @@ PROGRAM_FILES = (sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py
 # exported names that no program reads by name, each with what needs it
 TEST_ONLY = {
     "cohomology_frame": "perfbench/tracing.py TARGETS, by its name as a string",
+    "fd_mixed_second": ("perfbench/tracing.py TARGETS, by its name as a string; "
+                        "test_monads.py, the oracle of DiagPowerMetric.dmixed"),
     "mean_curvature_field": "perfbench/tracing.py TARGETS, by its name as a string",
     "curvature_fd_check": "test_acceptance.py, criterion 3",
     "barrier_check": "test_acceptance.py, criterion 9",
@@ -196,3 +202,15 @@ def test_test_only_names_have_no_program_reader():
     unread = {name for p in PACKAGE
               for name in readerless_exports(p.read_text(), _program_reads())}
     assert sorted(set(TEST_ONLY) - unread) == []
+
+
+def test_potential_imports_neither_growth_nor_hashlib():
+    # the potential's ball nodes live in ansatz, so a fresh interpreter that
+    # imports hymkit.potential loads no growth module and no hashlib
+    code = ("import sys, hymkit.potential; "
+            "print(sorted({'hymkit.growth', 'hashlib'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"

@@ -161,7 +161,7 @@ class TestCohomologyFrame:
             gram = basis.conj().T @ h1 @ basis
             np.testing.assert_allclose(gram, np.eye(2), atol=1e-10)
             assert np.abs(main_spec.beta(w) @ basis).max() < 1e-10
-            h0 = mo._metric_value(main_spec.h0, w)
+            h0 = main_spec.h0.value(w)
             adag = np.linalg.solve(h0, main_spec.alpha(w).conj().T @ h1)
             assert np.abs(adag @ basis).max() < 1e-10
             values = mo._values(main_spec, w)
@@ -192,7 +192,7 @@ def _pointwise_frame(spec, w):
     """The pointwise frame rule, one point at a time: seeds P e_1..P e_{k1} in
     index order, modified Gram-Schmidt in h1, residual h1-norms <= 1e-7
     discarded."""
-    h0, h1, h2 = (mo._metric_value(m, w) for m in (spec.h0, spec.h1, spec.h2))
+    h0, h1, h2 = (m.value(w) for m in (spec.h0, spec.h1, spec.h2))
     b = np.asarray(spec.beta(w), dtype=complex)
     bd = np.linalg.solve(h1, b.conj().T @ h2)
     proj = np.eye(spec.k1) - bd @ np.linalg.solve(b @ bd, b)
@@ -276,8 +276,13 @@ class TestFrameBatch:
             return wrapped
 
         def metric(name, m):
-            return mo.MetricField(value=counted(name, m.value), dholo=m.dholo,
-                                  dmixed=m.dmixed)
+            # counts the evaluations of the metric's values, _diag(w, 0)
+            class Counted(mo.DiagPowerMetric):
+                def _diag(self, w, order):
+                    if order == 0:
+                        calls[name] = calls.get(name, 0) + 1
+                    return super()._diag(w, order)
+            return Counted(m.consts, m.pow_rho, m.pow_r2, m.pow_z2)
 
         spec = mo.MonadSpec(
             name="counted", n=3, k0=1, k1=4, k2=1,
@@ -293,12 +298,12 @@ def _ref_validity(spec, w):
     singular-point rule, kept as a reference: with h = L L^dag (Cholesky),
     the smallest singular values of L1^dag alpha L0^{-dag} and
     L2^dag beta L1^{-dag}, regular when both are above SINGULAR_TOL."""
-    h1, h2 = mo._metric_value(spec.h1, w), mo._metric_value(spec.h2, w)
+    h1, h2 = spec.h1.value(w), spec.h2.value(w)
     b = np.asarray(spec.beta(w), dtype=complex)
     l1, l2 = np.linalg.cholesky(h1), np.linalg.cholesky(h2)
     if spec.k0 > 0:
         a = np.asarray(spec.alpha(w), dtype=complex)
-        l0 = np.linalg.cholesky(mo._metric_value(spec.h0, w))
+        l0 = np.linalg.cholesky(spec.h0.value(w))
         a_std = l1.conj().T @ a @ np.linalg.inv(l0.conj().T)
         smin_a = float(np.linalg.svd(a_std, compute_uv=False).min())
         res = float(np.abs(b @ a).max())
@@ -644,10 +649,9 @@ def _ref_ambient_forms(spec, w):
         return np.stack([fd_derivative(fn, w, j, "holo", mo.FD_STEP)
                          for j in range(n)], axis=0)
 
-    h0, h1, h2 = (mo._metric_value(m, w) for m in (spec.h0, spec.h1, spec.h2))
-    dh0, dh1, dh2 = (mo._holo(m.value, m.dholo, w)
-                     for m in (spec.h0, spec.h1, spec.h2))
-    ddh1 = mo._metric_dmixed(spec.h1, w)
+    h0, h1, h2 = (m.value(w) for m in (spec.h0, spec.h1, spec.h2))
+    dh0, dh1, dh2 = (m.dholo(w) for m in (spec.h0, spec.h1, spec.h2))
+    ddh1 = spec.h1.dmixed(w)
     h1i = np.linalg.inv(h1)
     corr = np.einsum("kab,bc,jcd->jkad", np.swapaxes(dh1.conj(), -1, -2), h1i, dh1)
     f1 = -np.einsum("ab,jkbc->jkac", h1i, ddh1 - corr)
@@ -666,24 +670,6 @@ def _ref_ambient_forms(spec, w):
     return out
 
 
-def _nondiagonal_h1_monad():
-    """The main family with h1 = C^dag H(w) C: Hermitian, not diagonal, with
-    analytic derivatives."""
-    base = ansatz_monad()
-    diag = mo.DiagPowerMetric(consts=(1, 2, 1, 3), pow_rho=(-0.5, 0.5, 0, 0.25))
-    c = np.array([[1, 0.3j, 0, 0.2], [0, 1, 0.4, 0],
-                  [0.1, 0, 1, -0.5j], [0, 0.2, 0, 1]], dtype=complex)
-
-    def congruent(f):
-        return lambda w: c.conj().T @ f(w) @ c
-
-    h1 = mo.MetricField(value=congruent(diag.value), dholo=congruent(diag.dholo),
-                        dmixed=congruent(diag.dmixed))
-    return mo.MonadSpec(name="ansatz-nondiag-h1", n=3, k0=1, k1=4, k2=1,
-                        alpha=base.alpha, beta=base.beta, h0=base.h0, h1=h1,
-                        h2=base.h2, dalpha=base.dalpha, dbeta=base.dbeta)
-
-
 class TestFiberForms:
     """curvature_batch against the ambient forms projected by B^dag N B."""
 
@@ -697,14 +683,11 @@ class TestFiberForms:
             return cone_monad(), w
         if name == "twisted":
             return twisted_monad(400), w + np.array([0, 0, 400.0])
-        if name == "nondiag_h1":
-            return _nondiagonal_h1_monad(), w
         if name == "fd_stripped":
             return adhm.strip_analytic_derivatives(ansatz_monad()), w
         return ansatz_monad(), w
 
-    @pytest.mark.parametrize("name", ["adhm", "ansatz", "cone", "twisted",
-                                      "nondiag_h1", "fd_stripped"])
+    @pytest.mark.parametrize("name", ["adhm", "ansatz", "cone", "twisted", "fd_stripped"])
     def test_matches_ambient_reference(self, name, rng):
         spec, w = self.case(name, rng)
         data = mo.curvature_batch(spec, w)
@@ -723,38 +706,9 @@ class TestFiberForms:
                          (data["norm_form"], norm_form)):
             assert np.abs(got - ref).max() <= 1e-12 * scale
 
-    def test_nondiagonal_h1_is_not_diagonal(self):
-        h1 = mo._metric_value(_nondiagonal_h1_monad().h1,
-                              np.array([0.7, 0.2j, -0.4]))
-        off = h1 - np.diag(np.diag(h1))
-        assert np.abs(off).max() > 0.1
-        np.testing.assert_allclose(h1, h1.conj().T, atol=1e-15)
-
-
-def _dense_metrics(spec):
-    """The spec with every diagonal metric wrapped as a dense MetricField of
-    the same values and derivatives."""
-    def dense(m):
-        return mo.MetricField(value=m.value, dholo=m.dholo, dmixed=m.dmixed)
-    return dataclasses.replace(spec, h0=dense(spec.h0), h1=dense(spec.h1),
-                               h2=dense(spec.h2))
-
 
 class TestDiagonalMetrics:
-    """Diagonal metrics stay diagonal in the engine; the dense path agrees."""
-
-    @pytest.mark.parametrize("name", ["adhm", "ansatz", "cone", "twisted"])
-    def test_dense_path_agrees(self, name, rng):
-        spec, w = TestFrameBatch().case(name, rng)
-        if name == "ansatz":
-            assert np.array_equal(w[0], [1.0, 0, 0])
-        dense = _dense_metrics(spec)
-        assert isinstance(spec.h1, mo.DiagPowerMetric)
-        assert all(isinstance(m, mo.MetricField) for m in (dense.h0, dense.h1, dense.h2))
-        got, ref = mo.curvature_batch(spec, w), mo.curvature_batch(dense, w)
-        for key in ("form_raw", "norm_form", "norm_mean"):
-            scale = np.abs(ref[key]).max()
-            assert np.abs(got[key] - ref[key]).max() <= 1e-12 * scale, key
+    """Every metric is a DiagPowerMetric and stays diagonal in the engine."""
 
     def test_constant_derivatives_are_skipped(self, rng):
         calls = []
@@ -792,10 +746,19 @@ class TestDiagonalMetrics:
             assert np.array_equal(m.value(np.ones((5, 3))),
                                   np.broadcast_to(2.0 * np.eye(k), (5, k, k)))
             assert np.array_equal(m.dmixed(np.ones(3)), np.zeros((3, 3, k, k)))
-        off = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
-        m = mo.constant_metric(off)
-        assert isinstance(m, mo.MetricField)
-        assert np.array_equal(m.value(np.ones((5, 3))), np.broadcast_to(off, (5, 2, 2)))
+
+    @pytest.mark.parametrize("m", [[[2.0, 0.5j], [-0.5j, 1.0]],
+                                   [[1.0, 0.0], [0.0, 1.0 + 1e-3j]]],
+                             ids=["off-diagonal", "complex-diagonal"])
+    def test_constant_metric_rejects_other_matrices(self, m):
+        with pytest.raises(ValueError, match="real diagonal"):
+            mo.constant_metric(np.array(m))
+
+    @pytest.mark.parametrize("key", ["h0", "h1", "h2"])
+    def test_monad_spec_rejects_other_metrics(self, key):
+        spec = ansatz_monad()
+        with pytest.raises(TypeError, match=f"{key} must be a DiagPowerMetric"):
+            dataclasses.replace(spec, **{key: getattr(spec, key).value})
 
 
 def _real_pair_norm_sq(f_raw, n):
