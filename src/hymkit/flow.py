@@ -71,7 +71,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -809,19 +809,16 @@ def attach_barrier_potentials(domain: FlowDomain, mc=None) -> np.ndarray:
     """Evaluate the barrier potential at the domain's check nodes and cache it.
 
     The nodes' coordinates are formed as :meth:`FlowDomain.grid_points`
-    forms them, at those nodes only.
+    forms them, at those nodes only; node i is row i of one
+    :func:`hymkit.potential.eval_G_batch` call.
     """
-    from .potential import MCParams, eval_G
+    from .potential import MCParams, eval_G_batch
 
-    mc = mc or MCParams()
     nodes = domain.barrier_nodes
     axes = [np.linspace(lo, hi, n)[nodes[:, k]]
             for k, ((lo, hi), n) in enumerate(zip(domain.box, domain.shape))]
-    gs = []
-    for i, p in enumerate(_complex_points(axes)):
-        gv = eval_G(p, replace(mc, seed=mc.seed + 31 * i))
-        gs.append(gv.estimate)
-    domain.barrier_g = np.asarray(gs)
+    gvs = eval_G_batch(_complex_points(axes), mc or MCParams())
+    domain.barrier_g = np.array([gv.estimate for gv in gvs])
     return domain.barrier_g
 
 

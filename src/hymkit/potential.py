@@ -10,12 +10,26 @@ obeys the envelope
     |G| <= C |p|^{-1} max(log(|p| / (|x|+|y|+|z|^{1/2})), 1),   |p| >= 1.
 
 The integral is estimated by stratified Monte Carlo over dyadic radial
-shells.  Within a shell the sampler is an equal-weight mixture of a
-source-adapted component (log-uniform shell radius, log-uniform transverse
-fraction t = (|x'|^2+|y'|^2)/r^2 concentrating near the z-axis where the
-weight is large) and a kernel-adapted component (log-uniform distance from p,
-uniform direction), so both singular structures carry bounded importance
-weights.  The core |x' - p| < delta = 10^-3 |p| is excluded.
+shells.  Within a shell the sampler mixes, in proportions 2:1:2, a generic
+component (log-uniform shell radius, uniform direction), an axis-adapted one
+(log-uniform radius and transverse fraction t = (|x'|^2+|y'|^2)/r^2,
+concentrating near the z-axis where the weight is large) and a kernel-adapted
+one (log-uniform distance from p, uniform direction), so both singular
+structures carry bounded importance weights.  The core |x' - p| < delta =
+10^-3 |p| is excluded.
+
+Points share the draws that do not depend on them.  :func:`eval_G_batch`
+draws shell k's generic and axis components once, from an SFC64 generator
+keyed by [seed, k + 256, 2654435761], and weighs that cloud against every
+point whose shells include k; row i draws its kernel component, shell after
+shell, from its own generator keyed by [seed, i, 2246822519].  Weighting each
+sample by the whole mixture density is the balance heuristic of Veach &
+Guibas (SIGGRAPH 1995), unbiased at each point whatever the points share.
+A shell's cloud meets ``BLOCK_POINTS`` rows at a time in coordinate-major
+(6, ...) arrays, with |x' - p|^2 taken from coordinate differences.  Memory
+is one block's arrays plus about 4 KiB per row for its generator and shells:
+2.9 MiB by tracemalloc for the potential suite's 255-point envelope at 6000
+samples per shell.  :func:`eval_G` is the batch of one.
 
 The shells are [2^k, 2^(k+1)] for k from floor(log2 |p|) - 7 to
 max(floor(log2 |p|), 0) + 7: seven dyadic scales below |p| and seven above
@@ -28,7 +42,7 @@ of the growth degrees (:func:`hymkit.ansatz._ball_nodes`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -39,6 +53,7 @@ __all__ = [
     "MCParams",
     "GValue",
     "eval_G",
+    "eval_G_batch",
     "bump",
     "bump_laplacian",
     "bump_pairing",
@@ -95,57 +110,42 @@ class GValue:
 # mixture weights: generic shell coverage / axis-adapted / kernel-adapted
 _W_GEN, _W_AXIS, _W_KER = 0.4, 0.2, 0.4
 
-# Points are complex (n, 3) arrays.  The samplers fill, and _sq_moduli reads,
-# their real view v = pts.view(float): v[:, 2j] = Re w_j, v[:, 2j+1] = Im w_j.
-_ONES6 = np.ones(6)
+# generator keys: a shell's cloud is drawn from [seed, k + _K_SHIFT, _CLOUD_TAG]
+# and a row's kernel draws, shell after shell, from [seed, row, _KERNEL_TAG].
+# The origin guard keeps |p| >= 2.5e-49, so every shell has k >= -169
+_CLOUD_TAG, _KERNEL_TAG = 2654435761, 2246822519
+_K_SHIFT = 256
+
+# point rows per block against one shell's cloud: at 6000 samples per shell a
+# one-point call peaks at 0.8 MiB by tracemalloc.  8 rows were no faster and
+# 16 about 1.3x slower
+BLOCK_POINTS = 4
+
+
+def _rng(*key):
+    return np.random.Generator(np.random.SFC64(list(key)))
 
 
 def _log_uniform(rng, lo, hi, n):
     return np.exp(rng.uniform(np.log(lo), np.log(hi), n))
 
 
-def _sphere_points(rng, v, radii, centre=np.zeros(6)):
-    """Fill v with centre + radii times uniform directions of C^3 = R^6: coordinate
-    j is g[j] + i g[3+j] for a Gaussian g (drawn after the radii) scaled to |g| = radius."""
-    g = rng.standard_normal((len(radii), 6))
-    scale = radii / np.sqrt((g * g) @ _ONES6)
-    for col, j in enumerate((0, 3, 1, 4, 2, 5)):
-        v[:, col] = g[:, j] * scale + centre[col]
+def _scale_to(g, radii):
+    """Scale the Gaussian columns g (dims, ...) to lengths ``radii`` in place."""
+    sq = g * g
+    g *= radii / np.sqrt(sq.sum(axis=0))
 
 
-def _shell_points(rng, v, n_gen, r1, r2):
-    """Fill v with n_gen generic then axis-adapted draws from the shell [r1, r2].
-
-    Generic: log-uniform radius, uniform direction.  Axis-adapted: log-uniform
-    radius and t = sigma/r^2, uniform (x, y) = (g0 + i g2, g1 + i g3) and z phase.
-    """
-    _sphere_points(rng, v[:n_gen], _log_uniform(rng, r1, r2, n_gen))
-    va = v[n_gen:]
-    n_axis = len(va)
-    r = _log_uniform(rng, r1, r2, n_axis)
-    t = _log_uniform(rng, _T_MIN, 1.0, n_axis)
-    g = rng.standard_normal((n_axis, 4))
-    phase = rng.uniform(0.0, 2 * np.pi, n_axis)
-    rho = r * np.sqrt(t) / np.sqrt((g * g) @ _ONES6[:4])
-    for col, j in enumerate((0, 2, 1, 3)):
-        np.multiply(g[:, j], rho, out=va[:, col])
-    z = r * np.sqrt(1.0 - t) * np.exp(1j * phase)
-    va[:, 4], va[:, 5] = z.real, z.imag
+def _moduli(sq):
+    """|x'|^2, sigma = |x|^2 + |y|^2 and |z|^2 from the squares of coordinate-major
+    points (6, ...), whose rows are Re x, Im x, Re y, Im y, Re z, Im z."""
+    sigma = sq[:4].sum(axis=0)
+    z_sq = sq[4] + sq[5]
+    return sigma + z_sq, sigma, z_sq
 
 
-def _sq_moduli(v, centre):
-    """|x'|^2, sigma = |x|^2 + |y|^2, |z|^2 and |x' - centre|^2 from the real
-    view v of the points; ``centre`` is its real view tiled to v.size."""
-    sq = v * v
-    sigma = sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3]
-    r_sq = sigma + sq[:, 4] + sq[:, 5]
-    u = v.ravel() - centre
-    u *= u
-    return r_sq, sigma, sq[:, 4] + sq[:, 5], u.reshape(v.shape) @ _ONES6
-
-
-def _shell_density(in_shell, r_sq, sigma):
-    """_W_GEN q_gen + _W_AXIS q_axis for one dyadic shell, w.r.t. Lebesgue dV."""
+def _shell_density(r_sq, sigma):
+    """_W_GEN q_gen + _W_AXIS q_axis w.r.t. Lebesgue dV, for points in the shell."""
     t = sigma / r_sq
     log_r_span = np.log(2.0)
     c_gen = _W_GEN / (_OMEGA5 * log_r_span)
@@ -153,56 +153,139 @@ def _shell_density(in_shell, r_sq, sigma):
     q = np.where(t >= _T_MIN, c_axis / (t * t), 0.0)
     q += c_gen
     q /= r_sq * r_sq * r_sq
-    return np.where(in_shell, q, 0.0)
+    return q
 
 
-def _radial_density(s_sq, lo, hi):
-    """Density of the log-uniform-distance component about a centre."""
+def _cloud(seed, k, base):
+    """One shell's p-independent draws: 2 base generic then base axis-adapted
+    points (6, 3 base), their source weights (0 off the shell) and their
+    density.
+
+    Generic: log-uniform radius, uniform direction.  Axis-adapted: log-uniform
+    radius and t = sigma/r^2, uniform (x, y) direction and z phase.
+    """
+    r1, r2 = 2.0**k, 2.0 ** (k + 1)
+    rng = _rng(seed, k + _K_SHIFT, _CLOUD_TAG)
+    v = np.empty((6, 3 * base))
+    radii = _log_uniform(rng, r1, r2, 2 * base)
+    g = rng.standard_normal((6, 2 * base))
+    _scale_to(g, radii)
+    v[:, :2 * base] = g
+    r = _log_uniform(rng, r1, r2, base)
+    t = _log_uniform(rng, _T_MIN, 1.0, base)
+    g = rng.standard_normal((4, base))
+    _scale_to(g, r * np.sqrt(t))
+    v[:4, 2 * base:] = g
+    phase = rng.uniform(0.0, 2 * np.pi, base)
+    z_mod = r * np.sqrt(1.0 - t)
+    np.multiply(z_mod, np.cos(phase), out=v[4, 2 * base:])
+    np.multiply(z_mod, np.sin(phase), out=v[5, 2 * base:])
+    r_sq, sigma, z_sq = _moduli(v * v)
+    f = _weight(sigma, z_sq)
+    f[(r_sq < r1 * r1) | (r_sq > r2 * r2)] = 0.0
+    return v, f, _shell_density(r_sq, sigma)
+
+
+def _point_rows(points) -> np.ndarray:
+    """The points as an (m, 3) complex array; ValueError unless they form a
+    non-empty (..., 3) array."""
+    w = np.asarray(points, dtype=complex)
+    if w.ndim == 0 or w.shape[-1] != 3 or w.size == 0:
+        raise ValueError(f"points must be a non-empty (..., 3) array, got shape {w.shape}")
+    return np.ascontiguousarray(w.reshape(-1, 3))
+
+
+def _block_weights(k, cloud, f_cloud, q_cloud, centres, norms, rngs, n):
+    """Importance weights (rows, n) of one block of points on shell k: the
+    shared cloud first, then each row's kernel draws from its generator."""
+    r1, r2 = 2.0**k, 2.0 ** (k + 1)
+    delta, u_max = _CORE_REL * norms, norms + 2.0 * r2
+    n_cloud = cloud.shape[1]
+    wgt = np.zeros((len(rngs), n))
+    # the kernel density's constant; it is on at every cloud point outside
+    # the core, since |x' - p| <= |p| + r2 < u_max there
+    c_ker = (_W_KER / _OMEGA5) / np.log(u_max / delta)
+    # |x' - p|^2 from coordinate differences
+    s_sq = cloud[0] - centres[0][:, None]
+    s_sq *= s_sq
+    for row, c in zip(cloud[1:], centres[1:]):
+        d = row - c[:, None]
+        d *= d
+        s_sq += d
     with np.errstate(divide="ignore"):
-        q = 1.0 / (_OMEGA5 * np.log(hi / lo) * (s_sq * s_sq * s_sq))
-    return np.where((s_sq >= lo * lo) & (s_sq <= hi * hi), q, 0.0)
+        denom = c_ker[:, None] / s_sq
+    denom += s_sq * s_sq * q_cloud
+    np.divide(f_cloud, denom, out=wgt[:, :n_cloud], where=s_sq >= (delta * delta)[:, None])
+    # kernel draws: log-uniform distance |x' - p| in [delta, u_max], uniform direction
+    dist = np.empty((len(rngs), n - n_cloud))
+    v = np.empty((len(rngs), 6, n - n_cloud))
+    for j, rng in enumerate(rngs):
+        dist[j] = _log_uniform(rng, delta[j], u_max[j], n - n_cloud)
+        v[j] = rng.standard_normal((6, n - n_cloud))
+    v = v.transpose(1, 0, 2)
+    _scale_to(v, dist)
+    v += centres[:, :, None]
+    v *= v
+    r_sq, sigma, z_sq = _moduli(v)
+    j, i = np.nonzero((r_sq >= r1 * r1) & (r_sq <= r2 * r2))
+    d_sq = dist[j, i]
+    d_sq *= d_sq
+    wgt[j, n_cloud + i] = _weight(sigma[j, i], z_sq[j, i]) / (
+        d_sq * d_sq * _shell_density(r_sq[j, i], sigma[j, i]) + c_ker[j] / d_sq)
+    return wgt
+
+
+def eval_G_batch(points, mc: MCParams = MCParams()) -> list[GValue]:
+    """Stratified Monte Carlo estimates of G at each row of a non-empty
+    (..., 3) point array, each |p| finite and >= ~2.5e-49.
+
+    Every shell draws its generic and axis components once, shared by all
+    points, and each row its kernel component under its own key (module
+    docstring).  Rows are worked ``BLOCK_POINTS`` at a time against one
+    shell's cloud; each row's value is the same bit for bit whatever block
+    holds it.  The core |x' - p| < 1e-3 |p| is excluded, and so is the
+    region beyond the outer shell.
+    """
+    w = _point_rows(points)
+    norms = np.sqrt(np.sum(np.abs(w) ** 2, axis=-1))
+    for p, p_norm in zip(w, norms):
+        if not 0.0 < p_norm < np.inf:
+            raise ValueError(f"potential needs a finite point other than the origin, got {p}")
+        if (_CORE_REL * p_norm) ** 6 < np.finfo(float).tiny:
+            # the kernel density divides by delta^6, which must stay a normal float
+            raise ValueError(f"potential point {p} too close to the origin: core radius "
+                             f"{_CORE_REL * p_norm:.3g}, whose sixth power is below the "
+                             "normal floats")
+    ranges = np.array([_shell_range(p_norm) for p_norm in norms])
+    centres = w.view(float).T  # coordinate-major (6, m)
+    base = mc.samples_per_shell // 5
+    n = 5 * base  # component counts 2:1:2 realise the mixture weights exactly
+    kernel_rngs = [_rng(mc.seed, row, _KERNEL_TAG) for row in range(len(w))]
+    shells = [[] for _ in range(len(w))]
+    for k in range(ranges[:, 0].min(), ranges[:, 1].max() + 1):
+        cloud, f_cloud, q_cloud = _cloud(mc.seed, k, base)
+        rows = np.flatnonzero((ranges[:, 0] <= k) & (k <= ranges[:, 1]))
+        for lo in range(0, len(rows), BLOCK_POINTS):
+            blk = rows[lo:lo + BLOCK_POINTS]
+            wgt = _block_weights(k, cloud, f_cloud, q_cloud, centres[:, blk], norms[blk],
+                                 [kernel_rngs[i] for i in blk], n)
+            means = wgt.sum(axis=1) / n
+            wgt -= means[:, None]
+            wgt *= wgt
+            errs = np.sqrt(wgt.sum(axis=1) / n / n)
+            for row, m_row, e_row in zip(blk, means, errs):
+                shells[row].append((k, float(m_row), float(e_row)))
+    return [GValue(estimate=sum(c for _, c, _ in sh),
+                   stderr=float(np.sqrt(sum(e * e for _, _, e in sh))),
+                   shells=tuple(sh)) for sh in shells]
 
 
 def eval_G(p, mc: MCParams = MCParams()) -> GValue:
-    """Stratified Monte Carlo estimate of G(p) for finite |p| >= ~2.5e-49.
-
-    The core |x' - p| < 1e-3 |p| is excluded, and so is the region beyond
-    the outer shell.
-    """
-    w = np.array(p, dtype=complex).reshape(3)
-    p_norm = float(np.sqrt(np.sum(np.abs(w) ** 2)))
-    if not 0.0 < p_norm < np.inf:
-        raise ValueError(f"potential needs a finite point other than the origin, got {w}")
-    delta = _CORE_REL * p_norm
-    if delta**6 < np.finfo(float).tiny:
-        # the kernel density divides by delta^6, which must stay a normal float
-        raise ValueError(f"potential point {w} too close to the origin: core radius "
-                         f"{delta:.3g}, whose sixth power is below the normal floats")
-    lo, hi = _shell_range(p_norm)
-    base = mc.samples_per_shell // 5
-    n = 5 * base  # component counts 2:1:2 realise the mixture weights exactly
-    w_tiled = np.tile(w.view(float), n)
-    shells = []
-    for k in range(lo, hi + 1):
-        r1, r2 = 2.0**k, 2.0 ** (k + 1)
-        u_max = p_norm + 2.0 * r2
-        rng = np.random.default_rng([mc.seed, k - lo, 2654435761])
-        pts = np.empty((n, 3), dtype=complex)
-        v = pts.view(float)
-        _shell_points(rng, v[:3 * base], 2 * base, r1, r2)
-        _sphere_points(rng, v[3 * base:], _log_uniform(rng, delta, u_max, 2 * base),
-                       w.view(float))
-        r_sq, sigma, z_sq, s_sq = _sq_moduli(v, w_tiled)
-        in_shell = (r_sq >= r1 * r1) & (r_sq <= r2 * r2)
-        q = _shell_density(in_shell, r_sq, sigma)
-        q += _W_KER * _radial_density(s_sq, delta, u_max)
-        idx = np.flatnonzero(in_shell & (s_sq >= delta * delta))
-        wgt = np.zeros(n)
-        wgt[idx] = _weight(sigma[idx], z_sq[idx]) / (s_sq[idx] ** 2 * q[idx])
-        shells.append((k, float(wgt.mean()), float(np.sqrt(wgt.var() / n))))
-    return GValue(estimate=sum(c for _, c, _ in shells),
-                  stderr=float(np.sqrt(sum(e * e for _, _, e in shells))),
-                  shells=tuple(shells))
+    """G at one point of shape (3,): row 0 of :func:`eval_G_batch`, bit for bit."""
+    w = np.asarray(p, dtype=complex)
+    if w.shape != (3,):
+        raise ValueError(f"eval_G takes one point of shape (3,), got shape {w.shape}")
+    return eval_G_batch(w[None], mc)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -340,19 +423,15 @@ def laplacian_weak_check(center, radius: float, mc: MCParams = MCParams(),
 def barrier_envelope_check(points, mc: MCParams = MCParams()) -> dict:
     """sup over points of G |w| / max(1, log(|w| / (|x|+|y|+|z|^{1/2}))).
 
-    All points must satisfy |w| >= 1.  Also reports the minimum G sampled
-    (positivity check).
+    ``points`` is a non-empty (..., 3) array of points with |w| >= 1, whose
+    G comes from one :func:`eval_G_batch` call.  Also reports the minimum G
+    sampled (positivity check).
     """
-    pts = np.asarray(points, dtype=complex).reshape(-1, 3)
+    pts = _point_rows(points)
     norms = np.sqrt(np.sum(np.abs(pts) ** 2, axis=-1))
     if not np.all((norms >= 1.0) & (norms < np.inf)):
         raise ValueError("envelope calibrated for finite points with |w| >= 1")
-    ratios = np.empty(len(pts))
-    g_min = np.inf
-    for i, p in enumerate(pts):
-        gv = eval_G(p, replace(mc, seed=mc.seed + 104729 * i))
-        g_min = min(g_min, gv.estimate)
-        denom = abs(p[0]) + abs(p[1]) + np.sqrt(abs(p[2]))
-        env = max(1.0, float(np.log(norms[i] / denom)))
-        ratios[i] = gv.estimate * norms[i] / env
-    return {"sup": float(ratios.max()), "g_min": float(g_min)}
+    g = np.array([gv.estimate for gv in eval_G_batch(pts, mc)])
+    denom = np.abs(pts[:, 0]) + np.abs(pts[:, 1]) + np.sqrt(np.abs(pts[:, 2]))
+    env = np.maximum(1.0, np.log(norms / denom))
+    return {"sup": float((g * norms / env).max()), "g_min": float(g.min())}

@@ -810,13 +810,13 @@ class TestBarrier:
         assert [r["eigs"] for r in flow.barrier_check(state, 0.01, g)["nodes"]] == nodes
 
     def test_potentials_at_the_grid_points(self):
-        from dataclasses import replace
-        from hymkit.potential import MCParams, eval_G
+        # node i is row i of one batch over the grid points
+        from hymkit.potential import MCParams, eval_G_batch
         dom = flow.build_domain(resolution=6, n_barrier_nodes=3, seed=5)
         mc = MCParams(samples_per_shell=40, seed=2)
         pts = dom.grid_points()
-        ref = [eval_G(pts[tuple(idx)], replace(mc, seed=mc.seed + 31 * i)).estimate
-               for i, idx in enumerate(dom.barrier_nodes)]
+        ref = [gv.estimate for gv in
+               eval_G_batch([pts[tuple(idx)] for idx in dom.barrier_nodes], mc)]
         assert flow.attach_barrier_potentials(dom, mc).tolist() == ref
 
     def test_missing_potentials_raise(self, domain):

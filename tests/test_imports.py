@@ -159,6 +159,8 @@ TEST_ONLY = {
     "fd_mixed_second": ("perfbench/tracing.py TARGETS, by its name as a string; "
                         "test_monads.py, the oracle of DiagPowerMetric.dmixed"),
     "mean_curvature_field": "perfbench/tracing.py TARGETS, by its name as a string",
+    "eval_G": ("perfbench/tracing.py TARGETS, by its name as a string; "
+               "test_potential.py, the batch of one"),
     "curvature_fd_check": "test_acceptance.py, criterion 3",
     "barrier_check": "test_acceptance.py, criterion 9",
     "attach_barrier_potentials": "test_acceptance.py, criterion 9",

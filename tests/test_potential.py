@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -10,10 +11,10 @@ from hymkit import potential as pot
 from hymkit.ansatz import curvature_weight, sample_log_uniform
 
 # ---------------------------------------------------------------------------
-# references: the original complex-array sampler, its mixture density, the
-# estimator built on them, the broadcast two-centre quadrature and the ball
-# weak check; the module's kernels must reproduce their values (same RNG
-# streams, same points)
+# references: a complex-array sampler, its mixture density, the estimator
+# built on them, the broadcast two-centre quadrature and the ball weak check;
+# the module's kernels must reproduce their values (same RNG streams, same
+# points)
 
 
 def _ref_unit_vectors(rng, n, real_dim):
@@ -21,43 +22,55 @@ def _ref_unit_vectors(rng, n, real_dim):
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def _ref_shell_points(rng, n, r1, r2, p, delta, u_max):
+def _ref_sfc64(*key):
+    return np.random.Generator(np.random.SFC64(list(key)))
+
+
+def _ref_directions(rng, n, real_dim):
+    # unit vectors from Gaussians drawn coordinate-major, (real_dim, n),
+    # returned as complex (n, real_dim / 2): coordinate j is g[2j] + i g[2j+1]
+    g = rng.standard_normal((real_dim, n))
+    g = g / np.linalg.norm(g, axis=0)
+    return (g[0::2] + 1j * g[1::2]).T
+
+
+def _ref_shell_points(cloud_rng, kernel_rng, n, r1, r2, p, delta, u_max):
+    # generic and axis-adapted draws from the shell's generator, kernel-adapted
+    # ones from the point's
     base = n // 5
     n_gen, n_axis, n_ker = 2 * base, base, 2 * base
-    r = np.exp(rng.uniform(np.log(r1), np.log(r2), n_gen))
-    d6 = _ref_unit_vectors(rng, n_gen, 6)
-    pts_gen = r[:, None] * (d6[:, :3] + 1j * d6[:, 3:])
-    r = np.exp(rng.uniform(np.log(r1), np.log(r2), n_axis))
-    t = np.exp(rng.uniform(np.log(pot._T_MIN), 0.0, n_axis))
-    dir4 = _ref_unit_vectors(rng, n_axis, 4)
-    phase = rng.uniform(0.0, 2 * np.pi, n_axis)
-    rho_t, zmod = r * np.sqrt(t), r * np.sqrt(1.0 - t)
+    r = np.exp(cloud_rng.uniform(np.log(r1), np.log(r2), n_gen))
+    pts_gen = r[:, None] * _ref_directions(cloud_rng, n_gen, 6)
+    r = np.exp(cloud_rng.uniform(np.log(r1), np.log(r2), n_axis))
+    t = np.exp(cloud_rng.uniform(np.log(1e-6), 0.0, n_axis))
+    dir4 = _ref_directions(cloud_rng, n_axis, 4)
+    phase = cloud_rng.uniform(0.0, 2 * np.pi, n_axis)
     pts_axis = np.empty((n_axis, 3), dtype=complex)
-    pts_axis[:, 0] = rho_t * (dir4[:, 0] + 1j * dir4[:, 2])
-    pts_axis[:, 1] = rho_t * (dir4[:, 1] + 1j * dir4[:, 3])
-    pts_axis[:, 2] = zmod * np.exp(1j * phase)
-    s = np.exp(rng.uniform(np.log(delta), np.log(u_max), n_ker))
-    dir6 = _ref_unit_vectors(rng, n_ker, 6)
-    pts_ker = p[None, :] + s[:, None] * (dir6[:, :3] + 1j * dir6[:, 3:])
+    pts_axis[:, :2] = (r * np.sqrt(t))[:, None] * dir4
+    pts_axis[:, 2] = r * np.sqrt(1.0 - t) * np.exp(1j * phase)
+    s = np.exp(kernel_rng.uniform(np.log(delta), np.log(u_max), n_ker))
+    pts_ker = p[None, :] + s[:, None] * _ref_directions(kernel_rng, n_ker, 6)
     return np.concatenate([pts_gen, pts_axis, pts_ker], axis=0)
 
 
 def _ref_mixture_density(pts, r1, r2, p, delta, u_max):
+    # 0.4 generic + 0.2 axis-adapted + 0.4 kernel-adapted, w.r.t. Lebesgue dV;
+    # pi^3 and 2 pi^2 are the areas of the unit 5- and 3-spheres
     r2n = np.sum(np.abs(pts) ** 2, axis=-1)
     r = np.sqrt(r2n)
     t = (np.abs(pts[:, 0]) ** 2 + np.abs(pts[:, 1]) ** 2) / r2n
-    log_r_span, log_t_span = np.log(r2 / r1), -np.log(pot._T_MIN)
+    log_r_span, log_t_span = np.log(r2 / r1), -np.log(1e-6)
     in_shell = (r >= r1) & (r <= r2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        q_gen = np.where(in_shell, 1.0 / (pot._OMEGA5 * log_r_span * r**6), 0.0)
-        q_axis = np.where(in_shell & (t >= pot._T_MIN),
-                          2.0 / (log_r_span * log_t_span * pot._OMEGA3 * 2 * np.pi
+        q_gen = np.where(in_shell, 1.0 / (np.pi**3 * log_r_span * r**6), 0.0)
+        q_axis = np.where(in_shell & (t >= 1e-6),
+                          2.0 / (log_r_span * log_t_span * 2 * np.pi**2 * 2 * np.pi
                                  * r**6 * t**2), 0.0)
     s = np.sqrt(np.sum(np.abs(pts - p[None, :]) ** 2, axis=-1))
     with np.errstate(divide="ignore", invalid="ignore"):
         q_ker = np.where((s >= delta) & (s <= u_max),
-                         1.0 / (pot._OMEGA5 * np.log(u_max / delta) * s**6), 0.0)
-    return pot._W_GEN * q_gen + pot._W_AXIS * q_axis + pot._W_KER * q_ker
+                         1.0 / (np.pi**3 * np.log(u_max / delta) * s**6), 0.0)
+    return 0.4 * q_gen + 0.2 * q_axis + 0.4 * q_ker
 
 
 def _ref_shells(p_norm):
@@ -66,18 +79,22 @@ def _ref_shells(p_norm):
     return base - 7, max(base, 0) + 7
 
 
-def _ref_eval_G(p, mc):
+def _ref_eval_G(p, mc, row=0):
+    # G at p as row ``row`` of a batch: shell k's generic and axis draws come
+    # from [seed, k + 256, 2654435761], shared by every row, and the row's
+    # kernel draws, shell after shell, from [seed, row, 2246822519]
     w = np.asarray(p, dtype=complex).reshape(3)
     p_norm = float(np.sqrt(np.sum(np.abs(w) ** 2)))
     lo, hi = _ref_shells(p_norm)
     delta = 1e-3 * p_norm
+    kernel_rng = _ref_sfc64(mc.seed, row, 2246822519)
     shells, total, var = [], 0.0, 0.0
     for k in range(lo, hi + 1):
         r1, r2 = 2.0**k, 2.0 ** (k + 1)
         u_max = p_norm + 2.0 * r2
-        rng = np.random.default_rng([mc.seed, k - lo, 2654435761])
+        cloud_rng = _ref_sfc64(mc.seed, k + 256, 2654435761)
         n = 5 * (mc.samples_per_shell // 5)
-        pts = _ref_shell_points(rng, n, r1, r2, w, delta, u_max)
+        pts = _ref_shell_points(cloud_rng, kernel_rng, n, r1, r2, w, delta, u_max)
         q = _ref_mixture_density(pts, r1, r2, w, delta, u_max)
         r = np.sqrt(np.sum(np.abs(pts) ** 2, axis=-1))
         s = np.sqrt(np.sum(np.abs(pts - w[None, :]) ** 2, axis=-1))
@@ -225,18 +242,30 @@ class TestMatchesReference:
     """Same RNG streams and points as the reference sampler, so the values
     agree to rounding."""
 
-    @pytest.mark.parametrize("p", [[0.3, 0.2j, 0.1], [0.0, 0.0, 0.02 + 0.01j],
-                                   [10.0, 0, 0], [3.0 + 1j, 0.5, 20.0 + 2j],
-                                   [0.0, 400.0j, -650.0]])
-    @pytest.mark.parametrize("samples", [8, 1999, 6000])
-    def test_eval_G(self, p, samples):
-        mc = pot.MCParams(samples_per_shell=samples, seed=17)
-        got, ref = pot.eval_G(p, mc), _ref_eval_G(p, mc)
+    POINTS = ([0.3, 0.2j, 0.1], [0.0, 0.0, 0.02 + 0.01j], [10.0, 0, 0],
+              [3.0 + 1j, 0.5, 20.0 + 2j], [0.0, 400.0j, -650.0])
+
+    @staticmethod
+    def assert_matches(got, ref):
         for field in ("estimate", "stderr"):
             assert getattr(got, field) == pytest.approx(getattr(ref, field), rel=1e-12)
         assert [k for k, _, _ in got.shells] == [k for k, _, _ in ref.shells]
         np.testing.assert_allclose(np.array(got.shells), np.array(ref.shells),
                                    rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("p", POINTS)
+    @pytest.mark.parametrize("samples", [8, 1999, 6000])
+    def test_eval_G(self, p, samples):
+        mc = pot.MCParams(samples_per_shell=samples, seed=17)
+        self.assert_matches(pot.eval_G(p, mc), _ref_eval_G(p, mc))
+
+    @pytest.mark.parametrize("samples", [8, 1999])
+    def test_batch_rows(self, samples):
+        # the five points as rows 0-4 of one batch: their shell ranges differ,
+        # so each shell's cloud serves a different set of rows
+        mc = pot.MCParams(samples_per_shell=samples, seed=17)
+        for row, got in enumerate(pot.eval_G_batch(self.POINTS, mc)):
+            self.assert_matches(got, _ref_eval_G(self.POINTS[row], mc, row=row))
 
     @pytest.mark.parametrize("i", range(3))
     def test_weak_check_at_suite_centres(self, i):
@@ -412,6 +441,67 @@ class TestEnvelope:
     def test_interior_points_rejected(self):
         with pytest.raises(ValueError):
             pot.barrier_envelope_check(np.array([[0.5, 0, 0]], dtype=complex))
+
+
+class TestBatch:
+    """eval_G_batch: one cloud per shell shared by the rows, and each row's
+    kernel draws under its own key."""
+
+    def test_eval_G_is_row_0(self):
+        # the other rows widen the batch's shell range on both sides, and a
+        # second copy of p draws its own kernel component
+        p = [3.0 + 1j, 0.5, 20.0 + 2j]
+        mc = pot.MCParams(samples_per_shell=500, seed=4)
+        one = pot.eval_G(p, mc)
+        batch = pot.eval_G_batch([p, [1e-3, 0, 0], [600.0, 0, 0], p], mc)
+        assert one == batch[0]
+        assert batch[3].estimate != one.estimate
+
+    def test_rows_bit_identical_in_any_block(self, monkeypatch):
+        pts = sample_log_uniform(np.random.default_rng(8), 70, 1e-3, 1e3)
+        mc = pot.MCParams(samples_per_shell=40, seed=6)
+        got = []
+        for size in (1, 7, 64):
+            monkeypatch.setattr(pot, "BLOCK_POINTS", size)
+            got.append(pot.eval_G_batch(pts, mc))
+        assert got[0] == got[1] == got[2]
+
+    def test_stated_stderr_matches_the_spread_over_seeds(self):
+        # a generic point, one near the z-axis, one in the transition zone
+        # |x| + |y| ~ |p| / 3 and one near |p| = 1
+        pts = [[30.0, 0, 40.0], [0.1 * np.sqrt(300.0), 0, 300.0],
+               [30.0, 0, 100.0 * np.sqrt(0.91)], [1.5, 1.0j, -2.0]]
+        runs = [pot.eval_G_batch(pts, pot.MCParams(samples_per_shell=1500, seed=s))
+                for s in range(20)]
+        est = np.array([[gv.estimate for gv in run] for run in runs])
+        err = np.array([[gv.stderr for gv in run] for run in runs])
+        ratio = est.std(axis=0, ddof=1) / err.mean(axis=0)
+        assert np.all((0.7 <= ratio) & (ratio <= 1.4)), ratio
+
+    def test_envelope_memory(self):
+        # one block of BLOCK_POINTS rows at a time against one shell's cloud,
+        # plus each row's generator and shells: 2.9 MiB for 255 points
+        pts = sample_log_uniform(np.random.default_rng(0), 255, 1.0, 1000.0)
+        tracemalloc.start()
+        try:
+            pot.barrier_envelope_check(pts, pot.MCParams(samples_per_shell=6000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("shape", [(3, 2), (0, 3)], ids=["3x2", "empty"])
+    @pytest.mark.parametrize("fn", ["eval_G_batch", "barrier_envelope_check"])
+    def test_malformed_point_set_rejected(self, fn, shape):
+        # a (3, 2) array was read as two 3-D points; an empty one died in
+        # numpy's zero-size reduction
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            getattr(pot, fn)(np.ones(shape) * 5.0)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 1)])
+    def test_eval_G_takes_one_point(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            pot.eval_G(np.ones(shape) * 5.0)
 
 
 def test_deterministic_given_seed():
