@@ -203,9 +203,9 @@ def cancellation(p):
     moderate constant uniformly on C^3 \\ {0}.
     """
     w = coords(p, 3)
-    v = mo._values(ansatz_monad(), w)
-    ada = np.real(v["alpha_dag"] @ v["alpha"])[0, 0]
-    bbd = np.real(v["beta"] @ v["beta_dag"])[0, 0]
+    v = mo._values(ansatz_monad(), w[None])
+    ada = np.real(mo._mm(v["alpha_dag"], v["alpha"]))[0, 0, 0]
+    bbd = np.real(mo._mm(v["beta"], v["beta_dag"]))[0, 0, 0]
     rho = 1.0 + np.sum(np.abs(w) ** 2)
     lhs = 1.0 / (rho * ada) - 1.0 / bbd
     rhs = 1.0 / (bbd * np.sqrt(rho))

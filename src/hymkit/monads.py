@@ -28,20 +28,32 @@ Every ingredient is multiplied by B before the forms are paired
 (:func:`_fiber_forms`), so no (n, n, k1, k1) ambient form exists, and the
 metrics and maps at a point are evaluated once for both (:func:`_values`).
 
+The engine works points last: every working array of a block is
+(..., rows, cols, P), its P points on the last, contiguous axis, so each
+elementwise pass loops over the points.  The maps and the metrics are
+evaluated once per block; each callable's points-first output is
+transposed once (:func:`_points_last`), and an output that is the same at
+every point (a constant metric, the derivative of an affine map) stays one
+column (..., 1) that broadcasts.  The record keeps its points-first shapes:
+each block is transposed into it once, for the fields asked for.
+
 Metrics have one form: every metric is a :class:`DiagPowerMetric`
 (:func:`constant_metric` of a real diagonal matrix included), and
 :class:`MonadSpec` takes no other.  It stays diagonal through the engine
-(:func:`_metric`): h, d h and d dbar h are diagonal columns, h^{-1} is
-their reciprocal, and the derivatives of a constant metric are None, so
-the terms they enter are dropped.  :func:`_lmul`, :func:`_rmul` and
-:func:`_inv` take a diagonal column or a Gram matrix.
+(:func:`_metric`): h and d h are diagonal columns, h^{-1} is their
+reciprocal, and the Chern term h1 F1 of h1 is -h1 d dbar log h1 entry by
+entry, from the closed-form log-Hessian; the derivatives of a constant
+metric are None, so the terms they enter are dropped.  :func:`_lmul`,
+:func:`_rmul` and :func:`_inv` take a diagonal column or a Gram matrix.
 
 Stacked small products go through :func:`_mm`, a sum of outer products over
-the contraction index, where numpy's matmul would make one BLAS call per
-point: the Gram matrices, the projector's columns, the Gram-Schmidt inner
-products and the fiber columns of the derivatives.  The pairings of the
-forms, outer products (k0 = k2 = 1) or at least 6x4 @ 4x6, keep matmul,
-which is faster there.
+the contraction index taken in index order, where numpy's matmul would make
+one BLAS call per point: the Gram matrices, the projector's columns, the
+fiber columns of the derivatives and the pairings of the forms, which land
+in the (n, n, r, r, P) layout of the raw form directly.  The bundled monads
+make no BLAS call, and sums over an axis are taken in index order
+(:func:`_sum0`), so a point's values do not depend on how many points share
+its block.
 
 One singular-point rule serves every entry point, in :func:`_rule`: a
 point is singular when the smallest h-metric singular value of beta^dag or
@@ -102,8 +114,9 @@ SINGULAR_TOL = 1e-8
 FD_STEP = 1e-4  # centred finite-difference step for a derivative a monad omits
 
 # points per curvature_batch block; one block's working arrays peak at
-# 5.1 MiB for the ansatz monad (n = 3) and 1.9 MiB for the instanton (n = 2)
-# by tracemalloc.  512 points were no faster and 256 about 1.6x slower.
+# 3.0 MiB for the ansatz monad (n = 3) and 1.4 MiB for the instanton (n = 2)
+# by tracemalloc.  512 points were about 1.2x slower on adhm.charge; 2048
+# about 8% faster there at twice the working set.
 BLOCK_POINTS = 1024
 
 # the keys of the curvature_batch record
@@ -121,8 +134,9 @@ class DiagPowerMetric:
     |w|^2 is the full squared norm of the base point and z its last
     coordinate.  Covers every bundled monad (constant, conical and the
     nonstandard diagonal weights) with closed-form first and mixed second
-    derivatives.  The engine reads the diagonals (``_diag``); ``value``,
-    ``dholo`` and ``dmixed`` are the same numbers as matrices.
+    derivatives.  The engine reads the entries and their log derivatives
+    (``_diags``); ``value``, ``dholo`` and ``dmixed`` are h and its
+    derivatives as matrices.
     """
 
     consts: tuple
@@ -142,72 +156,89 @@ class DiagPowerMetric:
     def dim(self) -> int:
         return len(self.consts)
 
-    def _entries(self, w: np.ndarray):
-        r2 = np.sum(np.abs(w) ** 2, axis=-1)
-        rho, z2 = 1.0 + r2, np.abs(w[..., -1]) ** 2
-        c, a, b, g = (np.asarray(t) for t in (self.consts, self.pow_rho,
-                                              self.pow_r2, self.pow_z2))
-        vals = (c * rho[..., None] ** a
-                * np.where(b != 0.0, r2[..., None], 1.0) ** b
-                * np.where(g != 0.0, z2[..., None], 1.0) ** g)
+    def _entries(self, wt: np.ndarray):
+        """The entries (k, ...) at points wt held coordinates first (n, ...),
+        with 1 + |w|^2, |w|^2 and |z|^2 (...)."""
+        r2 = _sum0(np.abs(wt) ** 2)
+        rho, z2 = 1.0 + r2, np.abs(wt[-1]) ** 2
+        c, a, b, g = (np.reshape(t, (-1,) + (1,) * r2.ndim) for t in (
+            self.consts, self.pow_rho, self.pow_r2, self.pow_z2))
+        vals = (c * rho ** a
+                * np.where(b != 0.0, r2, 1.0) ** b
+                * np.where(g != 0.0, z2, 1.0) ** g)
         return vals, rho, r2, z2
 
-    def _dlog(self, w: np.ndarray, rho, r2, z2):
-        """d_{w_j} log(entry_i) -> (..., n, k)."""
-        wb = w.conj()
-        a, b, g = (np.asarray(t) for t in (self.pow_rho, self.pow_r2, self.pow_z2))
-        dlog = a * (wb / rho[..., None])[..., None]
+    def _dlog(self, wt: np.ndarray, rho, r2, z2):
+        """d_{w_j} log(entry_i) -> (n, k, ...)."""
+        wb = wt.conj()[:, None]
+        a, b, g = (np.reshape(t, (-1,) + (1,) * r2.ndim)
+                   for t in (self.pow_rho, self.pow_r2, self.pow_z2))
+        dlog = a * (wb / rho)
         if np.any(b != 0.0):
-            dlog = dlog + b * (wb / r2[..., None])[..., None]
+            dlog = dlog + b * (wb / r2)
         if np.any(g != 0.0):
-            dlog[..., -1, :] += g * (1.0 / w[..., -1])[..., None]
+            dlog[-1] += g * (1.0 / wt[-1])
         return dlog
 
-    def _diag(self, w: np.ndarray, order: int):
-        """Diagonals of h (``order`` 0: (..., k)), d_j h (1: (..., n, k)) or
-        d_j d_kbar h (2: (..., n, n, k)); the derivatives of a constant
-        metric (every exponent 0) are None, meaning identically zero."""
-        w = np.asarray(w, dtype=complex)
+    def _ddlog(self, wt: np.ndarray, rho, r2):
+        """d_j d_kbar log(entry_i) as terms [(e, X)] summing to e_i X[j, k]:
+        e the exponents (k, 1, ...) of 1 + |w|^2 and of |w|^2, the non-zero
+        ones, and X (n, n, ...) their log-Hessians delta_jk / t - wbar_j w_k / t^2;
+        the |z|^2 factor is log-pluriharmonic away from z = 0."""
+        delta = np.eye(len(wt)).reshape(wt.shape[:1] * 2 + (1,) * r2.ndim)
+        wbw = wt.conj()[:, None] * wt[None, :]
+        return [(np.reshape(e, (-1,) + (1,) * r2.ndim), delta / t - wbw / t**2)
+                for e, t in ((self.pow_rho, rho), (self.pow_r2, r2)) if any(e)]
+
+    def _diags(self, wt: np.ndarray, order: int) -> list:
+        """[h, d_j log h, d_j d_kbar log h][:order + 1] at the points wt,
+        held coordinates first (n, ...): the entries (k, ...), their log
+        gradients (n, k, ...) and the :meth:`_ddlog` terms, formed once from
+        the same entries.  A constant metric (every exponent 0) gives its
+        constants as a (k, 1, ...) column and None for the derivatives,
+        meaning identically zero."""
+        wt = np.asarray(wt, dtype=complex)
         if not any(self.pow_rho + self.pow_r2 + self.pow_z2):
-            return None if order else np.full(w.shape[:-1] + (self.dim,), self.consts)
-        vals, rho, r2, z2 = self._entries(w)
+            return [np.reshape(self.consts, (-1,) + (1,) * (wt.ndim - 1))] + [None] * order
+        vals, rho, r2, z2 = self._entries(wt)
+        out = [vals]
+        if order:
+            out.append(self._dlog(wt, rho, r2, z2))
+        if order == 2:
+            out.append(self._ddlog(wt, rho, r2))
+        return out
+
+    def _matrices(self, w, order: int) -> np.ndarray:
+        """h (``order`` 0), d_j h (1) or d_j d_kbar h (2) at points w (..., n)
+        as dense points-first matrices (..., [n, [n,]] k, k)."""
+        w = np.asarray(w, dtype=complex)
+        shape = w.shape[:-1] + w.shape[-1:] * order + (self.dim,)
+        out = np.zeros(shape + shape[-1:], dtype=complex)
+        d = self._diags(np.moveaxis(w, -1, 0), order)
+        if order and d[1] is None:
+            return out
         if order == 0:
-            return vals
-        dlog = self._dlog(w, rho, r2, z2)  # (..., n, k)
-        if order == 1:
-            return vals[..., None, :] * dlog
-        # d_{wbar_k} d_{w_j} log(entry): a*(delta_{jk}/rho - wb_j w_k / rho^2)
-        #                              + b*(delta_{jk}/r2  - wb_j w_k / r2^2);
-        # the |z|^2 factor is log-pluriharmonic away from z = 0.
-        a, b = np.asarray(self.pow_rho), np.asarray(self.pow_r2)
-        delta = np.eye(w.shape[-1])
-        wbw = w.conj()[..., :, None] * w[..., None, :]
-        rho, r2 = rho[..., None, None], r2[..., None, None]
-        ddlog = a * (delta / rho - wbw / rho**2)[..., None]
-        if np.any(b != 0.0):
-            ddlog = ddlog + b * (delta / r2 - wbw / r2**2)[..., None]
-        # d_j d_kbar h = h * (ddlog + dlog_j * conj(dlog_k))   [entries are real]
-        prod = dlog[..., :, None, :] * dlog.conj()[..., None, :, :]
-        return vals[..., None, None, :] * (ddlog + prod)
+            d = np.broadcast_to(d[0], shape[-1:] + w.shape[:-1])
+        elif order == 1:
+            d = d[0] * d[1]
+        else:
+            # d_j d_kbar h = h * (ddlog + dlog_j * conj(dlog_k))   [entries are real]
+            ddlog = sum((e * x[:, :, None] for e, x in d[2]), 0.0)
+            d = d[0] * (ddlog + d[1][:, None] * d[1].conj()[None, :])
+        idx = np.arange(self.dim)
+        out[..., idx, idx] = np.moveaxis(d, range(order + 1), range(-order - 1, 0))
+        return out
 
     def value(self, w: np.ndarray) -> np.ndarray:
-        return _diag_matrix(self._diag(w, 0), np.shape(w)[:-1] + (self.dim,))
+        return self._matrices(w, 0)
 
     def dholo(self, w: np.ndarray) -> np.ndarray:
         """d_{w_j} h -> (..., n, k, k)."""
-        return _diag_matrix(self._diag(w, 1), np.shape(w) + (self.dim,))
+        return self._matrices(w, 1)
 
     def dmixed(self, w: np.ndarray) -> np.ndarray:
         """d_{w_j} d_{wbar_k} h -> (..., n, n, k, k)."""
-        return _diag_matrix(self._diag(w, 2), np.shape(w) + (np.shape(w)[-1], self.dim))
-
-
-def _diag_matrix(d, shape) -> np.ndarray:
-    """Matrices (..., k, k) with diagonals d of ``shape`` (..., k), or 0."""
-    out = np.zeros(shape + shape[-1:], dtype=complex)
-    if d is not None:
-        out[..., np.arange(shape[-1]), np.arange(shape[-1])] = d
-    return out
+        return self._matrices(w, 2)
 
 
 def constant_metric(m: np.ndarray) -> DiagPowerMetric:
@@ -221,9 +252,28 @@ def constant_metric(m: np.ndarray) -> DiagPowerMetric:
     return DiagPowerMetric(consts=tuple(d.real), pow_rho=(0.0,) * len(d))
 
 
+# ---------------------------------------------------------------------------
+# stacked small matrices, points last
+
+
+def _sum0(x):
+    """x summed over its first axis in index order, whatever the number of
+    points: np.sum may pair the terms differently for a single point."""
+    out = x[0]
+    for y in x[1:]:
+        out = out + y
+    return out
+
+
 def _ct(x):
-    """Conjugate transpose over the last two axes."""
-    return np.swapaxes(x.conj(), -1, -2)
+    """Conjugate transpose of stacked matrices (..., rows, cols, P)."""
+    return np.swapaxes(x.conj(), -2, -3)
+
+
+def _points_last(x):
+    """A callable's points-first output (P, ...) as a contiguous complex
+    array (..., P)."""
+    return np.ascontiguousarray(np.moveaxis(np.asarray(x, dtype=complex), 0, -1))
 
 
 def _fd_jacobian(fn, w, n, step):
@@ -232,37 +282,47 @@ def _fd_jacobian(fn, w, n, step):
 
 
 def _holo(fn, dfn, w):
-    """d_{w_j} fn stacked as (..., n, a, b): the analytic derivative ``dfn``
-    when given, otherwise centered finite differences of ``fn``."""
-    if dfn is not None:
-        return np.asarray(dfn(w), dtype=complex)
-    return _fd_jacobian(fn, w, w.shape[-1], FD_STEP)
+    """d_{w_j} fn at the points w (P, n) stacked as (n, a, b, P): the
+    analytic derivative ``dfn`` when given, otherwise centered finite
+    differences of ``fn``.  A derivative that is the same at every point, a
+    broadcast with stride 0 along the points, stays one column (n, a, b, 1)."""
+    d = np.asarray(dfn(w) if dfn is not None
+                   else _fd_jacobian(fn, w, w.shape[-1], FD_STEP), dtype=complex)
+    return _points_last(d[:1] if d.strides[0] == 0 else d)
 
 
-def _metric(metric, w, order):
-    """h (``order`` 0), d_j h (1) or d_j d_kbar h (2) at w as the engine
-    carries it: diagonal columns (..., k, 1), (..., n, k, 1),
-    (..., n, n, k, 1), or None for a derivative that is identically zero."""
-    d = metric._diag(w, order)
-    return None if d is None else d[..., None]
+def _metric(metric, wt, order):
+    """[h, d_j h, d_j d_kbar log h][:order + 1] at the points wt (n, P) as
+    the engine carries them: diagonal columns (k, 1, P) and (n, k, 1, P),
+    a constant h as a (k, 1, 1) column, and the log-Hessian as its terms
+    [(e, X)], e a (k, 1, 1) column and X (n, n, P); None for derivatives
+    that are identically zero."""
+    d = metric._diags(wt, order)
+    out = [d[0][:, None]]
+    if order:
+        out.append(None if d[1] is None else (d[0] * d[1])[:, :, None])
+    if order == 2:
+        out.append(None if d[2] is None else [(e[:, None], x) for e, x in d[2]])
+    return out
 
 
 def _mm(x, y):
-    """x @ y over the last two axes of stacked small matrices, as the sum
-    over the contraction index i of the outer products x[..., :, i] y[..., i, :],
-    taken in index order: a few elementwise passes over the whole stack in
-    place of matmul's one BLAS call per point."""
-    out = x[..., :, 0, None] * y[..., None, 0, :]
-    for i in range(1, x.shape[-1]):
-        out += x[..., :, i, None] * y[..., None, i, :]
+    """x @ y of stacked matrices (..., a, c, P) and (..., c, b, P), as the
+    sum over the contraction index i of the outer products
+    x[..., :, i, None, :] y[..., None, i, :, :], taken in index order: a few
+    elementwise passes, each looping over the points, in place of a BLAS
+    call per point."""
+    out = x[..., :, 0, None, :] * y[..., None, 0, :, :]
+    for i in range(1, x.shape[-2]):
+        out += x[..., :, i, None, :] * y[..., None, i, :, :]
     return out
 
 
 def _lmul(h, x, adj=False):
-    """h @ x (h^dag @ x with ``adj``) for h a diagonal column (..., k, 1)
+    """h @ x (h^dag @ x with ``adj``) for h a diagonal column (..., k, 1, P)
     from :func:`_metric` or :func:`_inv`, which scales the rows of x, or a
-    Gram matrix (..., k, k), which multiplies; at k = 1 they agree."""
-    if h.shape[-1] == 1:
+    Gram matrix (..., k, k, P), which multiplies; at k = 1 they agree."""
+    if h.shape[-2] == 1:
         return (h.conj() if adj else h) * x
     return _mm(_ct(h) if adj else h, x)
 
@@ -270,15 +330,17 @@ def _lmul(h, x, adj=False):
 def _rmul(x, h, adj=False):
     """x @ h (x @ h^dag with ``adj``) for h a diagonal column, which scales
     the columns of x, or a Gram matrix, which multiplies."""
-    if h.shape[-1] == 1:
-        return x * np.swapaxes(h.conj() if adj else h, -1, -2)
+    if h.shape[-2] == 1:
+        return x * np.swapaxes(h.conj() if adj else h, -2, -3)
     return _mm(x, _ct(h) if adj else h)
 
 
 def _inv(h):
     """h^{-1}: the reciprocal of a diagonal column or of a 1x1 Gram matrix
     (those of the bundled monads), else the LAPACK inverse of a Gram matrix."""
-    return 1.0 / h if h.shape[-1] == 1 else np.linalg.inv(h)
+    if h.shape[-2] == 1:
+        return 1.0 / h
+    return np.moveaxis(np.linalg.inv(np.moveaxis(h, -1, 0)), 0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -331,19 +393,23 @@ def affine_maps(alpha_coeffs, beta_coeffs):
     Each coefficient array is (n + 1, rows, cols): the constant term C_0, then
     the coefficients C_1 .. C_n of w_1 .. w_n.  The map is
     C_0 + sum_j w_j C_j and its derivative along w_j is C_j, both batched.
+    The value is summed points last and returned as a points-first view;
+    the derivative is a read-only broadcast of the coefficients.
     """
     def build(coeffs):
         c = np.asarray(coeffs, dtype=complex)
 
         def value(w):
             w = np.asarray(w, dtype=complex)
-            out = np.broadcast_to(c[0], w.shape[:-1] + c.shape[1:]).copy()
+            tail = (1,) * (w.ndim - 1)
+            out = np.broadcast_to(c[0].reshape(c.shape[1:] + tail),
+                                  c.shape[1:] + w.shape[:-1]).copy()
             for j in range(1, c.shape[0]):
-                out += w[..., j - 1, None, None] * c[j]
-            return out
+                out += w[..., j - 1] * c[j].reshape(c.shape[1:] + tail)
+            return np.moveaxis(out, (0, 1), (-2, -1))
 
         def deriv(w):
-            return np.broadcast_to(c[1:], np.shape(w)[:-1] + c[1:].shape).copy()
+            return np.broadcast_to(c[1:], np.shape(w)[:-1] + c[1:].shape)
 
         return value, deriv
 
@@ -383,34 +449,33 @@ def _dbar_adjoint(m, dm, m_dag, hs_inv, ht, dhs, dht):
 
     dbar_j m^dag = hs^{-1} [conj(d_j m)^t ht + conj(m)^t (dbar_j ht)
                             - (dbar_j hs) m^dag],
-    with dbar_j h = (d_j h)^dag for Hermitian h; shape (..., n, ks, kt).  A
+    with dbar_j h = (d_j h)^dag for Hermitian h; shape (n, ks, kt, P).  A
     metric derivative that is None (identically zero) drops its term.
     """
-    def one(x):
-        return x[..., None, :, :]
-    out = _rmul(_ct(dm), one(ht))
+    out = _rmul(_ct(dm), ht)
     if dht is not None:
-        out = out + _rmul(one(_ct(m)), dht, adj=True)
+        out = out + _rmul(_ct(m), dht, adj=True)
     if dhs is not None:
-        out = out - _lmul(dhs, one(m_dag), adj=True)
-    return _lmul(one(hs_inv), out)
+        out = out - _lmul(dhs, m_dag, adj=True)
+    return _lmul(hs_inv, out)
 
 
 def _sigma_min(gram):
-    """Smallest h-metric singular values sqrt(lambda_min) of batched Gram
-    matrices (beta beta^dag or alpha^dag alpha); NaN where one is not finite.
-    A 1x1 Gram matrix is its own eigenvalue."""
-    finite = np.isfinite(gram).all(axis=(-2, -1))
-    gram = np.where(finite[..., None, None], gram, 0.0)
-    lam = (gram[..., 0, 0].real if gram.shape[-1] == 1
-           else np.linalg.eigvals(gram).real.min(axis=-1))
+    """Smallest h-metric singular values sqrt(lambda_min) of Gram matrices
+    (k, k, P) (beta beta^dag or alpha^dag alpha); NaN where one is not
+    finite.  A 1x1 Gram matrix is its own eigenvalue."""
+    finite = np.isfinite(gram).all(axis=(-3, -2))
+    gram = np.where(finite, gram, 0.0)
+    lam = (gram[0, 0].real if gram.shape[-2] == 1
+           else np.linalg.eigvals(np.moveaxis(gram, -1, 0)).real.min(axis=-1))
     return np.where(finite, np.sqrt(np.maximum(lam, 0.0)), np.nan)
 
 
 def _report(spec, w, v, i):
-    """The :class:`ValidityReport` of point ``i`` (an index into the batch
-    axes) from the :func:`_values` v at w."""
-    res = float(np.abs(v["beta"][i] @ v["alpha"][i]).max()) if spec.k0 > 0 else 0.0
+    """The :class:`ValidityReport` of point ``i`` of the points w (P, n)
+    from their :func:`_values` v."""
+    res = (float(np.abs(v["beta"][..., i] @ v["alpha"][..., i]).max())
+           if spec.k0 > 0 else 0.0)
     s_a, s_b = float(v["sigma_alpha"][i]), float(v["sigma_beta"][i])
     return ValidityReport(point=w[i], sigma_min_alpha=s_a, sigma_min_beta_dag=s_b,
                           beta_alpha_residual=res,
@@ -419,16 +484,18 @@ def _report(spec, w, v, i):
 
 
 def _values(spec, w, rest=()):
-    """The metrics, maps and adjoints at w, each evaluated once, the smallest
-    h-metric singular values of alpha and beta^dag, and the inverses of h0,
-    h1, (beta beta^dag) and (alpha^dag alpha).  If any point of w is
-    singular it raises the module's :class:`SingularPointError` with the
-    report of the first, counting also the singular points of the point
-    arrays in ``rest`` (the rest of a batch, tested by the rule alone)."""
+    """The metrics with their derivatives, the maps and their adjoints at
+    the points w (P, n), each evaluated once and held points last, the
+    smallest h-metric singular values of alpha and beta^dag, and the
+    inverses of h0, h1, (beta beta^dag) and (alpha^dag alpha).  If any
+    point of w is singular it raises the module's
+    :class:`SingularPointError` with the report of the first, counting also
+    the singular points of the point arrays in ``rest`` (the rest of a
+    batch, tested by the rule alone)."""
     out, singular = _rule(spec, w)
     if np.any(singular):
         count = sum(np.count_nonzero(_rule(spec, x)[1]) for x in rest)
-        rep = _report(spec, w, out, tuple(np.argwhere(singular)[0]))
+        rep = _report(spec, w, out, int(np.flatnonzero(singular)[0]))
         raise SingularPointError(f"{spec.name}: {np.count_nonzero(singular) + count} "
                                  f"singular point(s), the first: {rep}", report=rep)
     out["bbd_inv"] = _inv(out.pop("bbd"))
@@ -440,12 +507,14 @@ def _values(spec, w, rest=()):
 def _rule(spec, w):
     """The :func:`_values` at w with the Gram matrices ``bbd`` (beta
     beta^dag) and ``ada`` (alpha^dag alpha) in place of their inverses, and
-    the mask of singular points."""
+    the mask (P,) of singular points."""
+    wt = np.ascontiguousarray(w.T)
     # a metric entry that is 0 or infinite at a singular point gives an
     # infinite or NaN Gram matrix: the rule, not a warning, reports it
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = {"h1": _metric(spec.h1, w, 0), "h2": _metric(spec.h2, w, 0),
-               "beta": np.asarray(spec.beta(w), dtype=complex)}
+        out = dict(zip(("h1", "dh1", "ddlog_h1"), _metric(spec.h1, wt, 2)))
+        out.update(zip(("h2", "dh2"), _metric(spec.h2, wt, 1)))
+        out["beta"] = _points_last(spec.beta(w))
         h1_inv = _inv(out["h1"])
         beta_dag = _rmul(_lmul(h1_inv, _ct(out["beta"])), out["h2"])
         out["bbd"] = _mm(out["beta"], beta_dag)
@@ -453,8 +522,8 @@ def _rule(spec, w):
         out.update(h1_inv=h1_inv, beta_dag=beta_dag, sigma_beta=sigma_beta,
                    sigma_alpha=np.full(sigma_beta.shape, np.inf))
         if spec.k0 > 0:
-            out.update(h0=_metric(spec.h0, w, 0),
-                       alpha=np.asarray(spec.alpha(w), dtype=complex))
+            out.update(zip(("h0", "dh0"), _metric(spec.h0, wt, 1)))
+            out["alpha"] = _points_last(spec.alpha(w))
             out["h0_inv"] = _inv(out["h0"])
             out["alpha_dag"] = _rmul(_lmul(out["h0_inv"], _ct(out["alpha"])), out["h1"])
             out["ada"] = _mm(out["alpha_dag"], out["alpha"])
@@ -466,25 +535,20 @@ def _rule(spec, w):
 def _pieces(spec, w, values):
     """All pointwise ingredients needed by the curvature formula.
 
-    The :func:`_values` at w plus the derivatives: grad_alpha_dag =
-    dbar(alpha^dag) has components along dwbar_j, (..., n, k0, k1);
-    grad_beta = (dbar beta^dag)^dag along dw_j, (..., n, k2, k1); dh1 and
-    ddh1 are d_j h1 and d_j d_kbar h1 in the :func:`_metric` form, None
-    when h1 is constant.
+    The :func:`_values` at w plus the derivatives of the maps:
+    grad_alpha_dag = dbar(alpha^dag) has components along dwbar_j,
+    (n, k0, k1, P); grad_beta = (dbar beta^dag)^dag along dw_j,
+    (n, k2, k1, P).
     """
     out = dict(values)
-    h1, h2 = out["h1"], out["h2"]
-    dh1 = _metric(spec.h1, w, 1)
     dbar_beta_dag = _dbar_adjoint(out["beta"], _holo(spec.beta, spec.dbeta, w),
-                                  out["beta_dag"], out["h1_inv"], h2, dh1,
-                                  _metric(spec.h2, w, 1))
-    out.update(dh1=dh1, ddh1=_metric(spec.h1, w, 2),
-               grad_beta=_rmul(_lmul(_inv(h2)[..., None, :, :], _ct(dbar_beta_dag)),
-                               h1[..., None, :, :]))
+                                  out["beta_dag"], out["h1_inv"], out["h2"],
+                                  out["dh1"], out["dh2"])
+    out["grad_beta"] = _rmul(_lmul(_inv(out["h2"]), _ct(dbar_beta_dag)), out["h1"])
     if spec.k0 > 0:
         out["grad_alpha_dag"] = _dbar_adjoint(
             out["alpha"], _holo(spec.alpha, spec.dalpha, w), out["alpha_dag"],
-            out["h0_inv"], h1, _metric(spec.h0, w, 1), dh1)
+            out["h0_inv"], out["h1"], out["dh0"], out["dh1"])
     return out
 
 
@@ -498,20 +562,27 @@ def validate_monad(spec: MonadSpec, p) -> ValidityReport:
     The report holds the numbers of the module's singular-point rule (in the
     h-metrics, so basis-independent); it does not raise at a singular point.
     """
-    w = spec.point(p)
-    return _report(spec, w, _rule(spec, w)[0], ())
+    w = spec.point(p)[None]
+    return _report(spec, w, _rule(spec, w)[0], 0)
 
 
-def _projector(spec, values, i):
-    """P e_i (..., k1, 1), column i of the h1-orthogonal projector P onto
-    ker beta ∩ ker alpha^dag, batched; the frame reads only the columns it
-    takes as seeds."""
+def _projector(spec, values):
+    """i -> P e_i (k1, 1, P), the columns of the h1-orthogonal projector P
+    onto ker beta ∩ ker alpha^dag; the frame reads only the columns it takes
+    as seeds, and the factors they share are formed once."""
     v = values
-    p = np.eye(spec.k1)[:, i, None] - _mm(_rmul(v["beta_dag"], v["bbd_inv"]),
-                                          v["beta"][..., i, None])
+    terms = [(_rmul(v["beta_dag"], v["bbd_inv"]), v["beta"])]
     if spec.k0 > 0:
-        p = p - _mm(_rmul(v["alpha"], v["ada_inv"]), v["alpha_dag"][..., i, None])
-    return p
+        terms.append((_rmul(v["alpha"], v["ada_inv"]), v["alpha_dag"]))
+    eye = np.eye(spec.k1)
+
+    def column(i):
+        p = eye[:, i, None, None]
+        for left, right in terms:
+            p = p - _mm(left, right[:, i, None])
+        return p
+
+    return column
 
 
 def cohomology_frame(spec: MonadSpec, p) -> np.ndarray:
@@ -521,40 +592,41 @@ def cohomology_frame(spec: MonadSpec, p) -> np.ndarray:
 
 
 def frame_batch(spec: MonadSpec, values: dict) -> np.ndarray:
-    """h1-orthonormal bases of the cohomology fibers, (..., k1, r).
+    """h1-orthonormal bases of the cohomology fibers, (P, k1, r).
 
     ``values`` are the :func:`_values` at the points.  At every point the
     seeds P e_1, ..., P e_{k1} (P the h1-orthogonal projector onto V_p) are
     taken in index order and orthogonalised by modified Gram-Schmidt in h1;
     a seed whose residual h1-norm is at most 1e-7 (an absolute threshold) is
     discarded.  A point left with fewer than r columns, or with a non-finite
-    one, raises :class:`SingularPointError`.
+    one, raises :class:`SingularPointError`.  The bases are built points
+    last, (k1, r, P), and returned as a points-first view of that array.
     """
-    h1 = values["h1"]
-    r = spec.rank
-    lead = values["beta"].shape[:-2]
-    basis = np.zeros(lead + (spec.k1, r), dtype=complex)
-    count = np.zeros(lead, dtype=int)
+    h1, r = values["h1"], spec.rank
+    npts = values["beta"].shape[-1]
+    seed = _projector(spec, values)
+    basis = np.zeros((spec.k1, r, npts), dtype=complex)
+    count = np.zeros(npts, dtype=int)
     for i in range(spec.k1):
-        v = _projector(spec, values, i)
+        v = seed(i)
         for c in range(min(i, r)):
             # a column not filled yet is zero and leaves v unchanged
-            u = basis[..., c, None]
-            v = v - u * _mm(_rmul(_ct(u), h1), v)
-        nrm = np.sqrt(np.real(_mm(_rmul(_ct(v), h1), v)))
-        keep = (nrm[..., 0, 0] > 1e-7) & (count < r)
-        unit = v / np.where(keep[..., None, None], nrm, 1.0)
-        for c in range(r):
-            put = (keep & (count == c))[..., None, None]
-            basis[..., c, None] = np.where(put, unit, basis[..., c, None])
-        count = count + keep
+            u = basis[:, c, None]
+            v = v - u * _sum0(u.conj() * h1 * v)
+        nrm = np.sqrt(np.real(_sum0(v.conj() * h1 * v)))[0]
+        keep = (nrm > 1e-7) & (count < r)
+        unit = v[:, 0] / np.where(keep, nrm, 1.0)
+        # after seed i a point holds at most i + 1 columns
+        for c in range(min(i + 1, r)):
+            np.copyto(basis[:, c], unit, where=keep & (count == c))
+        count += keep
         if np.all(count == r):
             break
-    bad = np.count_nonzero((count < r) | ~np.isfinite(basis).all(axis=(-2, -1)))
+    bad = np.count_nonzero((count < r) | ~np.isfinite(basis).all(axis=(0, 1)))
     if bad:
         raise SingularPointError(
             f"{spec.name}: fiber rank deficient or non-finite at {bad} point(s)")
-    return basis
+    return np.moveaxis(basis, -1, 0)
 
 
 def induced_metric(spec: MonadSpec, p, sections) -> np.ndarray:
@@ -578,7 +650,7 @@ def induced_metric(spec: MonadSpec, p, sections) -> np.ndarray:
     if spec.k0 > 0:
         h0 = spec.h0.value(w)
         a = np.asarray(spec.alpha(w), dtype=complex)
-        ad = np.linalg.solve(h0, _ct(a) @ h1)      # alpha^dag
+        ad = np.linalg.solve(h0, a.conj().T @ h1)      # alpha^dag
         s = s - a @ np.linalg.solve(ad @ a, ad @ s)
     return np.swapaxes(s.conj(), -1, -2) @ h1 @ s
 
@@ -589,79 +661,57 @@ def induced_metric(spec: MonadSpec, p, sections) -> np.ndarray:
 
 def _fiber_forms(spec, w, basis, values):
     """Raw dw_j ^ dwbar_k coefficients N[j,k] of the induced curvature in the
-    fiber basis B, (..., n, n, r, r), with <F s, s'> = s'^dag N[j,k] s.
+    fiber basis B (k1, r, P), as (n, n, r, r, P), with
+    <F s, s'> = s'^dag N[j,k] s.
 
-    With D_j = (d_j h1) B, G_j = grad_beta_j B and A_j = grad_alpha_dag_j B,
+    With G_j = grad_beta_j B and A_j = grad_alpha_dag_j B,
 
-        N[j,k] = D_k^dag h1^{-1} D_j - B^dag (d_j d_kbar h1) B
-                 - G_k^dag h2 (beta beta^dag)^{-1} G_j
-                 + A_j^dag h0 (alpha^dag alpha)^{-1} A_k.
+        N[j,k] = B^dag h1 F1[j,k] B - G_k^dag h2 (beta beta^dag)^{-1} G_j
+                 + A_j^dag h0 (alpha^dag alpha)^{-1} A_k,
 
-    The first two terms are B^dag h1 F1[j,k] B, since
-    h1 F1[j,k] = (d_k h1)^dag h1^{-1} (d_j h1) - d_j d_kbar h1 for any
-    Hermitian h1, so N is the ambient form of the module docstring
-    restricted to V_p.
+    the ambient form of the module docstring restricted to V_p.  For the
+    diagonal h1, h1 F1[j,k] = (d_k h1)^dag h1^{-1} (d_j h1) - d_j d_kbar h1
+    is -h1 d_j d_kbar log h1 entry by entry, which the :meth:`DiagPowerMetric._ddlog`
+    terms give in closed form, so B^dag h1 F1 B = -sum_(e, X) X[j,k] B^dag (e h1) B.
     """
     pc = _pieces(spec, w, values)
-    n, r = spec.n, basis.shape[-1]
-    lead = basis.shape[:-2]
-
-    def cols(m, metric=False):
-        # a stacked map or metric derivative (..., s.., p, k1) times B, folded
-        # to (..., p, s.. r) with columns (stack index, fiber index); sizes
-        # are explicit for an empty batch
-        p, s = m.shape[-2], int(np.prod(m.shape[len(lead):-2]))
-        if metric:
-            mb = _lmul(m, basis.reshape(lead + (1,) * (m.ndim - basis.ndim) + basis.shape[-2:]))
-        else:
-            mb = _mm(m.reshape(lead + (s * p, m.shape[-1])), basis)
-        return np.swapaxes(mb.reshape(lead + (s, p, r)), -3, -2).reshape(lead + (p, s * r))
-
-    def unfold(f):
-        # (..., n r, n r) with rows (x, a), columns (y, b) -> (..., x, y, a, b)
-        return np.swapaxes(f.reshape(lead + (n, r, n, r)), -3, -2)
-
-    # the pairings are outer products (k0 = k2 = 1) or at least 6x4 @ 4x6
-    # (n = 3), where one matmul per point is faster than _mm
-    # rows (k, a), columns (j, b): D_k^dag h1^{-1} D_j - G_k^dag h2 (beta beta^dag)^{-1} G_j
-    g = cols(pc["grad_beta"])
-    f = _ct(g) @ -_mm(_lmul(pc["h2"], pc["bbd_inv"]), g)
-    if pc["dh1"] is not None:
-        d = cols(pc["dh1"], metric=True)
-        f = _ct(d) @ _lmul(pc["h1_inv"], d) + f
-    out = np.swapaxes(unfold(f), -4, -3)
-    if pc["ddh1"] is not None:
-        # rows a, columns (j, k, b): B^dag (d_j d_kbar h1) B
-        dd = (_ct(basis) @ cols(pc["ddh1"], metric=True)).reshape(lead + (r, n, n, r))
-        out = out - np.moveaxis(dd, -4, -2)
+    # G_j, (n, k2, r, P), paired as x[k, a, p] with y[j, p, b]
+    g = _mm(pc["grad_beta"], basis)
+    out = _mm(_ct(g)[None], -_mm(_lmul(pc["h2"], pc["bbd_inv"]), g)[:, None])
+    if pc["ddlog_h1"] is not None:
+        for e, x in pc["ddlog_h1"]:
+            out = out - x[:, :, None, None] * _mm(_ct(basis), _lmul(e * pc["h1"], basis))
     if spec.k0 > 0:
-        a = cols(pc["grad_alpha_dag"])
-        # rows (j, a), columns (k, b): A_j^dag h0 (alpha^dag alpha)^{-1} A_k
-        out = out + unfold(_ct(a) @ _mm(_lmul(pc["h0"], pc["ada_inv"]), a))
+        # A_j, (n, k0, r, P), paired as x[j, a, p] with y[k, p, b]
+        a = _mm(pc["grad_alpha_dag"], basis)
+        out = out + _mm(_ct(a)[:, None], _mm(_lmul(pc["h0"], pc["ada_inv"]), a)[None])
     return out
 
 
 def form_norm_sq(f_raw: np.ndarray) -> np.ndarray:
     """Squared norm 4 sum_{j,k} |A[j,k]|^2 of a (1,1)-form from its raw
-    coefficients (..., n, n, r, r), the form norm of :mod:`hymkit.geometry`."""
-    return 4.0 * np.real(np.einsum("...jkab,...jkab->...", f_raw, f_raw.conj()))
+    coefficients (n, n, r, r, ...), the form norm of :mod:`hymkit.geometry`,
+    summed over the coefficients in index order."""
+    sq = f_raw.real**2 + f_raw.imag**2
+    return 4.0 * _sum0(sq.reshape((int(np.prod(sq.shape[:4])),) + sq.shape[4:]))
 
 
 def _curvature_data(spec, w, basis, values):
-    """Raw form, i Lambda F and the two norms in the fiber basis, batched."""
+    """Raw form, i Lambda F and the two norms in the fiber basis B
+    (k1, r, P), points last."""
     raw = _fiber_forms(spec, w, basis, values)
-    mean = 2.0 * np.einsum("...jjab->...ab", raw)       # i Lambda F
+    mean = 2.0 * sum(raw[j, j] for j in range(spec.n))      # i Lambda F
     mean = 0.5 * (mean + _ct(mean))
     return raw, mean, _spectral_radius(mean), np.sqrt(form_norm_sq(raw))
 
 
 def _spectral_radius(m):
-    """The largest |eigenvalue| of batched Hermitian matrices (..., r, r).  At
-    r = 2 it is |tr| / 2 + sqrt(((m00 - m11) / 2)^2 + |m01|^2), exactly and
+    """The largest |eigenvalue| of Hermitian matrices (r, r, P).  At r = 2
+    it is |tr| / 2 + sqrt(((m00 - m11) / 2)^2 + |m01|^2), exactly and
     without cancellation; other ranks take LAPACK's eigvalsh."""
-    if m.shape[-1] != 2:
-        return np.abs(np.linalg.eigvalsh(m)).max(axis=-1)
-    m00, m11, m01 = m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1]
+    if m.shape[-2] != 2:
+        return np.abs(np.linalg.eigvalsh(np.moveaxis(m, -1, 0))).max(axis=-1)
+    m00, m11, m01 = m[0, 0].real, m[1, 1].real, m[0, 1]
     return 0.5 * np.abs(m00 + m11) + np.sqrt((0.5 * (m00 - m11)) ** 2
                                              + (m01.real**2 + m01.imag**2))
 
@@ -698,10 +748,11 @@ def curvature_batch(spec: MonadSpec, W: np.ndarray, fields=FIELDS) -> dict:
         wb = w[lo:lo + BLOCK_POINTS]
         v = _values(spec, wb, rest=(w[k:k + BLOCK_POINTS] for k in
                                     range(lo + BLOCK_POINTS, len(w), BLOCK_POINTS)))
-        basis = frame_batch(spec, v)
+        basis = np.moveaxis(frame_batch(spec, v), 0, -1)
         block = (basis,) + _curvature_data(spec, wb, basis, v)
         for key, x in zip(FIELDS, block):
             if key in fields:
+                x = np.moveaxis(x, -1, 0)
                 if key not in out:   # the first block sizes the whole record
                     out[key] = np.empty((len(w),) + x.shape[1:], dtype=x.dtype)
                 out[key][lo:lo + BLOCK_POINTS] = x

@@ -94,6 +94,13 @@ class MCParams:
                 raise ValueError(f"{name} must be an int >= {least}, got {v!r}")
 
 
+# the outer shell [2^k, 2^(k+1)] has k = floor(log2 |p|) + 7 for |p| >= 1, and
+# _shell_density divides by |x'|^6 up to 2^(6 (k + 1)), which must stay a
+# finite float: |p| < 2^163, about 1.17e49.  (|x' - p|^4 overflows only past
+# about 1e77.)
+_P_MAX = 2.0 ** ((np.finfo(float).maxexp - 1) // 6 - 7)
+
+
 def _shell_range(p_norm: float) -> tuple[int, int]:
     """First and last k of the dyadic shells [2^k, 2^(k+1)] sampled about |p|."""
     base = int(np.floor(np.log2(p_norm)))
@@ -237,7 +244,8 @@ def _block_weights(k, cloud, f_cloud, q_cloud, centres, norms, rngs, n):
 
 def eval_G_batch(points, mc: MCParams = MCParams()) -> list[GValue]:
     """Stratified Monte Carlo estimates of G at each row of a non-empty
-    (..., 3) point array, each |p| finite and >= ~2.5e-49.
+    (..., 3) point array, each |p| >= ~2.5e-49 and below 2^163 (``_P_MAX``);
+    any other point raises ValueError before a draw.
 
     Every shell draws its generic and axis components once, shared by all
     points, and each row its kernel component under its own key (module
@@ -247,10 +255,14 @@ def eval_G_batch(points, mc: MCParams = MCParams()) -> list[GValue]:
     region beyond the outer shell.
     """
     w = _point_rows(points)
-    norms = np.sqrt(np.sum(np.abs(w) ** 2, axis=-1))
+    with np.errstate(over="ignore"):   # a norm past 1.3e154 overflows: the bound says so
+        norms = np.sqrt(np.sum(np.abs(w) ** 2, axis=-1))
     for p, p_norm in zip(w, norms):
-        if not 0.0 < p_norm < np.inf:
+        if not (np.isfinite(p).all() and p_norm > 0.0):
             raise ValueError(f"potential needs a finite point other than the origin, got {p}")
+        if not p_norm < _P_MAX:
+            raise ValueError(f"potential point {p} beyond |p| < 2^163 ({_P_MAX:.3g}): the "
+                             "outer shell's |x'|^6 would overflow")
         if (_CORE_REL * p_norm) ** 6 < np.finfo(float).tiny:
             # the kernel density divides by delta^6, which must stay a normal float
             raise ValueError(f"potential point {p} too close to the origin: core radius "

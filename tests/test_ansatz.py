@@ -50,12 +50,11 @@ def closed_form_ingredients(p) -> dict:
 
 
 def chern_f1(pc):
-    """F1[j,k] = -h1^{-1}(d_j d_kbar h1 - (d_k h1)^dag h1^{-1} d_j h1), from
-    the engine's h1 pieces as dense matrices."""
-    h1, dh1, ddh1 = (mo._lmul(pc[key], np.eye(4)) for key in ("h1", "dh1", "ddh1"))
-    h1_inv = np.linalg.inv(h1)
-    corr = np.swapaxes(dh1.conj(), -1, -2)[None, :] @ h1_inv @ dh1[:, None]
-    return -h1_inv @ (ddh1 - corr)
+    """F1[j,k] = -h1^{-1}(d_j d_kbar h1 - (d_k h1)^dag h1^{-1} d_j h1) =
+    -d_j d_kbar log h1 for the diagonal h1, from the engine's log-Hessian
+    terms of h1 at one point as dense matrices (3, 3, 4, 4)."""
+    ddlog = sum(e[:, 0, 0] * x[:, :, 0, None] for e, x in pc["ddlog_h1"])
+    return -ddlog[..., None] * np.eye(4)
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +153,12 @@ class TestClosedForms:
             p = rng.standard_normal(6)
             w = p[:3] + 1j * p[3:]
             ing = closed_form_ingredients(w)
-            pc = mo._pieces(SPEC, w, mo._values(SPEC, w))
-            assert abs(ing["ada"] - (pc["alpha_dag"] @ pc["alpha"])[0, 0]) < 1e-6
-            assert abs(ing["bbd"] - (pc["beta"] @ pc["beta_dag"])[0, 0]) < 1e-6
-            assert np.abs(ing["grad_adag"] - pc["grad_alpha_dag"]).max() < 1e-6
-            assert np.abs(ing["grad_beta"] - pc["grad_beta"]).max() < 1e-6
+            # the engine's pieces at one point, held points last
+            pc = mo._pieces(SPEC, w[None], mo._values(SPEC, w[None]))
+            assert abs(ing["ada"] - mo._mm(pc["alpha_dag"], pc["alpha"])[0, 0, 0]) < 1e-6
+            assert abs(ing["bbd"] - mo._mm(pc["beta"], pc["beta_dag"])[0, 0, 0]) < 1e-6
+            assert np.abs(ing["grad_adag"] - pc["grad_alpha_dag"][..., 0]).max() < 1e-6
+            assert np.abs(ing["grad_beta"] - pc["grad_beta"][..., 0]).max() < 1e-6
             assert np.abs(ing["f1"] - chern_f1(pc)).max() < 1e-6
 
     def test_cross_check_against_fd(self):
@@ -166,9 +166,9 @@ class TestClosedForms:
         stripped = adhm.strip_analytic_derivatives(SPEC)
         w = np.array([0.6, -0.3 + 0.5j, 0.8 - 0.2j])
         ing = closed_form_ingredients(w)
-        pc = mo._pieces(stripped, w, mo._values(stripped, w))
-        assert np.abs(ing["grad_adag"] - pc["grad_alpha_dag"]).max() < 1e-6
-        assert np.abs(ing["grad_beta"] - pc["grad_beta"]).max() < 1e-6
+        pc = mo._pieces(stripped, w[None], mo._values(stripped, w[None]))
+        assert np.abs(ing["grad_adag"] - pc["grad_alpha_dag"][..., 0]).max() < 1e-6
+        assert np.abs(ing["grad_beta"] - pc["grad_beta"][..., 0]).max() < 1e-6
         assert np.abs(ing["f1"] - chern_f1(pc)).max() < 1e-5
 
 

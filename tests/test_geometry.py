@@ -153,8 +153,9 @@ class TestAdjoint:
 
     @pytest.mark.parametrize("diagonal", [False, True], ids=["dense", "diagonal"])
     def test_engine_adjoint_matches_oracle(self, rng, diagonal):
-        # the engine's M^dag = h_src^{-1} conj(M)^t h_dst on batched metrics,
-        # diagonal ones carried as columns (..., k, 1) as monads._metric does
+        # the engine's M^dag = h_src^{-1} conj(M)^t h_dst on batched metrics
+        # held points last, diagonal ones carried as columns (k, 1, P) as
+        # monads._metric does
         batch, k, m = 5, 3, 2
         mat = rng.standard_normal((batch, m, k)) + 1j * rng.standard_normal((batch, m, k))
         if diagonal:
@@ -165,7 +166,8 @@ class TestAdjoint:
         else:
             h_src = dense_src = np.stack([rand_metric(rng, k) for _ in range(batch)])
             h_dst = dense_dst = np.stack([rand_metric(rng, m) for _ in range(batch)])
-        engine = mo._rmul(mo._lmul(mo._inv(h_src), mo._ct(mat)), h_dst)
+        src, dst, m_last = (np.moveaxis(x, 0, -1) for x in (h_src, h_dst, mat))
+        engine = np.moveaxis(mo._rmul(mo._lmul(mo._inv(src), mo._ct(m_last)), dst), -1, 0)
         np.testing.assert_allclose(engine, adjoint_wrt(mat, dense_src, dense_dst),
                                    rtol=1e-12, atol=1e-12)
 

@@ -1,4 +1,6 @@
 import dataclasses
+import dis
+import sys
 import tracemalloc
 import warnings
 
@@ -164,9 +166,8 @@ class TestCohomologyFrame:
             h0 = main_spec.h0.value(w)
             adag = np.linalg.solve(h0, main_spec.alpha(w).conj().T @ h1)
             assert np.abs(adag @ basis).max() < 1e-10
-            values = mo._values(main_spec, w)
-            proj = np.concatenate([mo._projector(main_spec, values, i)
-                                   for i in range(main_spec.k1)], axis=-1)
+            column = mo._projector(main_spec, mo._values(main_spec, w[None]))
+            proj = np.concatenate([column(i) for i in range(main_spec.k1)], axis=1)[..., 0]
             np.testing.assert_allclose(proj @ proj, proj, atol=1e-10)
             # h1-self-adjoint projector
             lhs = h1 @ proj
@@ -250,7 +251,7 @@ class TestFrameBatch:
     def test_short_or_non_finite_point_raises(self, main_spec, scale):
         # a NaN h1 norm, or residual norms all <= 1e-7, at the second point
         values = mo._values(main_spec, np.array([[1.0, 0, 0], [0.3, 0.4, 1.0]]))
-        values["h1"][1] *= scale
+        values["h1"][..., 1] *= scale
         with pytest.raises(mo.SingularPointError):
             mo.frame_batch(main_spec, values)
 
@@ -276,12 +277,12 @@ class TestFrameBatch:
             return wrapped
 
         def metric(name, m):
-            # counts the evaluations of the metric's values, _diag(w, 0)
+            # counts the evaluations of the metric, each _diags call forming
+            # the entries and every derivative order asked for at once
             class Counted(mo.DiagPowerMetric):
-                def _diag(self, w, order):
-                    if order == 0:
-                        calls[name] = calls.get(name, 0) + 1
-                    return super()._diag(w, order)
+                def _diags(self, wt, order):
+                    calls[name] = calls.get(name, 0) + 1
+                    return super()._diags(wt, order)
             return Counted(m.consts, m.pow_rho, m.pow_r2, m.pow_z2)
 
         spec = mo.MonadSpec(
@@ -444,15 +445,16 @@ class TestCurvature:
     def test_gauge_invariance_of_norms(self, main_spec, rng):
         w = np.array([[0.8, -0.4 + 0.3j, 1.1]])
         values = mo._values(main_spec, w)
-        basis = mo.frame_batch(main_spec, values)
-        _, _, norm_mean, norm_form = mo._curvature_data(main_spec, w, basis, values)
+        basis = mo.frame_batch(main_spec, values)   # (1, 4, 2), points first
+        _, _, norm_mean, norm_form = mo._curvature_data(
+            main_spec, w, np.moveaxis(basis, 0, -1), values)
         # unitary recombination of the basis
         th = rng.standard_normal()
         u = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]],
                      dtype=complex)
         u = u @ np.diag(np.exp(1j * rng.standard_normal(2)))
-        _, _, norm_mean2, norm_form2 = mo._curvature_data(main_spec, w, basis @ u,
-                                                          values)
+        _, _, norm_mean2, norm_form2 = mo._curvature_data(
+            main_spec, w, np.moveaxis(basis @ u, 0, -1), values)
         assert norm_form[0] == pytest.approx(norm_form2[0], rel=1e-8)
         assert norm_mean[0] == pytest.approx(norm_mean2[0], abs=1e-8)
 
@@ -562,7 +564,8 @@ class TestDiagPowerMetric:
     def loop_derivatives(metric, w):
         """dholo and dmixed with the per-index Python loops they replaced."""
         w = np.asarray(w, dtype=complex)
-        vals, rho, r2, z2 = metric._entries(w)
+        vals, rho, r2, z2 = metric._entries(np.moveaxis(w, -1, 0))
+        vals = np.moveaxis(vals, 0, -1)
         n, k = w.shape[-1], metric.dim
         a, b, g = (np.asarray(t) for t in (metric.pow_rho, metric.pow_r2, metric.pow_z2))
         wb = w.conj()
@@ -699,7 +702,7 @@ class TestFiberForms:
         mean = 2.0 * np.einsum("...jjab->...ab", raw)
         mean = 0.5 * (mean + np.swapaxes(mean.conj(), -1, -2))
         norm_mean = np.abs(np.linalg.eigvalsh(mean)).max(axis=-1)
-        norm_form = np.sqrt(mo.form_norm_sq(raw))
+        norm_form = np.sqrt(mo.form_norm_sq(np.moveaxis(raw, 0, -1)))
         scale = np.abs(raw).max()
         for got, ref in ((data["form_raw"], raw), (data["mean"], mean),
                          (data["norm_mean"], norm_mean),
@@ -742,7 +745,7 @@ class TestDiagonalMetrics:
         for k in (0, 1, 4):
             m = mo.constant_metric(2.0 * np.eye(k))
             assert isinstance(m, mo.DiagPowerMetric) and m.consts == (2.0,) * k
-            assert m._diag(np.ones(3), 1) is None and m._diag(np.ones(3), 2) is None
+            assert m._diags(np.ones(3), 2)[1:] == [None, None]
             assert np.array_equal(m.value(np.ones((5, 3))),
                                   np.broadcast_to(2.0 * np.eye(k), (5, k, k)))
             assert np.array_equal(m.dmixed(np.ones(3)), np.zeros((3, 3, k, k)))
@@ -783,6 +786,13 @@ def _real_pair_norm_sq(f_raw, n):
     return total
 
 
+def _points_last(raw):
+    """Points-first forms (..., n, n, r, r) as form_norm_sq takes them,
+    (n, n, r, r, ...)."""
+    lead = raw.ndim - 4
+    return np.moveaxis(raw, range(lead), range(-lead, 0))
+
+
 class TestFormNorm:
     """form_norm_sq = 4 sum |A_jk|^2 against the real-pair sum it equals."""
 
@@ -792,23 +802,52 @@ class TestFormNorm:
         raw = mo.curvature_batch(spec, w)["form_raw"]
         ref = _real_pair_norm_sq(raw, spec.n)
         assert np.all(ref > 0)
-        np.testing.assert_allclose(mo.form_norm_sq(raw), ref, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(mo.form_norm_sq(_points_last(raw)), ref, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("shape", [(7, 2, 2, 2, 2), (3, 4, 3, 3, 2, 2),
                                        (5, 3, 3, 3, 3)])
     def test_random_non_hermitian(self, shape, rng):
         raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         ref = _real_pair_norm_sq(raw, shape[-3])
-        np.testing.assert_allclose(mo.form_norm_sq(raw), ref, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(mo.form_norm_sq(_points_last(raw)), ref, rtol=1e-13, atol=0)
+
+
+def _matmul_count(fn):
+    """(fn(), the number of `@` operations Python ran in it), counted by
+    opcode tracing in every frame."""
+    sites, count = {}, 0
+
+    def matmuls(code):
+        if code not in sites:
+            sites[code] = {ins.offset for ins in dis.get_instructions(code)
+                           if ins.opname in ("BINARY_MATRIX_MULTIPLY", "INPLACE_MATRIX_MULTIPLY")
+                           or (ins.opname == "BINARY_OP" and ins.argrepr in ("@", "@="))}
+        return sites[code]
+
+    def trace(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        if event == "opcode" and frame.f_lasti in matmuls(frame.f_code):
+            count += 1
+        return trace
+
+    sys.settrace(trace)
+    try:
+        out = fn()
+    finally:
+        sys.settrace(None)
+    return out, count
 
 
 def _hermitian_batch(rng, shape, r):
     m = rng.standard_normal(shape + (r, r)) + 1j * rng.standard_normal(shape + (r, r))
-    return m + mo._ct(m)
+    return m + np.swapaxes(m.conj(), -1, -2)
 
 
 class TestClosedForms:
-    """The size-1 and size-2 rules of the engine against LAPACK references."""
+    """The size-1 and size-2 rules of the engine against LAPACK references;
+    the engine holds its matrices points last, (k, k, P), and the
+    references take them points first."""
 
     def gram_batch(self, rng):
         # 1x1 Gram matrices beta beta^dag: real and positive up to rounding,
@@ -823,7 +862,7 @@ class TestClosedForms:
         finite = np.isfinite(g).all(axis=(-2, -1))
         lam = np.linalg.eigvals(np.where(finite[:, None, None], g, 0.0)).real.min(axis=-1)
         ref = np.where(finite, np.sqrt(np.maximum(lam, 0.0)), np.nan)
-        got = mo._sigma_min(g)
+        got = mo._sigma_min(np.moveaxis(g, 0, -1))
         np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0, equal_nan=True)
         assert np.array_equal(np.isnan(got), ~finite)
         # a NaN singular value is singular under the rule
@@ -831,16 +870,17 @@ class TestClosedForms:
 
     def test_sigma_min_larger_gram_keeps_lapack(self, rng):
         a = rng.standard_normal((50, 3, 2)) + 1j * rng.standard_normal((50, 3, 2))
-        g = mo._ct(a) @ a
+        g = np.swapaxes(a.conj(), -1, -2) @ a
         g[0, 0, 1] = np.nan
         ref = np.sqrt(np.maximum(np.linalg.eigvalsh(g[1:]).min(axis=-1), 0.0))
-        got = mo._sigma_min(g)
+        got = mo._sigma_min(np.moveaxis(g, 0, -1))
         assert np.isnan(got[0])
         np.testing.assert_allclose(got[1:], ref, rtol=1e-12)
 
     def test_gram_inverse_size_one(self, rng):
         g = self.gram_batch(rng)[6:]
-        np.testing.assert_allclose(mo._inv(g), np.linalg.inv(g), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(np.moveaxis(mo._inv(np.moveaxis(g, 0, -1)), -1, 0),
+                                   np.linalg.inv(g), rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_spectral_radius(self, rng, r):
@@ -848,12 +888,43 @@ class TestClosedForms:
         m[:4] *= np.array([0.0, 1e-30, 1e30, 1.0])[:, None, None]
         m[3] = np.diag(np.arange(r, dtype=float))  # a zero eigenvalue
         ref = np.abs(np.linalg.eigvalsh(m)).max(axis=-1)
-        np.testing.assert_allclose(mo._spectral_radius(m), ref, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(mo._spectral_radius(np.moveaxis(m, 0, -1)), ref,
+                                   rtol=1e-14, atol=0)
 
     def test_spectral_radius_two_of_multiples_of_identity(self):
         # equal diagonal and no off-diagonal: the discriminant is 0
         m = np.array([[[-3.0, 0.0], [0.0, -3.0]], [[0.0, 0.0], [0.0, 0.0]]], dtype=complex)
-        assert np.array_equal(mo._spectral_radius(m), [3.0, 0.0])
+        assert np.array_equal(mo._spectral_radius(np.moveaxis(m, 0, -1)), [3.0, 0.0])
+
+    @pytest.mark.parametrize("make,shift", [
+        (lambda: adhm.instanton_monad(adhm.ADHMData(1, 0.5j, -0.5j, 1)), 0.0),
+        (ansatz_monad, 0.0), (cone_monad, 0.0), (flat_metric_cone_monad, 0.0),
+        (lambda: twisted_monad(400), 400.0)],
+        ids=["instanton", "ansatz", "cone", "flat-cone", "twisted"])
+    def test_no_matmul_on_bundled_monads(self, rng, monkeypatch, make, shift):
+        # the engine contracts its points-last blocks with _mm alone: no
+        # matmul, whose per-point BLAS kernels chose the last bits of the
+        # values on each CPU, and no LAPACK; `@` is found by opcode tracing
+        spec = make()
+        w = rng.standard_normal((50, spec.n)) + 1j * rng.standard_normal((50, spec.n)) + 0.5
+        w[:, -1] += shift
+        ref = mo.curvature_batch(spec, w)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("matmul or LAPACK called")
+        for mod, name in ((np, "matmul"), (np, "dot"), (np, "einsum"), (np, "tensordot"),
+                          (np.linalg, "inv"), (np.linalg, "eigvals"),
+                          (np.linalg, "eigvalsh"), (np.linalg, "solve")):
+            monkeypatch.setattr(mod, name, refuse)
+        got, count = _matmul_count(lambda: mo.curvature_batch(spec, w))
+        assert count == 0
+        assert all(np.array_equal(got[key], ref[key]) for key in ref)
+
+    def test_matmul_count_sees_the_operator(self):
+        x = np.eye(2)
+        assert _matmul_count(lambda: x @ x @ x)[1] == 2
+        assert _matmul_count(lambda: mo.induced_metric(
+            ansatz_monad(), [0.5, 1.0, -0.3], chart_frame("x")([0.5, 1.0, -0.3])))[1] > 0
 
     @pytest.mark.parametrize("make", [
         lambda: adhm.instanton_monad(adhm.ADHMData(1, 0.5j, -0.5j, 1)), ansatz_monad],
@@ -989,22 +1060,26 @@ class TestBlocks:
 
 
 class TestContraction:
-    """_mm, the engine's stacked small products, against numpy's matmul."""
+    """_mm, the engine's stacked small products held points last, against
+    numpy's matmul over the points."""
 
     @pytest.mark.parametrize("xs,ys", [
-        ((9, 4, 1), (9, 1, 4)),                  # k = 1: an outer product
-        ((9, 1, 4), (9, 4, 1)),                  # row @ column
-        ((9, 2, 4), (9, 4, 2)),
-        ((9, 6, 4), (9, 4, 6)),
-        ((9, 2, 4), (9, 4, 18)),
-        ((3, 5, 2, 2, 4, 4), (3, 5, 1, 1, 4, 2)),  # lead axes that broadcast
-        ((0, 2, 4), (0, 4, 2)),                  # an empty batch
+        ((4, 1, 9), (1, 4, 9)),                  # k = 1: an outer product
+        ((1, 4, 9), (4, 1, 9)),                  # row @ column
+        ((2, 4, 9), (4, 2, 9)),
+        ((6, 4, 9), (4, 6, 9)),
+        ((2, 4, 9), (4, 18, 9)),
+        ((5, 2, 2, 4, 4, 3), (5, 1, 1, 4, 2, 3)),  # lead axes that broadcast
+        ((2, 4, 0), (4, 2, 0)),                  # an empty batch
     ], ids=["outer", "row-column", "2x4-4x2", "6x4-4x6", "2x4-4x18", "multi-axis",
             "empty"])
     def test_matches_matmul(self, rng, xs, ys):
         x = rng.standard_normal(xs) + 1j * rng.standard_normal(xs)
         y = rng.standard_normal(ys) + 1j * rng.standard_normal(ys)
-        got, ref = mo._mm(x, y), np.matmul(x, y)
+
+        def matmul(a, b):
+            return np.moveaxis(np.moveaxis(a, -1, 0) @ np.moveaxis(b, -1, 0), 0, -1)
+        got, ref = mo._mm(x, y), matmul(x, y)
         assert got.shape == ref.shape and got.dtype == ref.dtype
         # relative to the sum of the magnitudes of the products
-        assert np.all(np.abs(got - ref) <= 1e-13 * (np.abs(x) @ np.abs(y)))
+        assert np.all(np.abs(got - ref) <= 1e-13 * matmul(np.abs(x), np.abs(y)))

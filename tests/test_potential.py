@@ -360,6 +360,27 @@ class TestEvalG:
         with pytest.raises(ValueError, match="origin"):
             pot.eval_G([tiny, 0, 0])
 
+    @pytest.mark.parametrize("big", [1e50, 1e100, 1e160])
+    def test_point_beyond_the_shell_arithmetic_rejected(self, big):
+        # the outer shell reaches 2^(floor(log2 |p|) + 8) and the shell density
+        # divides by its sixth power: unguarded, |p| G read 7.9e5 at 1e50 (70
+        # below), NaN with RuntimeWarnings at 1e100, and 1e160 was called not
+        # finite, its norm overflowing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda p: pot.eval_G(p),
+                         lambda p: pot.eval_G_batch([[2.0, 0, 0], p])):
+                with pytest.raises(ValueError, match=r"2\^163"):
+                    call([big, 0, 0])
+
+    def test_point_just_below_the_bound_is_finite(self):
+        p = 0.999 * pot._P_MAX
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gv = pot.eval_G([p, 0, 0], pot.MCParams(samples_per_shell=2000, seed=1))
+        # |p| G reads 69-73 from 1e30 to 1e48 at this sample size
+        assert 60.0 < p * gv.estimate < 80.0 and np.isfinite(gv.stderr)
+
     def test_small_point_above_cut_is_clean(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
