@@ -13,7 +13,7 @@ C^2/Z_2, with the U(1) action
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "random_valid_data",
     "is_valid",
     "instanton_monad",
-    "strip_analytic_derivatives",
     "curvature_density",
     "charge",
     "curvature_scale",
@@ -87,40 +86,23 @@ def random_valid_data(rng: np.random.Generator) -> ADHMData:
     return ADHMData(a[0], a[1], b[0], b[1])
 
 
-def _maps(a1, a2, b1, b2):
-    """(alpha, beta, dalpha, dbeta) of the monad of any quadruple, batched.
-
-    alpha = (x, y, a1, a2)^t and beta = (-y, x, b1, b2); the coefficient
-    tables list the entries of each map for the constant term, x and y.
-    """
-    return mo.affine_maps(
-        np.array([[0, 0, a1, a2], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=complex)[..., None],
-        np.array([[0, 0, b1, b2], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex)[:, None])
-
-
 def instanton_monad(d: ADHMData) -> mo.MonadSpec:
+    """The monad of valid nondegenerate data: alpha = (x, y, a1, a2)^t and
+    beta = (-y, x, b1, b2); each table lists the entries of its map for the
+    constant term, x and y."""
     if d.degenerate:
         raise ValueError("degenerate ADHM data: the connection is flat, no monad")
     if not is_valid(d, tol=1e-9):
         raise ValueError(f"ADHM equations violated: residuals {adhm_residual(d)}")
     a1, a2, b1, b2 = d.as_tuple()
-    alpha, beta, dalpha, dbeta = _maps(a1, a2, b1, b2)
     return mo.MonadSpec(
         name=f"adhm({a1:.3g},{a2:.3g},{b1:.3g},{b2:.3g})",
-        n=2, k0=1, k1=4, k2=1,
-        alpha=alpha, beta=beta,
+        alpha_coeffs=np.array([[0, 0, a1, a2], [1, 0, 0, 0], [0, 1, 0, 0]])[..., None],
+        beta_coeffs=np.array([[0, 0, b1, b2], [0, 1, 0, 0], [-1, 0, 0, 0]])[:, None],
         h0=mo.constant_metric(np.eye(1)),
         h1=mo.constant_metric(np.eye(4)),
         h2=mo.constant_metric(np.eye(1)),
-        dalpha=dalpha, dbeta=dbeta,
     )
-
-
-def strip_analytic_derivatives(spec: mo.MonadSpec) -> mo.MonadSpec:
-    """Variant of a monad without its map derivatives, which the engine then
-    takes by finite differences of step ``monads.FD_STEP``; the metric
-    derivatives stay analytic."""
-    return replace(spec, name=spec.name + "-fd", dalpha=None, dbeta=None)
 
 
 def curvature_density(d: ADHMData, points: np.ndarray) -> np.ndarray:

@@ -56,17 +56,15 @@ def ansatz_monad() -> mo.MonadSpec:
     alpha = (x, y, 1, 0)^t and beta = (-y, x, 0, z); the coefficient tables
     list the entries of each map for the constant term, x, y and z.
     """
-    alpha, beta, dalpha, dbeta = mo.affine_maps(
-        np.array([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]])[..., None],
-        np.array([[0, 0, 0, 0], [0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1]])[:, None])
     return mo.MonadSpec(
         name="ansatz",
-        n=3, k0=1, k1=4, k2=1,
-        alpha=alpha, beta=beta,
+        alpha_coeffs=np.array([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0],
+                               [0, 0, 0, 0]])[..., None],
+        beta_coeffs=np.array([[0, 0, 0, 0], [0, 1, 0, 0], [-1, 0, 0, 0],
+                              [0, 0, 0, 1]])[:, None],
         h0=mo.constant_metric(np.eye(1)),
         h1=mo.DiagPowerMetric(consts=(1, 1, 1, 1), pow_rho=(-0.5, -0.5, 0, 0)),
         h2=mo.constant_metric(np.eye(1)),
-        dalpha=dalpha, dbeta=dbeta,
     )
 
 
@@ -115,17 +113,14 @@ def cone_monad() -> mo.MonadSpec:
     regular point.  alpha is empty and beta = (x, y, z): constant term 0,
     then the coefficient rows of x, y and z.
     """
-    alpha, beta, dalpha, dbeta = mo.affine_maps(np.zeros((4, 3, 0)),
-                                                np.eye(4, 3, k=-1)[:, None])
     return mo.MonadSpec(
         name="cone",
-        n=3, k0=0, k1=3, k2=1,
-        alpha=alpha, beta=beta,
+        alpha_coeffs=np.zeros((4, 3, 0)),
+        beta_coeffs=np.eye(4, 3, k=-1)[:, None],
         h0=mo.constant_metric(np.zeros((0, 0))),
         h1=mo.DiagPowerMetric(consts=(1, 1, 1), pow_rho=(0, 0, 0),
                               pow_r2=(-0.5, -0.5, -0.5)),
         h2=mo.constant_metric(np.eye(1)),
-        dalpha=dalpha, dbeta=dbeta,
     )
 
 
@@ -149,9 +144,6 @@ def twisted_monad(zeta: complex, root: complex | None = None) -> mo.MonadSpec:
     if abs(c * c - zeta) > 1e-9 * abs(zeta):
         raise ValueError("root is not a square root of zeta")
     az = abs(zeta)
-    alpha, beta, dalpha, dbeta = mo.affine_maps(
-        np.array([[0, 0, c, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]])[..., None],
-        np.array([[0, 0, 0, c], [0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0]])[:, None])
     h1 = mo.DiagPowerMetric(
         consts=(1.0, 1.0, 1.0 / az, az),
         pow_rho=(0, 0, 0.5, 0.5),
@@ -159,10 +151,11 @@ def twisted_monad(zeta: complex, root: complex | None = None) -> mo.MonadSpec:
     )
     return mo.MonadSpec(
         name=f"twisted(zeta={zeta:.6g})",
-        n=3, k0=1, k1=4, k2=1,
-        alpha=alpha, beta=beta,
+        alpha_coeffs=np.array([[0, 0, c, 0], [1, 0, 0, 0], [0, 1, 0, 0],
+                               [0, 0, 0, 0]])[..., None],
+        beta_coeffs=np.array([[0, 0, 0, c], [0, 1, 0, 0], [-1, 0, 0, 0],
+                              [0, 0, 0, 0]])[:, None],
         h0=mo.constant_metric(np.eye(1)), h1=h1, h2=mo.constant_metric(np.eye(1)),
-        dalpha=dalpha, dbeta=dbeta,
     )
 
 

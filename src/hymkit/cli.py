@@ -27,7 +27,7 @@ import platform
 import resource
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +121,7 @@ def suite_adhm(cfg: RunConfig) -> tuple:
         data = mo.curvature_batch(spec, pts, fields=("norm_mean",))
         worst_an = max(worst_an, float(data["norm_mean"].max()))
     checks.append(cfg.check("asd_residual_analytic", worst_an, 1e-9))
-    spec_fd = adhm.strip_analytic_derivatives(adhm.instanton_monad(datasets[0]))
+    spec_fd = replace(adhm.instanton_monad(datasets[0]), fd=True)
     pts = rng.standard_normal((10, 4))
     data = mo.curvature_batch(spec_fd, pts[:, :2] + 1j * pts[:, 2:], fields=("norm_mean",))
     worst_fd = float(data["norm_mean"].max())

@@ -47,7 +47,7 @@ DEFAULT_FD_STEP = 1e-3
 def coords(p, n: int = 3) -> np.ndarray:
     """A point or batch (..., n) as a complex array, its last axis checked."""
     w = np.asarray(p, dtype=complex)
-    if w.shape[-1] != n:
+    if w.ndim == 0 or w.shape[-1] != n:
         raise ValueError(f"expected {n} complex coordinates, got shape {w.shape}")
     return w
 

@@ -28,14 +28,23 @@ Every ingredient is multiplied by B before the forms are paired
 (:func:`_fiber_forms`), so no (n, n, k1, k1) ambient form exists, and the
 metrics and maps at a point are evaluated once for both (:func:`_values`).
 
+A monad is its two coefficient tables: its maps are affine in w, and
+:class:`MonadSpec` holds C_0, C_1 .. C_n of C_0 + sum_j w_j C_j for each,
+alpha's (n + 1, k1, k0) and beta's (n + 1, k2, k1).  n, k0, k1, k2 and the
+rank are read from the tables' shapes, and the derivative along w_j is the
+table's C_j, so a map and its derivative cannot disagree.  Every monad has
+k2 = 1, k0 <= 1 and rank 2, with metrics the sizes of their bundles;
+:class:`MonadSpec` raises for any other shape.  ``MonadSpec.fd`` takes the
+map derivatives by centred differences instead, the oracle of the tables.
+
 The engine works points last: every working array of a block is
 (..., rows, cols, P), its P points on the last, contiguous axis, so each
 elementwise pass loops over the points.  The maps and the metrics are
-evaluated once per block; each callable's points-first output is
-transposed once (:func:`_points_last`), and an output that is the same at
-every point (a constant metric, the derivative of an affine map) stays one
-column (..., 1) that broadcasts.  The record keeps its points-first shapes:
-each block is transposed into it once, for the fields asked for.
+evaluated once per block, the maps from their tables (:func:`_affine`),
+and a value that is the same at every point (a constant metric, a table's
+derivative column) stays one column (..., 1) that broadcasts.  The record
+keeps its points-first shapes: each block is transposed into it once, for
+the fields asked for.
 
 Metrics have one form: every metric is a :class:`DiagPowerMetric`
 (:func:`constant_metric` of a real diagonal matrix included), and
@@ -43,15 +52,16 @@ Metrics have one form: every metric is a :class:`DiagPowerMetric`
 (:func:`_metric`): h and d h are diagonal columns, h^{-1} is their
 reciprocal, and the Chern term h1 F1 of h1 is -h1 d dbar log h1 entry by
 entry, from the closed-form log-Hessian; the derivatives of a constant
-metric are None, so the terms they enter are dropped.  :func:`_lmul`,
-:func:`_rmul` and :func:`_inv` take a diagonal column or a Gram matrix.
+metric are None, so the terms they enter are dropped.  :func:`_lmul` and
+:func:`_rmul` take a diagonal column or a 1x1 Gram matrix, and an inverse
+is a reciprocal.
 
 Stacked small products go through :func:`_mm`, a sum of outer products over
 the contraction index taken in index order, where numpy's matmul would make
 one BLAS call per point: the Gram matrices, the projector's columns, the
 fiber columns of the derivatives and the pairings of the forms, which land
-in the (n, n, r, r, P) layout of the raw form directly.  The bundled monads
-make no BLAS call, and sums over an axis are taken in index order
+in the (n, n, r, r, P) layout of the raw form directly.  The engine makes
+no BLAS or LAPACK call, and sums over an axis are taken in index order
 (:func:`_sum0`), so a point's values do not depend on how many points share
 its block.
 
@@ -64,18 +74,15 @@ and raises one :class:`SingularPointError` that counts the singular points
 and carries the :class:`ValidityReport` of the first; :func:`validate_monad`
 reports the same numbers without raising.
 
-Every bundled monad has k0 <= 1, k2 = 1 and rank 2: a 1x1 Gram matrix is
-its own eigenvalue (:func:`_sigma_min`) and :func:`_inv` takes its reciprocal,
-and i Lambda F has the closed-form 2x2 :func:`_spectral_radius`; larger
-matrices keep LAPACK.  :func:`curvature_batch` works one block of
+At k0 <= 1 and k2 = 1 the Gram matrices are 1x1: each is its own
+eigenvalue (:func:`_sigma_min`) and its inverse is its reciprocal; at rank
+2, i Lambda F has the closed-form 2x2 :func:`_spectral_radius`.
+:func:`curvature_batch` works one block of
 ``BLOCK_POINTS`` points at a time, bit for bit the same as one block, and
 writes each block into a record allocated once for the whole batch.  It
 holds the record's selected fields (``fields``, every key by default) for
 the whole batch and one block's working arrays, :func:`_values` included;
 the singular-point rule still covers the whole batch.
-
-Every bundled monad has maps affine in w; :func:`affine_maps` builds a map
-and its derivative from one coefficient array, so the two cannot disagree.
 
 Everything here accepts a single point (shape (n,)) or a batch (..., n).
 The one-point entry points are batches of one: :func:`curvature` returns
@@ -86,7 +93,6 @@ and :func:`cohomology_frame` its (k1, r) basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -96,7 +102,6 @@ __all__ = [
     "DiagPowerMetric",
     "constant_metric",
     "MonadSpec",
-    "affine_maps",
     "ValidityReport",
     "SingularPointError",
     "validate_monad",
@@ -111,7 +116,7 @@ __all__ = [
 
 SINGULAR_TOL = 1e-8
 
-FD_STEP = 1e-4  # centred finite-difference step for a derivative a monad omits
+FD_STEP = 1e-4  # centred finite-difference step of the map derivatives with MonadSpec.fd
 
 # points per curvature_batch block; one block's working arrays peak at
 # 3.0 MiB for the ansatz monad (n = 3) and 1.4 MiB for the instanton (n = 2)
@@ -270,25 +275,37 @@ def _ct(x):
     return np.swapaxes(x.conj(), -2, -3)
 
 
-def _points_last(x):
-    """A callable's points-first output (P, ...) as a contiguous complex
-    array (..., P)."""
-    return np.ascontiguousarray(np.moveaxis(np.asarray(x, dtype=complex), 0, -1))
+def _fd_jacobian(fn, w, step):
+    """Centered FD holomorphic derivatives d_{w_j} fn at the points w
+    (..., n), stacked on a leading axis of length n."""
+    return np.stack([fd_derivative(fn, w, j, "holo", step) for j in range(w.shape[-1])])
 
 
-def _fd_jacobian(fn, w, n, step):
-    """Centered FD holomorphic derivatives d_{w_j} fn, stacked as (..., n, a, b)."""
-    return np.stack([fd_derivative(fn, w, j, "holo", step) for j in range(n)], axis=-3)
+def _affine(coeffs, wt):
+    """C_0 + sum_j w_j C_j of a coefficient table (n + 1, a, b) at the
+    points wt held coordinates first (n, ...), as (a, b, ...), the terms
+    added in index order."""
+    tail = (1,) * (wt.ndim - 1)
+    out = np.broadcast_to(coeffs[0].reshape(coeffs.shape[1:] + tail),
+                          coeffs.shape[1:] + wt.shape[1:]).copy()
+    for c, x in zip(coeffs[1:], wt):
+        out += x * c.reshape(c.shape + tail)
+    return out
 
 
-def _holo(fn, dfn, w):
-    """d_{w_j} fn at the points w (P, n) stacked as (n, a, b, P): the
-    analytic derivative ``dfn`` when given, otherwise centered finite
-    differences of ``fn``.  A derivative that is the same at every point, a
-    broadcast with stride 0 along the points, stays one column (n, a, b, 1)."""
-    d = np.asarray(dfn(w) if dfn is not None
-                   else _fd_jacobian(fn, w, w.shape[-1], FD_STEP), dtype=complex)
-    return _points_last(d[:1] if d.strides[0] == 0 else d)
+def _map(coeffs, w):
+    """The :func:`_affine` map at the points w (..., n), points first (..., a, b)."""
+    return np.moveaxis(_affine(coeffs, np.moveaxis(w, -1, 0)), (0, 1), (-2, -1))
+
+
+def _holo(spec, coeffs, w):
+    """d_{w_j} of the map with table ``coeffs`` at the points w (P, n),
+    stacked as (n, a, b, 1): the table's columns C_j, the same at every
+    point; with ``spec.fd``, centered differences of step ``FD_STEP``,
+    (n, a, b, P)."""
+    if spec.fd:
+        return _fd_jacobian(lambda q: _affine(coeffs, q.T), w, FD_STEP)
+    return coeffs[1:, ..., None]
 
 
 def _metric(metric, wt, order):
@@ -320,57 +337,45 @@ def _mm(x, y):
 
 def _lmul(h, x, adj=False):
     """h @ x (h^dag @ x with ``adj``) for h a diagonal column (..., k, 1, P)
-    from :func:`_metric` or :func:`_inv`, which scales the rows of x, or a
-    Gram matrix (..., k, k, P), which multiplies; at k = 1 they agree."""
-    if h.shape[-2] == 1:
-        return (h.conj() if adj else h) * x
-    return _mm(_ct(h) if adj else h, x)
+    from :func:`_metric` or a 1x1 Gram matrix: it scales the rows of x."""
+    return (h.conj() if adj else h) * x
 
 
 def _rmul(x, h, adj=False):
-    """x @ h (x @ h^dag with ``adj``) for h a diagonal column, which scales
-    the columns of x, or a Gram matrix, which multiplies."""
-    if h.shape[-2] == 1:
-        return x * np.swapaxes(h.conj() if adj else h, -2, -3)
-    return _mm(x, _ct(h) if adj else h)
-
-
-def _inv(h):
-    """h^{-1}: the reciprocal of a diagonal column or of a 1x1 Gram matrix
-    (those of the bundled monads), else the LAPACK inverse of a Gram matrix."""
-    if h.shape[-2] == 1:
-        return 1.0 / h
-    return np.moveaxis(np.linalg.inv(np.moveaxis(h, -1, 0)), 0, -1)
+    """x @ h (x @ h^dag with ``adj``) for h a diagonal column or a 1x1 Gram
+    matrix: it scales the columns of x."""
+    return x * np.swapaxes(h.conj() if adj else h, -2, -3)
 
 
 # ---------------------------------------------------------------------------
 # monad specification
 
 
-@dataclass(frozen=True)
+# eq=False: the tables are arrays, so a spec compares and hashes by identity
+@dataclass(frozen=True, eq=False)
 class MonadSpec:
-    """A monad over C^n with metrics on all three bundles.
+    """A monad over C^n, its maps affine in w, with metrics on all three bundles.
 
-    ``alpha(w) -> (..., k1, k0)`` and ``beta(w) -> (..., k2, k1)`` must accept
-    batched coordinates.  ``dalpha``/``dbeta`` give the holomorphic coordinate
-    derivatives stacked along a leading axis, shape (..., n, k1, k0) resp.
-    (..., n, k2, k1); when None the engine uses centered finite differences
-    of step ``FD_STEP``.  ``h0``, ``h1`` and ``h2`` must be
-    :class:`DiagPowerMetric`; any other metric raises TypeError.
+    ``alpha_coeffs`` (n + 1, k1, k0) and ``beta_coeffs`` (n + 1, k2, k1) are
+    the maps' coefficient tables: the constant term C_0, then the
+    coefficients C_1 .. C_n of w_1 .. w_n.  A map is C_0 + sum_j w_j C_j
+    and its derivative along w_j is C_j; ``alpha(w)`` and ``beta(w)`` give
+    the maps at points w (..., n), points first.  n, k0, k1, k2 and the rank
+    are read from the tables, which are held as read-only complex arrays.
+    Every monad has k2 = 1, k0 <= 1 and rank 2, and ``h0``, ``h1`` and ``h2``
+    are :class:`DiagPowerMetric` of sizes k0, k1 and k2: another metric
+    raises TypeError, any other shape ValueError.  With ``fd`` the engine
+    takes the map derivatives by centered finite differences of step
+    ``FD_STEP``, the oracle of the tables' columns.
     """
 
     name: str
-    n: int
-    k0: int
-    k1: int
-    k2: int
-    alpha: Callable
-    beta: Callable
+    alpha_coeffs: np.ndarray
+    beta_coeffs: np.ndarray
     h0: DiagPowerMetric
     h1: DiagPowerMetric
     h2: DiagPowerMetric
-    dalpha: Optional[Callable] = None
-    dbeta: Optional[Callable] = None
+    fd: bool = False
 
     def __post_init__(self):
         for key in ("h0", "h1", "h2"):
@@ -378,6 +383,37 @@ class MonadSpec:
             if not isinstance(m, DiagPowerMetric):
                 raise TypeError(f"{self.name}: {key} must be a DiagPowerMetric, "
                                 f"not {type(m).__name__}")
+        for key in ("alpha_coeffs", "beta_coeffs"):
+            c = np.array(getattr(self, key), dtype=complex)
+            c.flags.writeable = False
+            object.__setattr__(self, key, c)
+        a, b = self.alpha_coeffs.shape, self.beta_coeffs.shape
+        if len(a) != 3 or len(b) != 3 or a[0] != b[0] or a[0] < 2 or a[1] != b[2]:
+            raise ValueError(f"{self.name}: coefficient tables must be (n + 1, k1, k0) "
+                             f"and (n + 1, k2, k1) with n >= 1, got {a} and {b}")
+        if self.k2 != 1 or self.k0 > 1 or self.rank != 2:
+            raise ValueError(f"{self.name}: a monad has k2 = 1, k0 <= 1 and rank 2, "
+                             f"got (k0, k1, k2) = {(self.k0, self.k1, self.k2)}")
+        for key, k in (("h0", self.k0), ("h1", self.k1), ("h2", self.k2)):
+            if getattr(self, key).dim != k:
+                raise ValueError(f"{self.name}: {key} has {getattr(self, key).dim} "
+                                 f"entries, its bundle rank {k}")
+
+    @property
+    def n(self) -> int:
+        return self.alpha_coeffs.shape[0] - 1
+
+    @property
+    def k0(self) -> int:
+        return self.alpha_coeffs.shape[2]
+
+    @property
+    def k1(self) -> int:
+        return self.alpha_coeffs.shape[1]
+
+    @property
+    def k2(self) -> int:
+        return self.beta_coeffs.shape[1]
 
     @property
     def rank(self) -> int:
@@ -386,36 +422,13 @@ class MonadSpec:
     def point(self, p) -> np.ndarray:
         return coords(p, self.n)
 
+    def alpha(self, w) -> np.ndarray:
+        """alpha at the points w (..., n), (..., k1, k0)."""
+        return _map(self.alpha_coeffs, self.point(w))
 
-def affine_maps(alpha_coeffs, beta_coeffs):
-    """(alpha, beta, dalpha, dbeta) of a monad whose maps are affine in w.
-
-    Each coefficient array is (n + 1, rows, cols): the constant term C_0, then
-    the coefficients C_1 .. C_n of w_1 .. w_n.  The map is
-    C_0 + sum_j w_j C_j and its derivative along w_j is C_j, both batched.
-    The value is summed points last and returned as a points-first view;
-    the derivative is a read-only broadcast of the coefficients.
-    """
-    def build(coeffs):
-        c = np.asarray(coeffs, dtype=complex)
-
-        def value(w):
-            w = np.asarray(w, dtype=complex)
-            tail = (1,) * (w.ndim - 1)
-            out = np.broadcast_to(c[0].reshape(c.shape[1:] + tail),
-                                  c.shape[1:] + w.shape[:-1]).copy()
-            for j in range(1, c.shape[0]):
-                out += w[..., j - 1] * c[j].reshape(c.shape[1:] + tail)
-            return np.moveaxis(out, (0, 1), (-2, -1))
-
-        def deriv(w):
-            return np.broadcast_to(c[1:], np.shape(w)[:-1] + c[1:].shape)
-
-        return value, deriv
-
-    alpha, dalpha = build(alpha_coeffs)
-    beta, dbeta = build(beta_coeffs)
-    return alpha, beta, dalpha, dbeta
+    def beta(self, w) -> np.ndarray:
+        """beta at the points w (..., n), (..., k2, k1)."""
+        return _map(self.beta_coeffs, self.point(w))
 
 
 class SingularPointError(ValueError):
@@ -461,13 +474,12 @@ def _dbar_adjoint(m, dm, m_dag, hs_inv, ht, dhs, dht):
 
 
 def _sigma_min(gram):
-    """Smallest h-metric singular values sqrt(lambda_min) of Gram matrices
-    (k, k, P) (beta beta^dag or alpha^dag alpha); NaN where one is not
-    finite.  A 1x1 Gram matrix is its own eigenvalue."""
-    finite = np.isfinite(gram).all(axis=(-3, -2))
-    gram = np.where(finite, gram, 0.0)
-    lam = (gram[0, 0].real if gram.shape[-2] == 1
-           else np.linalg.eigvals(np.moveaxis(gram, -1, 0)).real.min(axis=-1))
+    """Smallest h-metric singular values sqrt(lambda) of 1x1 Gram matrices
+    (1, 1, P) (beta beta^dag or alpha^dag alpha), each its own eigenvalue
+    lambda; NaN where one is not finite."""
+    g = gram[0, 0]
+    finite = np.isfinite(g)
+    lam = np.where(finite, g, 0.0).real
     return np.where(finite, np.sqrt(np.maximum(lam, 0.0)), np.nan)
 
 
@@ -498,9 +510,9 @@ def _values(spec, w, rest=()):
         rep = _report(spec, w, out, int(np.flatnonzero(singular)[0]))
         raise SingularPointError(f"{spec.name}: {np.count_nonzero(singular) + count} "
                                  f"singular point(s), the first: {rep}", report=rep)
-    out["bbd_inv"] = _inv(out.pop("bbd"))
+    out["bbd_inv"] = 1.0 / out.pop("bbd")
     if spec.k0 > 0:
-        out["ada_inv"] = _inv(out.pop("ada"))
+        out["ada_inv"] = 1.0 / out.pop("ada")
     return out
 
 
@@ -514,8 +526,8 @@ def _rule(spec, w):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = dict(zip(("h1", "dh1", "ddlog_h1"), _metric(spec.h1, wt, 2)))
         out.update(zip(("h2", "dh2"), _metric(spec.h2, wt, 1)))
-        out["beta"] = _points_last(spec.beta(w))
-        h1_inv = _inv(out["h1"])
+        out["beta"] = _affine(spec.beta_coeffs, wt)
+        h1_inv = 1.0 / out["h1"]
         beta_dag = _rmul(_lmul(h1_inv, _ct(out["beta"])), out["h2"])
         out["bbd"] = _mm(out["beta"], beta_dag)
         sigma_beta = _sigma_min(out["bbd"])
@@ -523,8 +535,8 @@ def _rule(spec, w):
                    sigma_alpha=np.full(sigma_beta.shape, np.inf))
         if spec.k0 > 0:
             out.update(zip(("h0", "dh0"), _metric(spec.h0, wt, 1)))
-            out["alpha"] = _points_last(spec.alpha(w))
-            out["h0_inv"] = _inv(out["h0"])
+            out["alpha"] = _affine(spec.alpha_coeffs, wt)
+            out["h0_inv"] = 1.0 / out["h0"]
             out["alpha_dag"] = _rmul(_lmul(out["h0_inv"], _ct(out["alpha"])), out["h1"])
             out["ada"] = _mm(out["alpha_dag"], out["alpha"])
             out["sigma_alpha"] = _sigma_min(out["ada"])
@@ -541,13 +553,13 @@ def _pieces(spec, w, values):
     (n, k2, k1, P).
     """
     out = dict(values)
-    dbar_beta_dag = _dbar_adjoint(out["beta"], _holo(spec.beta, spec.dbeta, w),
+    dbar_beta_dag = _dbar_adjoint(out["beta"], _holo(spec, spec.beta_coeffs, w),
                                   out["beta_dag"], out["h1_inv"], out["h2"],
                                   out["dh1"], out["dh2"])
-    out["grad_beta"] = _rmul(_lmul(_inv(out["h2"]), _ct(dbar_beta_dag)), out["h1"])
+    out["grad_beta"] = _rmul(_lmul(1.0 / out["h2"], _ct(dbar_beta_dag)), out["h1"])
     if spec.k0 > 0:
         out["grad_alpha_dag"] = _dbar_adjoint(
-            out["alpha"], _holo(spec.alpha, spec.dalpha, w), out["alpha_dag"],
+            out["alpha"], _holo(spec, spec.alpha_coeffs, w), out["alpha_dag"],
             out["h0_inv"], out["h1"], out["dh0"], out["dh1"])
     return out
 
@@ -706,11 +718,9 @@ def _curvature_data(spec, w, basis, values):
 
 
 def _spectral_radius(m):
-    """The largest |eigenvalue| of Hermitian matrices (r, r, P).  At r = 2
-    it is |tr| / 2 + sqrt(((m00 - m11) / 2)^2 + |m01|^2), exactly and
-    without cancellation; other ranks take LAPACK's eigvalsh."""
-    if m.shape[-2] != 2:
-        return np.abs(np.linalg.eigvalsh(np.moveaxis(m, -1, 0))).max(axis=-1)
+    """The largest |eigenvalue| of Hermitian 2x2 matrices (2, 2, P),
+    |tr| / 2 + sqrt(((m00 - m11) / 2)^2 + |m01|^2), exactly and without
+    cancellation."""
     m00, m11, m01 = m[0, 0].real, m[1, 1].real, m[0, 1]
     return 0.5 * np.abs(m00 + m11) + np.sqrt((0.5 * (m00 - m11)) ** 2
                                              + (m01.real**2 + m01.imag**2))
@@ -740,7 +750,7 @@ def curvature_batch(spec: MonadSpec, W: np.ndarray, fields=FIELDS) -> dict:
     """
     if isinstance(fields, str) or not fields or not set(fields) <= set(FIELDS):
         raise ValueError(f"fields must be a non-empty collection of {FIELDS}, got {fields!r}")
-    w = np.asarray(W, dtype=complex)
+    w = coords(W, spec.n)
     lead = w.shape[:-1]
     w = w.reshape(-1, w.shape[-1])
     out = {}

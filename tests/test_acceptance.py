@@ -6,6 +6,7 @@ The heat-flow criterion performs the full long run and dominates the runtime
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ def test_criterion_01_adhm_asd():
         worst_analytic = max(worst_analytic, float(data["norm_mean"].max()))
     worst_fd = 0.0
     for d in datasets:
-        spec_fd = adhm.strip_analytic_derivatives(adhm.instanton_monad(d))
+        spec_fd = replace(adhm.instanton_monad(d), fd=True)
         for p in rng.standard_normal((100, 4)) * 1.5:
             rep = mo.curvature(spec_fd, p[:2] + 1j * p[2:])
             worst_fd = max(worst_fd, rep["norm_mean"])

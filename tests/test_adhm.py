@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -53,8 +55,11 @@ def asd_defect_fd(a1, a2, b1, b2, p, h=1e-4):
     """Sum of the three anti-self-duality relations of the projection
     connection of any quadruple (no ADHM equation assumed): FD-level for
     valid data, order one for data violating the equations."""
-    alpha, beta, _, _ = adhm._maps(a1, a2, b1, b2)
-    comps = _projector_curvature(_projector(alpha, beta), p, h)
+    spec = adhm.instanton_monad(adhm.ADHMData(1, 0, 0, 1))
+    alpha, beta = spec.alpha_coeffs.copy(), spec.beta_coeffs.copy()
+    alpha[0, 2:, 0], beta[0, 0, 2:] = (a1, a2), (b1, b2)   # the constant terms
+    spec = replace(spec, alpha_coeffs=alpha, beta_coeffs=beta)
+    comps = _projector_curvature(_projector(spec.alpha, spec.beta), p, h)
     return float(np.linalg.norm(comps[(0, 1)] + comps[(2, 3)])
                  + np.linalg.norm(comps[(0, 2)] - comps[(1, 3)])
                  + np.linalg.norm(comps[(0, 3)] + comps[(1, 2)]))
@@ -127,8 +132,7 @@ class TestASD:
         assert asd_defect_fd(1, 0, 0, 1, [0.4, 0.9]) < 1e-6
 
     def test_fd_derivative_mode(self, rng):
-        spec = adhm.strip_analytic_derivatives(
-            adhm.instanton_monad(adhm.random_valid_data(rng)))
+        spec = replace(adhm.instanton_monad(adhm.random_valid_data(rng)), fd=True)
         for p in rng.standard_normal((5, 4)):
             assert mo.curvature(spec, p[:2] + 1j * p[2:])["norm_mean"] <= 1e-6
 

@@ -7,7 +7,7 @@ from hymkit.geometry import fd_derivative, fd_mixed_second, lambda_contract
 
 
 # Oracles of the conventions in hymkit.geometry, stated by their definitions;
-# the engine states the adjoint once more in monads._lmul / _rmul / _inv.
+# the engine states the adjoint once more in monads._lmul / _rmul.
 
 
 def inner(a, b, h=None):
@@ -151,24 +151,18 @@ class TestAdjoint:
         with pytest.raises(ValueError):
             adjoint_wrt(np.eye(2), np.eye(3), np.eye(2))
 
-    @pytest.mark.parametrize("diagonal", [False, True], ids=["dense", "diagonal"])
-    def test_engine_adjoint_matches_oracle(self, rng, diagonal):
+    @pytest.mark.parametrize("form", ["diagonal"])
+    def test_engine_adjoint_matches_oracle(self, rng, form):
         # the engine's M^dag = h_src^{-1} conj(M)^t h_dst on batched metrics
-        # held points last, diagonal ones carried as columns (k, 1, P) as
-        # monads._metric does
+        # held points last; every metric is diagonal, carried as a column
+        # (k, 1, P) as monads._metric does, and its inverse is the reciprocal
         batch, k, m = 5, 3, 2
         mat = rng.standard_normal((batch, m, k)) + 1j * rng.standard_normal((batch, m, k))
-        if diagonal:
-            h_src = rng.random((batch, k, 1)) + 0.5
-            h_dst = rng.random((batch, m, 1)) + 0.5
-            dense_src = h_src * np.eye(k)
-            dense_dst = h_dst * np.eye(m)
-        else:
-            h_src = dense_src = np.stack([rand_metric(rng, k) for _ in range(batch)])
-            h_dst = dense_dst = np.stack([rand_metric(rng, m) for _ in range(batch)])
+        h_src = rng.random((batch, k, 1)) + 0.5
+        h_dst = rng.random((batch, m, 1)) + 0.5
         src, dst, m_last = (np.moveaxis(x, 0, -1) for x in (h_src, h_dst, mat))
-        engine = np.moveaxis(mo._rmul(mo._lmul(mo._inv(src), mo._ct(m_last)), dst), -1, 0)
-        np.testing.assert_allclose(engine, adjoint_wrt(mat, dense_src, dense_dst),
+        engine = np.moveaxis(mo._rmul(mo._lmul(1.0 / src, mo._ct(m_last)), dst), -1, 0)
+        np.testing.assert_allclose(engine, adjoint_wrt(mat, h_src * np.eye(k), h_dst * np.eye(m)),
                                    rtol=1e-12, atol=1e-12)
 
 

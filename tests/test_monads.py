@@ -20,14 +20,22 @@ def main_spec():
 
 
 def _zero_map_spec(zero_beta=True):
-    """All-zero ADHM maps (or a zero alpha only), built directly to bypass
-    the data validation."""
+    """The ADHM monad with zero tables for both maps (or for alpha only),
+    built directly to bypass the data validation."""
     spec = adhm.instanton_monad(adhm.ADHMData(1, 0, 0, 1))
-    return mo.MonadSpec(
-        name="degenerate", n=2, k0=1, k1=4, k2=1,
-        alpha=lambda w: np.where(True, 0.0, 0.0) * spec.alpha(w),
-        beta=lambda w: (0.0 if zero_beta else 1.0) * spec.beta(w),
-        h0=spec.h0, h1=spec.h1, h2=spec.h2)
+    beta = np.zeros_like(spec.beta_coeffs) if zero_beta else spec.beta_coeffs
+    return dataclasses.replace(spec, name="degenerate",
+                               alpha_coeffs=np.zeros_like(spec.alpha_coeffs),
+                               beta_coeffs=beta)
+
+
+def _raw_instanton_monad(a1, a2, b1, b2):
+    """The ADHM monad of any quadruple, the constant terms of its tables
+    set directly to bypass the data validation."""
+    spec = adhm.instanton_monad(adhm.ADHMData(1, 0, 0, 1))
+    alpha, beta = spec.alpha_coeffs.copy(), spec.beta_coeffs.copy()
+    alpha[0, 2:, 0], beta[0, 0, 2:] = (a1, a2), (b1, b2)
+    return dataclasses.replace(spec, alpha_coeffs=alpha, beta_coeffs=beta)
 
 
 class TestValidate:
@@ -54,39 +62,31 @@ class TestValidate:
         assert np.abs(b @ a).max() <= 1e-12
 
 
-def _spec_maps(spec):
-    return spec.alpha, spec.beta, spec.dalpha, spec.dbeta
-
-
 ROOT = complex(np.sqrt(-37 + 5j))
 
-# name -> (maps, n, entries of the column alpha or None if k0 = 0, entries
+# name -> (spec, n, entries of the column alpha or None if k0 = 0, entries
 # of the row beta), the entries written from each map's formula
 AFFINE_CASES = {
-    "ansatz": (lambda: _spec_maps(ansatz_monad()), 3,
+    "ansatz": (ansatz_monad, 3,
                lambda x, y, z: [x, y, 1, 0], lambda x, y, z: [-y, x, 0, z]),
-    "cone": (lambda: _spec_maps(cone_monad()), 3,
-             None, lambda x, y, z: [x, y, z]),
-    "flat-cone": (lambda: _spec_maps(flat_metric_cone_monad()), 3,
-                  None, lambda x, y, z: [x, y, z]),
-    "twisted-100-root-10": (lambda: _spec_maps(twisted_monad(100, root=10)), 3,
+    "cone": (cone_monad, 3, None, lambda x, y, z: [x, y, z]),
+    "flat-cone": (flat_metric_cone_monad, 3, None, lambda x, y, z: [x, y, z]),
+    "twisted-100-root-10": (lambda: twisted_monad(100, root=10), 3,
                             lambda x, y, z: [x, y, 10, 0],
                             lambda x, y, z: [-y, x, 0, 10]),
-    "twisted-100-root-minus-10": (lambda: _spec_maps(twisted_monad(100, root=-10)), 3,
+    "twisted-100-root-minus-10": (lambda: twisted_monad(100, root=-10), 3,
                                   lambda x, y, z: [x, y, -10, 0],
                                   lambda x, y, z: [-y, x, 0, -10]),
-    "twisted-complex": (lambda: _spec_maps(twisted_monad(-37 + 5j)), 3,
+    "twisted-complex": (lambda: twisted_monad(-37 + 5j), 3,
                         lambda x, y, z: [x, y, ROOT, 0],
                         lambda x, y, z: [-y, x, 0, ROOT]),
-    "instanton": (lambda: _spec_maps(adhm.instanton_monad(
-                      adhm.ADHMData(1, 0.5j, -0.5j, 1))), 2,
+    "instanton": (lambda: adhm.instanton_monad(adhm.ADHMData(1, 0.5j, -0.5j, 1)), 2,
                   lambda x, y: [x, y, 1, 0.5j], lambda x, y: [-y, x, -0.5j, 1]),
-    "instanton-complex": (lambda: _spec_maps(adhm.instanton_monad(
-                              adhm.ADHMData(2 - 1j, 0, 0, 2 - 1j))), 2,
-                          lambda x, y: [x, y, 2 - 1j, 0],
+    "instanton-complex": (lambda: adhm.instanton_monad(adhm.ADHMData(2 - 1j, 0, 0, 2 - 1j)),
+                          2, lambda x, y: [x, y, 2 - 1j, 0],
                           lambda x, y: [-y, x, 0, 2 - 1j]),
     # a1 b1 + a2 b2 = 1: violates the ADHM equations
-    "raw-non-adhm": (lambda: adhm._maps(1, 0, 1, 0), 2,
+    "raw-non-adhm": (lambda: _raw_instanton_monad(1, 0, 1, 0), 2,
                      lambda x, y: [x, y, 1, 0], lambda x, y: [-y, x, 1, 0]),
 }
 
@@ -98,8 +98,9 @@ def _entries(w, entries):
 
 
 class TestAffineMaps:
-    """Every bundled monad's maps against their formulas, and each derivative
-    against finite differences of its map."""
+    """Every bundled monad's maps against their formulas, and the columns
+    of each coefficient table, the map's derivatives, against finite
+    differences of the map."""
 
     def points(self, n, rng):
         p = rng.standard_normal((7, 2 * n)) * 2
@@ -110,7 +111,7 @@ class TestAffineMaps:
     @pytest.mark.parametrize("name", list(AFFINE_CASES))
     def test_maps_match_formulas(self, name, rng):
         make, n, alpha_entries, beta_entries = AFFINE_CASES[name]
-        alpha, beta, _, _ = make()
+        spec = make()
         w = self.points(n, rng)
         for q in (w, w[3]):
             expected_beta = _entries(q, beta_entries)[..., None, :]
@@ -118,22 +119,86 @@ class TestAffineMaps:
                 expected_alpha = np.zeros(q.shape[:-1] + (expected_beta.shape[-1], 0))
             else:
                 expected_alpha = _entries(q, alpha_entries)[..., :, None]
-            for got, expected in ((alpha(q), expected_alpha), (beta(q), expected_beta)):
+            for got, expected in ((spec.alpha(q), expected_alpha),
+                                  (spec.beta(q), expected_beta)):
                 assert got.shape == expected.shape
                 np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("name", list(AFFINE_CASES))
     def test_derivatives_match_finite_differences(self, name, rng):
         make, n, _, _ = AFFINE_CASES[name]
-        alpha, beta, dalpha, dbeta = make()
+        spec = make()
         w = self.points(n, rng)
         for q in (w, w[3]):
-            for fn, dfn in ((alpha, dalpha), (beta, dbeta)):
-                d = dfn(q)
-                fd = mo._fd_jacobian(fn, q, n, 1e-5)
+            for fn, coeffs in ((spec.alpha, spec.alpha_coeffs), (spec.beta, spec.beta_coeffs)):
+                # the columns C_j at every point, (n, ..., a, b)
+                d = np.moveaxis(np.broadcast_to(coeffs[1:], q.shape[:-1] + coeffs[1:].shape),
+                                -3, 0)
+                fd = mo._fd_jacobian(fn, q, 1e-5)
                 assert d.shape == fd.shape
                 scale = np.abs(d).max(initial=0.0)
                 assert np.abs(d - fd).max(initial=0.0) <= 1e-8 * scale
+
+
+def _tables(n, k0, k1, k2, rng):
+    """Random coefficient tables (n + 1, k1, k0) and (n + 1, k2, k1)."""
+    return (rng.standard_normal((n + 1, k1, k0)), rng.standard_normal((n + 1, k2, k1)))
+
+
+class TestMonadSpec:
+    """A monad is its two coefficient tables: n, k0, k1, k2 and the rank are
+    read from them, and construction raises for any shape no monad has."""
+
+    def spec(self, alpha, beta, sizes=None):
+        k0, k1, k2 = sizes or (alpha.shape[-1], alpha.shape[-2], beta.shape[-2])
+        return mo.MonadSpec(name="probe", alpha_coeffs=alpha, beta_coeffs=beta,
+                            h0=mo.constant_metric(np.eye(k0)),
+                            h1=mo.constant_metric(np.eye(k1)),
+                            h2=mo.constant_metric(np.eye(k2)))
+
+    @pytest.mark.parametrize("name", list(AFFINE_CASES))
+    def test_sizes_read_from_the_tables(self, name):
+        make, n, alpha_entries, _ = AFFINE_CASES[name]
+        spec = make()
+        k0 = 0 if alpha_entries is None else 1
+        assert (spec.n, spec.k0, spec.k1, spec.k2, spec.rank) == (n, k0, k0 + 3, 1, 2)
+        assert spec.alpha_coeffs.dtype == spec.beta_coeffs.dtype == complex
+        with pytest.raises(ValueError, match="read-only"):
+            spec.beta_coeffs[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("shapes", [
+        ((3, 4, 1), (4, 1, 4)),         # n + 1 differs
+        ((4, 4), (4, 1, 4)),            # a table that is not 3-D
+        ((4, 4, 1), (4, 1, 4, 1)),
+        ((4, 4, 1), (4, 1, 3)),         # k1 differs
+        ((1, 4, 1), (1, 1, 4)),         # no coordinates
+    ], ids=["n", "alpha-ndim", "beta-ndim", "k1", "n-zero"])
+    def test_table_shapes_must_agree(self, shapes, rng):
+        alpha, beta = (rng.standard_normal(shape) for shape in shapes)
+        with pytest.raises(ValueError, match="coefficient tables"):
+            self.spec(alpha, beta, sizes=(1, 4, 1))
+
+    @pytest.mark.parametrize("k0,k1,k2", [(1, 5, 2), (2, 5, 1), (1, 3, 1), (1, 5, 1)],
+                             ids=["k2-2", "k0-2", "rank-1", "rank-3"])
+    def test_shapes_no_monad_has_rejected(self, rng, k0, k1, k2):
+        with pytest.raises(ValueError, match="k2 = 1, k0 <= 1 and rank 2"):
+            self.spec(*_tables(3, k0, k1, k2, rng))
+
+    @pytest.mark.parametrize("key", ["h0", "h1", "h2"])
+    def test_metric_size_must_match_its_bundle(self, key):
+        spec = ansatz_monad()
+        with pytest.raises(ValueError, match=f"{key} has 2 entries"):
+            dataclasses.replace(spec, **{key: mo.constant_metric(np.eye(2))})
+
+    def test_other_metric_rejected(self):
+        with pytest.raises(TypeError, match="h1 must be a DiagPowerMetric"):
+            dataclasses.replace(ansatz_monad(), h1=np.eye(4))
+
+    def test_sizes_are_not_fields(self):
+        # replace(spec, k2=2) once built a rank-1 record and k0=0 a rank-3 one
+        for key in ("n", "k0", "k1", "k2", "alpha", "dalpha"):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                dataclasses.replace(ansatz_monad(), **{key: 2})
 
 
 class TestCohomologyFrame:
@@ -266,15 +331,17 @@ class TestFrameBatch:
             spec, [0.5, 1.0, -0.3], chart_frame("x")([0.5, 1.0, -0.3])),
          {"h0": 1, "h1": 1, "alpha": 1, "beta": 1}),
     ], ids=["curvature_batch", "curvature", "induced_metric"])
-    def test_evaluates_inputs_once(self, entry, expected):
+    def test_evaluates_inputs_once(self, entry, expected, monkeypatch):
         base = ansatz_monad()
         calls = {}
+        affine = mo._affine
 
-        def counted(name, fn):
-            def wrapped(w):
-                calls[name] = calls.get(name, 0) + 1
-                return fn(w)
-            return wrapped
+        def counted(coeffs, wt):
+            # every evaluation of a map, in the engine and by alpha(w) and
+            # beta(w), forms it from its table
+            name = "alpha" if coeffs is spec.alpha_coeffs else "beta"
+            calls[name] = calls.get(name, 0) + 1
+            return affine(coeffs, wt)
 
         def metric(name, m):
             # counts the evaluations of the metric, each _diags call forming
@@ -285,11 +352,9 @@ class TestFrameBatch:
                     return super()._diags(wt, order)
             return Counted(m.consts, m.pow_rho, m.pow_r2, m.pow_z2)
 
-        spec = mo.MonadSpec(
-            name="counted", n=3, k0=1, k1=4, k2=1,
-            alpha=counted("alpha", base.alpha), beta=counted("beta", base.beta),
-            h0=metric("h0", base.h0), h1=metric("h1", base.h1),
-            h2=metric("h2", base.h2), dalpha=base.dalpha, dbeta=base.dbeta)
+        spec = dataclasses.replace(base, name="counted", h0=metric("h0", base.h0),
+                                   h1=metric("h1", base.h1), h2=metric("h2", base.h2))
+        monkeypatch.setattr(mo, "_affine", counted)
         entry(spec)
         assert calls == expected
 
@@ -476,9 +541,9 @@ class TestCurvature:
                 "cone-flat": flat_metric_cone_monad,
                 "twisted": lambda: twisted_monad(100.0),
                 "adhm": lambda: adhm.instanton_monad(adhm.ADHMData(1, 0, 0, 1)),
-                "ansatz-fd": lambda: adhm.strip_analytic_derivatives(ansatz_monad()),
-                "adhm-fd": lambda: adhm.strip_analytic_derivatives(
-                    adhm.instanton_monad(adhm.random_valid_data(rng)))}[name]()
+                "ansatz-fd": lambda: dataclasses.replace(ansatz_monad(), fd=True),
+                "adhm-fd": lambda: dataclasses.replace(
+                    adhm.instanton_monad(adhm.random_valid_data(rng)), fd=True)}[name]()
         p = rng.standard_normal((20, 2 * spec.n))
         w = p[:, :spec.n] + 1j * p[:, spec.n:]
         if name == "twisted":
@@ -496,7 +561,7 @@ class TestCurvature:
             assert basis.tobytes() == mo.frame_batch(spec, mo._values(spec, q[None]))[0].tobytes()
 
     def test_fd_fallback_matches_analytic(self, main_spec):
-        stripped = adhm.strip_analytic_derivatives(main_spec)
+        stripped = dataclasses.replace(main_spec, fd=True)
         w = np.array([0.9, 0.4 - 0.2j, 0.7 + 0.1j])
         r_an = mo.curvature(main_spec, w)
         r_fd = mo.curvature(stripped, w)
@@ -646,9 +711,10 @@ def _ref_ambient_forms(spec, w):
     + conj(grad_adag)^t h0 (alpha^dag alpha)^{-1} grad_adag."""
     n = spec.n
 
-    def dmap(fn, dfn):
-        if dfn is not None:
-            return np.asarray(dfn(w), dtype=complex)
+    def dmap(fn, coeffs):
+        # the table's columns C_j, or centred differences of the map with fd
+        if not spec.fd:
+            return coeffs[1:]
         return np.stack([fd_derivative(fn, w, j, "holo", mo.FD_STEP)
                          for j in range(n)], axis=0)
 
@@ -659,14 +725,14 @@ def _ref_ambient_forms(spec, w):
     corr = np.einsum("kab,bc,jcd->jkad", np.swapaxes(dh1.conj(), -1, -2), h1i, dh1)
     f1 = -np.einsum("ab,jkbc->jkac", h1i, ddh1 - corr)
     beta = np.asarray(spec.beta(w), dtype=complex)
-    gb = _ref_grad_beta(spec, w, h1, h2, dh1, dh2, dmap(spec.beta, spec.dbeta))
+    gb = _ref_grad_beta(spec, w, h1, h2, dh1, dh2, dmap(spec.beta, spec.beta_coeffs))
     bbd_inv = np.linalg.inv(beta @ h1i @ beta.conj().T @ h2)
     mid = np.einsum("ab,bc,jcd->jad", h2, bbd_inv, gb)
     out = (np.einsum("ab,jkbc->jkac", h1, f1)
            - np.einsum("kab,jbc->jkac", np.swapaxes(gb.conj(), -1, -2), mid))
     if spec.k0 > 0:
         alpha = np.asarray(spec.alpha(w), dtype=complex)
-        ga = _ref_grad_alpha_dag(spec, w, h0, h1, dh0, dh1, dmap(spec.alpha, spec.dalpha))
+        ga = _ref_grad_alpha_dag(spec, w, h0, h1, dh0, dh1, dmap(spec.alpha, spec.alpha_coeffs))
         ada_inv = np.linalg.inv(np.linalg.solve(h0, alpha.conj().T @ h1) @ alpha)
         mid3 = np.einsum("ab,bc,kcd->kad", h0, ada_inv, ga)
         out = out + np.einsum("jab,kbc->jkac", np.swapaxes(ga.conj(), -1, -2), mid3)
@@ -687,7 +753,7 @@ class TestFiberForms:
         if name == "twisted":
             return twisted_monad(400), w + np.array([0, 0, 400.0])
         if name == "fd_stripped":
-            return adhm.strip_analytic_derivatives(ansatz_monad()), w
+            return dataclasses.replace(ansatz_monad(), fd=True), w
         return ansatz_monad(), w
 
     @pytest.mark.parametrize("name", ["adhm", "ansatz", "cone", "twisted", "fd_stripped"])
@@ -845,9 +911,9 @@ def _hermitian_batch(rng, shape, r):
 
 
 class TestClosedForms:
-    """The size-1 and size-2 rules of the engine against LAPACK references;
-    the engine holds its matrices points last, (k, k, P), and the
-    references take them points first."""
+    """The size-1 and size-2 rules of the engine, the only sizes a monad
+    has, against LAPACK references; the engine holds its matrices points
+    last, (k, k, P), and the references take them points first."""
 
     def gram_batch(self, rng):
         # 1x1 Gram matrices beta beta^dag: real and positive up to rounding,
@@ -868,21 +934,7 @@ class TestClosedForms:
         # a NaN singular value is singular under the rule
         assert not np.any(got[~finite] > mo.SINGULAR_TOL)
 
-    def test_sigma_min_larger_gram_keeps_lapack(self, rng):
-        a = rng.standard_normal((50, 3, 2)) + 1j * rng.standard_normal((50, 3, 2))
-        g = np.swapaxes(a.conj(), -1, -2) @ a
-        g[0, 0, 1] = np.nan
-        ref = np.sqrt(np.maximum(np.linalg.eigvalsh(g[1:]).min(axis=-1), 0.0))
-        got = mo._sigma_min(np.moveaxis(g, 0, -1))
-        assert np.isnan(got[0])
-        np.testing.assert_allclose(got[1:], ref, rtol=1e-12)
-
-    def test_gram_inverse_size_one(self, rng):
-        g = self.gram_batch(rng)[6:]
-        np.testing.assert_allclose(np.moveaxis(mo._inv(np.moveaxis(g, 0, -1)), -1, 0),
-                                   np.linalg.inv(g), rtol=1e-15, atol=0)
-
-    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("r", [2])
     def test_spectral_radius(self, rng, r):
         m = _hermitian_batch(rng, (300,), r)
         m[:4] *= np.array([0.0, 1e-30, 1e30, 1.0])[:, None, None]
@@ -926,23 +978,6 @@ class TestClosedForms:
         assert _matmul_count(lambda: mo.induced_metric(
             ansatz_monad(), [0.5, 1.0, -0.3], chart_frame("x")([0.5, 1.0, -0.3])))[1] > 0
 
-    @pytest.mark.parametrize("make", [
-        lambda: adhm.instanton_monad(adhm.ADHMData(1, 0.5j, -0.5j, 1)), ansatz_monad],
-        ids=["instanton", "ansatz"])
-    def test_no_lapack_on_bundled_monads(self, rng, monkeypatch, make):
-        # every bundled monad has k0 <= 1, k2 = 1 and rank 2: the closed
-        # forms must serve all of it, with no fall-back to LAPACK
-        spec = make()
-        w = rng.standard_normal((50, spec.n)) + 1j * rng.standard_normal((50, spec.n)) + 0.5
-        ref = mo.curvature_batch(spec, w)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("LAPACK called")
-        for name in ("inv", "eigvals", "eigvalsh"):
-            monkeypatch.setattr(np.linalg, name, refuse)
-        got = mo.curvature_batch(spec, w)
-        assert all(np.array_equal(got[key], ref[key]) for key in ref)
-
 
 class TestBlocks:
     """curvature_batch runs over blocks of BLOCK_POINTS points."""
@@ -972,6 +1007,12 @@ class TestBlocks:
         assert out["form_raw"].shape == (0, 3, 3, 2, 2)
         assert out["mean"].shape == (0, 2, 2)
         assert out["norm_mean"].shape == out["norm_form"].shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(5, 2), (5, 4), (4,), ()],
+                             ids=["5x2", "5x4", "4", "scalar"])
+    def test_wrong_coordinate_count_rejected(self, main_spec, shape):
+        with pytest.raises(ValueError, match="expected 3 complex coordinates"):
+            mo.curvature_batch(main_spec, np.ones(shape))
 
     def test_single_point_keeps_its_shape(self, main_spec):
         out = mo.curvature_batch(main_spec, [0.3, 1.0, -0.2j])
