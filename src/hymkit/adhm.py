@@ -99,9 +99,7 @@ def instanton_monad(d: ADHMData) -> mo.MonadSpec:
         name=f"adhm({a1:.3g},{a2:.3g},{b1:.3g},{b2:.3g})",
         alpha_coeffs=np.array([[0, 0, a1, a2], [1, 0, 0, 0], [0, 1, 0, 0]])[..., None],
         beta_coeffs=np.array([[0, 0, b1, b2], [0, 1, 0, 0], [-1, 0, 0, 0]])[:, None],
-        h0=mo.constant_metric(np.eye(1)),
         h1=mo.constant_metric(np.eye(4)),
-        h2=mo.constant_metric(np.eye(1)),
     )
 
 

@@ -62,9 +62,7 @@ def ansatz_monad() -> mo.MonadSpec:
                                [0, 0, 0, 0]])[..., None],
         beta_coeffs=np.array([[0, 0, 0, 0], [0, 1, 0, 0], [-1, 0, 0, 0],
                               [0, 0, 0, 1]])[:, None],
-        h0=mo.constant_metric(np.eye(1)),
         h1=mo.DiagPowerMetric(consts=(1, 1, 1, 1), pow_rho=(-0.5, -0.5, 0, 0)),
-        h2=mo.constant_metric(np.eye(1)),
     )
 
 
@@ -110,23 +108,30 @@ def cone_monad() -> mo.MonadSpec:
 
     The scale-invariant weight exactly cancels the Einstein constant of the
     underlying projective cotangent geometry: i Lambda F = 0 at every
-    regular point.  alpha is empty and beta = (x, y, z): constant term 0,
-    then the coefficient rows of x, y and z.
+    regular point.
+
+    It is written in the one monad shape C -> C^4 -> C by adding the
+    acyclic summand C --1--> C with unit metric: alpha = e_4, beta =
+    (x, y, z, 0) and h1 = diag(|w|^-1, |w|^-1, |w|^-1, 1).  That changes
+    nothing: alpha^dag = (0, 0, 0, 1) cuts the fiber
+    ker beta ∩ ker alpha^dag down to ker(x, y, z) ⊕ 0, and the summand's
+    maps and metric are constant, so the bundle, its metric and its
+    connection are those of the kernel monad.  The tables: alpha's constant
+    term e_4 and no w terms; beta's constant term 0, then the coefficient
+    rows of x, y and z.
     """
     return mo.MonadSpec(
         name="cone",
-        alpha_coeffs=np.zeros((4, 3, 0)),
-        beta_coeffs=np.eye(4, 3, k=-1)[:, None],
-        h0=mo.constant_metric(np.zeros((0, 0))),
-        h1=mo.DiagPowerMetric(consts=(1, 1, 1), pow_rho=(0, 0, 0),
-                              pow_r2=(-0.5, -0.5, -0.5)),
-        h2=mo.constant_metric(np.eye(1)),
+        alpha_coeffs=np.eye(4, 4, k=3)[:, :, None],
+        beta_coeffs=np.eye(4, 4, k=-1)[:, None],
+        h1=mo.DiagPowerMetric(consts=(1, 1, 1, 1), pow_rho=(0, 0, 0, 0),
+                              pow_r2=(-0.5, -0.5, -0.5, 0)),
     )
 
 
 def flat_metric_cone_monad() -> mo.MonadSpec:
     """Negative control: same kernel monad with the constant metric."""
-    return replace(cone_monad(), name="cone-flat", h1=mo.constant_metric(np.eye(3)))
+    return replace(cone_monad(), name="cone-flat", h1=mo.constant_metric(np.eye(4)))
 
 
 def twisted_monad(zeta: complex, root: complex | None = None) -> mo.MonadSpec:
@@ -155,7 +160,7 @@ def twisted_monad(zeta: complex, root: complex | None = None) -> mo.MonadSpec:
                                [0, 0, 0, 0]])[..., None],
         beta_coeffs=np.array([[0, 0, 0, c], [0, 1, 0, 0], [-1, 0, 0, 0],
                               [0, 0, 0, 0]])[:, None],
-        h0=mo.constant_metric(np.eye(1)), h1=h1, h2=mo.constant_metric(np.eye(1)),
+        h1=h1,
     )
 
 

@@ -323,13 +323,6 @@ class _Bracket(NamedTuple):
     q: np.ndarray
 
 
-class _Region(NamedTuple):
-    """The part of a :class:`_Stencil` that :func:`_flow_bracket` reads."""
-
-    nodes: np.ndarray          # (N,)
-    nbr: np.ndarray            # (2, 6, N)
-
-
 class _Stencil(NamedTuple):
     """Flat indices into the C-ordered components: one state's stencil table.
 
@@ -605,11 +598,8 @@ def mean_curvature_field(state: FlowState):
     Per node the 2x2 matrix chi = -H^{-1} B / 2 = -adj(H) B / (2 det) is
     H-self-adjoint with real eigenvalues; the norm is the spectral radius.
     Returns ``(chi, sup)`` with chi of shape (..., 2, 2) over the interior.
-    Of a stencil table it builds only what :func:`_flow_bracket` reads.
     """
-    dom = state.domain
-    nodes = _flat(dom.shape, dom.interior).ravel()
-    br = _flow_bracket(state, _Region(nodes, _nbr(dom.shape, nodes)))
+    br = _flow_bracket(state, _stencil(state.domain, block=False))
     g = -0.5 / br.det
     chi = np.empty(br.det.shape + (2, 2), dtype=complex)
     chi[..., 0, 0] = g * (br.d * br.p - br.b * br.q.conj())

@@ -1,13 +1,16 @@
 """Generic monad machinery.
 
-A monad is a two-step complex of trivial Hermitian bundles over C^n
+Every monad here has one shape: a two-step complex of trivial Hermitian
+bundles over C^n
 
-    C^{k0} --alpha--> C^{k1} --beta--> C^{k2},     beta(p) alpha(p) = 0,
+    C --alpha--> (C^4, h1) --beta--> C,     beta(p) alpha(p) = 0,
 
-with alpha fiberwise injective and beta fiberwise surjective away from a
-singular locus.  Its cohomology bundle E (rank r = k1 - k0 - k2) is realised
-fiberwise as V_p = ker beta(p) ∩ ker alpha^dag(p) inside C^{k1}, and carries
-the metric and connection induced from h1.
+with unit metrics on the two outer bundles, alpha fiberwise injective and
+beta fiberwise surjective away from a singular locus.  Its cohomology bundle
+E, of rank 4 - 1 - 1 = 2, is realised fiberwise as
+V_p = ker beta(p) ∩ ker alpha^dag(p) inside C^4, and carries the metric and
+connection induced from h1.  With unit outer metrics the adjoints are
+alpha^dag = conj(alpha)^t h1 and beta^dag = h1^{-1} conj(beta)^t.
 
 The curvature of the induced connection, evaluated on harmonic representatives
 s, s' in V_p, is
@@ -20,36 +23,37 @@ where grad alpha^dag = dbar(alpha^dag) is a (0,1)-form, grad beta =
 All pairings and adjoints follow the conventions of :mod:`hymkit.geometry`.
 
 There is one fiber frame, one contraction and one result record.  The
-h1-orthonormal basis B (k1 x r) of V_p is built by :func:`frame_batch`,
+h1-orthonormal basis B (4 x 2) of V_p is built by :func:`frame_batch`,
 Gram-Schmidt over the projected standard basis.  :func:`curvature_batch`
 returns a dict of arrays: the keys ``basis``, ``form_raw``, ``mean``,
 ``norm_mean`` and ``norm_form``, each with the batch axes of its input.
 Every ingredient is multiplied by B before the forms are paired
-(:func:`_fiber_forms`), so no (n, n, k1, k1) ambient form exists, and the
-metrics and maps at a point are evaluated once for both (:func:`_values`).
+(:func:`_fiber_forms`), so no (n, n, 4, 4) ambient form exists, and h1
+and the maps at a point are evaluated once for both (:func:`_values`).
 
-A monad is its two coefficient tables: its maps are affine in w, and
+A monad is its two coefficient tables and h1: its maps are affine in w, and
 :class:`MonadSpec` holds C_0, C_1 .. C_n of C_0 + sum_j w_j C_j for each,
-alpha's (n + 1, k1, k0) and beta's (n + 1, k2, k1).  n, k0, k1, k2 and the
-rank are read from the tables' shapes, and the derivative along w_j is the
-table's C_j, so a map and its derivative cannot disagree.  Every monad has
-k2 = 1, k0 <= 1 and rank 2, with metrics the sizes of their bundles;
-:class:`MonadSpec` raises for any other shape.  ``MonadSpec.fd`` takes the
-map derivatives by centred differences instead, the oracle of the tables.
+alpha's (n + 1, 4, 1) and beta's (n + 1, 1, 4).  n is read from the tables,
+and the derivative along w_j is the table's C_j, so a map and its derivative
+cannot disagree; :class:`MonadSpec` raises for any other shape.  The sizes
+are the module constants ``K1`` = 4 and ``RANK`` = 2.  The conical kernel
+monad 0 -> C^3 -> C takes this shape with an acyclic summand C --1--> C
+(:func:`hymkit.ansatz.cone_monad`).  ``MonadSpec.fd`` takes the map
+derivatives by centred differences instead, the oracle of the tables.
 
 The engine works points last: every working array of a block is
 (..., rows, cols, P), its P points on the last, contiguous axis, so each
-elementwise pass loops over the points.  The maps and the metrics are
+elementwise pass loops over the points.  The maps and h1 are
 evaluated once per block, the maps from their tables (:func:`_affine`),
 and a value that is the same at every point (a constant metric, a table's
 derivative column) stays one column (..., 1) that broadcasts.  The record
 keeps its points-first shapes: each block is transposed into it once, for
 the fields asked for.
 
-Metrics have one form: every metric is a :class:`DiagPowerMetric`
+Metrics have one form: h1 is a :class:`DiagPowerMetric`
 (:func:`constant_metric` of a real diagonal matrix included), and
 :class:`MonadSpec` takes no other.  It stays diagonal through the engine
-(:func:`_metric`): h and d h are diagonal columns, h^{-1} is their
+(:func:`_metric`): h1 and d h1 are diagonal columns, h1^{-1} is their
 reciprocal, and the Chern term h1 F1 of h1 is -h1 d dbar log h1 entry by
 entry, from the closed-form log-Hessian; the derivatives of a constant
 metric are None, so the terms they enter are dropped.  :func:`_lmul` and
@@ -60,7 +64,7 @@ Stacked small products go through :func:`_mm`, a sum of outer products over
 the contraction index taken in index order, where numpy's matmul would make
 one BLAS call per point: the Gram matrices, the projector's columns, the
 fiber columns of the derivatives and the pairings of the forms, which land
-in the (n, n, r, r, P) layout of the raw form directly.  The engine makes
+in the (n, n, 2, 2, P) layout of the raw form directly.  The engine makes
 no BLAS or LAPACK call, and sums over an axis are taken in index order
 (:func:`_sum0`), so a point's values do not depend on how many points share
 its block.
@@ -74,9 +78,9 @@ and raises one :class:`SingularPointError` that counts the singular points
 and carries the :class:`ValidityReport` of the first; :func:`validate_monad`
 reports the same numbers without raising.
 
-At k0 <= 1 and k2 = 1 the Gram matrices are 1x1: each is its own
-eigenvalue (:func:`_sigma_min`) and its inverse is its reciprocal; at rank
-2, i Lambda F has the closed-form 2x2 :func:`_spectral_radius`.
+The Gram matrices beta beta^dag and alpha^dag alpha are 1x1: each is its
+own eigenvalue (:func:`_sigma_min`) and its inverse is its reciprocal; at
+rank 2, i Lambda F has the closed-form 2x2 :func:`_spectral_radius`.
 :func:`curvature_batch` works one block of
 ``BLOCK_POINTS`` points at a time, bit for bit the same as one block, and
 writes each block into a record allocated once for the whole batch.  It
@@ -87,7 +91,7 @@ the singular-point rule still covers the whole batch.
 Everything here accepts a single point (shape (n,)) or a batch (..., n).
 The one-point entry points are batches of one: :func:`curvature` returns
 the :func:`curvature_batch` record of a single point, with no batch axes,
-and :func:`cohomology_frame` its (k1, r) basis.
+and :func:`cohomology_frame` its (4, 2) basis.
 """
 
 from __future__ import annotations
@@ -115,6 +119,10 @@ __all__ = [
 ]
 
 SINGULAR_TOL = 1e-8
+
+# the rank of a monad's middle bundle, C^4, and of its cohomology bundle
+K1 = 4
+RANK = 2
 
 FD_STEP = 1e-4  # centred finite-difference step of the map derivatives with MonadSpec.fd
 
@@ -308,19 +316,16 @@ def _holo(spec, coeffs, w):
     return coeffs[1:, ..., None]
 
 
-def _metric(metric, wt, order):
-    """[h, d_j h, d_j d_kbar log h][:order + 1] at the points wt (n, P) as
-    the engine carries them: diagonal columns (k, 1, P) and (n, k, 1, P),
-    a constant h as a (k, 1, 1) column, and the log-Hessian as its terms
-    [(e, X)], e a (k, 1, 1) column and X (n, n, P); None for derivatives
-    that are identically zero."""
-    d = metric._diags(wt, order)
-    out = [d[0][:, None]]
-    if order:
-        out.append(None if d[1] is None else (d[0] * d[1])[:, :, None])
-    if order == 2:
-        out.append(None if d[2] is None else [(e[:, None], x) for e, x in d[2]])
-    return out
+def _metric(metric, wt):
+    """h, d_j h and d_j d_kbar log h at the points wt (n, P) as the engine
+    carries them: diagonal columns (k, 1, P) and (n, k, 1, P), a constant h
+    as a (k, 1, 1) column, and the log-Hessian as its terms [(e, X)], e a
+    (k, 1, 1) column and X (n, n, P); None for derivatives that are
+    identically zero."""
+    h, dlog, ddlog = metric._diags(wt, 2)
+    if dlog is None:
+        return h[:, None], None, None
+    return h[:, None], (h * dlog)[:, :, None], [(e[:, None], x) for e, x in ddlog]
 
 
 def _mm(x, y):
@@ -354,80 +359,59 @@ def _rmul(x, h, adj=False):
 # eq=False: the tables are arrays, so a spec compares and hashes by identity
 @dataclass(frozen=True, eq=False)
 class MonadSpec:
-    """A monad over C^n, its maps affine in w, with metrics on all three bundles.
+    """A monad C --alpha--> (C^4, h1) --beta--> C over C^n, its maps affine in w.
 
-    ``alpha_coeffs`` (n + 1, k1, k0) and ``beta_coeffs`` (n + 1, k2, k1) are
+    ``alpha_coeffs`` (n + 1, 4, 1) and ``beta_coeffs`` (n + 1, 1, 4) are
     the maps' coefficient tables: the constant term C_0, then the
     coefficients C_1 .. C_n of w_1 .. w_n.  A map is C_0 + sum_j w_j C_j
     and its derivative along w_j is C_j; ``alpha(w)`` and ``beta(w)`` give
-    the maps at points w (..., n), points first.  n, k0, k1, k2 and the rank
-    are read from the tables, which are held as read-only complex arrays.
-    Every monad has k2 = 1, k0 <= 1 and rank 2, and ``h0``, ``h1`` and ``h2``
-    are :class:`DiagPowerMetric` of sizes k0, k1 and k2: another metric
-    raises TypeError, any other shape ValueError.  With ``fd`` the engine
-    takes the map derivatives by centered finite differences of step
-    ``FD_STEP``, the oracle of the tables' columns.
+    the maps at points w (..., n), points first.  n is read from the
+    tables, which are held as read-only complex arrays; a table of any
+    other shape, or with a coefficient that is not finite, raises
+    ValueError.  ``h1`` is the :class:`DiagPowerMetric` of the middle
+    bundle, with 4 entries: another metric raises TypeError, another size
+    ValueError.  The outer bundles carry the unit metric.  With ``fd`` the
+    engine takes the map derivatives by centered finite differences of
+    step ``FD_STEP``, the oracle of the tables' columns.
     """
 
     name: str
     alpha_coeffs: np.ndarray
     beta_coeffs: np.ndarray
-    h0: DiagPowerMetric
     h1: DiagPowerMetric
-    h2: DiagPowerMetric
     fd: bool = False
 
     def __post_init__(self):
-        for key in ("h0", "h1", "h2"):
-            m = getattr(self, key)
-            if not isinstance(m, DiagPowerMetric):
-                raise TypeError(f"{self.name}: {key} must be a DiagPowerMetric, "
-                                f"not {type(m).__name__}")
+        if not isinstance(self.h1, DiagPowerMetric):
+            raise TypeError(f"{self.name}: h1 must be a DiagPowerMetric, "
+                            f"not {type(self.h1).__name__}")
         for key in ("alpha_coeffs", "beta_coeffs"):
             c = np.array(getattr(self, key), dtype=complex)
+            if not np.isfinite(c).all():
+                raise ValueError(f"{self.name}: {key} has a coefficient that is not finite")
             c.flags.writeable = False
             object.__setattr__(self, key, c)
         a, b = self.alpha_coeffs.shape, self.beta_coeffs.shape
-        if len(a) != 3 or len(b) != 3 or a[0] != b[0] or a[0] < 2 or a[1] != b[2]:
-            raise ValueError(f"{self.name}: coefficient tables must be (n + 1, k1, k0) "
-                             f"and (n + 1, k2, k1) with n >= 1, got {a} and {b}")
-        if self.k2 != 1 or self.k0 > 1 or self.rank != 2:
-            raise ValueError(f"{self.name}: a monad has k2 = 1, k0 <= 1 and rank 2, "
-                             f"got (k0, k1, k2) = {(self.k0, self.k1, self.k2)}")
-        for key, k in (("h0", self.k0), ("h1", self.k1), ("h2", self.k2)):
-            if getattr(self, key).dim != k:
-                raise ValueError(f"{self.name}: {key} has {getattr(self, key).dim} "
-                                 f"entries, its bundle rank {k}")
+        if len(a) != 3 or a[0] < 2 or a[1:] != (K1, 1) or b != (a[0], 1, K1):
+            raise ValueError(f"{self.name}: coefficient tables must be (n + 1, 4, 1) "
+                             f"and (n + 1, 1, 4) with n >= 1, got {a} and {b}")
+        if self.h1.dim != K1:
+            raise ValueError(f"{self.name}: h1 has {self.h1.dim} entries, "
+                             f"its bundle rank {K1}")
 
     @property
     def n(self) -> int:
         return self.alpha_coeffs.shape[0] - 1
 
-    @property
-    def k0(self) -> int:
-        return self.alpha_coeffs.shape[2]
-
-    @property
-    def k1(self) -> int:
-        return self.alpha_coeffs.shape[1]
-
-    @property
-    def k2(self) -> int:
-        return self.beta_coeffs.shape[1]
-
-    @property
-    def rank(self) -> int:
-        return self.k1 - self.k0 - self.k2
-
     def point(self, p) -> np.ndarray:
         return coords(p, self.n)
 
     def alpha(self, w) -> np.ndarray:
-        """alpha at the points w (..., n), (..., k1, k0)."""
+        """alpha at the points w (..., n), (..., 4, 1)."""
         return _map(self.alpha_coeffs, self.point(w))
 
     def beta(self, w) -> np.ndarray:
-        """beta at the points w (..., n), (..., k2, k1)."""
+        """beta at the points w (..., n), (..., 1, 4)."""
         return _map(self.beta_coeffs, self.point(w))
 
 
@@ -457,22 +441,6 @@ class ValidityReport:
 # pointwise maps
 
 
-def _dbar_adjoint(m, dm, m_dag, hs_inv, ht, dhs, dht):
-    """(0,1)-form dbar(m^dag) of m^dag = hs^{-1} conj(m)^t ht, along dwbar_j.
-
-    dbar_j m^dag = hs^{-1} [conj(d_j m)^t ht + conj(m)^t (dbar_j ht)
-                            - (dbar_j hs) m^dag],
-    with dbar_j h = (d_j h)^dag for Hermitian h; shape (n, ks, kt, P).  A
-    metric derivative that is None (identically zero) drops its term.
-    """
-    out = _rmul(_ct(dm), ht)
-    if dht is not None:
-        out = out + _rmul(_ct(m), dht, adj=True)
-    if dhs is not None:
-        out = out - _lmul(dhs, m_dag, adj=True)
-    return _lmul(hs_inv, out)
-
-
 def _sigma_min(gram):
     """Smallest h-metric singular values sqrt(lambda) of 1x1 Gram matrices
     (1, 1, P) (beta beta^dag or alpha^dag alpha), each its own eigenvalue
@@ -483,11 +451,10 @@ def _sigma_min(gram):
     return np.where(finite, np.sqrt(np.maximum(lam, 0.0)), np.nan)
 
 
-def _report(spec, w, v, i):
+def _report(w, v, i):
     """The :class:`ValidityReport` of point ``i`` of the points w (P, n)
     from their :func:`_values` v."""
-    res = (float(np.abs(v["beta"][..., i] @ v["alpha"][..., i]).max())
-           if spec.k0 > 0 else 0.0)
+    res = float(np.abs(v["beta"][..., i] @ v["alpha"][..., i]).max())
     s_a, s_b = float(v["sigma_alpha"][i]), float(v["sigma_beta"][i])
     return ValidityReport(point=w[i], sigma_min_alpha=s_a, sigma_min_beta_dag=s_b,
                           beta_alpha_residual=res,
@@ -496,10 +463,10 @@ def _report(spec, w, v, i):
 
 
 def _values(spec, w, rest=()):
-    """The metrics with their derivatives, the maps and their adjoints at
-    the points w (P, n), each evaluated once and held points last, the
-    smallest h-metric singular values of alpha and beta^dag, and the
-    inverses of h0, h1, (beta beta^dag) and (alpha^dag alpha).  If any
+    """h1 with its derivatives, the maps and their adjoints at the points
+    w (P, n), each evaluated once and held points last, the smallest
+    h-metric singular values of alpha and beta^dag, and the inverses of h1,
+    (beta beta^dag) and (alpha^dag alpha).  If any
     point of w is singular it raises the module's
     :class:`SingularPointError` with the report of the first, counting also
     the singular points of the point arrays in ``rest`` (the rest of a
@@ -507,12 +474,11 @@ def _values(spec, w, rest=()):
     out, singular = _rule(spec, w)
     if np.any(singular):
         count = sum(np.count_nonzero(_rule(spec, x)[1]) for x in rest)
-        rep = _report(spec, w, out, int(np.flatnonzero(singular)[0]))
+        rep = _report(w, out, int(np.flatnonzero(singular)[0]))
         raise SingularPointError(f"{spec.name}: {np.count_nonzero(singular) + count} "
                                  f"singular point(s), the first: {rep}", report=rep)
     out["bbd_inv"] = 1.0 / out.pop("bbd")
-    if spec.k0 > 0:
-        out["ada_inv"] = 1.0 / out.pop("ada")
+    out["ada_inv"] = 1.0 / out.pop("ada")
     return out
 
 
@@ -524,22 +490,16 @@ def _rule(spec, w):
     # a metric entry that is 0 or infinite at a singular point gives an
     # infinite or NaN Gram matrix: the rule, not a warning, reports it
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = dict(zip(("h1", "dh1", "ddlog_h1"), _metric(spec.h1, wt, 2)))
-        out.update(zip(("h2", "dh2"), _metric(spec.h2, wt, 1)))
+        out = dict(zip(("h1", "dh1", "ddlog_h1"), _metric(spec.h1, wt)))
+        out["h1_inv"] = 1.0 / out["h1"]
         out["beta"] = _affine(spec.beta_coeffs, wt)
-        h1_inv = 1.0 / out["h1"]
-        beta_dag = _rmul(_lmul(h1_inv, _ct(out["beta"])), out["h2"])
-        out["bbd"] = _mm(out["beta"], beta_dag)
-        sigma_beta = _sigma_min(out["bbd"])
-        out.update(h1_inv=h1_inv, beta_dag=beta_dag, sigma_beta=sigma_beta,
-                   sigma_alpha=np.full(sigma_beta.shape, np.inf))
-        if spec.k0 > 0:
-            out.update(zip(("h0", "dh0"), _metric(spec.h0, wt, 1)))
-            out["alpha"] = _affine(spec.alpha_coeffs, wt)
-            out["h0_inv"] = 1.0 / out["h0"]
-            out["alpha_dag"] = _rmul(_lmul(out["h0_inv"], _ct(out["alpha"])), out["h1"])
-            out["ada"] = _mm(out["alpha_dag"], out["alpha"])
-            out["sigma_alpha"] = _sigma_min(out["ada"])
+        out["beta_dag"] = _lmul(out["h1_inv"], _ct(out["beta"]))
+        out["bbd"] = _mm(out["beta"], out["beta_dag"])
+        out["sigma_beta"] = _sigma_min(out["bbd"])
+        out["alpha"] = _affine(spec.alpha_coeffs, wt)
+        out["alpha_dag"] = _rmul(_ct(out["alpha"]), out["h1"])
+        out["ada"] = _mm(out["alpha_dag"], out["alpha"])
+        out["sigma_alpha"] = _sigma_min(out["ada"])
     singular = ~(out["sigma_alpha"] > SINGULAR_TOL) | ~(out["sigma_beta"] > SINGULAR_TOL)
     return out, singular
 
@@ -547,20 +507,26 @@ def _rule(spec, w):
 def _pieces(spec, w, values):
     """All pointwise ingredients needed by the curvature formula.
 
-    The :func:`_values` at w plus the derivatives of the maps:
-    grad_alpha_dag = dbar(alpha^dag) has components along dwbar_j,
-    (n, k0, k1, P); grad_beta = (dbar beta^dag)^dag along dw_j,
-    (n, k2, k1, P).
+    The :func:`_values` at w plus the derivatives of the maps' adjoints,
+    alpha^dag = conj(alpha)^t h1 and beta^dag = h1^{-1} conj(beta)^t:
+    grad_alpha_dag = dbar(alpha^dag) along dwbar_j, (n, 1, 4, P), and
+    grad_beta = (dbar beta^dag)^dag along dw_j, (n, 1, 4, P), with
+    dbar_j h1 = (d_j h1)^dag and
+
+        dbar_j alpha^dag = conj(d_j alpha)^t h1 + conj(alpha)^t (dbar_j h1),
+        dbar_j beta^dag = h1^{-1} [conj(d_j beta)^t - (dbar_j h1) beta^dag];
+
+    with a constant h1 (d h1 None) the h1-derivative terms are dropped.
     """
     out = dict(values)
-    dbar_beta_dag = _dbar_adjoint(out["beta"], _holo(spec, spec.beta_coeffs, w),
-                                  out["beta_dag"], out["h1_inv"], out["h2"],
-                                  out["dh1"], out["dh2"])
-    out["grad_beta"] = _rmul(_lmul(1.0 / out["h2"], _ct(dbar_beta_dag)), out["h1"])
-    if spec.k0 > 0:
-        out["grad_alpha_dag"] = _dbar_adjoint(
-            out["alpha"], _holo(spec, spec.alpha_coeffs, w), out["alpha_dag"],
-            out["h0_inv"], out["h1"], out["dh0"], out["dh1"])
+    dh1 = out["dh1"]
+    grad_alpha_dag = _rmul(_ct(_holo(spec, spec.alpha_coeffs, w)), out["h1"])
+    dbar_beta_dag = _ct(_holo(spec, spec.beta_coeffs, w))
+    if dh1 is not None:
+        grad_alpha_dag = grad_alpha_dag + _rmul(_ct(out["alpha"]), dh1, adj=True)
+        dbar_beta_dag = dbar_beta_dag - _lmul(dh1, out["beta_dag"], adj=True)
+    out["grad_alpha_dag"] = grad_alpha_dag
+    out["grad_beta"] = _rmul(_ct(_lmul(out["h1_inv"], dbar_beta_dag)), out["h1"])
     return out
 
 
@@ -575,18 +541,17 @@ def validate_monad(spec: MonadSpec, p) -> ValidityReport:
     h-metrics, so basis-independent); it does not raise at a singular point.
     """
     w = spec.point(p)[None]
-    return _report(spec, w, _rule(spec, w)[0], 0)
+    return _report(w, _rule(spec, w)[0], 0)
 
 
-def _projector(spec, values):
-    """i -> P e_i (k1, 1, P), the columns of the h1-orthogonal projector P
+def _projector(values):
+    """i -> P e_i (4, 1, P), the columns of the h1-orthogonal projector P
     onto ker beta ∩ ker alpha^dag; the frame reads only the columns it takes
     as seeds, and the factors they share are formed once."""
     v = values
-    terms = [(_rmul(v["beta_dag"], v["bbd_inv"]), v["beta"])]
-    if spec.k0 > 0:
-        terms.append((_rmul(v["alpha"], v["ada_inv"]), v["alpha_dag"]))
-    eye = np.eye(spec.k1)
+    terms = ((_rmul(v["beta_dag"], v["bbd_inv"]), v["beta"]),
+             (_rmul(v["alpha"], v["ada_inv"]), v["alpha_dag"]))
+    eye = np.eye(K1)
 
     def column(i):
         p = eye[:, i, None, None]
@@ -598,28 +563,28 @@ def _projector(spec, values):
 
 
 def cohomology_frame(spec: MonadSpec, p) -> np.ndarray:
-    """The (k1, r) :func:`frame_batch` basis of the cohomology fiber at one
+    """The (4, 2) :func:`frame_batch` basis of the cohomology fiber at one
     regular point p, built as a batch of one."""
     return frame_batch(spec, _values(spec, spec.point(p)[None]))[0]
 
 
 def frame_batch(spec: MonadSpec, values: dict) -> np.ndarray:
-    """h1-orthonormal bases of the cohomology fibers, (P, k1, r).
+    """h1-orthonormal bases of the cohomology fibers, (P, 4, 2).
 
     ``values`` are the :func:`_values` at the points.  At every point the
-    seeds P e_1, ..., P e_{k1} (P the h1-orthogonal projector onto V_p) are
+    seeds P e_1, ..., P e_4 (P the h1-orthogonal projector onto V_p) are
     taken in index order and orthogonalised by modified Gram-Schmidt in h1;
     a seed whose residual h1-norm is at most 1e-7 (an absolute threshold) is
     discarded.  A point left with fewer than r columns, or with a non-finite
     one, raises :class:`SingularPointError`.  The bases are built points
-    last, (k1, r, P), and returned as a points-first view of that array.
+    last, (4, 2, P), and returned as a points-first view of that array.
     """
-    h1, r = values["h1"], spec.rank
+    h1, r = values["h1"], RANK
     npts = values["beta"].shape[-1]
-    seed = _projector(spec, values)
-    basis = np.zeros((spec.k1, r, npts), dtype=complex)
+    seed = _projector(values)
+    basis = np.zeros((K1, r, npts), dtype=complex)
     count = np.zeros(npts, dtype=int)
-    for i in range(spec.k1):
+    for i in range(K1):
         v = seed(i)
         for c in range(min(i, r)):
             # a column not filled yet is zero and leaves v unchanged
@@ -644,7 +609,7 @@ def frame_batch(spec: MonadSpec, values: dict) -> np.ndarray:
 def induced_metric(spec: MonadSpec, p, sections) -> np.ndarray:
     """Gram matrix of ker-beta representatives after projecting off Im alpha.
 
-    ``sections`` is a list of k1-vectors (or an array (..., k1, m) of columns)
+    ``sections`` is a list of 4-vectors (or an array (..., 4, m) of columns)
     annihilated by beta at p.  Returns G[a, b] = <s'_a, s'_b>_{h1} with
     s' = s - alpha (alpha^dag alpha)^{-1} alpha^dag s.
     """
@@ -659,11 +624,9 @@ def induced_metric(spec: MonadSpec, p, sections) -> np.ndarray:
     scale = max(float(np.abs(s).max()) * max(float(np.abs(b).max()), 1.0), 1e-30)
     if res.max() > 1e-10 * scale:
         raise ValueError(f"section not in ker beta: residual {res.max():.3e}")
-    if spec.k0 > 0:
-        h0 = spec.h0.value(w)
-        a = np.asarray(spec.alpha(w), dtype=complex)
-        ad = np.linalg.solve(h0, a.conj().T @ h1)      # alpha^dag
-        s = s - a @ np.linalg.solve(ad @ a, ad @ s)
+    a = np.asarray(spec.alpha(w), dtype=complex)
+    ad = a.conj().T @ h1      # alpha^dag
+    s = s - a @ np.linalg.solve(ad @ a, ad @ s)
     return np.swapaxes(s.conj(), -1, -2) @ h1 @ s
 
 
@@ -673,13 +636,13 @@ def induced_metric(spec: MonadSpec, p, sections) -> np.ndarray:
 
 def _fiber_forms(spec, w, basis, values):
     """Raw dw_j ^ dwbar_k coefficients N[j,k] of the induced curvature in the
-    fiber basis B (k1, r, P), as (n, n, r, r, P), with
+    fiber basis B (4, 2, P), as (n, n, 2, 2, P), with
     <F s, s'> = s'^dag N[j,k] s.
 
     With G_j = grad_beta_j B and A_j = grad_alpha_dag_j B,
 
-        N[j,k] = B^dag h1 F1[j,k] B - G_k^dag h2 (beta beta^dag)^{-1} G_j
-                 + A_j^dag h0 (alpha^dag alpha)^{-1} A_k,
+        N[j,k] = B^dag h1 F1[j,k] B - G_k^dag (beta beta^dag)^{-1} G_j
+                 + A_j^dag (alpha^dag alpha)^{-1} A_k,
 
     the ambient form of the module docstring restricted to V_p.  For the
     diagonal h1, h1 F1[j,k] = (d_k h1)^dag h1^{-1} (d_j h1) - d_j d_kbar h1
@@ -687,17 +650,15 @@ def _fiber_forms(spec, w, basis, values):
     terms give in closed form, so B^dag h1 F1 B = -sum_(e, X) X[j,k] B^dag (e h1) B.
     """
     pc = _pieces(spec, w, values)
-    # G_j, (n, k2, r, P), paired as x[k, a, p] with y[j, p, b]
+    # G_j, (n, 1, 2, P), paired as x[k, a, p] with y[j, p, b]
     g = _mm(pc["grad_beta"], basis)
-    out = _mm(_ct(g)[None], -_mm(_lmul(pc["h2"], pc["bbd_inv"]), g)[:, None])
+    out = _mm(_ct(g)[None], -_mm(pc["bbd_inv"], g)[:, None])
     if pc["ddlog_h1"] is not None:
         for e, x in pc["ddlog_h1"]:
             out = out - x[:, :, None, None] * _mm(_ct(basis), _lmul(e * pc["h1"], basis))
-    if spec.k0 > 0:
-        # A_j, (n, k0, r, P), paired as x[j, a, p] with y[k, p, b]
-        a = _mm(pc["grad_alpha_dag"], basis)
-        out = out + _mm(_ct(a)[:, None], _mm(_lmul(pc["h0"], pc["ada_inv"]), a)[None])
-    return out
+    # A_j, (n, 1, 2, P), paired as x[j, a, p] with y[k, p, b]
+    a = _mm(pc["grad_alpha_dag"], basis)
+    return out + _mm(_ct(a)[:, None], _mm(pc["ada_inv"], a)[None])
 
 
 def form_norm_sq(f_raw: np.ndarray) -> np.ndarray:
@@ -710,7 +671,7 @@ def form_norm_sq(f_raw: np.ndarray) -> np.ndarray:
 
 def _curvature_data(spec, w, basis, values):
     """Raw form, i Lambda F and the two norms in the fiber basis B
-    (k1, r, P), points last."""
+    (4, 2, P), points last."""
     raw = _fiber_forms(spec, w, basis, values)
     mean = 2.0 * sum(raw[j, j] for j in range(spec.n))      # i Lambda F
     mean = 0.5 * (mean + _ct(mean))
@@ -735,9 +696,9 @@ def curvature(spec: MonadSpec, p) -> dict:
 def curvature_batch(spec: MonadSpec, W: np.ndarray, fields=FIELDS) -> dict:
     """Curvature data at regular points W (..., n), the engine's one record.
 
-    The record's keys: ``basis`` (..., k1, r), the :func:`frame_batch`
-    bases; the raw form coefficients ``form_raw`` (..., n, n, r, r) in those
-    bases, with i F = i sum raw[j,k] dw_j ^ dwbar_k; ``mean`` (..., r, r),
+    The record's keys: ``basis`` (..., 4, 2), the :func:`frame_batch`
+    bases; the raw form coefficients ``form_raw`` (..., n, n, 2, 2) in those
+    bases, with i F = i sum raw[j,k] dw_j ^ dwbar_k; ``mean`` (..., 2, 2),
     the Hermitian i Lambda F; ``norm_mean``, its spectral norm; and
     ``norm_form``, |F|.  Only the keys named in ``fields`` are kept.
 
@@ -772,7 +733,7 @@ def curvature_batch(spec: MonadSpec, W: np.ndarray, fields=FIELDS) -> dict:
 def curvature_fd_check(spec: MonadSpec, p, frame, h: float = 1e-3) -> float:
     """Relative gap between the curvature formula and its definition.
 
-    ``frame`` maps coordinates to a (k1, m) column stack of holomorphic
+    ``frame`` maps coordinates to a (4, m) column stack of holomorphic
     ker-beta representatives valid on the FD stencil around p.  The Chern
     curvature of the induced Gram metric, F = dbar(G^{-1} dG) computed by
     centered differences, is compared against :func:`curvature` transported
@@ -800,7 +761,7 @@ def curvature_fd_check(spec: MonadSpec, p, frame, h: float = 1e-3) -> float:
 
     rep = curvature(spec, w)
     # transport: columns of the frame expand in the orthonormal basis as T;
-    # B^dag h1 alpha = (h0 alpha^dag B)^dag = 0, so no projection off Im alpha
+    # B^dag h1 alpha = (alpha^dag B)^dag = 0, so no projection off Im alpha
     t = rep["basis"].conj().T @ spec.h1.value(w) @ np.asarray(frame(w), dtype=complex)
     engine_raw = np.linalg.inv(t) @ rep["form_raw"] @ t
 

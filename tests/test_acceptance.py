@@ -96,10 +96,11 @@ def _oracle_cases(rng, n_points):
         count += 1
     spec_c = ansatz.cone_monad()
 
+    # the z-chart frame of ker(x, y, z), 0 on the cone's acyclic summand
     def zframe(q):
         q = np.asarray(q, dtype=complex)
-        return np.stack([np.array([q[2], 0, -q[0]]),
-                         np.array([0, q[2], -q[1]])], axis=1)
+        return np.stack([np.array([q[2], 0, -q[0], 0]),
+                         np.array([0, q[2], -q[1], 0])], axis=1)
 
     count = 0
     while count < n_points:

